@@ -258,9 +258,10 @@ def _run_cell(payload: dict) -> dict:
         (models_dir / f"{name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n")
 
         row["train_perplexity"] = evaluate.perplexity(model, train)
-        row["test_perplexity"] = evaluate.perplexity(model, test)
-        row["error_rate"] = evaluate.error_rate(model, test)
-        row["rmrr"] = evaluate.rmrr(model, test)
+        report = evaluate.evaluate_model(model, test)
+        row["test_perplexity"] = report.perplexity
+        row["error_rate"] = report.error_rate
+        row["rmrr"] = report.rmrr
     except Exception as exc:  # recorded per row, the sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_time"] = time.perf_counter() - started

@@ -1,9 +1,11 @@
 """Model-agnostic evaluation of predictive power.
 
 Works with any model exposing ``log_evidence(seq)`` and
-``predict_distribution(seq, position)``; grammar models additionally expose
-``normalized_log_evidence`` which the perplexity uses so that their evidence
-is normalized within fixed-length sequence sets like the other model families.
+``predict_distributions(seq)``, whose row i is the distribution of the symbol
+at position i + 1 given all the others; grammar models additionally expose
+``normalized_log_evidences(seqs)``, which the perplexity uses so that their
+evidence is normalized within fixed-length sequence sets like the other model
+families.
 """
 
 from __future__ import annotations
@@ -39,19 +41,21 @@ def _sequences(test) -> list[np.ndarray]:
     return seqs
 
 
-def _log_evidence_fn(model):
-    return getattr(model, "normalized_log_evidence", None) or model.log_evidence
+def _log_evidences(model, seqs: list[np.ndarray]):
+    """Each sequence's log evidence in turn, normalized within its length for
+    grammars."""
+    if hasattr(model, "normalized_log_evidences"):
+        return model.normalized_log_evidences(seqs)
+    return map(model.log_evidence, seqs)
 
 
 def perplexity(model, test) -> float:
     """exp of the mean negative log evidence per symbol; infinite whenever any
     sequence has zero evidence."""
     seqs = _sequences(test)
-    log_ev = _log_evidence_fn(model)
     total = 0.0
     count = 0
-    for seq in seqs:
-        value = log_ev(seq)
+    for seq, value in zip(seqs, _log_evidences(model, seqs)):
         count += len(seq)
         if value == -math.inf:
             return math.inf
@@ -59,46 +63,49 @@ def perplexity(model, test) -> float:
     return math.exp(-total / count)
 
 
+def _rank_metrics(model, seqs: list[np.ndarray]) -> tuple[float, float]:
+    """(error rate, rmrr) from one ``predict_distributions`` call per sequence.
+
+    A position is wrong when its maximum-probability symbol differs from the
+    observed one; the observed symbol's rank counts the symbols more probable
+    than it plus the equally probable ones with lower ids, so ties break
+    toward the lowest id in both metrics.
+    """
+    wrong = 0
+    recip_total = 0.0
+    count = 0
+    for seq in seqs:
+        truth = np.asarray(seq, dtype=np.int64)
+        probs = model.predict_distributions(seq)
+        p_true = probs[np.arange(len(truth)), truth][:, None]
+        wrong += int((probs.argmax(axis=1) != truth).sum())
+        lower_id = np.arange(probs.shape[1]) < truth[:, None]
+        ranks = 1 + (probs > p_true).sum(axis=1) + ((probs == p_true) & lower_id).sum(axis=1)
+        for rank in ranks.tolist():  # summed in position order, left to right
+            recip_total += 1.0 / rank
+        count += len(truth)
+    return wrong / count, count / recip_total
+
+
 def error_rate(model, test) -> float:
     """Fraction of positions whose maximum-probability prediction differs from
     the observed symbol; argmax ties break toward the lowest symbol id."""
-    seqs = _sequences(test)
-    wrong = 0
-    count = 0
-    for seq in seqs:
-        for pos in range(1, len(seq) + 1):
-            probs = model.predict_distribution(seq, pos)
-            if int(np.argmax(probs)) != int(seq[pos - 1]):
-                wrong += 1
-            count += 1
-    return wrong / count
+    return _rank_metrics(model, _sequences(test))[0]
 
 
 def rmrr(model, test) -> float:
     """Harmonic mean of the rank of the observed symbol under each prediction;
     rank ties resolve in favor of the lowest symbol id."""
-    seqs = _sequences(test)
-    recip_total = 0.0
-    count = 0
-    for seq in seqs:
-        for pos in range(1, len(seq) + 1):
-            probs = model.predict_distribution(seq, pos)
-            truth = int(seq[pos - 1])
-            p_true = probs[truth]
-            rank = 1 + int((probs > p_true).sum()) + int((probs[:truth] == p_true).sum())
-            recip_total += 1.0 / rank
-            count += 1
-    return count / recip_total
+    return _rank_metrics(model, _sequences(test))[1]
 
 
 def evaluate_model(model, test) -> EvalReport:
+    """Every metric on one test set, predicting each sequence's positions in
+    one ``predict_distributions`` call."""
     seqs = _sequences(test)
-    return EvalReport(
-        perplexity=perplexity(model, seqs),
-        error_rate=error_rate(model, seqs),
-        rmrr=rmrr(model, seqs),
-        n_symbols=sum(len(s) for s in seqs),
-    )
+    ppl = perplexity(model, seqs)
+    err, mrr = _rank_metrics(model, seqs)
+    return EvalReport(perplexity=ppl, error_rate=err, rmrr=mrr, n_symbols=sum(len(s) for s in seqs))
 
 
 CSV_HEADER = "model,dataset,perplexity,error_rate,rmrr,n_symbols"

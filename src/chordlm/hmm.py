@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import EncodedDataset
-from .markov import MarkovModel, _check_rows, _draw
+from .markov import MarkovModel, _check_rows, _draw, _normalize_predictions
 
 
 @dataclass
@@ -41,6 +41,9 @@ class HmmParams:
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
+
+    def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
+        return predict_distributions(self, seq)
 
 
 @dataclass
@@ -365,41 +368,44 @@ def gibbs_fit(
     return polished, trace
 
 
-def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:
-    """Distribution of the symbol at 1-based ``position`` given the others.
+def _prediction_weights(params: HmmParams, seq: np.ndarray) -> np.ndarray:
+    """Unnormalized weights of every candidate symbol at every position.
 
-    Uses the filtered prefix messages and a backward pass normalized per step,
-    both independent of the observed symbol at the queried position.
+    Row i combines the filtered prefix message P(z_i | x_{1:i-1}) with a
+    backward message normalized per step, neither of which depends on the
+    observed symbol at i; one forward and one backward pass give every row.
+    A prefix of zero evidence leaves its rows zero.
     """
+    n = len(seq)
+    if n == 0:
+        raise ValueError("sequence must be non-empty")
+    alpha, _ = _forward_batch(params, seq[None, :])
+    weights = np.empty((n, params.vocab_size))
+    # suffix messages, self-normalized so they never divide by prefix scalings
+    beta = np.ones(params.n_states)
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            beta = params.transition @ (params.emission[:, seq[i + 1]] * beta)
+            total = beta.sum()
+            if total > 0.0:
+                beta = beta / total
+        state_in = alpha[0, i - 1] @ params.transition if i > 0 else params.initial
+        weights[i] = (state_in * beta) @ params.emission
+    return weights
+
+
+def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:
+    """Distribution of the symbol at 1-based ``position`` given the others."""
     seq = np.asarray(seq)
     n = len(seq)
     if not 1 <= position <= n:
         raise ValueError(f"position {position} out of range [1, {n}]")
-    i = position - 1
+    return _normalize_predictions(_prediction_weights(params, seq)[position - 1])
 
-    # prefix filter up to i-1 (independent of seq[i])
-    if i > 0:
-        alpha, scaling = _forward_batch(params, seq[None, :i])
-        if (scaling <= 0.0).any():
-            raise ValueError("no symbol has positive probability at this position")
-        prefix = alpha[0, i - 1]
-        state_in = prefix @ params.transition
-    else:
-        state_in = params.initial
 
-    # suffix messages, self-normalized so they never divide by prefix scalings
-    beta = np.ones(params.n_states)
-    for t in range(n - 2, i - 1, -1):
-        beta = params.transition @ (params.emission[:, seq[t + 1]] * beta)
-        total = beta.sum()
-        if total > 0.0:
-            beta = beta / total
-
-    probs = (state_in * beta) @ params.emission
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("no symbol has positive probability at this position")
-    return probs / total
+def predict_distributions(params: HmmParams, seq: np.ndarray) -> np.ndarray:
+    """Row i is ``predict_distribution(params, seq, i + 1)``; shape (len(seq), V)."""
+    return _normalize_predictions(_prediction_weights(params, np.asarray(seq)))
 
 
 def from_markov(model: MarkovModel) -> HmmParams:

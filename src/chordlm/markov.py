@@ -69,19 +69,14 @@ class MarkovModel:
             total += float(np.log(p))
         return total
 
-    def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
-        """Distribution of the symbol at 1-based ``position`` given all other
-        symbols of ``seq``.
+    def _position_weights(self, seq: np.ndarray, i: int) -> np.ndarray:
+        """Unnormalized weights of each candidate symbol at 0-based ``i``.
 
         Only the conditional factors whose context window touches the queried
-        position vary with the candidate symbol, so the result is the
-        normalized product of those factors.
+        position vary with the candidate symbol, so the weights are the
+        product of those factors.
         """
-        seq = np.asarray(seq)
         n = len(seq)
-        if not 1 <= position <= n:
-            raise ValueError(f"position {position} out of range [1, {n}]")
-        i = position - 1
         probs = np.ones(self.vocab_size)
         for pos in range(i, min(i + self.order, n - 1) + 1):
             if pos < self.order:
@@ -96,10 +91,21 @@ class MarkovModel:
                 idx.append(slice(None) if j == i else int(seq[j]))
             factor = table[tuple(idx)]
             probs = probs * factor
-        total = probs.sum()
-        if total <= 0.0:
-            raise ValueError("no symbol has positive probability at this position")
-        return probs / total
+        return probs
+
+    def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
+        """Distribution of the symbol at 1-based ``position`` given all other
+        symbols of ``seq``."""
+        seq = np.asarray(seq)
+        n = len(seq)
+        if not 1 <= position <= n:
+            raise ValueError(f"position {position} out of range [1, {n}]")
+        return _normalize_predictions(self._position_weights(seq, position - 1))
+
+    def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
+        """Row i is ``predict_distribution(seq, i + 1)``; shape (len(seq), V)."""
+        seq = np.asarray(seq)
+        return _normalize_predictions(np.stack([self._position_weights(seq, i) for i in range(len(seq))]))
 
     def sample_sequence(self, length: int, seed: int) -> np.ndarray:
         if length < 1:
@@ -114,6 +120,14 @@ class MarkovModel:
 
 def _draw(rng: np.random.Generator, row: np.ndarray) -> int:
     return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+
+
+def _normalize_predictions(weights: np.ndarray) -> np.ndarray:
+    """Scale per-position candidate weights (the last axis) to distributions."""
+    totals = weights.sum(axis=-1, keepdims=True)
+    if (totals <= 0.0).any():
+        raise ValueError("no symbol has positive probability at this position")
+    return weights / totals
 
 
 def _check_rows(table: np.ndarray, tol: float, label: str) -> None:
@@ -136,8 +150,9 @@ def fit(
     Additive smoothing adds ``epsilon`` to every count. KN and MKN use
     interpolated absolute discounting that recurses through shorter contexts
     down to a unigram level interpolated with the uniform distribution; each
-    table whose discount statistics degenerate (no singleton or doubleton
-    counts) falls back to additive smoothing with epsilon 0.1.
+    table whose top-level discount statistics degenerate (no singleton or
+    doubleton counts, or a zero discount for an observed count) falls back to
+    additive smoothing with epsilon 0.1.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -224,7 +239,12 @@ def _adjusted_counts(top: np.ndarray) -> list[np.ndarray]:
 
 
 def _discounts(counts: np.ndarray, modified: bool) -> np.ndarray:
-    """Absolute discounts indexed by count bracket (0, 1, 2, 3+)."""
+    """Absolute discounts indexed by count bracket (0, 1, 2, 3+).
+
+    Raises _DegenerateCounts when the count-of-counts give no estimate, or
+    give a zero discount to a bracket some count falls in: such a table would
+    reserve no mass for unseen symbols.
+    """
     flat = counts.reshape(-1).astype(np.int64)
     occupied = flat[flat > 0]
     n1 = int((occupied == 1).sum())
@@ -233,13 +253,19 @@ def _discounts(counts: np.ndarray, modified: bool) -> np.ndarray:
         raise _DegenerateCounts
     y = n1 / (n1 + 2.0 * n2)
     if not modified:
-        return np.array([0.0, y, y, y])
-    n3 = int((occupied == 3).sum())
-    n4 = int((occupied == 4).sum())
-    d1 = 1.0 - 2.0 * y * (n2 / n1) if n1 > 0 else 1.0
-    d2 = 2.0 - 3.0 * y * (n3 / n2) if n2 > 0 else 2.0
-    d3 = 3.0 - 4.0 * y * (n4 / n3) if n3 > 0 else 3.0
-    return np.array([0.0, min(max(d1, 0.0), 1.0), min(max(d2, 0.0), 2.0), min(max(d3, 0.0), 3.0)])
+        discounts = np.array([0.0, y, y, y])
+    else:
+        n3 = int((occupied == 3).sum())
+        n4 = int((occupied == 4).sum())
+        d1 = 1.0 - 2.0 * y * (n2 / n1) if n1 > 0 else 1.0
+        d2 = 2.0 - 3.0 * y * (n3 / n2) if n2 > 0 else 2.0
+        d3 = 3.0 - 4.0 * y * (n4 / n3) if n3 > 0 else 3.0
+        discounts = np.array(
+            [0.0, min(max(d1, 0.0), 1.0), min(max(d2, 0.0), 2.0), min(max(d3, 0.0), 3.0)]
+        )
+    if (discounts[np.minimum(occupied, 3)] == 0.0).any():
+        raise _DegenerateCounts
+    return discounts
 
 
 def _kn_table(top_counts: np.ndarray, n: int, modified: bool) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hmm import HmmParams
-from .markov import MarkovModel
+from .markov import SMOOTHING_TAGS, MarkovModel
 from .pcfg import PcfgParams
 
 MODEL_MAGIC = "chordlm-model v1"
@@ -62,12 +62,16 @@ def save_model(model, path, vocab_hash: str | None = None) -> None:
 
 
 class _Reader:
+    """Line reader whose errors name the line or the table at fault."""
+
     def __init__(self, path):
         with open(path, encoding="utf-8") as fh:
             self.lines = fh.read().splitlines()
         self.pos = 0
 
     def next(self) -> str:
+        if self.pos >= len(self.lines):
+            raise ValueError(f"line {self.pos + 1}: unexpected end of file")
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -76,56 +80,88 @@ class _Reader:
         line = self.next()
         head, _, value = line.partition(" ")
         if head != key:
-            raise ValueError(f"expected {key!r}, found {line!r}")
+            raise ValueError(f"line {self.pos}: expected {key!r}, found {line!r}")
         return value
 
-    def table(self, name: str) -> np.ndarray:
+    def count(self, key: str) -> int:
+        """A positive integer header field."""
+        text = self.key_value(key)
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"line {self.pos}: {key} {text!r} is not an integer") from None
+        if value < 1:
+            raise ValueError(f"line {self.pos}: {key} must be >= 1, found {value}")
+        return value
+
+    def table(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        """The next table, which must be called ``name`` and have ``shape``
+        (rows, columns) and only finite values."""
         header = self.next().split()
         if len(header) != 4 or header[0] != "table" or header[1] != name:
-            raise ValueError(f"expected table {name!r}, found {' '.join(header)!r}")
-        n_rows, n_cols = int(header[2]), int(header[3])
-        rows = np.empty((n_rows, n_cols))
-        for r in range(n_rows):
-            rows[r] = np.array([float(v) for v in self.next().split()])
+            raise ValueError(f"line {self.pos}: expected table {name!r}, found {' '.join(header)!r}")
+        if header[2:] != [str(shape[0]), str(shape[1])]:
+            raise ValueError(f"table {name} has shape {header[2]} x {header[3]}, expected {shape[0]} x {shape[1]}")
+        if self.pos + shape[0] > len(self.lines):
+            raise ValueError(f"line {len(self.lines) + 1}: unexpected end of file in table {name}")
+        rows = np.empty(shape)
+        for r in range(shape[0]):
+            line = self.next()
+            try:
+                rows[r] = [float(v) for v in line.split()]
+            except ValueError:
+                raise ValueError(f"line {self.pos}: table {name} row {r} is not {shape[1]} numbers") from None
+        if not np.isfinite(rows).all():
+            raise ValueError(f"table {name} has a value that is not finite")
         return rows
 
 
 def load_model(path):
-    """Returns (model, vocab_hash); the hash is None when it was not recorded."""
+    """Returns (model, vocab_hash); the hash is None when it was not recorded.
+
+    Raises ValueError for a malformed or truncated file, a table whose shape
+    does not match the header, a value that is not finite, or a model that
+    fails its own ``validate()``.
+    """
     reader = _Reader(path)
     if reader.next() != MODEL_MAGIC:
         raise ValueError(f"not a model file (missing {MODEL_MAGIC!r} header)")
     kind = reader.key_value("kind")
-    vocab_size = int(reader.key_value("vocab_size"))
+    v = reader.count("vocab_size")
     vocab_hash = reader.key_value("vocab_hash")
     vocab_hash = None if vocab_hash == NO_HASH else vocab_hash
 
     if kind == "markov":
-        order = int(reader.key_value("order"))
+        order = reader.count("order")
         smoothing = reader.key_value("smoothing")
+        if smoothing not in SMOOTHING_TAGS:
+            raise ValueError(f"line {reader.pos}: unknown smoothing {smoothing!r}")
         eps_text = reader.key_value("epsilon")
-        epsilon = None if eps_text == "-" else float(eps_text)
-        initial_tables = []
-        for j in range(1, order + 1):
-            table = reader.table(f"initial{j}").reshape((vocab_size,) * j)
-            initial_tables.append(table)
-        transitions = reader.table("transitions").reshape((vocab_size,) * (order + 1))
-        model = MarkovModel(order, vocab_size, initial_tables, transitions, smoothing, epsilon)
+        try:
+            epsilon = None if eps_text == "-" else float(eps_text)
+        except ValueError:
+            raise ValueError(f"line {reader.pos}: epsilon {eps_text!r} is not a number") from None
+        initial_tables = [
+            reader.table(f"initial{j}", (v ** (j - 1), v)).reshape((v,) * j) for j in range(1, order + 1)
+        ]
+        transitions = reader.table("transitions", (v**order, v)).reshape((v,) * (order + 1))
+        model = MarkovModel(order, v, initial_tables, transitions, smoothing, epsilon)
     elif kind == "hmm":
-        n_states = int(reader.key_value("n_states"))
+        k = reader.count("n_states")
         model = HmmParams(
-            initial=reader.table("initial").reshape(n_states),
-            transition=reader.table("transition"),
-            emission=reader.table("emission"),
+            initial=reader.table("initial", (1, k)).reshape(k),
+            transition=reader.table("transition", (k, k)),
+            emission=reader.table("emission", (k, v)),
         )
     elif kind == "pcfg":
-        d = int(reader.key_value("n_nonterminals"))
+        d = reader.count("n_nonterminals")
         model = PcfgParams(
-            start_rules=reader.table("start_rules"),
-            start_emissions=reader.table("start_emissions").reshape(vocab_size),
-            rules=reader.table("rules").reshape(d, d, d),
-            emissions=reader.table("emissions"),
+            start_rules=reader.table("start_rules", (d, d)),
+            start_emissions=reader.table("start_emissions", (1, v)).reshape(v),
+            rules=reader.table("rules", (d, d * d)).reshape(d, d, d),
+            emissions=reader.table("emissions", (d, v)),
         )
     else:
         raise ValueError(f"unknown model kind {kind!r}")
+    model.validate()
     return model, vocab_hash

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import EncodedDataset
 from .hmm import HmmParams, _dirichlet_rows
-from .markov import _draw
+from .markov import _draw, _normalize_predictions
 
 START = -1
 
@@ -61,11 +61,17 @@ class PcfgParams:
     def log_evidence(self, seq: np.ndarray) -> float:
         return inside(self, seq).log_evidence
 
-    def normalized_log_evidence(self, seq: np.ndarray) -> float:
-        return normalized_log_evidence(self, seq)
+    def normalized_log_evidences(self, seqs: list[np.ndarray]):
+        """Lazily yields each sequence's normalized log evidence, all from one
+        length table."""
+        log_length = length_log_probabilities(self, max(len(seq) for seq in seqs))
+        return (normalized_log_evidence(self, seq, log_length) for seq in seqs)
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
+
+    def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
+        return predict_distributions(self, seq)
 
 
 @dataclass
@@ -630,31 +636,45 @@ def gibbs_fit(
 # --------------------------------------------------------- length distribution
 
 
-def _length_log_probability(params: PcfgParams, length: int) -> float:
-    """log P(the grammar generates some sequence of exactly this length).
+def length_log_probabilities(params: PcfgParams, max_length: int) -> np.ndarray:
+    """log P(the grammar generates some sequence of exactly length n) for
+    every n in 0..max_length; entry 0 is -inf.
 
     Runs the inside recursion with every terminal cell summed over the
     alphabet; cells depend only on span width, so a single vector per width
-    suffices.
+    suffices, and the vectors of the widths below n serve every length n.
     """
-    if length < 1:
+    if max_length < 1:
         raise ValueError("length must be >= 1")
-    if length == 1:
-        total = params.start_emissions.sum()
-        return float(np.log(total)) if total > 0.0 else -np.inf
     d = params.n_nonterminals
-    vec = np.zeros((length, d))  # vec[w-1] scaled inside-sum for width w
-    scale = np.full(length + 1, -np.inf)
+    out = np.full(max_length + 1, -np.inf)
+    total = params.start_emissions.sum()
+    if total > 0.0:
+        out[1] = np.log(total)
+    vec = np.zeros((max_length, d))  # vec[w-1] scaled inside-sum for width w
+    scale = np.full(max_length + 1, -np.inf)
     base = params.emissions.sum(axis=1)
     m = base.max()
     if m > 0.0:
         vec[0] = base / m
         scale[1] = np.log(m)
-    for w in range(2, length):
+    for w in range(2, max_length + 1):
         pair_scales = [scale[w1] + scale[w - w1] for w1 in range(1, w)]
         m_comb = max(pair_scales)
         if m_comb == -np.inf:
             continue
+        # length w: the start symbol splits it into two shorter widths
+        total = 0.0
+        for w1 in range(1, w):
+            s = pair_scales[w1 - 1]
+            if s == -np.inf:
+                continue
+            total += np.exp(s - m_comb) * float(vec[w1 - 1] @ params.start_rules @ vec[w - w1 - 1])
+        if total > 0.0:
+            out[w] = np.log(total) + m_comb
+        if w == max_length:
+            break
+        # width w below a nonterminal, for the longer lengths
         acc = np.zeros(d)
         for w1 in range(1, w):
             s = pair_scales[w1 - 1]
@@ -665,56 +685,61 @@ def _length_log_probability(params: PcfgParams, length: int) -> float:
         if band_max > 0.0:
             vec[w - 1] = acc / band_max
             scale[w] = m_comb + np.log(band_max)
-    pair_scales = [scale[w1] + scale[length - w1] for w1 in range(1, length)]
-    m_top = max(pair_scales)
-    if m_top == -np.inf:
-        return -np.inf
-    total = 0.0
-    for w1 in range(1, length):
-        s = pair_scales[w1 - 1]
-        if s == -np.inf:
-            continue
-        total += np.exp(s - m_top) * float(vec[w1 - 1] @ params.start_rules @ vec[length - w1 - 1])
-    return float(np.log(total) + m_top) if total > 0.0 else -np.inf
+    return out
 
 
 def length_probability(params: PcfgParams, length: int) -> float:
     """Probability that a generated sequence has exactly the given length."""
-    return float(np.exp(_length_log_probability(params, length)))
+    return float(np.exp(length_log_probabilities(params, length)[length]))
 
 
-def normalized_log_evidence(params: PcfgParams, seq: np.ndarray) -> float:
+def normalized_log_evidence(
+    params: PcfgParams, seq: np.ndarray, log_length: np.ndarray | None = None
+) -> float:
     """Log evidence renormalized within the set of sequences of equal length,
-    making the grammar comparable with fixed-length sequence models."""
+    making the grammar comparable with fixed-length sequence models.
+
+    ``log_length`` is a table from ``length_log_probabilities`` that reaches
+    len(seq); it is built here when omitted.
+    """
     seq = np.asarray(seq)
-    log_len = _length_log_probability(params, len(seq))
-    if log_len == -np.inf:
-        raise ValueError(f"grammar generates no sequence of length {len(seq)}")
-    return inside(params, seq).log_evidence - log_len
+    n = len(seq)
+    if log_length is None:
+        log_length = length_log_probabilities(params, n)
+    if log_length[n] == -np.inf:
+        raise ValueError(f"grammar generates no sequence of length {n}")
+    return inside(params, seq).log_evidence - float(log_length[n])
 
 
 # ------------------------------------------------------------- prediction
 
 
-def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> np.ndarray:
-    """Distribution of the symbol at 1-based ``position`` given the others.
+def _prediction_weights(params: PcfgParams, seq: np.ndarray) -> np.ndarray:
+    """Unnormalized weights of every candidate symbol at every position.
 
     The single-position outside value is independent of the observed symbol
-    there, so the prediction is the emission-weighted outside vector.
+    there, so row i is the emission-weighted outside vector of cell (i, i),
+    and one inside and one outside pass give every row.
     """
-    seq = np.asarray(seq)
     n = len(seq)
     if n < 2:
         raise ValueError("prediction requires sequences of length >= 2")
+    a = outside(params, seq, inside(params, seq)).outside
+    return np.stack([a[i, i] @ params.emissions for i in range(n)])
+
+
+def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> np.ndarray:
+    """Distribution of the symbol at 1-based ``position`` given the others."""
+    seq = np.asarray(seq)
+    n = len(seq)
     if not 1 <= position <= n:
         raise ValueError(f"position {position} out of range [1, {n}]")
-    charts = outside(params, seq, inside(params, seq))
-    i = position - 1
-    probs = charts.outside[i, i] @ params.emissions
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("no symbol has positive probability at this position")
-    return probs / total
+    return _normalize_predictions(_prediction_weights(params, seq)[position - 1])
+
+
+def predict_distributions(params: PcfgParams, seq: np.ndarray) -> np.ndarray:
+    """Row i is ``predict_distribution(params, seq, i + 1)``; shape (len(seq), V)."""
+    return _normalize_predictions(_prediction_weights(params, np.asarray(seq)))
 
 
 # --------------------------------------------------------------- generation

@@ -223,14 +223,16 @@ def kn_reference_table(top_counts: np.ndarray, n_symbols: int, modified: bool) -
             return None
         y = n1 / (n1 + 2 * n2)
         if not modified:
-            return {1: y, 2: y, 3: y}
+            return {1: y, 2: y, 3: y} if y > 0.0 else None
         n3 = sum(1 for v in vals if v == 3)
         n4 = sum(1 for v in vals if v == 4)
         d1 = 1 - 2 * y * n2 / n1 if n1 > 0 else 1.0
         d2 = 2 - 3 * y * n3 / n2 if n2 > 0 else 2.0
         d3 = 3 - 4 * y * n4 / n3 if n3 > 0 else 3.0
         clamp = lambda v, hi: min(max(v, 0.0), hi)
-        return {1: clamp(d1, 1), 2: clamp(d2, 2), 3: clamp(d3, 3)}
+        d = {1: clamp(d1, 1), 2: clamp(d2, 2), 3: clamp(d3, 3)}
+        # a zero discount on an observed count would reserve no mass
+        return None if any(d[min(v, 3)] == 0.0 for v in vals) else d
 
     # top level must be estimable; degenerate lower levels inherit from above
     disc = {}

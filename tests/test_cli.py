@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chordlm
 from chordlm import cli, hmm, markov, model_io, pcfg
 from chordlm.config import (
     ExperimentConfig,
@@ -328,10 +331,14 @@ def test_generate_pcfg_forbids_length_and_matches_mean(tmp_path):
 
 def test_cli_exit_codes_and_error_json(tmp_path):
     env_cmd = [sys.executable, "-m", "chordlm.cli"]
+    # the child imports the same chordlm as this process, installed or not
+    package_root = str(Path(chordlm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     bad = subprocess.run(
         env_cmd + ["prepare", "--corpus", str(tmp_path / "missing.txt"), "--out-dir", str(tmp_path / "r")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert bad.returncode != 0
     err = json.loads(bad.stderr.strip().splitlines()[-1])
@@ -344,6 +351,7 @@ def test_cli_exit_codes_and_error_json(tmp_path):
         + ["prepare", "--corpus", str(corpus), "--out-dir", str(tmp_path / "r2"), "--vocab-k", "2", "--test-count", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert good.returncode == 0, good.stderr
     assert json.loads(good.stdout)["vocab_size"] == 3

@@ -6,7 +6,7 @@ import pytest
 from chordlm import evaluate, hmm, markov, pcfg
 from chordlm.hmm import HmmParams
 from chordlm.markov import MarkovModel
-from oracles import make_dataset
+from oracles import evidence_ratio_prediction, make_dataset, random_stochastic
 
 
 def uniform_markov(n_symbols: int) -> MarkovModel:
@@ -37,6 +37,9 @@ class ConstantModel:
 
     def predict_distribution(self, seq, position):
         return self.probs
+
+    def predict_distributions(self, seq):
+        return np.tile(self.probs, (len(seq), 1))
 
 
 def test_perplexity_uniform_model():
@@ -132,6 +135,10 @@ def test_rank_metrics_invariant_under_monotone_rescaling():
             q = p**3  # strictly monotone transform
             return q / q.sum()
 
+        def predict_distributions(self, seq):
+            q = model.predict_distributions(seq) ** 3
+            return q / q.sum(axis=1, keepdims=True)
+
     assert evaluate.error_rate(model, data) == evaluate.error_rate(Rescaled(), data)
     assert evaluate.rmrr(model, data) == pytest.approx(evaluate.rmrr(Rescaled(), data), rel=1e-12)
 
@@ -156,6 +163,96 @@ def test_csv_row_round_trips_metrics():
     assert float(cells[2]) == report.perplexity
     assert int(cells[5]) == report.n_symbols
     assert evaluate.CSV_HEADER.count(",") == row.count(",")
+
+
+# ------------------------------------------- one prediction pass per sequence
+
+
+def _tied_hmm() -> HmmParams:
+    """Random HMM whose symbols 1 and 2 have identical, dominant emission
+    columns, so every prediction ties them exactly at the maximum."""
+    rng = np.random.default_rng(71)
+    emission = random_stochastic(rng, (3, 4))
+    emission[:, 1] += 1.0
+    emission[:, 2] = emission[:, 1]
+    emission /= emission.sum(axis=1, keepdims=True)
+    return HmmParams(random_stochastic(rng, (3,)), random_stochastic(rng, (3, 3)), emission)
+
+
+def _tied_grammar() -> pcfg.PcfgParams:
+    g = pcfg.init_random(3, 4, seed=72)
+    g.emissions[:, 1] += 1.0
+    g.emissions[:, 2] = g.emissions[:, 1]
+    totals = g.rules.sum(axis=(1, 2)) + g.emissions.sum(axis=1)
+    g.rules /= totals[:, None, None]
+    g.emissions /= totals[:, None]
+    return g
+
+
+def _tied_markov() -> MarkovModel:
+    # b and c follow a equally often and start no sequence
+    data = make_dataset(["a b", "a c", "a b a c", "d a"], symbols=["a", "b", "c", "d"])
+    return markov.fit(data, order=2, smoothing="additive", epsilon=0.2)
+
+
+TIED_SEQUENCES = [np.array(s) for s in ([0, 1, 3, 2], [3, 2, 0, 1, 1], [0, 2], [1, 2, 2, 0, 3, 1])]
+
+
+def _oracle_rank_metrics(model, seqs) -> tuple[float, float, int]:
+    """(error rate, rmrr, argmax ties) from a per-position loop over
+    evidence-ratio predictions."""
+    wrong, recip_total, count, ties = 0, 0.0, 0, 0
+    for seq in seqs:
+        for pos in range(1, len(seq) + 1):
+            probs = evidence_ratio_prediction(model, seq, pos)
+            truth = int(seq[pos - 1])
+            best = min(range(len(probs)), key=lambda y: (-probs[y], y))
+            wrong += int(best != truth)
+            ties += int((probs == probs[best]).sum() > 1)
+            rank = 1 + sum(int(p > probs[truth]) for p in probs)
+            rank += sum(int(probs[y] == probs[truth]) for y in range(truth))
+            recip_total += 1.0 / rank
+            count += 1
+    return wrong / count, count / recip_total, ties
+
+
+@pytest.mark.parametrize("make_model", [_tied_markov, _tied_hmm, _tied_grammar])
+def test_evaluate_model_matches_per_position_oracle(make_model):
+    model = make_model()
+    want_error, want_rmrr, ties = _oracle_rank_metrics(model, TIED_SEQUENCES)
+    assert ties > 0  # the fixture exercises tie-breaking toward the lowest id
+    report = evaluate.evaluate_model(model, TIED_SEQUENCES)
+    assert report.error_rate == want_error
+    assert report.rmrr == pytest.approx(want_rmrr, rel=1e-12)
+    assert evaluate.error_rate(model, TIED_SEQUENCES) == report.error_rate
+    assert evaluate.rmrr(model, TIED_SEQUENCES) == report.rmrr
+    for seq in TIED_SEQUENCES:
+        rows = model.predict_distributions(seq)
+        for pos in range(1, len(seq) + 1):
+            assert np.array_equal(rows[pos - 1], model.predict_distribution(seq, pos))
+
+
+def _impossible_cases():
+    """(model, test set) pairs whose second sequence has a position that no
+    symbol can fill: 0 -> ? -> 0 has no completion under the cycle, and the
+    grammar never emits symbol 1."""
+    cycle = deterministic_cycle_markov(3)
+    blocked = pcfg.init_from_hmm(
+        HmmParams(np.array([1.0]), np.array([[1.0]]), np.array([[1.0, 0.0]])), kappa=0.6, eta=0.0
+    )
+    return [
+        (cycle, [np.array([0, 1, 2]), np.array([0, 1, 0])]),
+        (hmm.from_markov(cycle), [np.array([0, 1, 2]), np.array([0, 1, 0])]),
+        (blocked, [np.array([0, 0]), np.array([1, 0])]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_position_without_positive_symbol_raises(case):
+    model, seqs = _impossible_cases()[case]
+    for metric in (evaluate.evaluate_model, evaluate.error_rate, evaluate.rmrr):
+        with pytest.raises(ValueError, match="no symbol has positive probability at this position"):
+            metric(model, seqs)
 
 
 def test_param_count_table_values():

@@ -116,6 +116,21 @@ def test_kn_matches_reference_implementation(order, modified):
     assert np.allclose(m.transitions, want, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["a b a", "a b a", "c c c"],  # KN: no count-1 bigram, so every discount is 0
+        ["b a b", "a b a a", "a c a b", "c c"],  # MKN: the count-2 discount clamps to 0
+    ],
+)
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("smoothing", ["kn", "mkn"])
+def test_kn_tables_strictly_positive_with_zero_discounts(rows, order, smoothing):
+    m = markov.fit(make_dataset(rows, symbols=["a", "b", "c"]), order=order, smoothing=smoothing)
+    for table in m.initial_tables + [m.transitions]:
+        assert (table > 0.0).all()
+
+
 def test_kn_degenerate_counts_fall_back_to_additive():
     # every bigram occurs three times: no singletons or doubletons
     data = make_dataset(["a b a b a b a"], symbols=["a", "b"])

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from chordlm import hmm, markov, model_io, pcfg
+from chordlm import cli, hmm, markov, model_io, pcfg
 from oracles import make_dataset
 
 
@@ -55,4 +57,43 @@ def test_rejects_garbage(tmp_path):
     path = tmp_path / "x.model"
     path.write_text("not a model\n")
     with pytest.raises(ValueError):
+        model_io.load_model(path)
+
+
+def test_rejects_non_finite_value(tmp_path, capsys):
+    model = hmm.init_random(2, 3, 0)
+    model.emission[0, 1] = np.nan
+    path = tmp_path / "nan.model"
+    model_io.save_model(model, path)
+    with pytest.raises(ValueError, match="table emission has a value that is not finite"):
+        model_io.load_model(path)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("a\nb\nc\n")
+    args = ["generate", "--model-file", str(path), "--vocab-file", str(vocab), "--length", "3"]
+    assert cli.main(args) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+def test_rejects_truncated_file(tmp_path):
+    path = tmp_path / "t.model"
+    model_io.save_model(pcfg.init_random(2, 3, seed=1), path)
+    lines = path.read_text().splitlines()
+    for keep in range(1, len(lines)):
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(ValueError, match=f"line {keep + 1}: unexpected end of file"):
+            model_io.load_model(path)
+
+
+def test_rejects_wrong_shape_and_unnormalized_rows(tmp_path):
+    path = tmp_path / "s.model"
+    model_io.save_model(hmm.init_random(2, 3, seed=4), path)
+    text = path.read_text()
+    path.write_text(text.replace("table transition 2 2", "table transition 2 3"))
+    with pytest.raises(ValueError, match="table transition has shape 2 x 3, expected 2 x 2"):
+        model_io.load_model(path)
+
+    model = hmm.init_random(2, 3, seed=4)
+    model.transition[1] *= 1.5
+    model_io.save_model(model, path)
+    with pytest.raises(ValueError, match="transition matrix rows do not sum to 1"):
         model_io.load_model(path)

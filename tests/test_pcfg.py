@@ -340,6 +340,16 @@ def test_length_probability_matches_string_sum():
         assert pcfg.length_probability(g, n) == pytest.approx(want, abs=1e-9)
 
 
+def test_length_table_matches_length_probability_bitwise():
+    rng = np.random.default_rng(53)
+    embedded = pcfg.strict_embed_hmm(random_hmm(rng, 2, 3), end_prob=np.array([0.3, 0.6]))
+    for g in (single_terminal_grammar(), random_grammar(rng, 3, 2), embedded):
+        table = pcfg.length_log_probabilities(g, 12)
+        assert table.shape == (13,) and table[0] == -np.inf
+        for n in range(1, 13):
+            assert np.exp(table[n]) == pcfg.length_probability(g, n)
+
+
 def test_normalized_evidence_degenerate_and_sums_to_one():
     g = single_terminal_grammar(kappa=0.6)
     assert math.exp(pcfg.normalized_log_evidence(g, np.array([0, 0, 0]))) == pytest.approx(
