@@ -3,8 +3,10 @@
 A grammar has a dedicated start symbol plus a set of nonterminals; every
 production either rewrites a nonterminal into an ordered pair of nonterminals
 or emits a single terminal. Inference uses inside-outside charts kept in
-linear space with one shared log-scale per span width, which keeps long
+linear space with one log-scale per sequence and span width, which keeps long
 sequences inside floating-point range while leaving all identities exact.
+Training and evidence run the charts of equal-length sequences together, in
+batches of bounded memory; one sequence is a batch of one.
 
 Training enforces the convention that the start symbol never emits directly
 (its terminal row is identically zero); the strict HMM embedding is the one
@@ -13,13 +15,16 @@ constructor that produces grammars with a nonzero start emission row.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import EncodedDataset
-from .hmm import HmmParams, _dirichlet_rows
-from .markov import _draw, _normalize_predictions
+from .hmm import HmmParams, _dirichlet_rows, _group_by_length
+from .markov import _normalize_predictions
 
 START = -1
 
@@ -33,6 +38,7 @@ class PcfgParams:
     start_emissions: np.ndarray  # (V,):   P(S -> x), zero in training mode
     rules: np.ndarray            # (D, D, D): P(z -> l r)
     emissions: np.ndarray        # (D, V):   P(z -> x)
+    _cdf_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nonterminals(self) -> int:
@@ -58,14 +64,37 @@ class PcfgParams:
         if np.abs(totals - 1.0).max() > tol:
             raise ValueError("per-nonterminal productions do not sum to 1")
 
+    def production_cdfs(self) -> tuple[array, list[array]]:
+        """Cumulative production rows, the start row and one row per
+        nonterminal, each over its binary rules then its terminals, as flat
+        double arrays that ``bisect`` searches without numpy call overhead.
+
+        Built once and kept while the four arrays are the same objects: edit
+        a grammar by assigning new arrays, since an in-place edit is not seen.
+        """
+        arrays = (self.start_rules, self.start_emissions, self.rules, self.emissions)
+        cache = self._cdf_cache
+        if cache is None or any(a is not b for a, b in zip(cache[0], arrays)):
+            d = self.n_nonterminals
+            start = np.concatenate([self.start_rules.reshape(-1), self.start_emissions])
+            rows = np.cumsum(np.concatenate([self.rules.reshape(d, d * d), self.emissions], axis=1), axis=1)
+            cache = self._cdf_cache = (arrays, array("d", np.cumsum(start)), [array("d", row) for row in rows])
+        return cache[1], cache[2]
+
     def log_evidence(self, seq: np.ndarray) -> float:
         return inside(self, seq).log_evidence
 
     def normalized_log_evidences(self, seqs: list[np.ndarray]):
-        """Lazily yields each sequence's normalized log evidence, all from one
-        length table."""
+        """Yields each sequence's normalized log evidence in turn, all from one
+        length table and batched inside passes; a sequence whose length the
+        grammar cannot generate raises when its turn comes."""
         log_length = length_log_probabilities(self, max(len(seq) for seq in seqs))
-        return (normalized_log_evidence(self, seq, log_length) for seq in seqs)
+        possible = [i for i, seq in enumerate(seqs) if log_length[len(seq)] > -np.inf]
+        log_ev = dict(zip(possible, _log_evidences(self, [seqs[i] for i in possible]).tolist()))
+        for i, seq in enumerate(seqs):
+            if i not in log_ev:
+                raise ValueError(f"grammar generates no sequence of length {len(seq)}")
+            yield log_ev[i] - float(log_length[len(seq)])
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
@@ -269,81 +298,167 @@ def strict_embed_hmm(params: HmmParams, end_prob: np.ndarray) -> PcfgParams:
 
 # ------------------------------------------------------------------ charts
 
+# Upper bound on the floats one chart batch keeps: per sequence of length n,
+# D^2 n (n - 1) / 2 in the pair matrices and 4 D n (n + 1) in the inside and
+# outside charts. An equal-length group that would exceed it runs as several
+# batches, and a longer sequence runs alone.
+MAX_BATCH_FLOATS = 1 << 17
 
-def inside(params: PcfgParams, seq: np.ndarray) -> Charts:
-    """Inside chart and total log evidence; O(N^3 D^3) time."""
-    seq = np.asarray(seq)
-    n = len(seq)
+
+@dataclass
+class _ChartBatch:
+    """Inside pass over B sequences of one length n.
+
+    Cell (i, j) of sequence k, of width w = j - i + 1, is stored twice, as
+    ``by_start[k, i, w]`` and ``by_end[k, j, w]``, so the left children of
+    every split of a width are one slice of the first and the right children
+    one slice of the second. Its true value is the stored one times
+    ``exp(scale[k, w])``. ``pairs[w]`` (B, n - w + 1, D^2) holds, for each
+    span of width w by start, the split-summed outer products of its two
+    children's inside vectors, scaled by ``exp(pair_scale[k, w])``. A scale
+    of -inf marks an all-zero width.
+    """
+
+    by_start: np.ndarray      # (B, n, n + 1, D)
+    by_end: np.ndarray        # (B, n, n + 1, D)
+    scale: np.ndarray         # (B, n + 1)
+    pairs: list
+    pair_scale: np.ndarray    # (B, n + 1)
+    log_evidence: np.ndarray  # (B,)
+
+
+def _square(by_start: np.ndarray) -> np.ndarray:
+    """One sequence's (n, n + 1, D) by-start chart as an (n, n, D) array
+    indexed by (first, last) position."""
+    n = len(by_start)
+    i, j = np.triu_indices(n)
+    out = np.zeros((n, n, by_start.shape[-1]))
+    out[i, j] = by_start[i, j - i + 1]
+    return out
+
+
+def _exp_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(a - b), and 0 wherever a is -inf (also where b is)."""
+    out = np.zeros(np.broadcast(a, b).shape)
+    live = np.broadcast_to(a > -np.inf, out.shape)
+    np.subtract(a, b, out=out, where=live)
+    return np.exp(out, out=out, where=live)
+
+
+def _normalize(acc: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each sequence's block of ``acc`` by its maximum, in place.
+    Returns the block and its log scale, ``base`` plus the log of that
+    maximum, or -inf where the block is all zero."""
+    top = acc.reshape(len(acc), -1).max(axis=1)
+    live = top > 0.0
+    top = np.where(live, top, 1.0)
+    acc /= top[:, None, None]
+    return acc, np.where(live, base + np.log(top), -np.inf)
+
+
+def _inside_batch(params: PcfgParams, batch: np.ndarray) -> _ChartBatch:
+    """Inside charts of equal-length sequences, stacked as (B, n); O(n^3 D^3)
+    time per sequence."""
+    n_seq, n = batch.shape
     if n == 0:
         raise ValueError("sequence must be non-empty")
     d = params.n_nonterminals
-    chart = np.zeros((n, n, d))
-    scale = np.full(n + 1, -np.inf)
-    rules_flat = params.rules.reshape(d, d * d)
+    rules_t = params.rules.reshape(d, d * d).T
+    by_start = np.zeros((n_seq, n, n + 1, d))
+    by_end = np.zeros((n_seq, n, n + 1, d))
+    scale = np.full((n_seq, n + 1), -np.inf)
+    pair_scale = np.full((n_seq, n + 1), -np.inf)
+    pairs: list = [None] * (n + 1)
 
-    band = params.emissions[:, seq].T  # (n, d)
-    m = band.max()
-    if m > 0.0:
-        idx = np.arange(n)
-        chart[idx, idx] = band / m
-        scale[1] = np.log(m)
-
+    band, scale[:, 1] = _normalize(params.emissions.T[batch], np.zeros(n_seq))
+    by_start[:, :, 1] = by_end[:, :, 1] = band
     for w in range(2, n + 1):
-        starts = np.arange(n - w + 1)
-        ends = starts + w - 1
-        pair_scales = [scale[w1] + scale[w - w1] for w1 in range(1, w)]
-        m_comb = max(pair_scales)
-        if m_comb == -np.inf:
-            continue
-        pair_acc = np.zeros((len(starts), d * d))
-        for w1 in range(1, w):
-            s = pair_scales[w1 - 1]
-            if s == -np.inf:
-                continue
-            left = chart[starts, starts + w1 - 1]
-            right = chart[starts + w1, ends]
-            pair_acc += np.exp(s - m_comb) * (left[:, :, None] * right[:, None, :]).reshape(
-                len(starts), d * d
-            )
-        acc = pair_acc @ rules_flat.T
-        band_max = acc.max()
-        if band_max > 0.0:
-            chart[starts, ends] = acc / band_max
-            scale[w] = m_comb + np.log(band_max)
+        count = n - w + 1
+        split = scale[:, 1:w] + scale[:, w - 1:0:-1]  # left child width 1..w-1
+        m_comb = split.max(axis=1)
+        left = by_start[:, :count, 1:w] * _exp_diff(split, m_comb[:, None])[:, None, :, None]
+        right = by_end[:, w - 1:, w - 1:0:-1]
+        pairs[w] = (left.transpose(0, 1, 3, 2) @ right).reshape(n_seq, count, d * d)
+        pair_scale[:, w] = m_comb
+        cells, scale[:, w] = _normalize(pairs[w] @ rules_t, m_comb)
+        by_start[:, :count, w] = by_end[:, w - 1:, w] = cells
 
-    log_ev = _top_log_evidence(params, seq, chart, scale)
-    return Charts(inside=chart, inside_scale=scale, log_evidence=log_ev)
-
-
-def _top_pair_sum(params: PcfgParams, chart: np.ndarray, scale: np.ndarray, n: int):
-    """Split-point sum of scaled left/right inside products under the start
-    symbol; returns (pair matrix, its log scale)."""
-    d = params.n_nonterminals
-    pair_scales = [scale[w1] + scale[n - w1] for w1 in range(1, n)]
-    m_top = max(pair_scales)
-    if m_top == -np.inf:
-        return None, -np.inf
-    acc = np.zeros((d, d))
-    for w1 in range(1, n):
-        s = pair_scales[w1 - 1]
-        if s == -np.inf:
-            continue
-        left = chart[0, w1 - 1]
-        right = chart[w1, n - 1]
-        acc += np.exp(s - m_top) * np.outer(left, right)
-    return acc, m_top
-
-
-def _top_log_evidence(params: PcfgParams, seq: np.ndarray, chart: np.ndarray, scale: np.ndarray) -> float:
-    n = len(seq)
     if n == 1:
-        p = params.start_emissions[seq[0]]
-        return float(np.log(p)) if p > 0.0 else -np.inf
-    acc, m_top = _top_pair_sum(params, chart, scale, n)
-    if acc is None:
-        return -np.inf
-    total = float((params.start_rules * acc).sum())
-    return float(np.log(total) + m_top) if total > 0.0 else -np.inf
+        top, top_scale = params.start_emissions[batch[:, 0]], np.zeros(n_seq)
+    else:
+        top, top_scale = pairs[n][:, 0] @ params.start_rules.reshape(-1), pair_scale[:, n]
+    live = top > 0.0
+    log_ev = np.where(live, np.log(np.where(live, top, 1.0)) + top_scale, -np.inf)
+    return _ChartBatch(by_start, by_end, scale, pairs, pair_scale, log_ev)
+
+
+def _outside_batch(
+    params: PcfgParams, by_start: np.ndarray, by_end: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outside chart of a batch from its inside chart, kept by start like
+    ``_ChartBatch.by_start``, and its per-sequence width scales.
+
+    Parents are taken from the widest down; the start symbol is the parent of
+    width n, with outside value 1 and the start rules. Each parent width's
+    outside vectors are contracted with the rule matrix once, and a batched
+    mat-vec of that product with each sibling then pushes the contributions
+    to every child width at once: left children are kept by start, right
+    children by end, under one running log scale per child width that rises
+    whenever a contribution is larger. A finished width's outside cells
+    replace its left-child sums.
+    """
+    n_seq, n = scale.shape[0], scale.shape[1] - 1
+    d = params.n_nonterminals
+    rules_flat = params.rules.reshape(d, d * d)
+    as_left = np.zeros((n_seq, n, n + 1, d))
+    as_right = np.zeros((n_seq, n, n + 1, d))
+    out_scale = np.full((n_seq, n + 1), -np.inf)
+    product = np.broadcast_to(params.start_rules, (n_seq, 1, d, d))
+    parent_scale = np.zeros(n_seq)
+    for wp in range(n, 1, -1):
+        count = n - wp + 1
+        if wp < n:
+            cells, out_scale[:, wp] = _normalize(
+                as_left[:, :count, wp] + as_right[:, wp - 1:, wp], out_scale[:, wp]
+            )
+            as_left[:, :count, wp] = cells
+            parent_scale = out_scale[:, wp]
+            if (parent_scale == -np.inf).all():
+                continue
+            product = (cells @ rules_flat).reshape(n_seq, count, d, d)
+        # child width w = 1..wp-1, with a sibling of width wp - w
+        c = parent_scale[:, None] + scale[:, wp - 1:0:-1]
+        running = out_scale[:, 1:wp]
+        if (c > running).any():
+            new = np.maximum(running, c)
+            keep = _exp_diff(running, new)[:, None, :, None]
+            as_left[:, :, 1:wp] *= keep
+            as_right[:, :, 1:wp] *= keep
+            out_scale[:, 1:wp] = new
+        f = _exp_diff(c, out_scale[:, 1:wp])[:, None, :, None]
+        sibling_right = by_end[:, wp - 1:, wp - 1:0:-1]
+        sibling_left = by_start[:, :count, wp - 1:0:-1]
+        as_left[:, :count, 1:wp] += f * (sibling_right @ product.transpose(0, 1, 3, 2))
+        as_right[:, wp - 1:, 1:wp] += f * (sibling_left @ product)
+    as_left[:, :, 1], out_scale[:, 1] = _normalize(as_left[:, :, 1] + as_right[:, :, 1], out_scale[:, 1])
+    return as_left, out_scale
+
+
+def _batches(sequences: list[np.ndarray], d: int):
+    """(corpus indices, stacked sequences) of equal length, in ascending length
+    order, each keeping at most MAX_BATCH_FLOATS floats (at least one
+    sequence)."""
+    for idx, batch in _group_by_length(sequences):
+        n = batch.shape[1]
+        size = max(1, MAX_BATCH_FLOATS // (d * d * n * (n - 1) // 2 + 4 * d * n * (n + 1)))
+        for lo in range(0, len(idx), size):
+            yield idx[lo:lo + size], batch[lo:lo + size]
+
+
+def inside(params: PcfgParams, seq: np.ndarray) -> Charts:
+    """Inside chart and total log evidence of one sequence: a batch of one."""
+    chart = _inside_batch(params, np.asarray(seq)[None])
+    return Charts(_square(chart.by_start[0]), chart.scale[0], float(chart.log_evidence[0]))
 
 
 def outside(params: PcfgParams, seq: np.ndarray, charts: Charts) -> Charts:
@@ -353,56 +468,60 @@ def outside(params: PcfgParams, seq: np.ndarray, charts: Charts) -> Charts:
     d = params.n_nonterminals
     if charts.inside.shape != (n, n, d):
         raise ValueError("inside chart does not match the sequence")
-    b = charts.inside
-    g = charts.inside_scale
-    a = np.zeros((n, n, d))
-    h = np.full(n + 1, -np.inf)
-    if n == 1:
-        charts.outside = a
-        charts.outside_scale = h
-        return charts
-
-    for w in range(n - 1, 0, -1):
-        starts = np.arange(n - w + 1)
-        ends = starts + w - 1
-        combo_scales = []
-        for ws in range(1, n - w + 1):
-            wp = w + ws
-            if wp < n and h[wp] > -np.inf and g[ws] > -np.inf:
-                combo_scales.append(h[wp] + g[ws])
-            if wp == n and g[ws] > -np.inf:
-                combo_scales.append(g[ws])
-        if not combo_scales:
-            continue
-        m = max(combo_scales)
-        acc = np.zeros((len(starts), d))
-        for ws in range(1, n - w + 1):
-            wp = w + ws
-            if g[ws] == -np.inf:
-                continue
-            if wp == n:
-                f = np.exp(g[ws] - m)
-                # child on the left edge, sibling fills the right remainder
-                acc[0] += f * (params.start_rules @ b[w, n - 1])
-                # child on the right edge, sibling fills the left remainder
-                acc[-1] += f * (b[0, n - w - 1] @ params.start_rules)
-            if wp < n and h[wp] > -np.inf:
-                f = np.exp(h[wp] + g[ws] - m)
-                # child as left child: parent [i, j+ws], sibling [j+1, j+ws]
-                sub = np.arange(n - wp + 1)
-                parent = a[sub, sub + wp - 1]
-                sib_r = b[sub + w, sub + wp - 1]
-                acc[sub] += f * np.einsum("sz,sr,zlr->sl", parent, sib_r, params.rules)
-                # child as right child: parent [i-ws, j], sibling [i-ws, i-1]
-                sib_l = b[sub, sub + ws - 1]
-                acc[sub + ws] += f * np.einsum("sz,sl,zlr->sr", parent, sib_l, params.rules)
-        band_max = acc.max()
-        if band_max > 0.0:
-            a[starts, ends] = acc / band_max
-            h[w] = m + np.log(band_max)
-    charts.outside = a
-    charts.outside_scale = h
+    i, j = np.triu_indices(n)
+    by_start = np.zeros((1, n, n + 1, d))
+    by_end = np.zeros((1, n, n + 1, d))
+    by_start[0, i, j - i + 1] = by_end[0, j, j - i + 1] = charts.inside[i, j]
+    out, out_scale = _outside_batch(params, by_start, by_end, charts.inside_scale[None])
+    charts.outside = _square(out[0])
+    charts.outside_scale = out_scale[0]
     return charts
+
+
+def _log_evidences(params: PcfgParams, sequences: list[np.ndarray]) -> np.ndarray:
+    """Each sequence's log evidence, in corpus order."""
+    out = np.empty(len(sequences))
+    for idx, batch in _batches(sequences, params.n_nonterminals):
+        out[idx] = _inside_batch(params, batch).log_evidence
+    return out
+
+
+def _e_step(params: PcfgParams, sequences: list[np.ndarray]):
+    """Posterior expected production counts summed over the sequences, and
+    each sequence's log evidence in corpus order. A zero-evidence sequence
+    adds no counts.
+
+    The rule counts of width w come from one matrix product per batch: each
+    parent's outside vector, weighted by its share of the evidence, against
+    the pair matrix the inside pass kept for that width.
+    """
+    d, v = params.n_nonterminals, params.vocab_size
+    start = np.zeros(d * d)
+    rules = np.zeros((d, d * d))
+    emit_t = np.zeros((v, d))
+    log_ev = np.empty(len(sequences))
+    for idx, batch in _batches(sequences, d):
+        n = batch.shape[1]
+        chart = _inside_batch(params, batch)
+        out, out_scale = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
+        log_ev[idx] = chart.log_evidence
+        denom = np.where(chart.log_evidence > -np.inf, chart.log_evidence, np.inf)
+
+        if n > 1:
+            start += np.exp(chart.pair_scale[:, n] - denom) @ chart.pairs[n][:, 0]
+        contrib = out[:, :, 1] * params.emissions.T[batch] * np.exp(out_scale[:, 1] - denom)[:, None, None]
+        np.add.at(emit_t, batch.reshape(-1), contrib.reshape(-1, d))
+        for w in range(2, n):
+            f = np.exp(out_scale[:, w] + chart.pair_scale[:, w] - denom)
+            if f.any():
+                parent = (out[:, :n - w + 1, w] * f[:, None, None]).reshape(-1, d)
+                rules += parent.T @ chart.pairs[w].reshape(-1, d * d)
+    return (
+        params.start_rules * start.reshape(d, d),
+        params.rules * rules.reshape(d, d, d),
+        emit_t.T,
+        log_ev,
+    )
 
 
 # ------------------------------------------------------------------- training
@@ -421,46 +540,6 @@ def _check_trainable(params: PcfgParams, sequences: list[np.ndarray], max_length
                 f"training sequence {i} has length {len(seq)} > cap {max_length}; "
                 "raise the cap explicitly to train on longer sequences"
             )
-
-
-def _expected_counts(params: PcfgParams, seq: np.ndarray):
-    """Posterior expected production counts for one sequence."""
-    charts = outside(params, seq, inside(params, seq))
-    log_ev = charts.log_evidence
-    if log_ev == -np.inf:
-        return None
-    n = len(seq)
-    d = params.n_nonterminals
-    b, g = charts.inside, charts.inside_scale
-    a, h = charts.outside, charts.outside_scale
-
-    pair, m_top = _top_pair_sum(params, b, g, n)
-    start_counts = params.start_rules * pair * np.exp(m_top - log_ev)
-
-    emit_counts = np.zeros((d, params.vocab_size))
-    if h[1] > -np.inf:
-        idx = np.arange(n)
-        contrib = a[idx, idx] * params.emissions[:, seq].T * np.exp(h[1] - log_ev)
-        acc = np.zeros((params.vocab_size, d))
-        np.add.at(acc, seq, contrib)
-        emit_counts = acc.T
-
-    rule_counts = np.zeros((d, d, d))
-    for w in range(2, n):
-        if h[w] == -np.inf:
-            continue
-        starts = np.arange(n - w + 1)
-        ends = starts + w - 1
-        parent = a[starts, ends]
-        for w1 in range(1, w):
-            s = h[w] + g[w1] + g[w - w1] - log_ev
-            if not np.isfinite(s):
-                continue
-            left = b[starts, starts + w1 - 1]
-            right = b[starts + w1, ends]
-            rule_counts += np.exp(s) * np.einsum("sz,sl,sr->zlr", parent, left, right)
-    rule_counts *= params.rules
-    return start_counts, rule_counts, emit_counts, log_ev
 
 
 def _m_step(start_counts: np.ndarray, rule_counts: np.ndarray, emit_counts: np.ndarray) -> PcfgParams:
@@ -491,20 +570,13 @@ def em_fit(
     trace: list[float] = []
     prev_ll = None
     for _ in range(config.max_iter):
-        d, v = params.n_nonterminals, params.vocab_size
-        start_acc = np.zeros((d, d))
-        rule_acc = np.zeros((d, d, d))
-        emit_acc = np.zeros((d, v))
+        start_acc, rule_acc, emit_acc, log_ev = _e_step(params, sequences)
+        dead = np.flatnonzero(log_ev == -np.inf)
+        if dead.size:
+            raise ValueError(f"training sequence {dead[0]} has zero evidence")
         ll = 0.0
-        for i, seq in enumerate(sequences):
-            stats = _expected_counts(params, seq)
-            if stats is None:
-                raise ValueError(f"training sequence {i} has zero evidence")
-            s, r, e, log_ev = stats
-            start_acc += s
-            rule_acc += r
-            emit_acc += e
-            ll += log_ev
+        for value in log_ev.tolist():  # corpus order
+            ll += value
         trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) <= config.rel_tol * abs(prev_ll):
             return params, trace
@@ -517,22 +589,20 @@ def em_fit(
 def log_evidence_total(params: PcfgParams, train: EncodedDataset | list[np.ndarray]) -> float:
     sequences = train.sequences if isinstance(train, EncodedDataset) else train
     total = 0.0
-    for seq in sequences:
-        log_ev = inside(params, seq).log_evidence
+    for log_ev in _log_evidences(params, sequences).tolist():  # corpus order
         if log_ev == -np.inf:
             return -np.inf
         total += log_ev
     return total
 
 
-def _sample_tree_from_charts(
-    params: PcfgParams, seq: np.ndarray, charts: Charts, rng: np.random.Generator
-):
-    """Draw one derivation tree from the tree posterior via top-down sampling
-    on the inside chart. Returns production counts."""
+def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int, draws: Iterator[float]):
+    """Draw one derivation tree of sequence k of a chart batch from the tree
+    posterior via top-down sampling on its inside chart, taking one uniform
+    from ``draws`` per binary node (n - 1 of them). Returns production counts."""
     n = len(seq)
     d = params.n_nonterminals
-    b, g = charts.inside, charts.inside_scale
+    by_start, by_end, g = chart.by_start[k], chart.by_end[k], chart.scale[k]
     start_counts = np.zeros((d, d))
     rule_counts = np.zeros((d, d, d))
     emit_counts = np.zeros((d, params.vocab_size))
@@ -545,19 +615,17 @@ def _sample_tree_from_charts(
             continue
         table = params.start_rules if head == START else params.rules[head]
         w = j - i + 1
-        split_scales = np.array([g[w1] + g[w - w1] for w1 in range(1, w)])
-        m = split_scales.max()
-        weights = np.zeros((w - 1, d, d))
-        for w1 in range(1, w):
-            s = split_scales[w1 - 1]
-            if s == -np.inf:
-                continue
-            weights[w1 - 1] = np.exp(s - m) * table * np.outer(b[i, i + w1 - 1], b[i + w1, j])
+        split_scales = g[1:w] + g[w - 1:0:-1]  # left child width w1 = 1..w-1
+        left = by_start[i, 1:w]
+        right = by_end[j, w - 1:0:-1]
+        weights = _exp_diff(split_scales, split_scales.max())[:, None, None] * table * (
+            left[:, :, None] * right[:, None, :]
+        )
         flat = weights.reshape(-1)
         total = flat.sum()
         if total <= 0.0:
             raise ValueError("cannot sample a tree for a zero-evidence span")
-        choice = int(np.searchsorted(np.cumsum(flat), rng.random() * total, side="right"))
+        choice = int(np.searchsorted(np.cumsum(flat), next(draws) * total, side="right"))
         w1, rest = divmod(choice, d * d)
         zl, zr = divmod(rest, d)
         w1 += 1
@@ -577,19 +645,31 @@ def _gibbs_step(
     rng: np.random.Generator,
 ) -> PcfgParams:
     """One sweep: sample a tree per sequence, then production rows from their
-    Dirichlet posteriors (the start emission row stays pinned at zero)."""
+    Dirichlet posteriors (the start emission row stays pinned at zero).
+
+    Sequence i's tree takes the i-th run of n_i - 1 uniforms, drawn up front
+    in corpus order, so the trees do not depend on how the charts are batched.
+    """
     d, v = params.n_nonterminals, params.vocab_size
     start_acc = np.zeros((d, d))
     rule_acc = np.zeros((d, d, d))
     emit_acc = np.zeros((d, v))
-    for i, seq in enumerate(sequences):
-        charts = inside(params, seq)
-        if charts.log_evidence == -np.inf:
-            raise ValueError(f"training sequence {i} has zero evidence")
-        s, r, e = _sample_tree_from_charts(params, seq, charts, rng)
-        start_acc += s
-        rule_acc += r
-        emit_acc += e
+    ends = np.cumsum([len(seq) - 1 for seq in sequences]).tolist()
+    draws = rng.random(ends[-1]).tolist()
+    dead = []
+    for idx, batch in _batches(sequences, d):
+        chart = _inside_batch(params, batch)
+        for k, i in enumerate(idx.tolist()):
+            if chart.log_evidence[k] == -np.inf:
+                dead.append(i)
+                continue
+            mine = iter(draws[ends[i] - batch.shape[1] + 1:ends[i]])
+            s, r, e = _sample_tree(params, batch[k], chart, k, mine)
+            start_acc += s
+            rule_acc += r
+            emit_acc += e
+    if dead:
+        raise ValueError(f"training sequence {min(dead)} has zero evidence")
     start = _dirichlet_rows(rng, (prior.start_rules + start_acc).reshape(1, -1))[0].reshape(d, d)
     joint_conc = np.concatenate(
         [(prior.rules + rule_acc).reshape(d, d * d), prior.emissions + emit_acc], axis=1
@@ -724,8 +804,9 @@ def _prediction_weights(params: PcfgParams, seq: np.ndarray) -> np.ndarray:
     n = len(seq)
     if n < 2:
         raise ValueError("prediction requires sequences of length >= 2")
-    a = outside(params, seq, inside(params, seq)).outside
-    return np.stack([a[i, i] @ params.emissions for i in range(n)])
+    chart = _inside_batch(params, seq[None])
+    out, _ = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
+    return out[0, :, 1] @ params.emissions
 
 
 def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> np.ndarray:
@@ -770,10 +851,8 @@ def sample_tree(
 ) -> tuple[DerivationTree, np.ndarray]:
     """Ancestral top-down sampling of one derivation tree and its yield."""
     rng = np.random.default_rng(seed)
-    d, v = params.n_nonterminals, params.vocab_size
-
-    start_row = np.concatenate([params.start_rules.reshape(-1), params.start_emissions])
-    rows = np.concatenate([params.rules.reshape(d, d * d), params.emissions], axis=1)
+    d = params.n_nonterminals
+    start_cdf, cdfs = params.production_cdfs()
 
     expansions = 0
     root = DerivationTree(head=START)
@@ -785,8 +864,8 @@ def sample_tree(
             raise RuntimeError(
                 f"exceeded {max_expansions} expansions; the grammar is unlikely to terminate"
             )
-        row = start_row if node.head == START else rows[node.head]
-        choice = _draw(rng, row)
+        cdf = start_cdf if node.head == START else cdfs[node.head]
+        choice = bisect_right(cdf, rng.random())
         if choice < d * d:
             zl, zr = divmod(choice, d)
             node.left = DerivationTree(head=zl)

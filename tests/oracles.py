@@ -262,3 +262,202 @@ def kn_reference_table(top_counts: np.ndarray, n_symbols: int, modified: bool) -
     for idx in np.ndindex(out.shape):
         out[idx] = prob(width - 1, idx[:-1], idx[-1])
     return out
+
+
+# ------------------------------------------------- per-sequence PCFG charts
+#
+# The sequence-at-a-time inside, outside, expected-count and tree-sampling
+# code the library replaced with batched passes and cached cumulative rows.
+# It is kept here, unchanged in its arithmetic, as the reference the batched
+# path is compared against.
+
+
+def pcfg_inside_reference(params, seq):
+    """(chart, per-width log scales, log evidence) of one sequence; the chart
+    is indexed (first, last) and scaled by exp(scale[width])."""
+    seq = np.asarray(seq)
+    n = len(seq)
+    d = params.rules.shape[0]
+    chart = np.zeros((n, n, d))
+    scale = np.full(n + 1, -np.inf)
+    rules_flat = params.rules.reshape(d, d * d)
+
+    band = params.emissions[:, seq].T
+    m = band.max()
+    if m > 0.0:
+        idx = np.arange(n)
+        chart[idx, idx] = band / m
+        scale[1] = np.log(m)
+
+    for w in range(2, n + 1):
+        starts = np.arange(n - w + 1)
+        ends = starts + w - 1
+        pair_scales = [scale[w1] + scale[w - w1] for w1 in range(1, w)]
+        m_comb = max(pair_scales)
+        if m_comb == -np.inf:
+            continue
+        pair_acc = np.zeros((len(starts), d * d))
+        for w1 in range(1, w):
+            s = pair_scales[w1 - 1]
+            if s == -np.inf:
+                continue
+            left = chart[starts, starts + w1 - 1]
+            right = chart[starts + w1, ends]
+            pair_acc += np.exp(s - m_comb) * (left[:, :, None] * right[:, None, :]).reshape(
+                len(starts), d * d
+            )
+        acc = pair_acc @ rules_flat.T
+        band_max = acc.max()
+        if band_max > 0.0:
+            chart[starts, ends] = acc / band_max
+            scale[w] = m_comb + np.log(band_max)
+
+    if n == 1:
+        p = params.start_emissions[seq[0]]
+        return chart, scale, float(np.log(p)) if p > 0.0 else -np.inf
+    top, m_top = _top_pair_sum_reference(chart, scale, n)
+    if top is None:
+        return chart, scale, -np.inf
+    total = float((params.start_rules * top).sum())
+    return chart, scale, float(np.log(total) + m_top) if total > 0.0 else -np.inf
+
+
+def _top_pair_sum_reference(chart, scale, n):
+    d = chart.shape[2]
+    pair_scales = [scale[w1] + scale[n - w1] for w1 in range(1, n)]
+    m_top = max(pair_scales)
+    if m_top == -np.inf:
+        return None, -np.inf
+    acc = np.zeros((d, d))
+    for w1 in range(1, n):
+        s = pair_scales[w1 - 1]
+        if s == -np.inf:
+            continue
+        acc += np.exp(s - m_top) * np.outer(chart[0, w1 - 1], chart[w1, n - 1])
+    return acc, m_top
+
+
+def pcfg_outside_reference(params, seq, b, g):
+    """(outside chart, per-width log scales) on an inside chart and its scales."""
+    n = len(seq)
+    d = params.rules.shape[0]
+    a = np.zeros((n, n, d))
+    h = np.full(n + 1, -np.inf)
+    if n == 1:
+        return a, h
+    for w in range(n - 1, 0, -1):
+        starts = np.arange(n - w + 1)
+        ends = starts + w - 1
+        combo_scales = []
+        for ws in range(1, n - w + 1):
+            wp = w + ws
+            if wp < n and h[wp] > -np.inf and g[ws] > -np.inf:
+                combo_scales.append(h[wp] + g[ws])
+            if wp == n and g[ws] > -np.inf:
+                combo_scales.append(g[ws])
+        if not combo_scales:
+            continue
+        m = max(combo_scales)
+        acc = np.zeros((len(starts), d))
+        for ws in range(1, n - w + 1):
+            wp = w + ws
+            if g[ws] == -np.inf:
+                continue
+            if wp == n:
+                f = np.exp(g[ws] - m)
+                acc[0] += f * (params.start_rules @ b[w, n - 1])
+                acc[-1] += f * (b[0, n - w - 1] @ params.start_rules)
+            if wp < n and h[wp] > -np.inf:
+                f = np.exp(h[wp] + g[ws] - m)
+                sub = np.arange(n - wp + 1)
+                parent = a[sub, sub + wp - 1]
+                sib_r = b[sub + w, sub + wp - 1]
+                acc[sub] += f * np.einsum("sz,sr,zlr->sl", parent, sib_r, params.rules)
+                sib_l = b[sub, sub + ws - 1]
+                acc[sub + ws] += f * np.einsum("sz,sl,zlr->sr", parent, sib_l, params.rules)
+        band_max = acc.max()
+        if band_max > 0.0:
+            a[starts, ends] = acc / band_max
+            h[w] = m + np.log(band_max)
+    return a, h
+
+
+def pcfg_expected_counts_reference(params, seq):
+    """(start, rule, emission) posterior expected production counts and the
+    log evidence of one sequence, or None when its evidence is zero."""
+    seq = np.asarray(seq)
+    b, g, log_ev = pcfg_inside_reference(params, seq)
+    if log_ev == -np.inf:
+        return None
+    a, h = pcfg_outside_reference(params, seq, b, g)
+    n = len(seq)
+    d = params.rules.shape[0]
+    v = params.emissions.shape[1]
+
+    pair, m_top = _top_pair_sum_reference(b, g, n)
+    start_counts = params.start_rules * pair * np.exp(m_top - log_ev)
+
+    emit_counts = np.zeros((d, v))
+    if h[1] > -np.inf:
+        idx = np.arange(n)
+        contrib = a[idx, idx] * params.emissions[:, seq].T * np.exp(h[1] - log_ev)
+        acc = np.zeros((v, d))
+        np.add.at(acc, seq, contrib)
+        emit_counts = acc.T
+
+    rule_counts = np.zeros((d, d, d))
+    for w in range(2, n):
+        if h[w] == -np.inf:
+            continue
+        starts = np.arange(n - w + 1)
+        ends = starts + w - 1
+        parent = a[starts, ends]
+        for w1 in range(1, w):
+            s = h[w] + g[w1] + g[w - w1] - log_ev
+            if not np.isfinite(s):
+                continue
+            left = b[starts, starts + w1 - 1]
+            right = b[starts + w1, ends]
+            rule_counts += np.exp(s) * np.einsum("sz,sl,sr->zlr", parent, left, right)
+    rule_counts *= params.rules
+    return start_counts, rule_counts, emit_counts, log_ev
+
+
+def sample_tree_reference(params, seed: int, max_expansions: int = 10_000):
+    """(bracketed tree, yield) of one ancestral tree draw, taking each
+    production from a fresh cumsum of its row; brackets name the start
+    symbol S, nonterminals z<id> and terminals t<id>."""
+    rng = np.random.default_rng(seed)
+    d = params.rules.shape[0]
+    start_row = np.concatenate([params.start_rules.reshape(-1), params.start_emissions])
+    rows = np.concatenate([params.rules.reshape(d, d * d), params.emissions], axis=1)
+
+    root = {"head": -1}
+    stack = [root]
+    expansions = 0
+    while stack:
+        node = stack.pop()
+        expansions += 1
+        if expansions > max_expansions:
+            raise RuntimeError("expansion cap exceeded")
+        row = start_row if node["head"] == -1 else rows[node["head"]]
+        choice = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+        if choice < d * d:
+            node["left"] = {"head": choice // d}
+            node["right"] = {"head": choice % d}
+            stack.append(node["right"])
+            stack.append(node["left"])
+        else:
+            node["terminal"] = choice - d * d
+
+    leaves = []
+
+    def bracket(node) -> str:
+        name = "S" if node["head"] == -1 else f"z{node['head']}"
+        if "terminal" in node:
+            leaves.append(node["terminal"])
+            return f"({name} t{node['terminal']})"
+        return f"({name} {bracket(node['left'])} {bracket(node['right'])})"
+
+    text = bracket(root)
+    return text, np.asarray(leaves, dtype=np.int64)

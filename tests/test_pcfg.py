@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import hmm, pcfg
+from chordlm import cli, hmm, pcfg
+from chordlm.config import ExperimentConfig
 from chordlm.hmm import HmmParams
 from chordlm.pcfg import (
     START,
@@ -18,8 +19,12 @@ from oracles import (
     evidence_ratio_prediction,
     hmm_terminated_evidence,
     pcfg_evidence_by_enumeration,
+    pcfg_expected_counts_reference,
+    pcfg_inside_reference,
+    pcfg_outside_reference,
     pcfg_outside_by_enumeration,
     random_stochastic,
+    sample_tree_reference,
 )
 
 
@@ -212,6 +217,106 @@ def test_outside_matches_enumeration():
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
+# ---------------------------------------------------------- batched charts
+
+
+def true_values(chart, scale):
+    """Scaled square chart to its true values; widths scaled by -inf are 0."""
+    n = chart.shape[0]
+    width = np.clip(np.arange(n)[None, :] - np.arange(n)[:, None] + 1, 0, n)
+    return chart * np.exp(scale)[width][..., None]
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.allclose(got[np.isfinite(got)], want[np.isfinite(want)], rtol=rtol, atol=0.0)
+
+
+def assert_batch_matches_reference(g, seqs):
+    """Every batch's inside and outside charts and log evidences against the
+    per-sequence reference."""
+    for idx, batch in pcfg._batches(seqs, g.n_nonterminals):
+        chart = pcfg._inside_batch(g, batch)
+        out, out_scale = pcfg._outside_batch(g, chart.by_start, chart.by_end, chart.scale)
+        for k, i in enumerate(idx):
+            b, s, log_ev = pcfg_inside_reference(g, seqs[i])
+            a, h = pcfg_outside_reference(g, seqs[i], b, s)
+            assert_close(chart.log_evidence[k], log_ev)
+            assert np.array_equal(chart.scale[k] == -np.inf, s == -np.inf)
+            assert_close(true_values(pcfg._square(chart.by_start[k]), chart.scale[k]), true_values(b, s))
+            assert_close(true_values(pcfg._square(out[k]), out_scale[k]), true_values(a, h))
+
+
+def test_batched_charts_match_reference_on_mixed_lengths():
+    rng = np.random.default_rng(80)
+    for d in (1, 3):
+        g = random_grammar(rng, d, 3)
+        seqs = [rng.integers(0, 3, size=n) for n in (1, 2, 5, 1, 2, 9, 5, 3, 5)]
+        assert_batch_matches_reference(g, seqs)
+        wrapped = [pcfg.outside(g, seq, pcfg.inside(g, seq)) for seq in seqs]
+        for seq, charts in zip(seqs, wrapped):
+            b, s, log_ev = pcfg_inside_reference(g, seq)
+            a, h = pcfg_outside_reference(g, seq, b, s)
+            assert_close(charts.log_evidence, log_ev)
+            assert_close(true_values(charts.outside, charts.outside_scale), true_values(a, h))
+
+
+def test_batched_charts_match_reference_with_start_emissions():
+    rng = np.random.default_rng(81)
+    g = pcfg.strict_embed_hmm(random_hmm(rng, 2, 3), end_prob=np.array([0.3, 0.6]))
+    assert g.start_emits
+    seqs = [rng.integers(0, 3, size=n) for n in (1, 1, 2, 3, 4, 4, 6)]
+    assert_batch_matches_reference(g, seqs)
+
+
+def test_zero_evidence_sequence_in_live_batch():
+    # symbol 2 is never emitted: two of the four lines have zero evidence,
+    # and the all-2 line has every width scale at -inf
+    g = pcfg.init_random(2, 3, seed=6)
+    g = PcfgParams(g.start_rules, g.start_emissions, g.rules, g.emissions.copy())
+    g.emissions[:, 2] = 0.0
+    seqs = [np.array(s) for s in ([0, 1, 0, 1], [0, 2, 1, 0], [2, 2, 2, 2], [1, 1, 0, 0])]
+    chart = pcfg._inside_batch(g, np.stack(seqs))
+    assert chart.log_evidence[1] == chart.log_evidence[2] == -np.inf
+    assert (chart.scale[2, 1:] == -np.inf).all()
+    assert_batch_matches_reference(g, seqs)
+
+    start, rules, emit, log_ev = pcfg._e_step(g, seqs)
+    live = [pcfg_expected_counts_reference(g, seqs[i]) for i in (0, 3)]
+    assert pcfg_expected_counts_reference(g, seqs[1]) is None
+    for got, k in ((start, 0), (rules, 1), (emit, 2)):
+        assert_close(got, live[0][k] + live[1][k])
+    assert_close(log_ev, [live[0][3], -np.inf, -np.inf, live[1][3]])
+    with pytest.raises(ValueError, match="sequence 1 has"):
+        pcfg.em_fit(g, seqs, EmConfig(max_iter=2))
+
+
+def test_expected_counts_over_several_batches_match_one_at_a_time():
+    rng = np.random.default_rng(82)
+    g = random_grammar(rng, 12, 4)
+    seqs = [rng.integers(0, 4, size=10) for _ in range(25)] + [rng.integers(0, 4, size=3)]
+    batches = list(pcfg._batches(seqs, 12))
+    assert len(batches) > 2 and max(len(idx) for idx, _ in batches) > 1
+    start, rules, emit, log_ev = pcfg._e_step(g, seqs)
+    refs = [pcfg_expected_counts_reference(g, seq) for seq in seqs]
+    for got, k in ((start, 0), (rules, 1), (emit, 2)):
+        assert_close(got, sum(r[k] for r in refs))
+    assert_close(log_ev, [r[3] for r in refs])
+
+
+def test_gibbs_trees_do_not_depend_on_batching(monkeypatch):
+    rng = np.random.default_rng(83)
+    seqs = [rng.integers(0, 3, size=int(rng.integers(2, 8))) for _ in range(12)]
+    prior = PcfgPrior.symmetric(3, 3)
+    g = pcfg.init_random(3, 3, seed=1)
+    batched = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
+    monkeypatch.setattr(pcfg, "MAX_BATCH_FLOATS", 1)
+    alone = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
+    for name in ("start_rules", "rules", "emissions"):
+        assert np.array_equal(getattr(batched, name), getattr(alone, name))
+
+
 # ---------------------------------------------------------------------- EM
 
 
@@ -272,6 +377,24 @@ def test_em_errors_on_zero_evidence_sequence():
         pcfg.em_fit(g2, [np.array([0, 1])], EmConfig(max_iter=2))
 
 
+def test_em_model_files_identical_for_one_and_two_workers(tmp_path):
+    rng = np.random.default_rng(42)
+    lines = [" ".join(rng.choice(["C", "F", "G", "Am"], size=int(rng.integers(2, 9)))) for _ in range(30)]
+    (tmp_path / "corpus.txt").write_text("\n".join(lines) + "\n")
+    models = {}
+    for workers in (1, 2):
+        cfg = ExperimentConfig(
+            corpus=str(tmp_path / "corpus.txt"), out_dir=str(tmp_path / f"run{workers}"),
+            vocab_k=3, test_count=4, train_sizes=[20], model="pcfg", sizes=[2, 5],
+            algos=["em"], seeds=[0], em_max_iter=3, workers=workers,
+        )
+        cli.cmd_prepare(cfg)
+        cli.cmd_sweep(cfg)
+        models[workers] = {p.name: p.read_bytes() for p in sorted((tmp_path / f"run{workers}" / "models").iterdir())}
+    assert len(models[1]) == 4
+    assert models[1] == models[2]
+
+
 # ------------------------------------------------------------------- Gibbs
 
 
@@ -279,8 +402,8 @@ def test_gibbs_tree_arithmetic():
     g = single_terminal_grammar()
     rng = np.random.default_rng(0)
     seq = np.zeros(7, dtype=np.int64)
-    charts = pcfg.inside(g, seq)
-    s, r, e = pcfg._sample_tree_from_charts(g, seq, charts, rng)
+    chart = pcfg._inside_batch(g, seq[None])
+    s, r, e = pcfg._sample_tree(g, seq, chart, 0, iter(rng.random(len(seq) - 1)))
     assert s.sum() == 1.0
     assert r.sum() == len(seq) - 2
     assert e.sum() == len(seq)
@@ -409,6 +532,32 @@ def test_sample_tree_deterministic():
     t2, y2 = pcfg.sample_tree(g, seed=4)
     assert np.array_equal(y1, y2)
     assert t1.to_bracketed() == t2.to_bracketed()
+
+
+def test_sample_tree_matches_per_draw_cumsum_sampler():
+    rng = np.random.default_rng(72)
+    base = random_hmm(rng, 2, 3)
+    grammars = (
+        pcfg.init_from_hmm(random_hmm(np.random.default_rng(5), 2, 3), kappa=0.5416, eta=0.0),
+        pcfg.init_from_hmm(base, kappa=0.7, eta=0.05),
+        pcfg.strict_embed_hmm(base, end_prob=np.array([0.4, 0.5])),
+    )
+    for g in grammars:
+        for seed in range(40):
+            tree, ids = pcfg.sample_tree(g, seed=seed, max_expansions=100_000)
+            want_text, want_ids = sample_tree_reference(g, seed, max_expansions=100_000)
+            assert tree.to_bracketed() == want_text
+            assert np.array_equal(ids, want_ids)
+
+
+def test_production_cdfs_follow_assigned_arrays():
+    g = single_terminal_grammar(kappa=0.6)
+    first = g.production_cdfs()
+    assert g.production_cdfs()[1] is first[1]
+    other = single_terminal_grammar(kappa=0.7)
+    g.rules, g.emissions = other.rules, other.emissions
+    row = np.concatenate([other.rules.reshape(-1), other.emissions[0]])
+    assert g.production_cdfs()[1][0].tolist() == np.cumsum(row).tolist()
 
 
 def test_sample_tree_counts_and_yield():
