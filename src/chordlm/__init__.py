@@ -3,4 +3,4 @@ maximum-likelihood (EM) and Bayesian (Gibbs sampling) learning."""
 
 __version__ = "0.1.0"
 
-from . import config, corpus, evaluate, hmm, markov, model_io, pcfg  # noqa: F401
+from . import config, corpus, evaluate, hmm, markov, model_io, pcfg, training  # noqa: F401

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, hmm, markov, model_io, pcfg
-from .config import ExperimentConfig, cell_seed, kappa_from_mean_length
+from .config import FIELD_KINDS, ExperimentConfig, cell_seed, kappa_from_mean_length
 from .corpus import EncodedDataset, Vocabulary, build_vocabulary, encode, parse_corpus, split, subsample
 
 RESULT_FIELDS = [
@@ -125,34 +125,6 @@ def _cell_name(model: str, size: int, n_x: int, algo: str, seed: int) -> str:
     return f"{model}_s{size}_nx{n_x}_{algo}_seed{seed}"
 
 
-def _train_hmm(cfg: ExperimentConfig, train: EncodedDataset, size: int, algo: str, coords) -> tuple:
-    init = hmm.init_random(size, train.n_symbols, cell_seed(cfg.config_hash(), "init", *coords))
-    if algo == "em":
-        fitted, trace = hmm.em_fit(
-            init, train, hmm.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol)
-        )
-        return fitted, {"algorithm": "em", "log_likelihood": trace}
-    if algo == "gs":
-        prior = hmm.HmmPrior.symmetric(size, train.n_symbols, cfg.dirichlet_alpha)
-        fitted, trace = hmm.gibbs_fit(
-            init,
-            train,
-            prior,
-            hmm.GibbsConfig(
-                n_samples=cfg.resolved_gs_samples(),
-                polish_iters=cfg.polish_iters,
-                seed=cell_seed(cfg.config_hash(), "gibbs", *coords),
-                rel_tol=cfg.rel_tol,
-            ),
-        )
-        return fitted, {
-            "algorithm": "gs",
-            "sample_log_evidence": trace.sample_log_evidence,
-            "polish_log_likelihood": trace.polish_trace,
-        }
-    raise ValueError(f"unknown HMM algorithm {algo!r}")
-
-
 def _pcfg_initializer(
     cfg: ExperimentConfig, train: EncodedDataset, size: int, coords, mean_train_length: float
 ) -> pcfg.PcfgParams:
@@ -160,63 +132,49 @@ def _pcfg_initializer(
         return pcfg.init_random(size, train.n_symbols, cell_seed(cfg.config_hash(), "init", *coords))
     # linear-chain initialization from a Gibbs-trained HMM of the same size
     hmm_cfg = dataclasses.replace(cfg, model="hmm")
-    base, _ = _train_hmm(hmm_cfg, train, size, "gs", coords + ("pcfg-init",))
+    base, _ = _train_cell(hmm_cfg, train, size, "gs", coords + ("pcfg-init",), mean_train_length)
     kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_train_length)
     eta = cfg.eta if cfg.eta is not None else 0.01 / size
     return pcfg.init_from_hmm(base, kappa=kappa, eta=eta)
 
 
-def _train_pcfg(
-    cfg: ExperimentConfig,
-    train: EncodedDataset,
-    size: int,
-    algo: str,
-    coords,
-    mean_train_length: float,
+def _train_cell(
+    cfg: ExperimentConfig, train: EncodedDataset, size: int, algo: str, coords, mean_train_length: float
 ) -> tuple:
-    init = _pcfg_initializer(cfg, train, size, coords, mean_train_length)
-    if algo == "em":
-        fitted, trace = pcfg.em_fit(
-            init,
-            train,
-            pcfg.EmConfig(
-                max_iter=cfg.resolved_em_max_iter(),
-                rel_tol=cfg.rel_tol,
-                max_length=cfg.pcfg_max_length,
-            ),
-        )
-        return fitted, {"algorithm": "em", "initialization": cfg.pcfg_init, "log_likelihood": trace}
-    if algo == "gs":
-        prior = pcfg.PcfgPrior.symmetric(size, train.n_symbols, cfg.dirichlet_alpha)
-        fitted, trace = pcfg.gibbs_fit(
-            init,
-            train,
-            prior,
-            pcfg.GibbsConfig(
-                n_samples=cfg.resolved_gs_samples(),
-                polish_iters=cfg.polish_iters,
-                seed=cell_seed(cfg.config_hash(), "gibbs", *coords),
-                rel_tol=cfg.rel_tol,
-                max_length=cfg.pcfg_max_length,
-            ),
-        )
-        return fitted, {
-            "algorithm": "gs",
-            "initialization": cfg.pcfg_init,
-            "sample_log_evidence": trace.sample_log_evidence,
-            "polish_log_likelihood": trace.polish_trace,
-        }
-    raise ValueError(f"unknown PCFG algorithm {algo!r}")
-
-
-def _train_cell(cfg: ExperimentConfig, train: EncodedDataset, size: int, algo: str, seed: int, n_x: int, mean_train_length: float):
-    coords = (cfg.model, size, n_x, algo, seed)
+    """Train the model of one cell, whose coordinates ``coords`` seed it;
+    returns the model and its log record. HMMs and PCFGs train by EM or by
+    best-of-n Gibbs sampling, through the same calls to their family module."""
     if cfg.model == "markov":
-        model = markov.fit(train, order=size, smoothing=algo, epsilon=cfg.epsilon)
-        return model, {"algorithm": algo}
+        return markov.fit(train, order=size, smoothing=algo, epsilon=cfg.epsilon), {"algorithm": algo}
     if cfg.model == "hmm":
-        return _train_hmm(cfg, train, size, algo, coords)
-    return _train_pcfg(cfg, train, size, algo, coords, mean_train_length)
+        family, prior_kind, options, log = hmm, hmm.HmmPrior, {}, {}
+        init = hmm.init_random(size, train.n_symbols, cell_seed(cfg.config_hash(), "init", *coords))
+    else:
+        family, prior_kind = pcfg, pcfg.PcfgPrior
+        options, log = {"max_length": cfg.pcfg_max_length}, {"initialization": cfg.pcfg_init}
+        init = _pcfg_initializer(cfg, train, size, coords, mean_train_length)
+    if algo == "em":
+        config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
+        fitted, trace = family.em_fit(init, train, config)
+        log.update(algorithm="em", log_likelihood=trace)
+    elif algo == "gs":
+        prior = prior_kind.symmetric(size, train.n_symbols, cfg.dirichlet_alpha)
+        config = family.GibbsConfig(
+            n_samples=cfg.resolved_gs_samples(),
+            polish_iters=cfg.polish_iters,
+            seed=cell_seed(cfg.config_hash(), "gibbs", *coords),
+            rel_tol=cfg.rel_tol,
+            **options,
+        )
+        fitted, trace = family.gibbs_fit(init, train, prior, config)
+        log.update(
+            algorithm="gs",
+            sample_log_evidence=trace.sample_log_evidence,
+            polish_log_likelihood=trace.polish_trace,
+        )
+    else:
+        raise ValueError(f"unknown {cfg.model.upper()} algorithm {algo!r}")
+    return fitted, log
 
 
 def _run_cell(payload: dict) -> dict:
@@ -227,20 +185,8 @@ def _run_cell(payload: dict) -> dict:
     """
     cfg = ExperimentConfig.from_dict(payload["config"])
     size, algo, seed, n_x = payload["size"], payload["algo"], payload["seed"], payload["n_x"]
-    row = {
-        "model": cfg.model,
-        "size": size,
-        "param_count": "",
-        "N_X": n_x,
-        "seed": seed,
-        "algo": algo,
-        "train_perplexity": "",
-        "test_perplexity": "",
-        "error_rate": "",
-        "rmrr": "",
-        "wall_time": "",
-        "error": "",
-    }
+    row = dict.fromkeys(RESULT_FIELDS + ["error"], "")
+    row.update(model=cfg.model, size=size, N_X=n_x, seed=seed, algo=algo)
     started = time.perf_counter()
     try:
         out = Path(cfg.out_dir)
@@ -249,7 +195,8 @@ def _run_cell(payload: dict) -> dict:
         test = _read_encoded(out / "test.ids", vocab)
         row["param_count"] = evaluate.param_count(cfg.model, size, vocab.size)
 
-        model, log = _train_cell(cfg, train, size, algo, seed, n_x, payload["mean_train_length"])
+        coords = (cfg.model, size, n_x, algo, seed)
+        model, log = _train_cell(cfg, train, size, algo, coords, payload["mean_train_length"])
 
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
@@ -268,18 +215,16 @@ def _run_cell(payload: dict) -> dict:
     return row
 
 
+def _payload(cfg: ExperimentConfig, meta: dict, size: int, algo: str, seed: int, n_x: int) -> dict:
+    """What ``_run_cell`` needs of one cell, as plain data."""
+    return {"config": cfg.as_dict(), "size": size, "algo": algo, "seed": seed, "n_x": n_x,
+            "mean_train_length": meta["mean_train_length"]}
+
+
 def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None) -> dict:
     meta = _load_prepared(cfg)
     n_x = n_x if n_x is not None else meta["train_sizes"][-1]
-    payload = {
-        "config": cfg.as_dict(),
-        "size": size,
-        "algo": algo,
-        "seed": seed,
-        "n_x": n_x,
-        "mean_train_length": meta["mean_train_length"],
-    }
-    row = _run_cell(payload)
+    row = _run_cell(_payload(cfg, meta, size, algo, seed, n_x))
     if row["error"]:
         raise RuntimeError(row["error"])
     return row
@@ -296,21 +241,13 @@ def _format_cell(value) -> str:
 
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
     meta = _load_prepared(cfg)
-    payloads = []
-    for n_x in meta["train_sizes"]:
-        for size in cfg.resolved_sizes():
-            for algo in cfg.resolved_algos():
-                for seed in cfg.seeds:
-                    payloads.append(
-                        {
-                            "config": cfg.as_dict(),
-                            "size": size,
-                            "algo": algo,
-                            "seed": seed,
-                            "n_x": n_x,
-                            "mean_train_length": meta["mean_train_length"],
-                        }
-                    )
+    payloads = [
+        _payload(cfg, meta, size, algo, seed, n_x)
+        for n_x in meta["train_sizes"]
+        for size in cfg.resolved_sizes()
+        for algo in cfg.resolved_algos()
+        for seed in cfg.seeds
+    ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_run_cell, payloads))
@@ -468,54 +405,42 @@ def cmd_generate(
 # --------------------------------------------------------------------- main
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+def _list_of(kind: type):
+    """Parser of a comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> list:
+        return [kind(t) for t in text.split(",") if t]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
-def _str_list(text: str) -> list[str]:
-    return [t for t in text.split(",") if t]
+def _add_config_args(p: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per ``ExperimentConfig`` field, named after
+    it with ``-`` for ``_``; list fields take comma-separated values."""
+    p.add_argument("--config", help="JSON configuration file")
+    for f in dataclasses.fields(ExperimentConfig):
+        kind, is_list, _ = FIELD_KINDS[f.name]
+        parse = _list_of(kind) if is_list else kind
+        p.add_argument("--" + f.name.replace("_", "-"), type=parse, choices=f.metadata.get("choices"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chordlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_args(p):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--corpus")
-        p.add_argument("--out-dir")
-        p.add_argument("--vocab-k", type=int)
-        p.add_argument("--test-count", type=int)
-        p.add_argument("--data-seed", type=int)
-        p.add_argument("--train-sizes", type=_int_list)
-        p.add_argument("--model", choices=["markov", "hmm", "pcfg"])
-        p.add_argument("--sizes", type=_int_list)
-        p.add_argument("--algos", type=_str_list)
-        p.add_argument("--seeds", type=_int_list)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--dirichlet-alpha", type=float)
-        p.add_argument("--em-max-iter", type=int)
-        p.add_argument("--rel-tol", type=float)
-        p.add_argument("--gs-samples", type=int)
-        p.add_argument("--polish-iters", type=int)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--pcfg-init", choices=["random", "hmm"])
-        p.add_argument("--pcfg-max-length", type=int)
-        p.add_argument("--workers", type=int)
-
     p = sub.add_parser("prepare", help="encode and split a corpus")
-    add_config_args(p)
+    _add_config_args(p)
 
     p = sub.add_parser("train", help="train one grid cell")
-    add_config_args(p)
+    _add_config_args(p)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--algo", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-x", type=int)
 
     p = sub.add_parser("sweep", help="train and evaluate the configured grid")
-    add_config_args(p)
+    _add_config_args(p)
 
     p = sub.add_parser("analyze", help="latent-structure report for a model")
     p.add_argument("--model-file", required=True)
@@ -535,37 +460,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELD_FLAGS = [
-    "corpus",
-    "out_dir",
-    "vocab_k",
-    "test_count",
-    "data_seed",
-    "train_sizes",
-    "model",
-    "sizes",
-    "algos",
-    "seeds",
-    "epsilon",
-    "dirichlet_alpha",
-    "em_max_iter",
-    "rel_tol",
-    "gs_samples",
-    "polish_iters",
-    "kappa",
-    "eta",
-    "pcfg_init",
-    "pcfg_max_length",
-    "workers",
-]
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base = ExperimentConfig.from_file(args.config).as_dict() if args.config else {}
-    for name in _CONFIG_FIELD_FLAGS:
-        value = getattr(args, name, None)
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            base[name] = value
+            base[f.name] = value
     return ExperimentConfig.from_dict(base)
 
 

@@ -1,8 +1,10 @@
 """Experiment configuration: one structured file drives the whole pipeline.
 
 Every training default is embedded here and overridable from the command
-line; the derived per-cell seeds make each sweep cell a pure function of the
-configuration and the corpus bytes.
+line, which has one flag per field; the derived per-cell seeds make each sweep
+cell a pure function of the configuration and the corpus bytes. A config
+checks its values when it is built: each field's type, and the bounds or
+choices its metadata sets.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
+import types
+import typing
 from dataclasses import dataclass, field
 
 HMM_SIZE_GRID = list(range(1, 11)) + [15, 20, 25, 30, 40, 50, 60, 70, 80, 90, 100]
@@ -25,36 +30,49 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     # data preparation
-    vocab_k: int = 10
-    test_count: int | None = None  # default: one tenth of the corpus
-    data_seed: int = 0
-    train_sizes: list[int] | None = None  # default: the full training split
+    vocab_k: int = field(default=10, metadata={">=": 1})
+    test_count: int | None = field(default=None, metadata={">=": 0})  # default: one tenth of the corpus
+    data_seed: int = field(default=0, metadata={">=": 0})
+    train_sizes: list[int] | None = field(default=None, metadata={">=": 1})  # default: the full training split
 
     # model grid
-    model: str = "hmm"
-    sizes: list[int] | None = None
+    model: str = field(default="hmm", metadata={"choices": MODEL_KINDS})
+    sizes: list[int] | None = field(default=None, metadata={">=": 1})
     algos: list[str] | None = None
     seeds: list[int] = field(default_factory=lambda: [0])
 
     # hyperparameters
-    epsilon: float = 0.1
-    dirichlet_alpha: float = 0.1
-    em_max_iter: int | None = None  # 500 for HMM, 200 for PCFG
-    rel_tol: float = 1e-5
-    gs_samples: int | None = None  # 500 for HMM, 200 for PCFG
-    polish_iters: int = 50
-    kappa: float | None = None  # default: matched to the training mean length
-    eta: float | None = None  # default: 0.01 / n_nonterminals
-    pcfg_init: str = "random"  # random | hmm
-    pcfg_max_length: int = 64
+    epsilon: float = field(default=0.1, metadata={">": 0})
+    dirichlet_alpha: float = field(default=0.1, metadata={">": 0})
+    em_max_iter: int | None = field(default=None, metadata={">=": 1})  # 500 for HMM, 200 for PCFG
+    rel_tol: float = field(default=1e-5, metadata={">=": 0})
+    gs_samples: int | None = field(default=None, metadata={">=": 1})  # 500 for HMM, 200 for PCFG
+    polish_iters: int = field(default=50, metadata={">=": 0})
+    kappa: float | None = field(default=None, metadata={">": 0.5, "<=": 1})  # default: from the mean length
+    eta: float | None = field(default=None, metadata={">=": 0})  # default: 0.01 / n_nonterminals
+    pcfg_init: str = field(default="random", metadata={"choices": ("random", "hmm")})
+    pcfg_max_length: int = field(default=64, metadata={">=": 1})
 
-    workers: int = 1
+    workers: int = field(default=1, metadata={">=": 1})
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {MODEL_KINDS}")
-        if self.pcfg_init not in ("random", "hmm"):
-            raise ValueError("pcfg_init must be 'random' or 'hmm'")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, is_list, optional = FIELD_KINDS[f.name]
+            if value is None and optional:
+                continue
+            items = value if is_list and isinstance(value, list) else [value]
+            if is_list != isinstance(value, list) or not all(_is_kind(x, kind) for x in items):
+                expected = f"a list of {kind.__name__}" if is_list else kind.__name__
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+            if is_list and not value:
+                raise ValueError(f"{f.name} must not be empty")
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
+            for sign, holds in _BOUNDS.items():
+                if sign in f.metadata and not all(holds(x, f.metadata[sign]) for x in items):
+                    raise ValueError(f"{f.name} must be {sign} {f.metadata[sign]}, got {value!r}")
 
     # ------------------------------------------------------------- defaults
 
@@ -112,6 +130,33 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
+
+
+# Bounds a field's metadata can set on its value, or on each element of a
+# list; a NaN fails every one of them.
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """isinstance, except that a bool counts as no number and an int counts as
+    a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _field_kind(hint) -> tuple[type, bool, bool]:
+    """(element type, is a list, may be None) of an annotation such as
+    ``list[int] | None``."""
+    args = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    (hint,) = [a for a in args if a is not type(None)]
+    if typing.get_origin(hint) is list:
+        return typing.get_args(hint)[0], True, len(args) > 1
+    return hint, False, len(args) > 1
+
+
+# (element type, is a list, may be None) of every field
+FIELD_KINDS = {name: _field_kind(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def cell_seed(config_hash: str, *coordinates) -> int:

@@ -25,14 +25,6 @@ class EvalReport:
     rmrr: float
     n_symbols: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "perplexity": self.perplexity,
-            "error_rate": self.error_rate,
-            "rmrr": self.rmrr,
-            "n_symbols": self.n_symbols,
-        }
-
 
 def _sequences(test) -> list[np.ndarray]:
     seqs = test.sequences if isinstance(test, EncodedDataset) else list(test)
@@ -106,23 +98,6 @@ def evaluate_model(model, test) -> EvalReport:
     ppl = perplexity(model, seqs)
     err, mrr = _rank_metrics(model, seqs)
     return EvalReport(perplexity=ppl, error_rate=err, rmrr=mrr, n_symbols=sum(len(s) for s in seqs))
-
-
-CSV_HEADER = "model,dataset,perplexity,error_rate,rmrr,n_symbols"
-
-
-def csv_row(model_label: str, dataset_label: str, report: EvalReport) -> str:
-    """One CSV row of all metrics for a (model, dataset) pair."""
-    return ",".join(
-        [
-            model_label,
-            dataset_label,
-            repr(report.perplexity),
-            repr(report.error_rate),
-            repr(report.rmrr),
-            str(report.n_symbols),
-        ]
-    )
 
 
 def param_count(model_kind: str, size: int, vocab_size: int) -> int:

@@ -9,12 +9,14 @@ the latent structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import training
 from .corpus import EncodedDataset
 from .markov import MarkovModel, _check_rows, _draw, _normalize_predictions
+from .training import EmConfig, GibbsConfig, GibbsTrace, sequences_of  # the configs are re-exported
 
 
 @dataclass
@@ -95,30 +97,6 @@ class FbTables:
         return out
 
 
-@dataclass
-class EmConfig:
-    max_iter: int = 500
-    rel_tol: float = 1e-5
-
-
-@dataclass
-class GibbsConfig:
-    n_samples: int = 500
-    polish_iters: int = 50
-    seed: int = 0
-    rel_tol: float = 1e-5
-
-
-@dataclass
-class GibbsTrace:
-    sample_log_evidence: list[float] = field(default_factory=list)
-    polish_trace: list[float] = field(default_factory=list)
-
-    @property
-    def best_sample_log_evidence(self) -> float:
-        return max(self.sample_log_evidence)
-
-
 def init_random(n_states: int, vocab_size: int, seed: int) -> HmmParams:
     """Rows drawn from a flat Dirichlet, deterministically per seed."""
     if n_states < 1 or vocab_size < 1:
@@ -145,34 +123,20 @@ def _dirichlet_rows(rng: np.random.Generator, concentration: np.ndarray) -> np.n
 
 
 def forward_backward(params: HmmParams, seq: np.ndarray) -> FbTables:
-    """Scaled forward-backward pass.
+    """Scaled forward-backward pass over one sequence: a batch of one.
 
-    Zero total evidence is signalled by ``log_evidence == -inf``; the tables
-    are zero-filled from the first impossible step on.
+    Zero total evidence is signalled by ``log_evidence == -inf``; alpha and
+    the scaling are then zero from the first impossible step on, and beta is
+    all zero.
     """
     seq = np.asarray(seq)
-    n = len(seq)
-    if n == 0:
+    if len(seq) == 0:
         raise ValueError("sequence must be non-empty")
-    k = params.n_states
-    alpha = np.zeros((n, k))
-    beta = np.zeros((n, k))
-    scaling = np.zeros(n)
-
-    probe = params.initial * params.emission[:, seq[0]]
-    for t in range(n):
-        if t > 0:
-            probe = (alpha[t - 1] @ params.transition) * params.emission[:, seq[t]]
-        c = probe.sum()
-        scaling[t] = c
-        if c == 0.0:
-            return FbTables(alpha=alpha, beta=beta, scaling=scaling, log_evidence=-np.inf)
-        alpha[t] = probe / c
-
-    beta[n - 1] = 1.0
-    for t in range(n - 2, -1, -1):
-        beta[t] = (params.transition @ (params.emission[:, seq[t + 1]] * beta[t + 1])) / scaling[t + 1]
-    return FbTables(alpha=alpha, beta=beta, scaling=scaling, log_evidence=float(np.log(scaling).sum()))
+    alpha, scaling = _forward_batch(params, seq[None])
+    if (scaling <= 0.0).any():
+        return FbTables(alpha=alpha[0], beta=np.zeros_like(alpha[0]), scaling=scaling[0], log_evidence=-np.inf)
+    beta = _backward_batch(params, seq[None], scaling)
+    return FbTables(alpha=alpha[0], beta=beta[0], scaling=scaling[0], log_evidence=float(np.log(scaling[0]).sum()))
 
 
 def _group_by_length(sequences: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -221,14 +185,51 @@ def _backward_batch(params: HmmParams, batch: np.ndarray, scaling: np.ndarray) -
 
 def log_evidence_total(params: HmmParams, train: EncodedDataset | list[np.ndarray]) -> float:
     """Sum of sequence log evidences over a dataset."""
-    sequences = train.sequences if isinstance(train, EncodedDataset) else train
     total = 0.0
-    for _, batch in _group_by_length(sequences):
+    for _, batch in _group_by_length(sequences_of(train)):
         _, scaling = _forward_batch(params, batch)
         if (scaling <= 0.0).any():
             return -np.inf
         total += float(np.log(scaling).sum())
     return total
+
+
+def _e_step(params: HmmParams, groups: list[tuple[np.ndarray, np.ndarray]]):
+    """Expected initial, transition and emission counts, and the total log
+    likelihood summed per length group."""
+    k, v = params.n_states, params.vocab_size
+    init_acc = np.zeros(k)
+    trans_acc = np.zeros((k, k))
+    emit_acc = np.zeros((k, v))
+    ll = 0.0
+    for idx, batch in groups:
+        alpha, scaling = _forward_batch(params, batch)
+        if (scaling <= 0.0).any():
+            bad = idx[np.where((scaling <= 0.0).any(axis=1))[0][0]]
+            raise ValueError(f"training sequence {int(bad)} has zero evidence")
+        ll += float(np.log(scaling).sum())
+        beta = _backward_batch(params, batch, scaling)
+        gamma = alpha * beta
+        init_acc += gamma[:, 0].sum(axis=0)
+        n = batch.shape[1]
+        for t in range(n - 1):
+            weighted = params.emission[:, batch[:, t + 1]].T * beta[:, t + 1]
+            weighted = weighted / scaling[:, t + 1][:, None]
+            trans_acc += params.transition * (alpha[:, t].T @ weighted)
+        flat_gamma = gamma.reshape(-1, k)
+        flat_obs = batch.reshape(-1)
+        emit_acc_t = np.zeros((v, k))
+        np.add.at(emit_acc_t, flat_obs, flat_gamma)
+        emit_acc += emit_acc_t.T
+    return (init_acc, trans_acc, emit_acc), ll
+
+
+def _m_step(init_acc: np.ndarray, trans_acc: np.ndarray, emit_acc: np.ndarray) -> HmmParams:
+    return HmmParams(
+        initial=_normalize_rows(init_acc[None, :])[0],
+        transition=_normalize_rows(trans_acc),
+        emission=_normalize_rows(emit_acc),
+    )
 
 
 def em_fit(
@@ -238,49 +239,13 @@ def em_fit(
 ) -> tuple[HmmParams, list[float]]:
     """Maximum-likelihood training; returns the final parameters and the
     per-iteration log-likelihood trace (which ends at the returned model)."""
-    sequences = train.sequences if isinstance(train, EncodedDataset) else train
+    sequences = sequences_of(train)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
     groups = _group_by_length(sequences)
-    k, v = params.n_states, params.vocab_size
-
-    trace: list[float] = []
-    prev_ll = None
-    for _ in range(config.max_iter):
-        init_acc = np.zeros(k)
-        trans_acc = np.zeros((k, k))
-        emit_acc = np.zeros((k, v))
-        ll = 0.0
-        for idx, batch in groups:
-            alpha, scaling = _forward_batch(params, batch)
-            if (scaling <= 0.0).any():
-                bad = idx[np.where((scaling <= 0.0).any(axis=1))[0][0]]
-                raise ValueError(f"training sequence {int(bad)} has zero evidence")
-            ll += float(np.log(scaling).sum())
-            beta = _backward_batch(params, batch, scaling)
-            gamma = alpha * beta
-            init_acc += gamma[:, 0].sum(axis=0)
-            n = batch.shape[1]
-            for t in range(n - 1):
-                weighted = params.emission[:, batch[:, t + 1]].T * beta[:, t + 1]
-                weighted = weighted / scaling[:, t + 1][:, None]
-                trans_acc += params.transition * (alpha[:, t].T @ weighted)
-            flat_gamma = gamma.reshape(-1, k)
-            flat_obs = batch.reshape(-1)
-            emit_acc_t = np.zeros((v, k))
-            np.add.at(emit_acc_t, flat_obs, flat_gamma)
-            emit_acc += emit_acc_t.T
-        trace.append(ll)
-        if prev_ll is not None and abs(ll - prev_ll) <= config.rel_tol * abs(prev_ll):
-            return params, trace
-        prev_ll = ll
-        params = HmmParams(
-            initial=_normalize_rows(init_acc[None, :])[0],
-            transition=_normalize_rows(trans_acc),
-            emission=_normalize_rows(emit_acc),
-        )
-    trace.append(log_evidence_total(params, sequences))
-    return params, trace
+    return training.em(
+        params, lambda p: _e_step(p, groups), _m_step, lambda p: log_evidence_total(p, sequences), config
+    )
 
 
 def _normalize_rows(acc: np.ndarray) -> np.ndarray:
@@ -346,26 +311,17 @@ def gibbs_fit(
 ) -> tuple[HmmParams, GibbsTrace]:
     """Bayesian training: keep the maximum-evidence parameter sample from the
     Gibbs chain, then locally optimize it with a bounded EM polish."""
-    sequences = train.sequences if isinstance(train, EncodedDataset) else train
+    sequences = sequences_of(train)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
     groups = _group_by_length(sequences)
-    rng = np.random.default_rng(config.seed)
-
-    trace = GibbsTrace()
-    best, best_ll = None, -np.inf
-    current = params
-    for _ in range(config.n_samples):
-        current = _gibbs_step(current, groups, prior, rng)
-        ll = log_evidence_total(current, sequences)
-        trace.sample_log_evidence.append(ll)
-        if ll > best_ll:
-            best, best_ll = current, ll
-    polished, polish_trace = em_fit(
-        best, sequences, EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol)
+    return training.best_of_gibbs(
+        params,
+        lambda p, rng: _gibbs_step(p, groups, prior, rng),
+        lambda p: log_evidence_total(p, sequences),
+        lambda best: em_fit(best, sequences, EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol)),
+        config,
     )
-    trace.polish_trace = polish_trace
-    return polished, trace
 
 
 def _prediction_weights(params: HmmParams, seq: np.ndarray) -> np.ndarray:

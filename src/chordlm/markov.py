@@ -32,10 +32,6 @@ class MarkovModel:
     smoothing: str
     epsilon: float | None = None
 
-    @property
-    def n_symbols(self) -> int:
-        return self.vocab_size
-
     def validate(self, tol: float = 1e-9) -> None:
         for j, table in enumerate(self.initial_tables, start=1):
             if table.shape != (self.vocab_size,) * j:
@@ -313,7 +309,3 @@ def _interpolate(rows: np.ndarray, discounts: np.ndarray, lower: np.ndarray) -> 
     out[unseen] = lower[unseen]
     return out
 
-
-def param_count(order: int, vocab_size: int) -> int:
-    """Free parameters after normalization: (1 + N + ... + N^k)(N - 1)."""
-    return sum(vocab_size**j for j in range(order + 1)) * (vocab_size - 1)

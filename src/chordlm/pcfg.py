@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import training
 from .corpus import EncodedDataset
-from .hmm import HmmParams, _dirichlet_rows, _group_by_length
+from .hmm import HmmParams, _dirichlet_rows, _group_by_length, _normalize_rows
 from .markov import _normalize_predictions
+from .training import GibbsTrace, sequences_of
 
 START = -1
 
@@ -154,23 +156,6 @@ class DerivationTree:
             return f"({name} {term})"
         return f"({name} {self.left.to_bracketed(symbols)} {self.right.to_bracketed(symbols)})"
 
-    def count_nodes(self) -> tuple[int, int]:
-        """(number of leaves, number of binary nonterminal productions),
-        the start production excluded."""
-        leaves = 0
-        binaries = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.terminal is not None:
-                leaves += 1
-            else:
-                if node.head != START:
-                    binaries += 1
-                stack.append(node.left)
-                stack.append(node.right)
-        return leaves, binaries
-
 
 @dataclass
 class Charts:
@@ -189,30 +174,17 @@ class Charts:
     outside_scale: np.ndarray | None = None
 
 
+# the shared training configs, with grammar defaults and a training length cap
 @dataclass
-class EmConfig:
+class EmConfig(training.EmConfig):
     max_iter: int = 200
-    rel_tol: float = 1e-5
     max_length: int = DEFAULT_MAX_TRAIN_LENGTH
 
 
 @dataclass
-class GibbsConfig:
+class GibbsConfig(training.GibbsConfig):
     n_samples: int = 200
-    polish_iters: int = 50
-    seed: int = 0
-    rel_tol: float = 1e-5
     max_length: int = DEFAULT_MAX_TRAIN_LENGTH
-
-
-@dataclass
-class GibbsTrace:
-    sample_log_evidence: list[float] = field(default_factory=list)
-    polish_trace: list[float] = field(default_factory=list)
-
-    @property
-    def best_sample_log_evidence(self) -> float:
-        return max(self.sample_log_evidence)
 
 
 # ------------------------------------------------------------- constructors
@@ -226,10 +198,16 @@ def init_random(n_nonterminals: int, vocab_size: int, seed: int) -> PcfgParams:
     d, v = n_nonterminals, vocab_size
     rng = np.random.default_rng(seed)
     start = _dirichlet_rows(rng, np.ones((1, d * d)))[0].reshape(d, d)
-    joint = _dirichlet_rows(rng, np.ones((d, d * d + v)))
+    return _from_joint(start, _dirichlet_rows(rng, np.ones((d, d * d + v))))
+
+
+def _from_joint(start_rules: np.ndarray, joint: np.ndarray) -> PcfgParams:
+    """A grammar whose start symbol never emits, from its (D, D) start rules
+    and the (D, D^2 + V) joint production rows, binary rules then terminals."""
+    d = len(start_rules)
     return PcfgParams(
-        start_rules=start,
-        start_emissions=np.zeros(v),
+        start_rules=start_rules,
+        start_emissions=np.zeros(joint.shape[1] - d * d),
         rules=joint[:, : d * d].reshape(d, d, d),
         emissions=joint[:, d * d:],
     )
@@ -543,18 +521,23 @@ def _check_trainable(params: PcfgParams, sequences: list[np.ndarray], max_length
 
 
 def _m_step(start_counts: np.ndarray, rule_counts: np.ndarray, emit_counts: np.ndarray) -> PcfgParams:
-    d, v = emit_counts.shape
+    d = len(start_counts)
     total_start = start_counts.sum()
     start = start_counts / total_start if total_start > 0.0 else np.full((d, d), 1.0 / (d * d))
-    joint = np.concatenate([rule_counts.reshape(d, d * d), emit_counts], axis=1)
-    totals = joint.sum(axis=1, keepdims=True)
-    joint = np.where(totals > 0.0, joint / np.where(totals > 0.0, totals, 1.0), 1.0 / (d * d + v))
-    return PcfgParams(
-        start_rules=start,
-        start_emissions=np.zeros(v),
-        rules=joint[:, : d * d].reshape(d, d, d),
-        emissions=joint[:, d * d:],
-    )
+    return _from_joint(start, _normalize_rows(np.concatenate([rule_counts.reshape(d, d * d), emit_counts], axis=1)))
+
+
+def _e_step_total(params: PcfgParams, sequences: list[np.ndarray]):
+    """Expected production counts and the total log likelihood, summed in
+    corpus order; a zero-evidence sequence is an error."""
+    *counts, log_ev = _e_step(params, sequences)
+    dead = np.flatnonzero(log_ev == -np.inf)
+    if dead.size:
+        raise ValueError(f"training sequence {dead[0]} has zero evidence")
+    ll = 0.0
+    for value in log_ev.tolist():  # corpus order
+        ll += value
+    return counts, ll
 
 
 def em_fit(
@@ -564,32 +547,16 @@ def em_fit(
 ) -> tuple[PcfgParams, list[float]]:
     """Inside-outside maximum-likelihood training; the trace ends at the
     returned parameters."""
-    sequences = train.sequences if isinstance(train, EncodedDataset) else train
+    sequences = sequences_of(train)
     _check_trainable(params, sequences, config.max_length)
-
-    trace: list[float] = []
-    prev_ll = None
-    for _ in range(config.max_iter):
-        start_acc, rule_acc, emit_acc, log_ev = _e_step(params, sequences)
-        dead = np.flatnonzero(log_ev == -np.inf)
-        if dead.size:
-            raise ValueError(f"training sequence {dead[0]} has zero evidence")
-        ll = 0.0
-        for value in log_ev.tolist():  # corpus order
-            ll += value
-        trace.append(ll)
-        if prev_ll is not None and abs(ll - prev_ll) <= config.rel_tol * abs(prev_ll):
-            return params, trace
-        prev_ll = ll
-        params = _m_step(start_acc, rule_acc, emit_acc)
-    trace.append(log_evidence_total(params, sequences))
-    return params, trace
+    return training.em(
+        params, lambda p: _e_step_total(p, sequences), _m_step, lambda p: log_evidence_total(p, sequences), config
+    )
 
 
 def log_evidence_total(params: PcfgParams, train: EncodedDataset | list[np.ndarray]) -> float:
-    sequences = train.sequences if isinstance(train, EncodedDataset) else train
     total = 0.0
-    for log_ev in _log_evidences(params, sequences).tolist():  # corpus order
+    for log_ev in _log_evidences(params, sequences_of(train)).tolist():  # corpus order
         if log_ev == -np.inf:
             return -np.inf
         total += log_ev
@@ -674,13 +641,7 @@ def _gibbs_step(
     joint_conc = np.concatenate(
         [(prior.rules + rule_acc).reshape(d, d * d), prior.emissions + emit_acc], axis=1
     )
-    joint = _dirichlet_rows(rng, joint_conc)
-    return PcfgParams(
-        start_rules=start,
-        start_emissions=np.zeros(v),
-        rules=joint[:, : d * d].reshape(d, d, d),
-        emissions=joint[:, d * d:],
-    )
+    return _from_joint(start, _dirichlet_rows(rng, joint_conc))
 
 
 def gibbs_fit(
@@ -691,26 +652,16 @@ def gibbs_fit(
 ) -> tuple[PcfgParams, GibbsTrace]:
     """Bayesian training: keep the maximum-evidence sampled grammar, then
     locally optimize it with a bounded EM polish."""
-    sequences = train.sequences if isinstance(train, EncodedDataset) else train
+    sequences = sequences_of(train)
     _check_trainable(params, sequences, config.max_length)
-    rng = np.random.default_rng(config.seed)
-
-    trace = GibbsTrace()
-    best, best_ll = None, -np.inf
-    current = params
-    for _ in range(config.n_samples):
-        current = _gibbs_step(current, sequences, prior, rng)
-        ll = log_evidence_total(current, sequences)
-        trace.sample_log_evidence.append(ll)
-        if ll > best_ll:
-            best, best_ll = current, ll
-    polished, polish_trace = em_fit(
-        best,
-        sequences,
-        EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol, max_length=config.max_length),
+    polish = EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol, max_length=config.max_length)
+    return training.best_of_gibbs(
+        params,
+        lambda p, rng: _gibbs_step(p, sequences, prior, rng),
+        lambda p: log_evidence_total(p, sequences),
+        lambda best: em_fit(best, sequences, polish),
+        config,
     )
-    trace.polish_trace = polish_trace
-    return polished, trace
 
 
 # --------------------------------------------------------- length distribution
@@ -824,26 +775,6 @@ def predict_distributions(params: PcfgParams, seq: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------- generation
-
-
-def tree_log_probability(params: PcfgParams, tree: DerivationTree) -> float:
-    """Log probability of one complete derivation tree."""
-    total = 0.0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.terminal is not None:
-            row = params.start_emissions if node.head == START else params.emissions[node.head]
-            p = row[node.terminal]
-        else:
-            table = params.start_rules if node.head == START else params.rules[node.head]
-            p = table[node.left.head, node.right.head]
-            stack.append(node.left)
-            stack.append(node.right)
-        if p <= 0.0:
-            return -np.inf
-        total += float(np.log(p))
-    return total
 
 
 def sample_tree(

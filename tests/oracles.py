@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from chordlm.corpus import EncodedDataset, Vocabulary
+from chordlm.pcfg import START
 
 
 def make_dataset(rows: list[str], symbols: list[str]) -> EncodedDataset:
@@ -27,9 +28,8 @@ def evidence_ratio_prediction(model, seq: np.ndarray, position: int) -> np.ndarr
     """P(x_n = y | rest) by substituting every candidate symbol and
     normalizing full-sequence evidences."""
     seq = np.asarray(seq)
-    n_symbols = model.vocab_size if hasattr(model, "vocab_size") else model.n_symbols
-    logs = np.empty(n_symbols)
-    for y in range(n_symbols):
+    logs = np.empty(model.vocab_size)
+    for y in range(model.vocab_size):
         variant = seq.copy()
         variant[position - 1] = y
         logs[y] = model.log_evidence(variant)
@@ -51,6 +51,34 @@ def hmm_evidence_by_enumeration(initial, transition, emission, seq) -> float:
             p *= transition[path[t - 1], path[t]] * emission[path[t], seq[t]]
         total += p
     return total
+
+
+def hmm_forward_backward_reference(params, seq):
+    """(alpha, beta, scaling, log evidence) of the scaled forward-backward
+    pass, one step at a time. A zero-evidence sequence stops at its first
+    impossible step, leaving alpha, beta and the scaling zero from there on
+    and beta zero throughout."""
+    seq = np.asarray(seq)
+    n = len(seq)
+    k = params.n_states
+    alpha = np.zeros((n, k))
+    beta = np.zeros((n, k))
+    scaling = np.zeros(n)
+
+    probe = params.initial * params.emission[:, seq[0]]
+    for t in range(n):
+        if t > 0:
+            probe = (alpha[t - 1] @ params.transition) * params.emission[:, seq[t]]
+        c = probe.sum()
+        scaling[t] = c
+        if c == 0.0:
+            return alpha, beta, scaling, -np.inf
+        alpha[t] = probe / c
+
+    beta[n - 1] = 1.0
+    for t in range(n - 2, -1, -1):
+        beta[t] = (params.transition @ (params.emission[:, seq[t + 1]] * beta[t + 1])) / scaling[t + 1]
+    return alpha, beta, scaling, float(np.log(scaling).sum())
 
 
 def hmm_terminated_evidence(initial, transition, emission, end_prob, seq) -> float:
@@ -461,3 +489,59 @@ def sample_tree_reference(params, seed: int, max_expansions: int = 10_000):
 
     text = bracket(root)
     return text, np.asarray(leaves, dtype=np.int64)
+
+
+def tree_log_probability(params, tree) -> float:
+    """Log probability of one complete derivation tree."""
+    total = 0.0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.terminal is not None:
+            row = params.start_emissions if node.head == START else params.emissions[node.head]
+            p = row[node.terminal]
+        else:
+            table = params.start_rules if node.head == START else params.rules[node.head]
+            p = table[node.left.head, node.right.head]
+            stack.append(node.left)
+            stack.append(node.right)
+        if p <= 0.0:
+            return -np.inf
+        total += float(np.log(p))
+    return total
+
+
+def count_nodes(tree) -> tuple[int, int]:
+    """(number of leaves, number of binary nonterminal productions) of a
+    derivation tree, the start production excluded."""
+    leaves = 0
+    binaries = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.terminal is not None:
+            leaves += 1
+        else:
+            if node.head != START:
+                binaries += 1
+            stack.append(node.left)
+            stack.append(node.right)
+    return leaves, binaries
+
+
+CSV_HEADER = "model,dataset,perplexity,error_rate,rmrr,n_symbols"
+
+
+def csv_row(model_label: str, dataset_label: str, report) -> str:
+    """One CSV row of all metrics of an ``evaluate.EvalReport`` for a
+    (model, dataset) pair."""
+    return ",".join(
+        [
+            model_label,
+            dataset_label,
+            repr(report.perplexity),
+            repr(report.error_rate),
+            repr(report.rmrr),
+            str(report.n_symbols),
+        ]
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -75,6 +76,58 @@ def test_config_defaults_match_protocol():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"vocab_size": 10})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"workers": 0}, {"seeds": []}, {"sizes": [0]}, {"epsilon": -1}, {"vocab_k": "10"}, {"em_max_iter": True}],
+    ids=["workers-0", "seeds-empty", "sizes-0", "epsilon-negative", "vocab_k-string", "bool-for-int"],
+)
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ExperimentConfig(**bad)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ExperimentConfig.from_dict(bad)
+
+
+def test_config_accepts_edge_values():
+    cfg = ExperimentConfig(test_count=0, rel_tol=0.0, epsilon=1, polish_iters=0, kappa=1.0, eta=0.0)
+    assert cfg.test_count == 0 and cfg.epsilon == 1
+
+
+# the config flags as they were written out by hand before they were derived
+# from the dataclass
+CONFIG_FLAGS = {
+    "--config", "--corpus", "--out-dir", "--vocab-k", "--test-count", "--data-seed", "--train-sizes",
+    "--model", "--sizes", "--algos", "--seeds", "--epsilon", "--dirichlet-alpha", "--em-max-iter",
+    "--rel-tol", "--gs-samples", "--polish-iters", "--kappa", "--eta", "--pcfg-init",
+    "--pcfg-max-length", "--workers",
+}
+
+
+def test_config_flags_are_the_dataclass_fields():
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(ExperimentConfig)}
+    assert fields | {"--config"} == CONFIG_FLAGS
+    extra = {"prepare": set(), "sweep": set(), "train": {"--size", "--algo", "--seed", "--n-x"}}
+    for name, own in extra.items():
+        options = {opt for action in commands[name]._actions for opt in action.option_strings}
+        assert options - {"-h", "--help"} == CONFIG_FLAGS | own
+
+
+def test_config_flags_parse_like_the_fields():
+    args = cli._build_parser().parse_args(
+        ["sweep", "--train-sizes", "3,30", "--algos", "em,gs", "--kappa", "0.6", "--test-count", "0",
+         "--model", "pcfg", "--pcfg-init", "hmm", "--out-dir", "r"]
+    )
+    cfg = cli._config_from_args(args)
+    assert cfg.train_sizes == [3, 30] and cfg.algos == ["em", "gs"]
+    assert cfg.kappa == 0.6 and cfg.test_count == 0
+    assert (cfg.model, cfg.pcfg_init, cfg.out_dir) == ("pcfg", "hmm", "r")
+    for bad in (["--model", "rnn"], ["--pcfg-init", "flat"], ["--sizes", "1,x"]):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(["prepare", *bad])
+        assert exc.value.code == 2
 
 
 def test_kappa_from_mean_length():

@@ -6,7 +6,7 @@ import pytest
 from chordlm import evaluate, hmm, markov, pcfg
 from chordlm.hmm import HmmParams
 from chordlm.markov import MarkovModel
-from oracles import evidence_ratio_prediction, make_dataset, random_stochastic
+from oracles import CSV_HEADER, csv_row, evidence_ratio_prediction, make_dataset, random_stochastic
 
 
 def uniform_markov(n_symbols: int) -> MarkovModel:
@@ -157,12 +157,12 @@ def test_csv_row_round_trips_metrics():
     data = make_dataset(["a b b a", "b a"], symbols=["a", "b"])
     model = markov.fit(data, order=1)
     report = evaluate.evaluate_model(model, data)
-    row = evaluate.csv_row("markov-1", "toy", report)
+    row = csv_row("markov-1", "toy", report)
     cells = row.split(",")
     assert cells[:2] == ["markov-1", "toy"]
     assert float(cells[2]) == report.perplexity
     assert int(cells[5]) == report.n_symbols
-    assert evaluate.CSV_HEADER.count(",") == row.count(",")
+    assert CSV_HEADER.count(",") == row.count(",")
 
 
 # ------------------------------------------- one prediction pass per sequence

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import markov
+from chordlm import evaluate, markov
 from oracles import (
     all_sequences,
     evidence_ratio_prediction,
@@ -164,9 +164,9 @@ def test_training_perplexity_non_increasing_in_order():
 
 
 def test_param_count_formula():
-    assert markov.param_count(1, 11) == 120
-    assert markov.param_count(2, 3) == (1 + 3 + 9) * 2
-    assert markov.param_count(3, 2) == (1 + 2 + 4 + 8) * 1
+    assert evaluate.param_count("markov", 1, 11) == 120
+    assert evaluate.param_count("markov", 2, 3) == (1 + 3 + 9) * 2
+    assert evaluate.param_count("markov", 3, 2) == (1 + 2 + 4 + 8) * 1
 
 
 def test_sample_sequence_deterministic_and_forced():

@@ -9,6 +9,10 @@ runs one small grid per model family the way perfbench does and hands the
 outputs to perfbench's own checks, so a change that breaks what the
 benchmark reads fails here instead of as a malformed benchmark run.
 
+It also checks the per-layer metrics that ``BENCHMARK.json`` declares: each
+must name a distinct function that the tracer can find, since a traced run
+silently leaves out a function that no longer exists.
+
 perfbench is imported read-only: no bytecode is written there.
 """
 
@@ -22,8 +26,10 @@ from pathlib import Path
 import pytest
 
 from chordlm import cli, model_io
+from chordlm.config import ExperimentConfig
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 SWEEPS = [
     {"model": "pcfg", "sizes": [2], "algos": ["em"], "seeds": [0], "em_max_iter": 2, "pcfg_init": "random"},
@@ -46,7 +52,7 @@ def bench():
     sys.path.insert(0, str(BENCH))
     sys.dont_write_bytecode = True
     try:
-        yield {name: importlib.import_module(name) for name in ("checks", "planted", "reference")}
+        yield {name: importlib.import_module(name) for name in ("checks", "planted", "reference", "tracing", "run")}
     finally:
         sys.path[:] = saved_path
         sys.dont_write_bytecode = saved_flag
@@ -93,3 +99,36 @@ def test_outputs_pass_the_benchmark_checks(bench, tmp_path, monkeypatch):
     assert cli.main(["sweep", "--config", "config0.json", "--workers", "1"]) == 0
     (run / "results.csv").rename(results[0])
     assert checks.digest(run, results) == first
+
+
+def test_declared_layers_are_distinct_traced_functions(bench):
+    """Every ``<module>.<name>.{calls,total_s,self_s}`` metric names a function
+    in ``tracing.LAYERS`` that exists in ``chordlm.<module>``, and no two of
+    them are one function object (the tracer rebinds by identity)."""
+    tracing = bench["tracing"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = sorted({
+        m["name"].rpartition(".")[0] for m in declared
+        if m["name"].rpartition(".")[2] in ("calls", "total_s", "self_s")
+    })
+    assert names
+    owners: dict[int, str] = {}
+    for name in names:
+        module, _, path = name.partition(".")
+        assert path in tracing.LAYERS.get(module, []), f"{name} is not traced"
+        obj = importlib.import_module(f"chordlm.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        assert callable(obj), f"{name} is declared in BENCHMARK.json but missing from chordlm"
+        assert id(obj) not in owners, f"{name} is the same function as {owners.get(id(obj))}"
+        owners[id(obj)] = name
+
+
+def test_benchmark_configs_are_valid(bench):
+    run = bench["run"]
+    for name, spec in run.WORKLOADS.items():
+        for sweep in spec.sweeps:
+            cfg = ExperimentConfig.from_dict(spec.config(sweep))
+            assert cfg.as_dict() == {**ExperimentConfig().as_dict(), **spec.config(sweep)}, name
+    for sweep in SWEEPS:
+        ExperimentConfig.from_dict({**COMMON, **sweep})
