@@ -111,11 +111,25 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     return meta
 
 
+# the config fields that decide what `prepare` writes
+_PREPARED_FIELDS = ("corpus", "vocab_k", "test_count", "data_seed", "train_sizes")
+
+
 def _load_prepared(cfg: ExperimentConfig) -> dict:
+    """The prepared directory's meta.json, which must have been written for
+    the data this config names."""
     meta_path = Path(cfg.out_dir) / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found; run `chordlm prepare` first")
-    return json.loads(meta_path.read_text())
+    meta = json.loads(meta_path.read_text())
+    for name in _PREPARED_FIELDS:
+        prepared = meta["config"].get(name)
+        if getattr(cfg, name) != prepared:
+            raise ValueError(
+                f"{meta_path} was prepared with {name}={prepared!r}, not {getattr(cfg, name)!r}; "
+                "run `chordlm prepare` again or use another out_dir"
+            )
+    return meta
 
 
 # ------------------------------------------------------------ cell training

@@ -17,11 +17,14 @@ import types
 import typing
 from dataclasses import dataclass, field
 
+from .markov import SMOOTHING_TAGS
+
 HMM_SIZE_GRID = list(range(1, 11)) + [15, 20, 25, 30, 40, 50, 60, 70, 80, 90, 100]
 PCFG_SIZE_GRID = list(range(1, 11)) + [15, 20]
 MARKOV_ORDER_GRID = [1, 2, 3]
 
 MODEL_KINDS = ("markov", "hmm", "pcfg")
+ALGOS = {"markov": SMOOTHING_TAGS, "hmm": ("em", "gs"), "pcfg": ("em", "gs")}
 
 
 @dataclass
@@ -73,6 +76,9 @@ class ExperimentConfig:
             for sign, holds in _BOUNDS.items():
                 if sign in f.metadata and not all(holds(x, f.metadata[sign]) for x in items):
                     raise ValueError(f"{f.name} must be {sign} {f.metadata[sign]}, got {value!r}")
+        unknown = sorted(set(self.resolved_algos()) - set(ALGOS[self.model]))
+        if unknown:
+            raise ValueError(f"algos for model {self.model!r} must be among {ALGOS[self.model]}, got {unknown}")
 
     # ------------------------------------------------------------- defaults
 
@@ -88,7 +94,7 @@ class ExperimentConfig:
     def resolved_algos(self) -> list[str]:
         if self.algos is not None:
             return list(self.algos)
-        return ["additive", "kn", "mkn"] if self.model == "markov" else ["em", "gs"]
+        return list(ALGOS[self.model])
 
     def resolved_em_max_iter(self) -> int:
         if self.em_max_iter is not None:

@@ -5,7 +5,9 @@ Works with any model exposing ``log_evidence(seq)`` and
 at position i + 1 given all the others; grammar models additionally expose
 ``normalized_log_evidences(seqs)``, which the perplexity uses so that their
 evidence is normalized within fixed-length sequence sets like the other model
-families.
+families. A model that scores a whole test set at once, as an HMM does in one
+pass per length group, exposes ``log_evidences(seqs)`` and
+``batch_predict_distributions(seqs)``, which are used in their place.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def _log_evidences(model, seqs: list[np.ndarray]):
     grammars."""
     if hasattr(model, "normalized_log_evidences"):
         return model.normalized_log_evidences(seqs)
+    if hasattr(model, "log_evidences"):
+        return model.log_evidences(seqs).tolist()
     return map(model.log_evidence, seqs)
 
 
@@ -55,8 +59,16 @@ def perplexity(model, test) -> float:
     return math.exp(-total / count)
 
 
+def _prediction_rows(model, seqs: list[np.ndarray]):
+    """Each sequence's ``predict_distributions`` rows in turn, for the whole
+    set at once where the model can."""
+    if hasattr(model, "batch_predict_distributions"):
+        return model.batch_predict_distributions(seqs)
+    return map(model.predict_distributions, seqs)
+
+
 def _rank_metrics(model, seqs: list[np.ndarray]) -> tuple[float, float]:
-    """(error rate, rmrr) from one ``predict_distributions`` call per sequence.
+    """(error rate, rmrr) from each sequence's prediction rows.
 
     A position is wrong when its maximum-probability symbol differs from the
     observed one; the observed symbol's rank counts the symbols more probable
@@ -66,9 +78,8 @@ def _rank_metrics(model, seqs: list[np.ndarray]) -> tuple[float, float]:
     wrong = 0
     recip_total = 0.0
     count = 0
-    for seq in seqs:
+    for seq, probs in zip(seqs, _prediction_rows(model, seqs)):
         truth = np.asarray(seq, dtype=np.int64)
-        probs = model.predict_distributions(seq)
         p_true = probs[np.arange(len(truth)), truth][:, None]
         wrong += int((probs.argmax(axis=1) != truth).sum())
         lower_id = np.arange(probs.shape[1]) < truth[:, None]
@@ -93,7 +104,7 @@ def rmrr(model, test) -> float:
 
 def evaluate_model(model, test) -> EvalReport:
     """Every metric on one test set, predicting each sequence's positions in
-    one ``predict_distributions`` call."""
+    one pass."""
     seqs = _sequences(test)
     ppl = perplexity(model, seqs)
     err, mrr = _rank_metrics(model, seqs)

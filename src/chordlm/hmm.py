@@ -39,13 +39,19 @@ class HmmParams:
         _check_rows(self.emission, tol, "emission matrix")
 
     def log_evidence(self, seq: np.ndarray) -> float:
-        return forward_backward(self, seq).log_evidence
+        return float(log_evidences(self, [np.asarray(seq)])[0])
+
+    def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
+        return log_evidences(self, seqs)
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
 
     def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
         return predict_distributions(self, seq)
+
+    def batch_predict_distributions(self, seqs: list[np.ndarray]) -> list[np.ndarray]:
+        return batch_predict_distributions(self, seqs)
 
 
 @dataclass
@@ -130,8 +136,6 @@ def forward_backward(params: HmmParams, seq: np.ndarray) -> FbTables:
     all zero.
     """
     seq = np.asarray(seq)
-    if len(seq) == 0:
-        raise ValueError("sequence must be non-empty")
     alpha, scaling = _forward_batch(params, seq[None])
     if (scaling <= 0.0).any():
         return FbTables(alpha=alpha[0], beta=np.zeros_like(alpha[0]), scaling=scaling[0], log_evidence=-np.inf)
@@ -157,30 +161,52 @@ def _group_by_length(sequences: list[np.ndarray]) -> list[tuple[np.ndarray, np.n
 
 
 def _forward_batch(params: HmmParams, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered state distributions and scaling factors for an equal-length batch."""
+    """Filtered state distributions and scaling factors for an equal-length batch.
+
+    A sequence's filter stops at its first zero scaling: alpha stays zero
+    from there on, and so do the later scalings.
+    """
     b, n = batch.shape
-    k = params.n_states
-    alpha = np.zeros((b, n, k))
+    if n == 0:
+        raise ValueError("sequence must be non-empty")
+    emission_t = params.emission.T
+    alpha = np.zeros((b, n, params.n_states))
     scaling = np.zeros((b, n))
-    probe = params.initial[None, :] * params.emission[:, batch[:, 0]].T
+    probe = params.initial[None, :] * emission_t[batch[:, 0]]
     for t in range(n):
         if t > 0:
-            probe = (alpha[:, t - 1] @ params.transition) * params.emission[:, batch[:, t]].T
+            probe = (alpha[:, t - 1] @ params.transition) * emission_t[batch[:, t]]
         c = probe.sum(axis=1)
         scaling[:, t] = c
         ok = c > 0.0
-        alpha[ok, t] = probe[ok] / c[ok, None]
+        if ok.all():
+            alpha[:, t] = probe / c[:, None]
+        else:
+            alpha[ok, t] = probe[ok] / c[ok, None]
     return alpha, scaling
 
 
 def _backward_batch(params: HmmParams, batch: np.ndarray, scaling: np.ndarray) -> np.ndarray:
     b, n = batch.shape
+    emission_t = params.emission.T
     beta = np.zeros((b, n, params.n_states))
     beta[:, n - 1] = 1.0
     for t in range(n - 2, -1, -1):
-        msg = params.emission[:, batch[:, t + 1]].T * beta[:, t + 1]
+        msg = emission_t[batch[:, t + 1]] * beta[:, t + 1]
         beta[:, t] = (msg @ params.transition.T) / scaling[:, t + 1][:, None]
     return beta
+
+
+def log_evidences(params: HmmParams, seqs: list[np.ndarray]) -> np.ndarray:
+    """Each sequence's log evidence in corpus order, -inf where it is zero;
+    one forward pass per length group."""
+    out = np.empty(len(seqs))
+    for idx, batch in _group_by_length(seqs):
+        _, scaling = _forward_batch(params, batch)
+        live = (scaling > 0.0).all(axis=1)
+        log_scaling = np.log(np.where(live[:, None], scaling, 1.0))
+        out[idx] = np.where(live, log_scaling.sum(axis=1), -np.inf)
+    return out
 
 
 def log_evidence_total(params: HmmParams, train: EncodedDataset | list[np.ndarray]) -> float:
@@ -201,6 +227,7 @@ def _e_step(params: HmmParams, groups: list[tuple[np.ndarray, np.ndarray]]):
     init_acc = np.zeros(k)
     trans_acc = np.zeros((k, k))
     emit_acc = np.zeros((k, v))
+    emission_t = params.emission.T
     ll = 0.0
     for idx, batch in groups:
         alpha, scaling = _forward_batch(params, batch)
@@ -213,7 +240,7 @@ def _e_step(params: HmmParams, groups: list[tuple[np.ndarray, np.ndarray]]):
         init_acc += gamma[:, 0].sum(axis=0)
         n = batch.shape[1]
         for t in range(n - 1):
-            weighted = params.emission[:, batch[:, t + 1]].T * beta[:, t + 1]
+            weighted = emission_t[batch[:, t + 1]] * beta[:, t + 1]
             weighted = weighted / scaling[:, t + 1][:, None]
             trans_acc += params.transition * (alpha[:, t].T @ weighted)
         flat_gamma = gamma.reshape(-1, k)
@@ -257,8 +284,9 @@ def _normalize_rows(acc: np.ndarray) -> np.ndarray:
 
 def _sample_states(
     params: HmmParams, batch: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Blocked draw of latent state paths: forward filter, backward sample."""
+) -> tuple[np.ndarray, float]:
+    """Blocked draw of latent state paths: forward filter, backward sample.
+    Also returns the batch's total log evidence, from the filter's scalings."""
     alpha, scaling = _forward_batch(params, batch)
     if (scaling <= 0.0).any():
         raise ValueError("cannot sample states for a zero-evidence sequence")
@@ -268,7 +296,7 @@ def _sample_states(
     for t in range(n - 2, -1, -1):
         w = alpha[:, t] * params.transition[:, states[:, t + 1]].T
         states[:, t] = _categorical_rows(rng, w)
-    return states
+    return states, float(np.log(scaling).sum())
 
 
 def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
@@ -282,25 +310,30 @@ def _gibbs_step(
     groups: list[tuple[np.ndarray, np.ndarray]],
     prior: HmmPrior,
     rng: np.random.Generator,
-) -> HmmParams:
-    """One sweep: draw state paths given parameters, then parameters given paths."""
+) -> tuple[HmmParams, float]:
+    """One sweep: draw state paths given parameters, then parameters given
+    paths. Returns the new parameters and the total log evidence of the given
+    ones, summed per length group as ``log_evidence_total`` sums it."""
     k, v = params.n_states, params.vocab_size
     init_counts = np.zeros(k)
     trans_counts = np.zeros((k, k))
     emit_counts = np.zeros((k, v))
+    ll = 0.0
     for _, batch in groups:
-        states = _sample_states(params, batch, rng)
+        states, batch_ll = _sample_states(params, batch, rng)
+        ll += batch_ll
         init_counts += np.bincount(states[:, 0], minlength=k)
         if batch.shape[1] > 1:
             pairs = states[:, :-1].reshape(-1) * k + states[:, 1:].reshape(-1)
             trans_counts += np.bincount(pairs, minlength=k * k).reshape(k, k)
         cells = states.reshape(-1) * v + batch.reshape(-1)
         emit_counts += np.bincount(cells, minlength=k * v).reshape(k, v)
-    return HmmParams(
+    sample = HmmParams(
         initial=_dirichlet_rows(rng, (prior.initial + init_counts)[None, :])[0],
         transition=_dirichlet_rows(rng, prior.transition + trans_counts),
         emission=_dirichlet_rows(rng, prior.emission + emit_counts),
     )
+    return sample, ll
 
 
 def gibbs_fit(
@@ -324,30 +357,28 @@ def gibbs_fit(
     )
 
 
-def _prediction_weights(params: HmmParams, seq: np.ndarray) -> np.ndarray:
-    """Unnormalized weights of every candidate symbol at every position.
+def _prediction_weights(params: HmmParams, batch: np.ndarray) -> np.ndarray:
+    """Unnormalized weights of every candidate symbol at every position of an
+    equal-length batch, shape (B, n, V).
 
     Row i combines the filtered prefix message P(z_i | x_{1:i-1}) with a
     backward message normalized per step, neither of which depends on the
     observed symbol at i; one forward and one backward pass give every row.
     A prefix of zero evidence leaves its rows zero.
     """
-    n = len(seq)
-    if n == 0:
-        raise ValueError("sequence must be non-empty")
-    alpha, _ = _forward_batch(params, seq[None, :])
-    weights = np.empty((n, params.vocab_size))
+    b, n = batch.shape
+    alpha, _ = _forward_batch(params, batch)
+    state_in = np.empty_like(alpha)
+    state_in[:, 0] = params.initial
+    state_in[:, 1:] = alpha[:, :-1] @ params.transition
+    emission_t = params.emission.T
     # suffix messages, self-normalized so they never divide by prefix scalings
-    beta = np.ones(params.n_states)
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            beta = params.transition @ (params.emission[:, seq[i + 1]] * beta)
-            total = beta.sum()
-            if total > 0.0:
-                beta = beta / total
-        state_in = alpha[0, i - 1] @ params.transition if i > 0 else params.initial
-        weights[i] = (state_in * beta) @ params.emission
-    return weights
+    beta = np.ones_like(alpha)
+    for i in range(n - 2, -1, -1):
+        msg = (emission_t[batch[:, i + 1]] * beta[:, i + 1]) @ params.transition.T
+        total = msg.sum(axis=1)
+        beta[:, i] = msg / np.where(total > 0.0, total, 1.0)[:, None]
+    return (state_in * beta) @ params.emission
 
 
 def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:
@@ -356,12 +387,22 @@ def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> n
     n = len(seq)
     if not 1 <= position <= n:
         raise ValueError(f"position {position} out of range [1, {n}]")
-    return _normalize_predictions(_prediction_weights(params, seq)[position - 1])
+    return _normalize_predictions(_prediction_weights(params, seq[None])[0, position - 1])
 
 
 def predict_distributions(params: HmmParams, seq: np.ndarray) -> np.ndarray:
     """Row i is ``predict_distribution(params, seq, i + 1)``; shape (len(seq), V)."""
-    return _normalize_predictions(_prediction_weights(params, np.asarray(seq)))
+    return _normalize_predictions(_prediction_weights(params, np.asarray(seq)[None])[0])
+
+
+def batch_predict_distributions(params: HmmParams, seqs: list[np.ndarray]) -> list[np.ndarray]:
+    """``predict_distributions`` of each sequence, in corpus order, from one
+    forward and one backward pass per length group."""
+    out: list = [None] * len(seqs)
+    for idx, batch in _group_by_length(seqs):
+        for i, rows in zip(idx.tolist(), _normalize_predictions(_prediction_weights(params, batch))):
+            out[i] = rows
+    return out
 
 
 def from_markov(model: MarkovModel) -> HmmParams:

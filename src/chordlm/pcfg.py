@@ -534,10 +534,16 @@ def _e_step_total(params: PcfgParams, sequences: list[np.ndarray]):
     dead = np.flatnonzero(log_ev == -np.inf)
     if dead.size:
         raise ValueError(f"training sequence {dead[0]} has zero evidence")
-    ll = 0.0
-    for value in log_ev.tolist():  # corpus order
-        ll += value
-    return counts, ll
+    return counts, _sum_in_order(log_ev)
+
+
+def _sum_in_order(log_ev: np.ndarray) -> float:
+    """Left-to-right sum of per-sequence log evidences in corpus order; -inf
+    if any is."""
+    total = 0.0
+    for value in log_ev.tolist():
+        total += value
+    return total
 
 
 def em_fit(
@@ -555,12 +561,7 @@ def em_fit(
 
 
 def log_evidence_total(params: PcfgParams, train: EncodedDataset | list[np.ndarray]) -> float:
-    total = 0.0
-    for log_ev in _log_evidences(params, sequences_of(train)).tolist():  # corpus order
-        if log_ev == -np.inf:
-            return -np.inf
-        total += log_ev
-    return total
+    return _sum_in_order(_log_evidences(params, sequences_of(train)))
 
 
 def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int, draws: Iterator[float]):
@@ -610,9 +611,10 @@ def _gibbs_step(
     sequences: list[np.ndarray],
     prior: PcfgPrior,
     rng: np.random.Generator,
-) -> PcfgParams:
+) -> tuple[PcfgParams, float]:
     """One sweep: sample a tree per sequence, then production rows from their
     Dirichlet posteriors (the start emission row stays pinned at zero).
+    Also returns the given grammar's total log evidence from the same charts.
 
     Sequence i's tree takes the i-th run of n_i - 1 uniforms, drawn up front
     in corpus order, so the trees do not depend on how the charts are batched.
@@ -623,25 +625,26 @@ def _gibbs_step(
     emit_acc = np.zeros((d, v))
     ends = np.cumsum([len(seq) - 1 for seq in sequences]).tolist()
     draws = rng.random(ends[-1]).tolist()
-    dead = []
+    log_ev = np.empty(len(sequences))
     for idx, batch in _batches(sequences, d):
         chart = _inside_batch(params, batch)
+        log_ev[idx] = chart.log_evidence
         for k, i in enumerate(idx.tolist()):
             if chart.log_evidence[k] == -np.inf:
-                dead.append(i)
                 continue
             mine = iter(draws[ends[i] - batch.shape[1] + 1:ends[i]])
             s, r, e = _sample_tree(params, batch[k], chart, k, mine)
             start_acc += s
             rule_acc += r
             emit_acc += e
-    if dead:
-        raise ValueError(f"training sequence {min(dead)} has zero evidence")
+    dead = np.flatnonzero(log_ev == -np.inf)
+    if dead.size:
+        raise ValueError(f"training sequence {dead[0]} has zero evidence")
     start = _dirichlet_rows(rng, (prior.start_rules + start_acc).reshape(1, -1))[0].reshape(d, d)
     joint_conc = np.concatenate(
         [(prior.rules + rule_acc).reshape(d, d * d), prior.emissions + emit_acc], axis=1
     )
-    return _from_joint(start, _dirichlet_rows(rng, joint_conc))
+    return _from_joint(start, _dirichlet_rows(rng, joint_conc)), _sum_in_order(log_ev)
 
 
 def gibbs_fit(

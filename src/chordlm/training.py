@@ -5,7 +5,8 @@ runs a Gibbs chain, keeps its maximum-evidence sample and polishes it with EM
 (Johnson, Griffiths & Goldwater 2007). A family supplies the pieces as
 callables over its own parameters: an E-step returning ``(counts, total log
 likelihood)``, an M-step taking the counts as arguments, its total log
-evidence, and one Gibbs sweep. ``hmm.em_fit``, ``hmm.gibbs_fit``,
+evidence, and one Gibbs sweep that also returns the total log evidence of the
+parameters it started from. ``hmm.em_fit``, ``hmm.gibbs_fit``,
 ``pcfg.em_fit`` and ``pcfg.gibbs_fit`` bind them.
 """
 
@@ -66,16 +67,27 @@ def em(params, e_step, m_step, log_evidence_total, config: EmConfig) -> tuple[ob
 def best_of_gibbs(params, gibbs_step, log_evidence_total, polish, config: GibbsConfig) -> tuple[object, GibbsTrace]:
     """Draw ``n_samples`` parameter samples with ``gibbs_step(params, rng)``,
     keep the first one of maximum evidence and return ``polish`` of it, the
-    family's EM capped at ``polish_iters`` iterations."""
+    family's EM capped at ``polish_iters`` iterations.
+
+    ``gibbs_step`` returns the next sample and the total log evidence of the
+    parameters it was given, which it takes from the pass its draw needs
+    anyway; so each sample is scored by the step that follows it, and only
+    the last one by ``log_evidence_total``.
+    """
+    if config.n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(config.seed)
     trace = GibbsTrace()
     best, best_ll = None, -np.inf
-    current = params
-    for _ in range(config.n_samples):
-        current = gibbs_step(current, rng)
-        ll = log_evidence_total(current)
+    current, _ = gibbs_step(params, rng)
+    for i in range(config.n_samples):
+        if i + 1 < config.n_samples:
+            following, ll = gibbs_step(current, rng)
+        else:
+            following, ll = None, log_evidence_total(current)
         trace.sample_log_evidence.append(ll)
         if ll > best_ll:
             best, best_ll = current, ll
+        current = following
     polished, trace.polish_trace = polish(best)
     return polished, trace

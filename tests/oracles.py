@@ -81,6 +81,26 @@ def hmm_forward_backward_reference(params, seq):
     return alpha, beta, scaling, float(np.log(scaling).sum())
 
 
+def hmm_prediction_weights_reference(params, seq) -> np.ndarray:
+    """Unnormalized candidate weights at every position of one sequence, one
+    position at a time: the filtered prefix message times a suffix message
+    normalized per step."""
+    seq = np.asarray(seq)
+    n = len(seq)
+    alpha, _, _, _ = hmm_forward_backward_reference(params, seq)
+    weights = np.empty((n, params.vocab_size))
+    beta = np.ones(params.n_states)
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            beta = params.transition @ (params.emission[:, seq[i + 1]] * beta)
+            total = beta.sum()
+            if total > 0.0:
+                beta = beta / total
+        state_in = alpha[i - 1] @ params.transition if i > 0 else params.initial
+        weights[i] = (state_in * beta) @ params.emission
+    return weights
+
+
 def hmm_terminated_evidence(initial, transition, emission, end_prob, seq) -> float:
     """Probability that an HMM with per-state stop probabilities emits ``seq``
     and then stops. Transition rows are rescaled by (1 - stop probability)."""
@@ -200,6 +220,19 @@ def entropy_perplexity(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     mask = p > 0
     return float(np.exp(-(p[mask] * np.log(p[mask])).sum()))
+
+
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Counts every call of ``module.name`` from now on, in a one-item list."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def all_sequences(n_symbols: int, length: int):
@@ -545,3 +578,21 @@ def csv_row(model_label: str, dataset_label: str, report) -> str:
             str(report.n_symbols),
         ]
     )
+
+
+def best_of_gibbs_reference(params, gibbs_step, log_evidence_total, polish, n_samples: int, seed: int):
+    """(polished parameters, sample log evidences, polish trace) of a Gibbs
+    chain that scores every sample with ``log_evidence_total`` right after
+    drawing it; ``gibbs_step(params, rng)`` returns the sample first."""
+    rng = np.random.default_rng(seed)
+    sample_log_evidence = []
+    best, best_ll = None, -np.inf
+    current = params
+    for _ in range(n_samples):
+        current = gibbs_step(current, rng)[0]
+        ll = log_evidence_total(current)
+        sample_log_evidence.append(ll)
+        if ll > best_ll:
+            best, best_ll = current, ll
+    polished, polish_trace = polish(best)
+    return polished, sample_log_evidence, polish_trace

@@ -90,6 +90,17 @@ def test_config_rejects_bad_values(bad):
         ExperimentConfig.from_dict(bad)
 
 
+def test_config_checks_algos_against_the_model(capsys):
+    for model, algos in (("hmm", ["em", "gs"]), ("pcfg", ["gs"]), ("markov", ["additive", "kn", "mkn"])):
+        assert ExperimentConfig(model=model, algos=algos).resolved_algos() == algos
+    for model, algos in (("hmm", ["emm"]), ("pcfg", ["em", "kn"]), ("markov", ["em"])):
+        with pytest.raises(ValueError, match="algos"):
+            ExperimentConfig(model=model, algos=algos)
+    assert cli.main(["sweep", "--model", "hmm", "--sizes", "2", "--algos", "emm"]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError" and "emm" in error["message"]
+
+
 def test_config_accepts_edge_values():
     cfg = ExperimentConfig(test_count=0, rel_tol=0.0, epsilon=1, polish_iters=0, kappa=1.0, eta=0.0)
     assert cfg.test_count == 0 and cfg.epsilon == 1
@@ -203,7 +214,7 @@ def test_train_cell_writes_model_and_monotone_log(prepared):
 
 def test_train_markov_cell(prepared):
     cfg, tmp_path = prepared
-    mk = ExperimentConfig.from_dict({**cfg.as_dict(), "model": "markov"})
+    mk = ExperimentConfig.from_dict({**cfg.as_dict(), "model": "markov", "algos": ["mkn"]})
     row = cli.cmd_train(mk, size=1, algo="mkn", seed=0, n_x=8)
     assert row["error"] == ""
     assert row["train_perplexity"] >= 1.0
@@ -285,6 +296,32 @@ def test_sweep_records_partial_failures(prepared, tmp_path):
     rows = [dict(zip(cli.CSV_HEADER, ln.split(","))) for ln in lines[1:]]
     assert len(rows) == 1
     assert rows[0]["error"] != ""
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"corpus": "other.txt"}, {"vocab_k": 5}, {"test_count": 5}, {"data_seed": 1}, {"train_sizes": [7]}],
+    ids=lambda change: next(iter(change)),
+)
+def test_sweep_and_train_refuse_a_directory_prepared_for_other_data(prepared, change):
+    cfg, _ = prepared
+    other = ExperimentConfig.from_dict({**cfg.as_dict(), **change})
+    name = next(iter(change))
+    with pytest.raises(ValueError, match=f"prepared with {name}="):
+        cli.cmd_sweep(other)
+    with pytest.raises(ValueError, match=f"prepared with {name}="):
+        cli.cmd_train(other, size=1, algo="em", seed=0, n_x=None)
+
+
+def test_sweep_accepts_a_directory_prepared_for_the_same_data(prepared):
+    cfg, tmp_path = prepared
+    # the grid, the hyperparameters and the workers are not data
+    other = ExperimentConfig.from_dict(
+        {**cfg.as_dict(), "model": "markov", "sizes": [2], "algos": ["kn"], "seeds": [3], "epsilon": 0.5, "workers": 2}
+    )
+    rows = cli.cmd_sweep(other).read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("markov,2,")
+    assert cli.cmd_train(other, size=1, algo="additive", seed=0, n_x=None)["error"] == ""
 
 
 # ----------------------------------------------------------------- analyze

@@ -1,16 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from chordlm import hmm, markov
+from chordlm import evaluate, hmm, markov
 from chordlm.hmm import EmConfig, GibbsConfig, HmmParams, HmmPrior
 from oracles import (
     all_sequences,
+    best_of_gibbs_reference,
+    count_calls,
     entropy_perplexity,
     evidence_ratio_prediction,
     hmm_evidence_by_enumeration,
     hmm_forward_backward_reference,
+    hmm_prediction_weights_reference,
     make_dataset,
     random_stochastic,
     stationary_by_linear_solve,
@@ -120,6 +124,74 @@ def test_forward_backward_matches_step_by_step_reference_bitwise():
     assert_tables_equal(tables, params, seq)
 
 
+def with_dead_symbol(params: HmmParams) -> HmmParams:
+    """The same model with the last symbol's emissions zeroed and the rows
+    renormalized, so every line that holds that symbol has zero evidence."""
+    emission = params.emission.copy()
+    emission[:, -1] = 0.0
+    return HmmParams(params.initial, params.transition, emission / emission.sum(axis=1, keepdims=True))
+
+
+def mixed_lines(rng, vocab_size: int, count: int) -> list[np.ndarray]:
+    """Lines of length 1..20 in shuffled order, several per length."""
+    lengths = rng.permutation(np.repeat(np.arange(1, 21), count // 20 + 1))[:count]
+    return [rng.integers(0, vocab_size, size=int(n)) for n in lengths]
+
+
+@pytest.mark.parametrize("k", [2, 12, 100])
+def test_batched_evidences_match_reference_per_line(k):
+    # batch-of-B and batch-of-one matmuls may differ in the last bits
+    rng = np.random.default_rng(41 + k)
+    params = with_dead_symbol(random_params(rng, k, 7))
+    seqs = mixed_lines(rng, 7, 90)
+    got = hmm.log_evidences(params, seqs)
+    dead = [i for i, seq in enumerate(seqs) if (seq == 6).any()]
+    assert 0 < len(dead) < len(seqs)
+    assert len(hmm._group_by_length(seqs)) == 20
+    for i, seq in enumerate(seqs):
+        want = hmm_forward_backward_reference(params, seq)[3]
+        if i in dead:
+            assert want == got[i] == -np.inf
+        else:
+            assert got[i] == pytest.approx(want, rel=1e-12)
+
+
+def test_log_evidence_is_the_forward_pass_of_forward_backward():
+    rng = np.random.default_rng(43)
+    params = with_dead_symbol(random_params(rng, 5, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seq in mixed_lines(rng, 4, 40):
+            assert params.log_evidence(seq) == hmm.forward_backward(params, seq).log_evidence
+        assert params.log_evidence(np.array([0, 3, 1])) == -np.inf
+    with pytest.raises(ValueError, match="non-empty"):
+        params.log_evidence(np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize("k", [2, 12, 100])
+def test_batched_prediction_rows_match_per_line_rows(k):
+    rng = np.random.default_rng(44 + k)
+    params = with_dead_symbol(random_params(rng, k, 7))
+    seqs = mixed_lines(rng, 7, 60)
+    for idx, batch in hmm._group_by_length(seqs):
+        weights = hmm._prediction_weights(params, batch)
+        for i, rows in zip(idx, weights):
+            np.testing.assert_allclose(rows, hmm_prediction_weights_reference(params, seqs[i]), rtol=1e-12, atol=0)
+    live = [seq for seq in seqs if not (seq == 6).any()]
+    for seq, rows in zip(live, params.batch_predict_distributions(live)):
+        np.testing.assert_allclose(rows, params.predict_distributions(seq), rtol=1e-12, atol=0)
+
+
+def test_evaluate_model_runs_two_forward_passes_per_length_group(monkeypatch):
+    rng = np.random.default_rng(45)
+    params = random_params(rng, 6, 5)
+    seqs = mixed_lines(rng, 5, 50)
+    groups = len(hmm._group_by_length(seqs))
+    calls = count_calls(monkeypatch, hmm, "_forward_batch")
+    evaluate.evaluate_model(params, seqs)
+    assert calls[0] == 2 * groups  # evidences, then prediction rows
+
+
 # ----------------------------------------------------------------------- EM
 
 
@@ -186,7 +258,7 @@ def test_gibbs_rows_valid_every_iteration():
     prior = HmmPrior.symmetric(2, 2)
     params = hmm.init_random(2, 2, seed=3)
     for _ in range(25):
-        params = hmm._gibbs_step(params, groups, prior, rng)
+        params, _ = hmm._gibbs_step(params, groups, prior, rng)
         params.validate(tol=1e-9)
 
 
@@ -205,6 +277,41 @@ def test_gibbs_deterministic_and_polish_improves():
     assert trace1.polish_trace[-1] >= max(trace1.sample_log_evidence) - 1e-9
 
 
+def test_gibbs_fit_matches_the_score_every_sample_loop():
+    # mixed lengths, several lines per length group
+    rng = np.random.default_rng(46)
+    seqs = [rng.integers(0, 4, size=int(n)) for n in rng.integers(1, 9, size=30)]
+    prior = HmmPrior.symmetric(3, 4)
+    init = hmm.init_random(3, 4, seed=8)
+    cfg = GibbsConfig(n_samples=12, polish_iters=4, seed=17, rel_tol=0.0)
+    groups = hmm._group_by_length(seqs)
+    fitted, trace = hmm.gibbs_fit(init, seqs, prior, cfg)
+    want, want_samples, want_polish = best_of_gibbs_reference(
+        init,
+        lambda p, r: hmm._gibbs_step(p, groups, prior, r),
+        lambda p: hmm.log_evidence_total(p, seqs),
+        lambda best: hmm.em_fit(best, seqs, EmConfig(max_iter=cfg.polish_iters, rel_tol=cfg.rel_tol)),
+        cfg.n_samples,
+        cfg.seed,
+    )
+    assert trace.sample_log_evidence == want_samples
+    assert trace.polish_trace == want_polish
+    for name in ("initial", "transition", "emission"):
+        assert np.array_equal(getattr(fitted, name), getattr(want, name))
+
+
+def test_gibbs_fit_runs_one_forward_pass_per_group_and_sample(monkeypatch):
+    rng = np.random.default_rng(47)
+    seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(1, 7, size=20)]
+    groups = len(hmm._group_by_length(seqs))
+    cfg = GibbsConfig(n_samples=7, polish_iters=3, seed=2, rel_tol=0.0)
+    calls = count_calls(monkeypatch, hmm, "_forward_batch")
+    _, trace = hmm.gibbs_fit(hmm.init_random(2, 3, seed=1), seqs, HmmPrior.symmetric(2, 3), cfg)
+    assert len(trace.polish_trace) == cfg.polish_iters + 1  # E-steps, then the capped end's evidence
+    # each sample's draw, the last sample's evidence, and the polish
+    assert calls[0] == groups * (cfg.n_samples + 1 + len(trace.polish_trace))
+
+
 def test_gibbs_single_state_posterior_mean():
     # with one state the emission posterior is Dirichlet(prior + counts);
     # averaging many independent draws recovers its mean
@@ -217,7 +324,7 @@ def test_gibbs_single_state_posterior_mean():
     groups = hmm._group_by_length(data.sequences)
     for seed in range(400):
         rng = np.random.default_rng(seed)
-        params = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), groups, prior, rng)
+        params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), groups, prior, rng)
         draws.append(params.emission[0])
     mean = np.mean(draws, axis=0)
     # 400 draws, Dirichlet sd ~ 0.22/sqrt(400) ~ 0.011; allow 4 sigma

@@ -16,6 +16,8 @@ from chordlm.pcfg import (
 )
 from oracles import (
     all_sequences,
+    best_of_gibbs_reference,
+    count_calls,
     count_nodes,
     evidence_ratio_prediction,
     hmm_terminated_evidence,
@@ -312,9 +314,9 @@ def test_gibbs_trees_do_not_depend_on_batching(monkeypatch):
     seqs = [rng.integers(0, 3, size=int(rng.integers(2, 8))) for _ in range(12)]
     prior = PcfgPrior.symmetric(3, 3)
     g = pcfg.init_random(3, 3, seed=1)
-    batched = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
+    batched, _ = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
     monkeypatch.setattr(pcfg, "MAX_BATCH_FLOATS", 1)
-    alone = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
+    alone, _ = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
     for name in ("start_rules", "rules", "emissions"):
         assert np.array_equal(getattr(batched, name), getattr(alone, name))
 
@@ -418,7 +420,7 @@ def test_gibbs_rows_valid_every_iteration():
     params = pcfg.init_random(2, 2, seed=2)
     step_rng = np.random.default_rng(77)
     for _ in range(15):
-        params = pcfg._gibbs_step(params, seqs, prior, step_rng)
+        params, _ = pcfg._gibbs_step(params, seqs, prior, step_rng)
         params.validate(tol=1e-9)
         assert not params.start_emits
 
@@ -435,6 +437,42 @@ def test_gibbs_deterministic_and_polish_improves():
     assert trace1.sample_log_evidence == trace2.sample_log_evidence
     assert trace1.polish_trace[0] == pytest.approx(max(trace1.sample_log_evidence), abs=1e-9)
     assert trace1.polish_trace[-1] >= max(trace1.sample_log_evidence) - 1e-9
+
+
+def test_gibbs_fit_matches_the_score_every_sample_loop(monkeypatch):
+    monkeypatch.setattr(pcfg, "MAX_BATCH_FLOATS", 1500)  # two lines of 6 or 7 chords per batch at D=3
+    rng = np.random.default_rng(84)
+    seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 8, size=24)]
+    batches = list(pcfg._batches(seqs, 3))
+    assert len(batches) > len(pcfg._group_by_length(seqs))
+    prior = PcfgPrior.symmetric(3, 3)
+    init = pcfg.init_random(3, 3, seed=4)
+    cfg = GibbsConfig(n_samples=8, polish_iters=3, seed=6, rel_tol=0.0)
+    fitted, trace = pcfg.gibbs_fit(init, seqs, prior, cfg)
+    want, want_samples, want_polish = best_of_gibbs_reference(
+        init,
+        lambda p, r: pcfg._gibbs_step(p, seqs, prior, r),
+        lambda p: pcfg.log_evidence_total(p, seqs),
+        lambda best: pcfg.em_fit(best, seqs, EmConfig(max_iter=cfg.polish_iters, rel_tol=cfg.rel_tol)),
+        cfg.n_samples,
+        cfg.seed,
+    )
+    assert trace.sample_log_evidence == want_samples
+    assert trace.polish_trace == want_polish
+    for name in ("start_rules", "rules", "emissions"):
+        assert np.array_equal(getattr(fitted, name), getattr(want, name))
+
+
+def test_gibbs_fit_runs_one_inside_pass_per_batch_and_sample(monkeypatch):
+    rng = np.random.default_rng(85)
+    seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 7, size=15)]
+    batches = len(list(pcfg._batches(seqs, 2)))
+    cfg = GibbsConfig(n_samples=5, polish_iters=2, seed=3, rel_tol=0.0)
+    calls = count_calls(monkeypatch, pcfg, "_inside_batch")
+    _, trace = pcfg.gibbs_fit(pcfg.init_random(2, 3, seed=1), seqs, PcfgPrior.symmetric(2, 3), cfg)
+    assert len(trace.polish_trace) == cfg.polish_iters + 1  # E-steps, then the capped end's evidence
+    # each sample's trees, the last sample's evidence, and the polish
+    assert calls[0] == batches * (cfg.n_samples + 1 + len(trace.polish_trace))
 
 
 # ------------------------------------------------------- length distribution
