@@ -111,24 +111,39 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-# the config fields that decide what `prepare` writes
-_PREPARED_FIELDS = ("corpus", "vocab_k", "test_count", "data_seed", "train_sizes")
+_DEFAULTS = ExperimentConfig()
 
 
 def _load_prepared(cfg: ExperimentConfig) -> dict:
-    """The prepared directory's meta.json, which must have been written for
-    the data this config names."""
+    """The prepared directory's meta.json, which must not have been written
+    for other data than this config names.
+
+    A data field is checked only when the config sets it (a field left at its
+    default is taken as unset), against what `prepare` resolved it to; the
+    corpus is checked by the sha256 of its bytes.
+    """
     meta_path = Path(cfg.out_dir) / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found; run `chordlm prepare` first")
     meta = json.loads(meta_path.read_text())
-    for name in _PREPARED_FIELDS:
-        prepared = meta["config"].get(name)
-        if getattr(cfg, name) != prepared:
+    prepared = {
+        "vocab_k": meta["config"]["vocab_k"],
+        "data_seed": meta["config"]["data_seed"],
+        "test_count": meta["test_count"],
+        "train_sizes": meta["train_sizes"],
+    }
+    for name, value in prepared.items():
+        given = getattr(cfg, name)
+        if given != getattr(_DEFAULTS, name) and given != value:
             raise ValueError(
-                f"{meta_path} was prepared with {name}={prepared!r}, not {getattr(cfg, name)!r}; "
+                f"{meta_path} was prepared with {name}={value!r}, not {given!r}; "
                 "run `chordlm prepare` again or use another out_dir"
             )
+    if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
+        raise ValueError(
+            f"{meta_path} was prepared with corpus={meta['config']['corpus']!r}, whose bytes differ from "
+            f"{cfg.corpus!r}; run `chordlm prepare` again or use another out_dir"
+        )
     return meta
 
 

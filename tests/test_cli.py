@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -304,7 +305,9 @@ def test_sweep_records_partial_failures(prepared, tmp_path):
     ids=lambda change: next(iter(change)),
 )
 def test_sweep_and_train_refuse_a_directory_prepared_for_other_data(prepared, change):
-    cfg, _ = prepared
+    cfg, tmp_path = prepared
+    if "corpus" in change:
+        change = {"corpus": str(write_corpus(tmp_path / "other.txt", np.random.default_rng(1)))}
     other = ExperimentConfig.from_dict({**cfg.as_dict(), **change})
     name = next(iter(change))
     with pytest.raises(ValueError, match=f"prepared with {name}="):
@@ -313,15 +316,42 @@ def test_sweep_and_train_refuse_a_directory_prepared_for_other_data(prepared, ch
         cli.cmd_train(other, size=1, algo="em", seed=0, n_x=None)
 
 
-def test_sweep_accepts_a_directory_prepared_for_the_same_data(prepared):
+def test_sweep_refuses_the_same_corpus_path_over_edited_bytes(prepared):
     cfg, tmp_path = prepared
-    # the grid, the hyperparameters and the workers are not data
+    with open(cfg.corpus, "a") as fh:
+        fh.write("C F G\n")
+    with pytest.raises(ValueError, match="prepared with corpus="):
+        cli.cmd_sweep(cfg)
+
+
+def test_sweep_accepts_a_directory_prepared_for_the_same_data(prepared, monkeypatch):
+    cfg, tmp_path = prepared
+    # the grid, the hyperparameters and the workers are not data, and the
+    # corpus is its bytes, not the spelling of its path
+    monkeypatch.chdir(tmp_path)
     other = ExperimentConfig.from_dict(
-        {**cfg.as_dict(), "model": "markov", "sizes": [2], "algos": ["kn"], "seeds": [3], "epsilon": 0.5, "workers": 2}
+        {**cfg.as_dict(), "corpus": "./corpus.txt", "model": "markov", "sizes": [2], "algos": ["kn"], "seeds": [3],
+         "epsilon": 0.5, "workers": 2}
     )
     rows = cli.cmd_sweep(other).read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("markov,2,")
     assert cli.cmd_train(other, size=1, algo="additive", seed=0, n_x=None)["error"] == ""
+
+
+def test_train_and_sweep_after_prepare_need_no_data_flags(tmp_path, capsys):
+    # the command-line sequence of the README: only prepare names the data
+    corpus = write_corpus(tmp_path / "chords.txt", np.random.default_rng(0))
+    out = str(tmp_path / "demo")
+    prepare = ["prepare", "--corpus", str(corpus), "--out-dir", out, "--vocab-k", "4", "--test-count", "6",
+               "--train-sizes", "5,12"]
+    assert cli.main(prepare) == 0
+    grid = ["--em-max-iter", "3", "--gs-samples", "2", "--polish-iters", "1"]
+    assert cli.main(["train", "--out-dir", out, "--model", "hmm", "--size", "2", "--algo", "gs", "--seed", "0",
+                     "--n-x", "5", *grid]) == 0
+    assert cli.main(["sweep", "--out-dir", out, "--model", "hmm", "--sizes", "1,2", "--seeds", "0,1", *grid]) == 0
+    with open(tmp_path / "demo" / "results.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 2 * 2 * 2 and all(row["error"] == "" for row in rows)
 
 
 # ----------------------------------------------------------------- analyze
