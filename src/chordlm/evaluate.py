@@ -1,13 +1,12 @@
 """Model-agnostic evaluation of predictive power.
 
-Works with any model exposing ``log_evidence(seq)`` and
-``predict_distributions(seq)``, whose row i is the distribution of the symbol
-at position i + 1 given all the others; grammar models additionally expose
-``normalized_log_evidences(seqs)``, which the perplexity uses so that their
-evidence is normalized within fixed-length sequence sets like the other model
-families. A model that scores a whole test set at once, as an HMM does in one
-pass per length group, exposes ``log_evidences(seqs)`` and
-``batch_predict_distributions(seqs)``, which are used in their place.
+Every model family exposes two batch methods over a list of sequences:
+``log_evidences(seqs)``, each sequence's log evidence in corpus order (-inf
+where it is zero; a grammar's is normalized within its length, so it compares
+with the fixed-length families), and ``score(seqs)``, those log evidences and
+each sequence's prediction rows, whose row i is the distribution of the symbol
+at position i + 1 given all the others. Either may yield lazily, so a value
+that cannot be computed raises when its sequence's turn comes.
 """
 
 from __future__ import annotations
@@ -35,39 +34,27 @@ def _sequences(test) -> list[np.ndarray]:
     return seqs
 
 
-def _log_evidences(model, seqs: list[np.ndarray]):
-    """Each sequence's log evidence in turn, normalized within its length for
-    grammars."""
-    if hasattr(model, "normalized_log_evidences"):
-        return model.normalized_log_evidences(seqs)
-    if hasattr(model, "log_evidences"):
-        return model.log_evidences(seqs).tolist()
-    return map(model.log_evidence, seqs)
+def _perplexity(seqs: list[np.ndarray], log_evidences) -> float:
+    """Summed in corpus order, and infinite from the first zero-evidence
+    sequence on, whose successors are not read."""
+    total = 0.0
+    count = 0
+    for seq, value in zip(seqs, log_evidences):
+        count += len(seq)
+        if value == -math.inf:
+            return math.inf
+        total += float(value)
+    return math.exp(-total / count)
 
 
 def perplexity(model, test) -> float:
     """exp of the mean negative log evidence per symbol; infinite whenever any
     sequence has zero evidence."""
     seqs = _sequences(test)
-    total = 0.0
-    count = 0
-    for seq, value in zip(seqs, _log_evidences(model, seqs)):
-        count += len(seq)
-        if value == -math.inf:
-            return math.inf
-        total += value
-    return math.exp(-total / count)
+    return _perplexity(seqs, model.log_evidences(seqs))
 
 
-def _prediction_rows(model, seqs: list[np.ndarray]):
-    """Each sequence's ``predict_distributions`` rows in turn, for the whole
-    set at once where the model can."""
-    if hasattr(model, "batch_predict_distributions"):
-        return model.batch_predict_distributions(seqs)
-    return map(model.predict_distributions, seqs)
-
-
-def _rank_metrics(model, seqs: list[np.ndarray]) -> tuple[float, float]:
+def _rank_metrics(seqs: list[np.ndarray], prediction_rows) -> tuple[float, float]:
     """(error rate, rmrr) from each sequence's prediction rows.
 
     A position is wrong when its maximum-probability symbol differs from the
@@ -78,7 +65,7 @@ def _rank_metrics(model, seqs: list[np.ndarray]) -> tuple[float, float]:
     wrong = 0
     recip_total = 0.0
     count = 0
-    for seq, probs in zip(seqs, _prediction_rows(model, seqs)):
+    for seq, probs in zip(seqs, prediction_rows):
         truth = np.asarray(seq, dtype=np.int64)
         p_true = probs[np.arange(len(truth)), truth][:, None]
         wrong += int((probs.argmax(axis=1) != truth).sum())
@@ -93,21 +80,24 @@ def _rank_metrics(model, seqs: list[np.ndarray]) -> tuple[float, float]:
 def error_rate(model, test) -> float:
     """Fraction of positions whose maximum-probability prediction differs from
     the observed symbol; argmax ties break toward the lowest symbol id."""
-    return _rank_metrics(model, _sequences(test))[0]
+    seqs = _sequences(test)
+    return _rank_metrics(seqs, model.score(seqs)[1])[0]
 
 
 def rmrr(model, test) -> float:
     """Harmonic mean of the rank of the observed symbol under each prediction;
     rank ties resolve in favor of the lowest symbol id."""
-    return _rank_metrics(model, _sequences(test))[1]
+    seqs = _sequences(test)
+    return _rank_metrics(seqs, model.score(seqs)[1])[1]
 
 
 def evaluate_model(model, test) -> EvalReport:
-    """Every metric on one test set, predicting each sequence's positions in
-    one pass."""
+    """Every metric on one test set from one ``score`` pass: the perplexity
+    first, then the ranks."""
     seqs = _sequences(test)
-    ppl = perplexity(model, seqs)
-    err, mrr = _rank_metrics(model, seqs)
+    log_evidences, prediction_rows = model.score(seqs)
+    ppl = _perplexity(seqs, log_evidences)
+    err, mrr = _rank_metrics(seqs, prediction_rows)
     return EvalReport(perplexity=ppl, error_rate=err, rmrr=mrr, n_symbols=sum(len(s) for s in seqs))
 
 

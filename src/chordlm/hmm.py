@@ -15,7 +15,7 @@ import numpy as np
 
 from . import training
 from .corpus import EncodedDataset
-from .markov import MarkovModel, _check_rows, _draw, _normalize_predictions
+from .markov import MarkovModel, _check_rows, _draw, _normalize_predictions, _position_distribution
 from .training import EmConfig, GibbsConfig, GibbsTrace, sequences_of  # the configs are re-exported
 
 
@@ -44,14 +44,15 @@ class HmmParams:
     def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
         return log_evidences(self, seqs)
 
+    def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        return score(self, seqs)
+
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
 
     def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
-        return predict_distributions(self, seq)
-
-    def batch_predict_distributions(self, seqs: list[np.ndarray]) -> list[np.ndarray]:
-        return batch_predict_distributions(self, seqs)
+        """Row i is ``predict_distribution(seq, i + 1)``; shape (len(seq), V)."""
+        return score(self, [np.asarray(seq)])[1][0]
 
 
 @dataclass
@@ -197,15 +198,19 @@ def _backward_batch(params: HmmParams, batch: np.ndarray, scaling: np.ndarray) -
     return beta
 
 
+def _summed_log_scalings(scaling: np.ndarray) -> np.ndarray:
+    """Each line's log evidence from its (B, n) scalings, -inf where one is 0."""
+    live = (scaling > 0.0).all(axis=1)
+    log_scaling = np.log(np.where(live[:, None], scaling, 1.0))
+    return np.where(live, log_scaling.sum(axis=1), -np.inf)
+
+
 def log_evidences(params: HmmParams, seqs: list[np.ndarray]) -> np.ndarray:
     """Each sequence's log evidence in corpus order, -inf where it is zero;
     one forward pass per length group."""
     out = np.empty(len(seqs))
     for idx, batch in _group_by_length(seqs):
-        _, scaling = _forward_batch(params, batch)
-        live = (scaling > 0.0).all(axis=1)
-        log_scaling = np.log(np.where(live[:, None], scaling, 1.0))
-        out[idx] = np.where(live, log_scaling.sum(axis=1), -np.inf)
+        out[idx] = _summed_log_scalings(_forward_batch(params, batch)[1])
     return out
 
 
@@ -357,17 +362,18 @@ def gibbs_fit(
     )
 
 
-def _prediction_weights(params: HmmParams, batch: np.ndarray) -> np.ndarray:
-    """Unnormalized weights of every candidate symbol at every position of an
-    equal-length batch, shape (B, n, V).
+def _score_batch(params: HmmParams, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log evidences (B,) of an equal-length batch and the unnormalized
+    weights (B, n, V) of every candidate symbol at every position.
 
-    Row i combines the filtered prefix message P(z_i | x_{1:i-1}) with a
-    backward message normalized per step, neither of which depends on the
-    observed symbol at i; one forward and one backward pass give every row.
-    A prefix of zero evidence leaves its rows zero.
+    The evidences come from the forward pass's scalings. Row i combines the
+    filtered prefix message P(z_i | x_{1:i-1}) with a backward message
+    normalized per step, neither of which depends on the observed symbol at
+    i; one forward and one backward pass give every row. A prefix of zero
+    evidence leaves its rows zero.
     """
     b, n = batch.shape
-    alpha, _ = _forward_batch(params, batch)
+    alpha, scaling = _forward_batch(params, batch)
     state_in = np.empty_like(alpha)
     state_in[:, 0] = params.initial
     state_in[:, 1:] = alpha[:, :-1] @ params.transition
@@ -378,31 +384,24 @@ def _prediction_weights(params: HmmParams, batch: np.ndarray) -> np.ndarray:
         msg = (emission_t[batch[:, i + 1]] * beta[:, i + 1]) @ params.transition.T
         total = msg.sum(axis=1)
         beta[:, i] = msg / np.where(total > 0.0, total, 1.0)[:, None]
-    return (state_in * beta) @ params.emission
+    return _summed_log_scalings(scaling), (state_in * beta) @ params.emission
+
+
+def score(params: HmmParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each sequence's log evidence and its ``predict_distributions`` rows, in
+    corpus order, from one forward and one backward pass per length group."""
+    log_ev = np.empty(len(seqs))
+    rows: list = [None] * len(seqs)
+    for idx, batch in _group_by_length(seqs):
+        log_ev[idx], weights = _score_batch(params, batch)
+        for i, group_rows in zip(idx.tolist(), _normalize_predictions(weights)):
+            rows[i] = group_rows
+    return log_ev, rows
 
 
 def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:
     """Distribution of the symbol at 1-based ``position`` given the others."""
-    seq = np.asarray(seq)
-    n = len(seq)
-    if not 1 <= position <= n:
-        raise ValueError(f"position {position} out of range [1, {n}]")
-    return _normalize_predictions(_prediction_weights(params, seq[None])[0, position - 1])
-
-
-def predict_distributions(params: HmmParams, seq: np.ndarray) -> np.ndarray:
-    """Row i is ``predict_distribution(params, seq, i + 1)``; shape (len(seq), V)."""
-    return _normalize_predictions(_prediction_weights(params, np.asarray(seq)[None])[0])
-
-
-def batch_predict_distributions(params: HmmParams, seqs: list[np.ndarray]) -> list[np.ndarray]:
-    """``predict_distributions`` of each sequence, in corpus order, from one
-    forward and one backward pass per length group."""
-    out: list = [None] * len(seqs)
-    for idx, batch in _group_by_length(seqs):
-        for i, rows in zip(idx.tolist(), _normalize_predictions(_prediction_weights(params, batch))):
-            out[i] = rows
-    return out
+    return _position_distribution(seq, position, lambda s, i: _score_batch(params, s[None])[1][0, i])
 
 
 def from_markov(model: MarkovModel) -> HmmParams:

@@ -92,16 +92,20 @@ class MarkovModel:
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         """Distribution of the symbol at 1-based ``position`` given all other
         symbols of ``seq``."""
-        seq = np.asarray(seq)
-        n = len(seq)
-        if not 1 <= position <= n:
-            raise ValueError(f"position {position} out of range [1, {n}]")
-        return _normalize_predictions(self._position_weights(seq, position - 1))
+        return _position_distribution(seq, position, self._position_weights)
 
     def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
         """Row i is ``predict_distribution(seq, i + 1)``; shape (len(seq), V)."""
         seq = np.asarray(seq)
         return _normalize_predictions(np.stack([self._position_weights(seq, i) for i in range(len(seq))]))
+
+    def log_evidences(self, seqs: list[np.ndarray]):
+        """Each sequence's log evidence in turn, in corpus order."""
+        return map(self.log_evidence, seqs)
+
+    def score(self, seqs: list[np.ndarray]):
+        """Each sequence's log evidence and prediction rows, in turn."""
+        return self.log_evidences(seqs), map(self.predict_distributions, seqs)
 
     def sample_sequence(self, length: int, seed: int) -> np.ndarray:
         if length < 1:
@@ -124,6 +128,15 @@ def _normalize_predictions(weights: np.ndarray) -> np.ndarray:
     if (totals <= 0.0).any():
         raise ValueError("no symbol has positive probability at this position")
     return weights / totals
+
+
+def _position_distribution(seq: np.ndarray, position: int, weights) -> np.ndarray:
+    """Distribution of the symbol at 1-based ``position`` of ``seq``, where
+    ``weights(seq, i)`` gives the candidate weights at 0-based position i."""
+    seq = np.asarray(seq)
+    if not 1 <= position <= len(seq):
+        raise ValueError(f"position {position} out of range [1, {len(seq)}]")
+    return _normalize_predictions(weights(seq, position - 1))
 
 
 def _check_rows(table: np.ndarray, tol: float, label: str) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import training
 from .corpus import EncodedDataset
 from .hmm import HmmParams, _dirichlet_rows, _group_by_length, _normalize_rows
-from .markov import _normalize_predictions
+from .markov import _normalize_predictions, _position_distribution
 from .training import GibbsTrace, sequences_of
 
 START = -1
@@ -84,25 +84,26 @@ class PcfgParams:
         return cache[1], cache[2]
 
     def log_evidence(self, seq: np.ndarray) -> float:
-        return inside(self, seq).log_evidence
+        """The sequence's log evidence, not normalized within its length."""
+        return float(_log_evidences(self, [np.asarray(seq)])[0])
 
-    def normalized_log_evidences(self, seqs: list[np.ndarray]):
-        """Yields each sequence's normalized log evidence in turn, all from one
-        length table and batched inside passes; a sequence whose length the
-        grammar cannot generate raises when its turn comes."""
-        log_length = length_log_probabilities(self, max(len(seq) for seq in seqs))
-        possible = [i for i, seq in enumerate(seqs) if log_length[len(seq)] > -np.inf]
-        log_ev = dict(zip(possible, _log_evidences(self, [seqs[i] for i in possible]).tolist()))
-        for i, seq in enumerate(seqs):
-            if i not in log_ev:
-                raise ValueError(f"grammar generates no sequence of length {len(seq)}")
-            yield log_ev[i] - float(log_length[len(seq)])
+    def log_evidences(self, seqs: list[np.ndarray]):
+        """Yields each sequence's log evidence normalized within its length."""
+        return _normalized_in_turn(self, seqs, _log_evidences(self, seqs))
+
+    def score(self, seqs: list[np.ndarray]):
+        """Yields ``log_evidences`` and each sequence's prediction rows, in
+        corpus order; a sequence that has none raises when its turn comes."""
+        log_ev, weights = _score_weights(self, seqs)
+        rows = (_normalize_predictions(_predictable(seq, w)) for seq, w in zip(seqs, weights))
+        return _normalized_in_turn(self, seqs, log_ev), rows
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
 
     def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
-        return predict_distributions(self, seq)
+        """Row i is ``predict_distribution(seq, i + 1)``; shape (len(seq), V)."""
+        return next(self.score([np.asarray(seq)])[1])
 
 
 @dataclass
@@ -727,54 +728,49 @@ def length_probability(params: PcfgParams, length: int) -> float:
     return float(np.exp(length_log_probabilities(params, length)[length]))
 
 
-def normalized_log_evidence(
-    params: PcfgParams, seq: np.ndarray, log_length: np.ndarray | None = None
-) -> float:
-    """Log evidence renormalized within the set of sequences of equal length,
-    making the grammar comparable with fixed-length sequence models.
+def _normalized_in_turn(params: PcfgParams, seqs: list[np.ndarray], log_ev: np.ndarray):
+    """Yields each sequence's ``log_ev`` minus the log probability of its length,
+    from one length table; a length the grammar never generates raises in turn."""
+    log_length = length_log_probabilities(params, max(len(seq) for seq in seqs))
+    for seq, value in zip(seqs, log_ev.tolist()):
+        if log_length[len(seq)] == -np.inf:
+            raise ValueError(f"grammar generates no sequence of length {len(seq)}")
+        yield value - float(log_length[len(seq)])
 
-    ``log_length`` is a table from ``length_log_probabilities`` that reaches
-    len(seq); it is built here when omitted.
-    """
-    seq = np.asarray(seq)
-    n = len(seq)
-    if log_length is None:
-        log_length = length_log_probabilities(params, n)
-    if log_length[n] == -np.inf:
-        raise ValueError(f"grammar generates no sequence of length {n}")
-    return inside(params, seq).log_evidence - float(log_length[n])
+
+def normalized_log_evidence(params: PcfgParams, seq: np.ndarray) -> float:
+    """Log evidence renormalized within the set of sequences of equal length."""
+    return next(params.log_evidences([np.asarray(seq)]))
 
 
 # ------------------------------------------------------------- prediction
 
 
-def _prediction_weights(params: PcfgParams, seq: np.ndarray) -> np.ndarray:
-    """Unnormalized weights of every candidate symbol at every position.
+def _score_weights(params: PcfgParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each sequence's log evidence and candidate weights at every position,
+    from one inside and one outside pass per batch. Row i is the
+    emission-weighted outside vector of cell (i, i), which does not depend on
+    the symbol there."""
+    log_ev = np.empty(len(seqs))
+    weights: list = [None] * len(seqs)
+    for idx, batch in _batches(seqs, params.n_nonterminals):
+        chart = _inside_batch(params, batch)
+        out, _ = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
+        log_ev[idx] = chart.log_evidence
+        for i, rows in zip(idx.tolist(), out[:, :, 1] @ params.emissions):
+            weights[i] = rows
+    return log_ev, weights
 
-    The single-position outside value is independent of the observed symbol
-    there, so row i is the emission-weighted outside vector of cell (i, i),
-    and one inside and one outside pass give every row.
-    """
-    n = len(seq)
-    if n < 2:
+
+def _predictable(seq: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    if len(seq) < 2:
         raise ValueError("prediction requires sequences of length >= 2")
-    chart = _inside_batch(params, seq[None])
-    out, _ = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
-    return out[0, :, 1] @ params.emissions
+    return weights
 
 
 def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> np.ndarray:
     """Distribution of the symbol at 1-based ``position`` given the others."""
-    seq = np.asarray(seq)
-    n = len(seq)
-    if not 1 <= position <= n:
-        raise ValueError(f"position {position} out of range [1, {n}]")
-    return _normalize_predictions(_prediction_weights(params, seq)[position - 1])
-
-
-def predict_distributions(params: PcfgParams, seq: np.ndarray) -> np.ndarray:
-    """Row i is ``predict_distribution(params, seq, i + 1)``; shape (len(seq), V)."""
-    return _normalize_predictions(_prediction_weights(params, np.asarray(seq)))
+    return _position_distribution(seq, position, lambda s, i: _predictable(s, _score_weights(params, [s])[1][0])[i])
 
 
 # --------------------------------------------------------------- generation

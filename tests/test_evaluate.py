@@ -32,14 +32,11 @@ class ConstantModel:
         self.probs = np.asarray(probs, dtype=float)
         self.vocab_size = len(self.probs)
 
-    def log_evidence(self, seq):
-        return float(np.log(self.probs[np.asarray(seq)]).sum())
+    def log_evidences(self, seqs):
+        return [float(np.log(self.probs[np.asarray(seq)]).sum()) for seq in seqs]
 
-    def predict_distribution(self, seq, position):
-        return self.probs
-
-    def predict_distributions(self, seq):
-        return np.tile(self.probs, (len(seq), 1))
+    def score(self, seqs):
+        return self.log_evidences(seqs), [np.tile(self.probs, (len(seq), 1)) for seq in seqs]
 
 
 def test_perplexity_uniform_model():
@@ -130,14 +127,13 @@ def test_rank_metrics_invariant_under_monotone_rescaling():
     class Rescaled:
         vocab_size = 2
 
-        def predict_distribution(self, seq, position):
-            p = model.predict_distribution(seq, position)
-            q = p**3  # strictly monotone transform
-            return q / q.sum()
+        def log_evidences(self, seqs):
+            return model.log_evidences(seqs)
 
-        def predict_distributions(self, seq):
-            q = model.predict_distributions(seq) ** 3
-            return q / q.sum(axis=1, keepdims=True)
+        def score(self, seqs):
+            log_ev, rows = model.score(seqs)
+            cubed = [q**3 for q in rows]  # strictly monotone transform
+            return log_ev, [q / q.sum(axis=1, keepdims=True) for q in cubed]
 
     assert evaluate.error_rate(model, data) == evaluate.error_rate(Rescaled(), data)
     assert evaluate.rmrr(model, data) == pytest.approx(evaluate.rmrr(Rescaled(), data), rel=1e-12)
@@ -253,6 +249,34 @@ def test_position_without_positive_symbol_raises(case):
     for metric in (evaluate.evaluate_model, evaluate.error_rate, evaluate.rmrr):
         with pytest.raises(ValueError, match="no symbol has positive probability at this position"):
             metric(model, seqs)
+
+
+def test_grammar_errors_name_the_first_failing_line():
+    # the blocked grammar generates no one-chord line and never emits symbol 1:
+    # the perplexity reads evidences in corpus order up to the first -inf, and
+    # the ranks read prediction rows in corpus order
+    g = _impossible_cases()[2][0]
+    short_first = [np.array([0]), np.array([1, 0])]
+    for metric in (evaluate.perplexity, evaluate.evaluate_model):
+        with pytest.raises(ValueError, match="grammar generates no sequence of length 1"):
+            metric(g, short_first)
+    with pytest.raises(ValueError, match="prediction requires sequences of length >= 2"):
+        evaluate.error_rate(g, short_first)
+
+    short_last = [np.array([1, 0]), np.array([0])]
+    assert evaluate.perplexity(g, short_last) == math.inf
+    for metric in (evaluate.evaluate_model, evaluate.error_rate):
+        with pytest.raises(ValueError, match="no symbol has positive probability at this position"):
+            metric(g, short_last)
+
+
+@pytest.mark.parametrize("make_model", [_tied_markov, _tied_hmm, _tied_grammar])
+def test_score_matches_log_evidences_and_per_line_rows(make_model):
+    model = make_model()
+    log_ev, rows = model.score(TIED_SEQUENCES)
+    assert list(log_ev) == list(model.log_evidences(TIED_SEQUENCES))
+    for seq, got in zip(TIED_SEQUENCES, rows):
+        np.testing.assert_allclose(got, model.predict_distributions(seq), rtol=1e-12, atol=0)
 
 
 def test_param_count_table_values():

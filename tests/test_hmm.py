@@ -174,22 +174,25 @@ def test_batched_prediction_rows_match_per_line_rows(k):
     params = with_dead_symbol(random_params(rng, k, 7))
     seqs = mixed_lines(rng, 7, 60)
     for idx, batch in hmm._group_by_length(seqs):
-        weights = hmm._prediction_weights(params, batch)
+        log_ev, weights = hmm._score_batch(params, batch)
+        np.testing.assert_array_equal(log_ev, hmm.log_evidences(params, [seqs[i] for i in idx]))
         for i, rows in zip(idx, weights):
             np.testing.assert_allclose(rows, hmm_prediction_weights_reference(params, seqs[i]), rtol=1e-12, atol=0)
     live = [seq for seq in seqs if not (seq == 6).any()]
-    for seq, rows in zip(live, params.batch_predict_distributions(live)):
-        np.testing.assert_allclose(rows, params.predict_distributions(seq), rtol=1e-12, atol=0)
+    log_ev, rows = params.score(live)
+    np.testing.assert_array_equal(log_ev, params.log_evidences(live))
+    for seq, seq_rows in zip(live, rows):
+        np.testing.assert_allclose(seq_rows, params.predict_distributions(seq), rtol=1e-12, atol=0)
 
 
-def test_evaluate_model_runs_two_forward_passes_per_length_group(monkeypatch):
+def test_evaluate_model_runs_one_forward_pass_per_length_group(monkeypatch):
     rng = np.random.default_rng(45)
     params = random_params(rng, 6, 5)
     seqs = mixed_lines(rng, 5, 50)
     groups = len(hmm._group_by_length(seqs))
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     evaluate.evaluate_model(params, seqs)
-    assert calls[0] == 2 * groups  # evidences, then prediction rows
+    assert calls[0] == groups  # evidences and prediction rows from one pass
 
 
 # ----------------------------------------------------------------------- EM

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import cli, hmm, pcfg
+from chordlm import cli, evaluate, hmm, pcfg
 from chordlm.config import ExperimentConfig
 from chordlm.hmm import HmmParams
 from chordlm.pcfg import (
@@ -559,6 +559,48 @@ def test_predict_sums_to_one():
     g = pcfg.init_random(2, 4, seed=11)
     seq = np.array([0, 1, 2, 3])
     assert pcfg.predict_distribution(g, seq, 2).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_batched_rows_match_per_line(g, seqs):
+    """``score``'s rows against per-line ``predict_distributions``. A
+    one-chord line raises when its turn comes, so it may only come last.
+
+    With numpy 2.4 and OpenBLAS on x86-64 every row came out bit-identical;
+    the 1e-12 tolerance leaves room for a BLAS whose batch-of-B products
+    differ from batch-of-one in the last bits.
+    """
+    _, rows = g.score(seqs)
+    for seq in seqs:
+        if len(seq) < 2:
+            with pytest.raises(ValueError, match="length >= 2"):
+                next(rows)
+            break
+        np.testing.assert_allclose(next(rows), g.predict_distributions(seq), rtol=1e-12, atol=0)
+
+
+def test_batched_rows_match_per_line_rows_on_mixed_lengths():
+    rng = np.random.default_rng(64)
+    g = random_grammar(rng, 3, 4)
+    assert_batched_rows_match_per_line(g, [rng.integers(0, 4, size=n) for n in (5, 2, 7, 5, 3, 7, 2, 5, 1)])
+
+
+def test_batched_rows_match_per_line_rows_in_a_split_length_group():
+    rng = np.random.default_rng(65)
+    g = pcfg.init_random(20, 5, seed=66)
+    seqs = [rng.integers(0, 5, size=15) for _ in range(5)]
+    assert [len(idx) for idx, _ in pcfg._batches(seqs, 20)] == [2, 2, 1]
+    assert_batched_rows_match_per_line(g, seqs)
+
+
+def test_evaluate_model_runs_one_inside_and_outside_pass_per_batch(monkeypatch):
+    rng = np.random.default_rng(67)
+    g = random_grammar(rng, 2, 3)
+    seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 9, size=30)]
+    batches = len(list(pcfg._batches(seqs, 2)))
+    inside_calls = count_calls(monkeypatch, pcfg, "_inside_batch")
+    outside_calls = count_calls(monkeypatch, pcfg, "_outside_batch")
+    evaluate.evaluate_model(g, seqs)
+    assert inside_calls[0] == outside_calls[0] == batches
 
 
 # ---------------------------------------------------------------- sampling
