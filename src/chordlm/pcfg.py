@@ -335,6 +335,31 @@ def _normalize(acc: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return acc, np.where(live, base + np.log(top), -np.inf)
 
 
+def _log_scaled(value: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """log(value) + log_scale, and -inf wherever value is 0."""
+    live = value > 0.0
+    return np.where(live, np.log(np.where(live, value, 1.0)) + log_scale, -np.inf)
+
+
+def _width_pairs(
+    left: np.ndarray, right: np.ndarray, scale: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The inside pass's step for spans of width w: the split-summed outer
+    products of their children's inside vectors.
+
+    ``left`` (B, count, w - 1, D) holds each span's left children of width
+    1..w-1, ``right`` the matching right children of width w-1..1, and
+    ``scale`` (B, > w) every width's log scale. Each split is weighted by its
+    scale relative to the largest; returns the (B, count, D^2) pair matrices
+    and that largest scale, -inf where every split is zero.
+    """
+    split = scale[:, 1:w] + scale[:, w - 1:0:-1]
+    m_comb = split.max(axis=1)
+    left = left * _exp_diff(split, m_comb[:, None])[:, None, :, None]
+    n_seq, count, _, d = left.shape
+    return (left.transpose(0, 1, 3, 2) @ right).reshape(n_seq, count, d * d), m_comb
+
+
 def _inside_batch(params: PcfgParams, batch: np.ndarray) -> _ChartBatch:
     """Inside charts of equal-length sequences, stacked as (B, n); O(n^3 D^3)
     time per sequence."""
@@ -353,22 +378,15 @@ def _inside_batch(params: PcfgParams, batch: np.ndarray) -> _ChartBatch:
     by_start[:, :, 1] = by_end[:, :, 1] = band
     for w in range(2, n + 1):
         count = n - w + 1
-        split = scale[:, 1:w] + scale[:, w - 1:0:-1]  # left child width 1..w-1
-        m_comb = split.max(axis=1)
-        left = by_start[:, :count, 1:w] * _exp_diff(split, m_comb[:, None])[:, None, :, None]
-        right = by_end[:, w - 1:, w - 1:0:-1]
-        pairs[w] = (left.transpose(0, 1, 3, 2) @ right).reshape(n_seq, count, d * d)
-        pair_scale[:, w] = m_comb
-        cells, scale[:, w] = _normalize(pairs[w] @ rules_t, m_comb)
+        pairs[w], pair_scale[:, w] = _width_pairs(by_start[:, :count, 1:w], by_end[:, w - 1:, w - 1:0:-1], scale, w)
+        cells, scale[:, w] = _normalize(pairs[w] @ rules_t, pair_scale[:, w])
         by_start[:, :count, w] = by_end[:, w - 1:, w] = cells
 
     if n == 1:
         top, top_scale = params.start_emissions[batch[:, 0]], np.zeros(n_seq)
     else:
         top, top_scale = pairs[n][:, 0] @ params.start_rules.reshape(-1), pair_scale[:, n]
-    live = top > 0.0
-    log_ev = np.where(live, np.log(np.where(live, top, 1.0)) + top_scale, -np.inf)
-    return _ChartBatch(by_start, by_end, scale, pairs, pair_scale, log_ev)
+    return _ChartBatch(by_start, by_end, scale, pairs, pair_scale, _log_scaled(top, top_scale))
 
 
 def _outside_batch(
@@ -656,58 +674,32 @@ def length_log_probabilities(params: PcfgParams, max_length: int) -> np.ndarray:
     """log P(the grammar generates some sequence of exactly length n) for
     every n in 0..max_length; entry 0 is -inf.
 
-    Runs the inside recursion with every terminal cell summed over the
-    alphabet; cells depend only on span width, so a single vector per width
-    suffices, and the vectors of the widths below n serve every length n.
+    Runs the inside pass's width step with every terminal cell summed over the
+    alphabet. Cells then depend only on span width, so the chart is one span
+    indexed by width, and each width's pair matrix against the start rules
+    gives the probability of that length the way it gives a line's evidence.
     """
     if max_length < 1:
         raise ValueError("length must be >= 1")
     d = params.n_nonterminals
-    out = np.full(max_length + 1, -np.inf)
-    total = params.start_emissions.sum()
-    if total > 0.0:
-        out[1] = np.log(total)
-    vec = np.zeros((max_length, d))  # vec[w-1] scaled inside-sum for width w
-    scale = np.full(max_length + 1, -np.inf)
-    base = params.emissions.sum(axis=1)
-    m = base.max()
-    if m > 0.0:
-        vec[0] = base / m
-        scale[1] = np.log(m)
+    rules_t = params.rules.reshape(d, d * d).T
+    chart = np.zeros((1, 1, max_length + 1, d))
+    scale = np.full((1, max_length + 1), -np.inf)
+    top = np.zeros((1, max_length + 1))
+    top_scale = np.zeros((1, max_length + 1))
+    top[:, 1] = params.start_emissions.sum()
+    chart[:, :, 1], scale[:, 1] = _normalize(params.emissions.sum(axis=1)[None, None], np.zeros(1))
     for w in range(2, max_length + 1):
-        pair_scales = [scale[w1] + scale[w - w1] for w1 in range(1, w)]
-        m_comb = max(pair_scales)
-        if m_comb == -np.inf:
-            continue
-        # length w: the start symbol splits it into two shorter widths
-        total = 0.0
-        for w1 in range(1, w):
-            s = pair_scales[w1 - 1]
-            if s == -np.inf:
-                continue
-            total += np.exp(s - m_comb) * float(vec[w1 - 1] @ params.start_rules @ vec[w - w1 - 1])
-        if total > 0.0:
-            out[w] = np.log(total) + m_comb
-        if w == max_length:
-            break
-        # width w below a nonterminal, for the longer lengths
-        acc = np.zeros(d)
-        for w1 in range(1, w):
-            s = pair_scales[w1 - 1]
-            if s == -np.inf:
-                continue
-            acc += np.exp(s - m_comb) * np.einsum("l,r,zlr->z", vec[w1 - 1], vec[w - w1 - 1], params.rules)
-        band_max = acc.max()
-        if band_max > 0.0:
-            vec[w - 1] = acc / band_max
-            scale[w] = m_comb + np.log(band_max)
-    return out
+        pairs, top_scale[:, w] = _width_pairs(chart[:, :, 1:w], chart[:, :, w - 1:0:-1], scale, w)
+        top[:, w] = pairs[:, 0] @ params.start_rules.reshape(-1)
+        chart[:, :, w], scale[:, w] = _normalize(pairs @ rules_t, top_scale[:, w])
+    return _log_scaled(top, top_scale)[0]
 
 
 def _normalized_in_turn(params: PcfgParams, seqs: list[np.ndarray], log_ev: np.ndarray):
     """Yields each sequence's ``log_ev`` minus the log probability of its length,
     from one length table; a length the grammar never generates raises in turn."""
-    log_length = length_log_probabilities(params, max(len(seq) for seq in seqs))
+    log_length = length_log_probabilities(params, max((len(seq) for seq in seqs), default=1))
     for seq, value in zip(seqs, log_ev.tolist()):
         if log_length[len(seq)] == -np.inf:
             raise ValueError(f"grammar generates no sequence of length {len(seq)}")

@@ -279,6 +279,14 @@ def test_score_matches_log_evidences_and_per_line_rows(make_model):
         np.testing.assert_allclose(got, model.predict_distributions(seq), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("make_model", [_tied_markov, _tied_hmm, _tied_grammar])
+def test_an_empty_batch_scores_to_nothing(make_model):
+    model = make_model()
+    assert list(model.log_evidences([])) == []
+    log_ev, rows = model.score([])
+    assert list(log_ev) == [] and list(rows) == []
+
+
 def test_param_count_table_values():
     assert evaluate.param_count("markov", 1, 11) == 120
     assert evaluate.param_count("hmm", 4, 21) == 95

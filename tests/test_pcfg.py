@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import cli, evaluate, hmm, pcfg
+from chordlm import cli, evaluate, hmm, model_io, pcfg
 from chordlm.config import ExperimentConfig
 from chordlm.hmm import HmmParams
 from chordlm.pcfg import (
@@ -512,6 +512,20 @@ def test_length_table_matches_length_probability_bitwise():
         assert table.shape == (13,) and table[0] == -np.inf
         for n in range(1, 13):
             assert np.exp(table[n]) == length_probability(g, n)
+
+
+def test_a_maximum_length_line_matches_the_log_space_reference(bench, tmp_path):
+    # raising every production row to the 6th power leaves a near-degenerate
+    # grammar, whose charts span many orders of magnitude within each width
+    g = pcfg.init_random(8, 5, seed=7)
+    joint = np.concatenate([g.rules.reshape(8, 64), g.emissions], axis=1) ** 6
+    g = pcfg._from_joint(g.start_rules**6 / (g.start_rules**6).sum(), joint / joint.sum(axis=1, keepdims=True))
+    model_io.save_model(g, tmp_path / "g.model")
+    ref, model = bench["reference"], bench["reference"].read_model(tmp_path / "g.model")
+    n = pcfg.DEFAULT_MAX_TRAIN_LENGTH
+    seq = np.random.default_rng(8).integers(0, 5, n)
+    assert g.log_evidence(seq) == pytest.approx(ref.pcfg_log_inside(model, seq[None])[0], rel=1e-12, abs=0)
+    assert pcfg.length_log_probabilities(g, n)[n] == pytest.approx(ref.pcfg_log_length(model, n), rel=1e-12, abs=0)
 
 
 def test_normalized_evidence_degenerate_and_sums_to_one():

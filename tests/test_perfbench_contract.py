@@ -13,23 +13,19 @@ It also checks the per-layer metrics that ``BENCHMARK.json`` declares: each
 must name a distinct function that the tracer can find, since a traced run
 silently leaves out a function that no longer exists.
 
-perfbench is imported read-only: no bytecode is written there.
+perfbench is imported read-only, through the ``bench`` fixture of ``conftest.py``.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-import sys
 from pathlib import Path
-
-import pytest
 
 from chordlm import cli, model_io
 from chordlm.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
-BENCH = ROOT / "perfbench"
 
 SWEEPS = [
     {"model": "pcfg", "sizes": [2], "algos": ["em"], "seeds": [0], "em_max_iter": 2, "pcfg_init": "random"},
@@ -43,19 +39,6 @@ COMMON = {"corpus": "corpus.txt", "out_dir": "run", "vocab_k": 6, "data_seed": 0
           "test_count": 4, "train_sizes": [24]}
 GENERATES = [("pcfg_s2_nx24_em_seed0", 40, None), ("pcfg_s2_nx24_gs_seed0", 40, None),
              ("hmm_s2_nx24_gs_seed0", 10, 6), ("markov_s2_nx24_additive_seed0", 10, 6)]
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """perfbench's checks, planted corpus and reference modules."""
-    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        yield {name: importlib.import_module(name) for name in ("checks", "planted", "reference", "tracing", "run")}
-    finally:
-        sys.path[:] = saved_path
-        sys.dont_write_bytecode = saved_flag
 
 
 def test_outputs_pass_the_benchmark_checks(bench, tmp_path, monkeypatch):
