@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, hmm, markov, model_io, pcfg
-from .config import FIELD_KINDS, ExperimentConfig, cell_seed, kappa_from_mean_length
+from .config import DATA_FIELDS, FIELD_KINDS, ExperimentConfig, cell_seed, kappa_from_mean_length
 from .corpus import EncodedDataset, Vocabulary, build_vocabulary, encode, parse_corpus, split, subsample
 
 RESULT_FIELDS = [
@@ -99,7 +99,6 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     mean_train_length = sum(len(s) for s in train.sequences) / len(train)
     meta = {
         "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash(),
         "corpus_sha256": hashlib.sha256(raw).hexdigest(),
         "n_sequences": len(dataset),
         "vocab_size": vocab.size,
@@ -114,6 +113,13 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
 _DEFAULTS = ExperimentConfig()
 
 
+def _prepared_data(meta: dict) -> dict:
+    """The data a prepared directory holds: the sha256 of the corpus bytes and
+    the data fields as `prepare` resolved them."""
+    resolved = {**meta["config"], "test_count": meta["test_count"], "train_sizes": meta["train_sizes"]}
+    return {"corpus_sha256": meta["corpus_sha256"], **{name: resolved[name] for name in DATA_FIELDS}}
+
+
 def _load_prepared(cfg: ExperimentConfig) -> dict:
     """The prepared directory's meta.json, which must not have been written
     for other data than this config names.
@@ -126,17 +132,12 @@ def _load_prepared(cfg: ExperimentConfig) -> dict:
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found; run `chordlm prepare` first")
     meta = json.loads(meta_path.read_text())
-    prepared = {
-        "vocab_k": meta["config"]["vocab_k"],
-        "data_seed": meta["config"]["data_seed"],
-        "test_count": meta["test_count"],
-        "train_sizes": meta["train_sizes"],
-    }
-    for name, value in prepared.items():
+    data = _prepared_data(meta)
+    for name in DATA_FIELDS:
         given = getattr(cfg, name)
-        if given != getattr(_DEFAULTS, name) and given != value:
+        if given != getattr(_DEFAULTS, name) and given != data[name]:
             raise ValueError(
-                f"{meta_path} was prepared with {name}={value!r}, not {given!r}; "
+                f"{meta_path} was prepared with {name}={data[name]!r}, not {given!r}; "
                 "run `chordlm prepare` again or use another out_dir"
             )
     if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
@@ -155,35 +156,35 @@ def _cell_name(model: str, size: int, n_x: int, algo: str, seed: int) -> str:
 
 
 def _pcfg_initializer(
-    cfg: ExperimentConfig, train: EncodedDataset, size: int, coords, mean_train_length: float
+    cfg: ExperimentConfig, train: EncodedDataset, size: int, cell: tuple, mean_train_length: float
 ) -> pcfg.PcfgParams:
     if cfg.pcfg_init == "random":
-        return pcfg.init_random(size, train.n_symbols, cell_seed(cfg.config_hash(), "init", *coords))
+        return pcfg.init_random(size, train.n_symbols, cell_seed(*cell, "init"))
     # linear-chain initialization from a Gibbs-trained HMM of the same size
     hmm_cfg = dataclasses.replace(cfg, model="hmm")
-    base, _, _ = _train_cell(hmm_cfg, train, size, "gs", coords + ("pcfg-init",), mean_train_length)
+    base, _, _ = _train_cell(hmm_cfg, train, size, "gs", cell + ("pcfg-init",), mean_train_length)
     kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_train_length)
     eta = cfg.eta if cfg.eta is not None else 0.01 / size
     return pcfg.init_from_hmm(base, kappa=kappa, eta=eta)
 
 
 def _train_cell(
-    cfg: ExperimentConfig, train: EncodedDataset, size: int, algo: str, coords, mean_train_length: float
+    cfg: ExperimentConfig, train: EncodedDataset, size: int, algo: str, cell: tuple, mean_train_length: float
 ) -> tuple:
-    """Train the model of one cell, whose coordinates ``coords`` seed it;
-    returns the model, its log record and its training ``log_evidences``. HMMs
-    and PCFGs train by EM or by best-of-n Gibbs sampling, through the same
-    calls to their family module."""
+    """Train the model of one cell; ``cell`` is the hash that seeds it, then
+    its coordinates. Returns the model, its log record and its training
+    ``log_evidences``. HMMs and PCFGs train by EM or by best-of-n Gibbs
+    sampling, through the same calls to their family module."""
     if cfg.model == "markov":
         model = markov.fit(train, order=size, smoothing=algo, epsilon=cfg.epsilon)
         return model, {"algorithm": algo}, model.log_evidences(train.sequences)
     if cfg.model == "hmm":
         family, prior_kind, options, log = hmm, hmm.HmmPrior, {}, {}
-        init = hmm.init_random(size, train.n_symbols, cell_seed(cfg.config_hash(), "init", *coords))
+        init = hmm.init_random(size, train.n_symbols, cell_seed(*cell, "init"))
     else:
         family, prior_kind = pcfg, pcfg.PcfgPrior
         options, log = {"max_length": cfg.pcfg_max_length}, {"initialization": cfg.pcfg_init}
-        init = _pcfg_initializer(cfg, train, size, coords, mean_train_length)
+        init = _pcfg_initializer(cfg, train, size, cell, mean_train_length)
     if algo == "em":
         config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
         fitted, trace, log_evidences = family.em_fit(init, train, config)
@@ -193,7 +194,7 @@ def _train_cell(
         config = family.GibbsConfig(
             n_samples=cfg.resolved_gs_samples(),
             polish_iters=cfg.polish_iters,
-            seed=cell_seed(cfg.config_hash(), "gibbs", *coords),
+            seed=cell_seed(*cell, "gibbs"),
             rel_tol=cfg.rel_tol,
             **options,
         )
@@ -226,8 +227,8 @@ def _run_cell(payload: dict) -> dict:
         test = _read_encoded(out / "test.ids", vocab)
         row["param_count"] = evaluate.param_count(cfg.model, size, vocab.size)
 
-        coords = (cfg.model, size, n_x, algo, seed)
-        model, log, train_log_evidences = _train_cell(cfg, train, size, algo, coords, payload["mean_train_length"])
+        cell = (payload["config_hash"], cfg.model, size, n_x, algo, seed)
+        model, log, train_log_evidences = _train_cell(cfg, train, size, algo, cell, payload["mean_train_length"])
 
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
@@ -248,8 +249,8 @@ def _run_cell(payload: dict) -> dict:
 
 def _payload(cfg: ExperimentConfig, meta: dict, size: int, algo: str, seed: int, n_x: int) -> dict:
     """What ``_run_cell`` needs of one cell, as plain data."""
-    return {"config": cfg.as_dict(), "size": size, "algo": algo, "seed": seed, "n_x": n_x,
-            "mean_train_length": meta["mean_train_length"]}
+    return {"config": cfg.as_dict(), "config_hash": cfg.config_hash(_prepared_data(meta)), "size": size,
+            "algo": algo, "seed": seed, "n_x": n_x, "mean_train_length": meta["mean_train_length"]}
 
 
 def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None) -> dict:

@@ -2,9 +2,14 @@
 
 Every training default is stated once, here or in the training config that
 uses it, and is overridable from the command line, which has one flag per
-field; the derived per-cell seeds make each sweep cell a pure function of the
-configuration and the corpus bytes. A config checks its values when it is
-built: each field's type, and the bounds or choices its metadata sets.
+field. Each cell's seed is derived from the cell's coordinates, the config's
+training fields and the prepared data as ``meta.json`` records it (the
+sha256 of the corpus bytes and the data fields as ``prepare`` resolved
+them). So a cell is a pure function of those: it depends neither on the rest
+of the grid nor on which data flags a command repeats or where the corpus
+lies, and ``train`` reproduces the cell of a ``sweep``. A config checks its
+values when it is built: each field's type, and the bounds or choices its
+metadata sets.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ MARKOV_ORDER_GRID = [1, 2, 3]
 
 MODEL_KINDS = ("markov", "hmm", "pcfg")
 ALGOS = {"markov": SMOOTHING_TAGS, "hmm": ("em", "gs"), "pcfg": ("em", "gs")}
+
+# The data fields, which ``prepare`` resolves and records in meta.json, and
+# the other fields that seed no cell: paths, the grid and the worker count.
+DATA_FIELDS = ("vocab_k", "test_count", "data_seed", "train_sizes")
+UNSEEDED_FIELDS = ("corpus", "out_dir", "sizes", "algos", "seeds", "workers") + DATA_FIELDS
 
 
 @dataclass
@@ -112,16 +122,11 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def config_hash(self) -> str:
-        """Hash of the experiment-defining fields, which seeds every cell.
-
-        Execution details (worker count, output location) are excluded so they
-        cannot change the trained models.
-        """
-        payload = self.as_dict()
-        payload.pop("workers")
-        payload.pop("out_dir")
-        payload = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def config_hash(self, data: dict) -> str:
+        """Hash that seeds every cell: of the training fields, and of ``data``,
+        the prepared data as meta.json records it."""
+        training = {k: v for k, v in self.as_dict().items() if k not in UNSEEDED_FIELDS}
+        payload = json.dumps({"data": data, "training": training}, sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
     @classmethod

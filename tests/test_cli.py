@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,13 +78,14 @@ def test_config_defaults_match_protocol():
 def test_config_reads_training_defaults_from_the_family_configs(monkeypatch):
     # the hashes seed every cell, so they stay those of the literal defaults
     hashes = {
-        "hmm": "55e67d0edd144599b54f669c3af41b538ca1ffe2fb99e979626dfa3e311cf893",
-        "pcfg": "3a108ed734f8d395a2517a21fa20b2809d9c4430a6f90950ba42729c44140c82",
-        "markov": "a5dcd33d212d660f2f3dba8802fc0beb55925151855f69160e94786d09388f2d",
+        "hmm": "b0f8b3e38713d599ccb6ab2efce8237514b66c70169dc48035a643bee1839e88",
+        "pcfg": "fbb85302070c5f4ace7859ad2c4bb07415765469c897d51cac41e115ad0cea15",
+        "markov": "693363b6962cfe7e7622fa926a19709592bf23d3339045c05909af13285243f7",
     }
+    data = {"corpus_sha256": "0" * 64, "vocab_k": 10, "test_count": 6, "data_seed": 0, "train_sizes": [54]}
     for model, digest in hashes.items():
         cfg = ExperimentConfig(model=model)
-        assert cfg.config_hash() == digest
+        assert cfg.config_hash(data) == digest
         assert {k: cfg.as_dict()[k] for k in ("em_max_iter", "gs_samples", "rel_tol", "polish_iters")} == {
             "em_max_iter": None, "gs_samples": None, "rel_tol": 1e-5, "polish_iters": 50
         }
@@ -360,6 +362,50 @@ def test_sweep_accepts_a_directory_prepared_for_the_same_data(prepared, monkeypa
     rows = cli.cmd_sweep(other).read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("markov,2,")
     assert cli.cmd_train(other, size=1, algo="additive", seed=0, n_x=None)["error"] == ""
+
+
+@pytest.fixture
+def sixty_lines(tmp_path, monkeypatch):
+    """A 60-line corpus.txt prepared into ``run`` with 5 symbols and 6 test lines,
+    in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path / "corpus.txt", np.random.default_rng(3), n_sequences=60)
+    assert cli.main(["prepare", "--corpus", "corpus.txt", "--out-dir", "run", "--vocab-k", "5",
+                     "--test-count", "6"]) == 0
+
+
+CELL = ["--model", "hmm", "--em-max-iter", "5"]
+
+
+def _model_after(argv: list[str], out_dir: str = "run") -> bytes:
+    """The HMM size-2 EM seed-0 cell's model file after one command."""
+    assert cli.main([*argv, "--out-dir", out_dir, *CELL]) == 0
+    return (Path(out_dir) / "models" / "hmm_s2_nx54_em_seed0.model").read_bytes()
+
+
+def test_a_cell_seed_does_not_depend_on_the_grid(sixty_lines):
+    one = _model_after(["sweep", "--sizes", "2", "--algos", "em"])
+    assert _model_after(["sweep", "--sizes", "2,3", "--algos", "em", "--seeds", "0,1"]) == one
+
+
+@pytest.mark.parametrize(
+    "repeated", [[], ["--vocab-k", "5"], ["--corpus", "corpus.txt"], ["--test-count", "6", "--train-sizes", "54"]],
+    ids=["no-data-flags", "vocab-k", "corpus", "test-count-and-train-sizes"],
+)
+def test_train_reproduces_a_sweep_cell_whichever_data_flags_it_repeats(sixty_lines, repeated):
+    swept = _model_after(["sweep", "--sizes", "2", "--algos", "em"])
+    assert _model_after(["train", "--size", "2", "--algo", "em", *repeated]) == swept
+
+
+def test_a_cell_seed_reads_the_corpus_bytes_not_its_path(sixty_lines):
+    models = [_model_after(["train", "--size", "2", "--algo", "em"])]
+    for name in ("a", "b"):
+        Path(name).mkdir()
+        shutil.copy("corpus.txt", f"{name}/corpus.txt")
+        data = ["--corpus", f"{name}/corpus.txt", "--vocab-k", "5", "--test-count", "6"]
+        assert cli.main(["prepare", *data, "--out-dir", f"{name}/run"]) == 0
+        models.append(_model_after(["train", "--size", "2", "--algo", "em", *data], out_dir=f"{name}/run"))
+    assert models[0] == models[1] == models[2]
 
 
 def test_train_and_sweep_after_prepare_need_no_data_flags(tmp_path, capsys):
