@@ -121,8 +121,8 @@ def _prepared_data(meta: dict) -> dict:
 
 
 def _load_prepared(cfg: ExperimentConfig) -> dict:
-    """The prepared directory's meta.json, which must not have been written
-    for other data than this config names.
+    """The prepared directory's meta.json, which must hold test lines and must
+    not have been written for other data than this config names.
 
     A data field is checked only when the config sets it (a field left at its
     default is taken as unset), against what `prepare` resolved it to; the
@@ -140,6 +140,8 @@ def _load_prepared(cfg: ExperimentConfig) -> dict:
                 f"{meta_path} was prepared with {name}={data[name]!r}, not {given!r}; "
                 "run `chordlm prepare` again or use another out_dir"
             )
+    if data["test_count"] == 0:
+        raise ValueError(f"{meta_path} has no test lines; run `chordlm prepare` again with --test-count >= 1")
     if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
         raise ValueError(
             f"{meta_path} was prepared with corpus={meta['config']['corpus']!r}, whose bytes differ from "

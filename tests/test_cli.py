@@ -408,6 +408,19 @@ def test_a_cell_seed_reads_the_corpus_bytes_not_its_path(sixty_lines):
     assert models[0] == models[1] == models[2]
 
 
+def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys):
+    # one tenth of 9 lines is no test line: prepare accepts that, training does not
+    corpus = write_corpus(tmp_path / "nine.txt", np.random.default_rng(4), n_sequences=9)
+    out = str(tmp_path / "run")
+    assert cli.main(["prepare", "--corpus", str(corpus), "--out-dir", out]) == 0
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", out, "--model", "hmm"]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and "no test lines" in error["message"]
+    assert not (tmp_path / "run" / "models").exists() and not (tmp_path / "run" / "results.csv").exists()
+
+
 def test_train_and_sweep_after_prepare_need_no_data_flags(tmp_path, capsys):
     # the command-line sequence of the README: only prepare names the data
     corpus = write_corpus(tmp_path / "chords.txt", np.random.default_rng(0))
