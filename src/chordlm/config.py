@@ -2,14 +2,11 @@
 
 Every training default is stated once, here or in the training config that
 uses it, and is overridable from the command line, which has one flag per
-field. Each cell's seed is derived from the cell's coordinates, the config's
-training fields and the prepared data as ``meta.json`` records it (the
-sha256 of the corpus bytes and the data fields as ``prepare`` resolved
-them). So a cell is a pure function of those: it depends neither on the rest
-of the grid nor on which data flags a command repeats or where the corpus
-lies, and ``train`` reproduces the cell of a ``sweep``. A config checks its
-values when it is built: each field's type, and the bounds or choices its
-metadata sets.
+field. A cell's seed comes from its coordinates, the training fields and the
+prepared data as meta.json records it, so ``train`` reproduces a ``sweep``
+cell whatever the grid, the repeated data flags or the corpus path. A config
+checks its values when it is built: each field's type, and the bounds or
+choices its metadata sets.
 """
 
 from __future__ import annotations

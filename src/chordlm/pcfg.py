@@ -341,9 +341,7 @@ def _log_scaled(value: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     return np.where(live, np.log(np.where(live, value, 1.0)) + log_scale, -np.inf)
 
 
-def _width_pairs(
-    left: np.ndarray, right: np.ndarray, scale: np.ndarray, w: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _width_pairs(left: np.ndarray, right: np.ndarray, scale: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """The inside pass's step for spans of width w: the split-summed outer
     products of their children's inside vectors.
 
@@ -685,8 +683,7 @@ def length_log_probabilities(params: PcfgParams, max_length: int) -> np.ndarray:
     rules_t = params.rules.reshape(d, d * d).T
     chart = np.zeros((1, 1, max_length + 1, d))
     scale = np.full((1, max_length + 1), -np.inf)
-    top = np.zeros((1, max_length + 1))
-    top_scale = np.zeros((1, max_length + 1))
+    top, top_scale = np.zeros((1, max_length + 1)), np.zeros((1, max_length + 1))
     top[:, 1] = params.start_emissions.sum()
     chart[:, :, 1], scale[:, 1] = _normalize(params.emissions.sum(axis=1)[None, None], np.zeros(1))
     for w in range(2, max_length + 1):
