@@ -366,8 +366,8 @@ def test_sweep_accepts_a_directory_prepared_for_the_same_data(prepared, monkeypa
 
 @pytest.fixture
 def sixty_lines(tmp_path, monkeypatch):
-    """A 60-line corpus.txt prepared into ``run`` with 5 symbols and 6 test lines,
-    in the working directory."""
+    """A 60-line corpus.txt in the working directory, prepared into ``run``
+    with ``--vocab-k 5 --test-count 6``."""
     monkeypatch.chdir(tmp_path)
     write_corpus(tmp_path / "corpus.txt", np.random.default_rng(3), n_sequences=60)
     assert cli.main(["prepare", "--corpus", "corpus.txt", "--out-dir", "run", "--vocab-k", "5",
