@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -59,9 +60,15 @@ def _write_encoded(path: Path, dataset: EncodedDataset) -> None:
 def _read_encoded(path: Path, vocab: Vocabulary) -> EncodedDataset:
     sequences = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                sequences.append(np.array([int(t) for t in line.split()], dtype=np.int64))
+                try:
+                    seq = np.array([int(t) for t in line.split()], dtype=np.int64)
+                    if seq.min() < 0 or seq.max() >= vocab.size:
+                        raise ValueError(f"encoded id out of vocabulary range 0..{vocab.size - 1}")
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path} line {number}: {exc}") from None
+                sequences.append(seq)
     return EncodedDataset(sequences=sequences, vocab=vocab)
 
 
@@ -110,9 +117,6 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     return meta
 
 
-_DEFAULTS = ExperimentConfig()
-
-
 def _prepared_data(meta: dict) -> dict:
     """The data a prepared directory holds: the sha256 of the corpus bytes and
     the data fields as `prepare` resolved them."""
@@ -120,13 +124,13 @@ def _prepared_data(meta: dict) -> dict:
     return {"corpus_sha256": meta["corpus_sha256"], **{name: resolved[name] for name in DATA_FIELDS}}
 
 
-def _load_prepared(cfg: ExperimentConfig) -> dict:
+def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
     """The prepared directory's meta.json, which must hold test lines and must
     not have been written for other data than this config names.
 
-    A data field is checked only when the config sets it (a field left at its
-    default is taken as unset), against what `prepare` resolved it to; the
-    corpus is checked by the sha256 of its bytes.
+    A data field is checked when it is in ``given``, the fields the config
+    sets, and is not None, against what `prepare` resolved it to; the corpus
+    is checked by the sha256 of its bytes.
     """
     meta_path = Path(cfg.out_dir) / "meta.json"
     if not meta_path.exists():
@@ -134,10 +138,10 @@ def _load_prepared(cfg: ExperimentConfig) -> dict:
     meta = json.loads(meta_path.read_text())
     data = _prepared_data(meta)
     for name in DATA_FIELDS:
-        given = getattr(cfg, name)
-        if given != getattr(_DEFAULTS, name) and given != data[name]:
+        value = getattr(cfg, name)
+        if name in given and value is not None and value != data[name]:
             raise ValueError(
-                f"{meta_path} was prepared with {name}={data[name]!r}, not {given!r}; "
+                f"{meta_path} was prepared with {name}={data[name]!r}, not {value!r}; "
                 "run `chordlm prepare` again or use another out_dir"
             )
     if data["test_count"] == 0:
@@ -255,8 +259,10 @@ def _payload(cfg: ExperimentConfig, meta: dict, size: int, algo: str, seed: int,
             "algo": algo, "seed": seed, "n_x": n_x, "mean_train_length": meta["mean_train_length"]}
 
 
-def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None) -> dict:
-    meta = _load_prepared(cfg)
+def cmd_train(
+    cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None, given: Collection[str] = DATA_FIELDS
+) -> dict:
+    meta = _load_prepared(cfg, given)
     n_x = n_x if n_x is not None else meta["train_sizes"][-1]
     row = _run_cell(_payload(cfg, meta, size, algo, seed, n_x))
     if row["error"]:
@@ -273,8 +279,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> Path:
-    meta = _load_prepared(cfg)
+def cmd_sweep(cfg: ExperimentConfig, given: Collection[str] = DATA_FIELDS) -> Path:
+    meta = _load_prepared(cfg, given)
     payloads = [
         _payload(cfg, meta, size, algo, seed, n_x)
         for n_x in meta["train_sizes"]
@@ -494,26 +500,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base = ExperimentConfig.from_file(args.config).as_dict() if args.config else {}
+def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str]]:
+    """The config file's fields overridden by the flags given, and the names
+    of the fields that either one sets."""
+    given = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     for f in dataclasses.fields(ExperimentConfig):
         value = getattr(args, f.name)
         if value is not None:
-            base[f.name] = value
-    return ExperimentConfig.from_dict(base)
+            given[f.name] = value
+    return ExperimentConfig.from_dict(given), set(given)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "prepare":
-            meta = cmd_prepare(_config_from_args(args))
+            meta = cmd_prepare(_config_from_args(args)[0])
             print(json.dumps({"prepared": meta["config"]["out_dir"], "vocab_size": meta["vocab_size"]}))
         elif args.command == "train":
-            row = cmd_train(_config_from_args(args), args.size, args.algo, args.seed, args.n_x)
+            cfg, given = _config_from_args(args)
+            row = cmd_train(cfg, args.size, args.algo, args.seed, args.n_x, given)
             print(json.dumps({k: row[k] for k in RESULT_FIELDS}, sort_keys=True))
         elif args.command == "sweep":
-            path = cmd_sweep(_config_from_args(args))
+            path = cmd_sweep(*_config_from_args(args))
             print(json.dumps({"results": str(path)}))
         elif args.command == "analyze":
             report = cmd_analyze(args.model_file, args.vocab_file, args.threshold)

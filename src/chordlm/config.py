@@ -127,12 +127,6 @@ class ExperimentConfig:
         return hashlib.sha256(payload).hexdigest()
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw)
-
-    @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known

@@ -60,13 +60,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def other_id(self) -> int:
-        try:
-            return self.index[OTHER_SYMBOL]
-        except KeyError:
-            raise ValueError(f"vocabulary has no {OTHER_SYMBOL!r} symbol") from None
-
     def content_hash(self) -> str:
         """Hash of the symbol list, used to pin models to their vocabulary."""
         payload = "\n".join(self.symbols).encode("utf-8")
@@ -116,10 +109,6 @@ class EncodedDataset:
     def n_symbols(self) -> int:
         return self.vocab.size
 
-    @property
-    def n_tokens(self) -> int:
-        return sum(len(s) for s in self.sequences)
-
 
 def parse_corpus(text: str) -> list[ChordSequence]:
     """Parse a corpus document: one sequence per line, whitespace-separated
@@ -164,10 +153,6 @@ def encode(sequences: list[ChordSequence], vocab: Vocabulary) -> EncodedDataset:
             raise ValueError("vocabulary has no Other symbol for OOV tokens")
         encoded.append(np.asarray(ids, dtype=np.int64))
     return EncodedDataset(sequences=encoded, vocab=vocab)
-
-
-def decode(seq: np.ndarray, vocab: Vocabulary) -> list[str]:
-    return [vocab.symbols[int(i)] for i in seq]
 
 
 def split(dataset: EncodedDataset, test_count: int, seed: int) -> tuple[EncodedDataset, EncodedDataset]:

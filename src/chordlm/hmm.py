@@ -38,9 +38,6 @@ class HmmParams:
         _check_rows(self.transition, tol, "transition matrix")
         _check_rows(self.emission, tol, "emission matrix")
 
-    def log_evidence(self, seq: np.ndarray) -> float:
-        return float(log_evidences(self, [np.asarray(seq)])[0])
-
     def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
         return log_evidences(self, seqs)
 
@@ -74,36 +71,6 @@ class HmmPrior:
         )
 
 
-@dataclass
-class FbTables:
-    """Scaled forward-backward quantities for one sequence.
-
-    ``alpha[n]`` is the filtered state distribution P(z_n | x_{1:n});
-    ``beta[n]`` the scaled backward variable; ``scaling[n]`` the per-step
-    normalizer P(x_n | x_{1:n-1}). The unscaled variables are recovered by
-    multiplying cumulative products of the scaling factors.
-    """
-
-    alpha: np.ndarray    # (N, n_states)
-    beta: np.ndarray     # (N, n_states)
-    scaling: np.ndarray  # (N,)
-    log_evidence: float
-
-    def gamma(self) -> np.ndarray:
-        """Posterior state marginals, one row per position."""
-        return self.alpha * self.beta
-
-    def xi(self, params: HmmParams, seq: np.ndarray) -> np.ndarray:
-        """Posterior transition marginals for positions 1..N-1."""
-        seq = np.asarray(seq)
-        n = len(seq)
-        out = np.empty((n - 1, params.n_states, params.n_states))
-        for t in range(n - 1):
-            weighted = params.emission[:, seq[t + 1]] * self.beta[t + 1] / self.scaling[t + 1]
-            out[t] = self.alpha[t][:, None] * params.transition * weighted[None, :]
-        return out
-
-
 def init_random(n_states: int, vocab_size: int, seed: int) -> HmmParams:
     """Rows drawn from a flat Dirichlet, deterministically per seed."""
     if n_states < 1 or vocab_size < 1:
@@ -129,19 +96,20 @@ def _dirichlet_rows(rng: np.random.Generator, concentration: np.ndarray) -> np.n
     return draws / totals
 
 
-def forward_backward(params: HmmParams, seq: np.ndarray) -> FbTables:
-    """Scaled forward-backward pass over one sequence: a batch of one.
+def forward_backward(params: HmmParams, seq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(alpha, beta, scaling, log evidence) of one sequence: a batch of one.
 
-    Zero total evidence is signalled by ``log_evidence == -inf``; alpha and
-    the scaling are then zero from the first impossible step on, and beta is
-    all zero.
+    ``alpha[n]`` is the filtered state distribution P(z_n | x_{1:n}),
+    ``beta[n]`` the scaled backward variable and ``scaling[n]`` the per-step
+    normalizer P(x_n | x_{1:n-1}). Zero evidence gives a log evidence of
+    -inf; alpha and the scaling are then zero from the first impossible step
+    on, and beta is all zero.
     """
-    seq = np.asarray(seq)
-    alpha, scaling = _forward_batch(params, seq[None])
+    seq = np.asarray(seq)[None]
+    alpha, scaling = _forward_batch(params, seq)
     if (scaling <= 0.0).any():
-        return FbTables(alpha=alpha[0], beta=np.zeros_like(alpha[0]), scaling=scaling[0], log_evidence=-np.inf)
-    beta = _backward_batch(params, seq[None], scaling)
-    return FbTables(alpha=alpha[0], beta=beta[0], scaling=scaling[0], log_evidence=float(np.log(scaling[0]).sum()))
+        return alpha[0], np.zeros_like(alpha[0]), scaling[0], -np.inf
+    return alpha[0], _backward_batch(params, seq, scaling)[0], scaling[0], float(np.log(scaling[0]).sum())
 
 
 def _group_by_length(sequences: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -83,10 +83,6 @@ class PcfgParams:
             cache = self._cdf_cache = (arrays, array("d", np.cumsum(start)), [array("d", row) for row in rows])
         return cache[1], cache[2]
 
-    def log_evidence(self, seq: np.ndarray) -> float:
-        """The sequence's log evidence, not normalized within its length."""
-        return float(_log_evidences(self, [np.asarray(seq)])[0])
-
     def log_evidences(self, seqs: list[np.ndarray]):
         """Yields each sequence's log evidence normalized within its length."""
         return _normalized_in_turn(self, seqs, _log_evidences(self, seqs))
@@ -156,23 +152,6 @@ class DerivationTree:
             term = symbols[self.terminal] if symbols else f"t{self.terminal}"
             return f"({name} {term})"
         return f"({name} {self.left.to_bracketed(symbols)} {self.right.to_bracketed(symbols)})"
-
-
-@dataclass
-class Charts:
-    """Inside (and optionally outside) chart for one sequence.
-
-    ``inside[i, j]`` covers positions i..j inclusive and is scaled so the true
-    value is ``inside[i, j] * exp(inside_scale[j - i + 1])``; the outside chart
-    uses the same convention with its own per-width scales. A scale of -inf
-    marks a width whose cells are all zero.
-    """
-
-    inside: np.ndarray
-    inside_scale: np.ndarray
-    log_evidence: float
-    outside: np.ndarray | None = None
-    outside_scale: np.ndarray | None = None
 
 
 # the shared training configs, with grammar defaults and a training length cap
@@ -304,16 +283,6 @@ class _ChartBatch:
     pairs: list
     pair_scale: np.ndarray    # (B, n + 1)
     log_evidence: np.ndarray  # (B,)
-
-
-def _square(by_start: np.ndarray) -> np.ndarray:
-    """One sequence's (n, n + 1, D) by-start chart as an (n, n, D) array
-    indexed by (first, last) position."""
-    n = len(by_start)
-    i, j = np.triu_indices(n)
-    out = np.zeros((n, n, by_start.shape[-1]))
-    out[i, j] = by_start[i, j - i + 1]
-    return out
 
 
 def _exp_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -450,27 +419,14 @@ def _batches(sequences: list[np.ndarray], d: int):
             yield idx[lo:lo + size], batch[lo:lo + size]
 
 
-def inside(params: PcfgParams, seq: np.ndarray) -> Charts:
-    """Inside chart and total log evidence of one sequence: a batch of one."""
-    chart = _inside_batch(params, np.asarray(seq)[None])
-    return Charts(_square(chart.by_start[0]), chart.scale[0], float(chart.log_evidence[0]))
+def inside(params: PcfgParams, seq: np.ndarray) -> _ChartBatch:
+    """Inside chart of one sequence: a batch of one."""
+    return _inside_batch(params, np.asarray(seq)[None])
 
 
-def outside(params: PcfgParams, seq: np.ndarray, charts: Charts) -> Charts:
-    """Fill the outside chart on a previously computed inside chart."""
-    seq = np.asarray(seq)
-    n = len(seq)
-    d = params.n_nonterminals
-    if charts.inside.shape != (n, n, d):
-        raise ValueError("inside chart does not match the sequence")
-    i, j = np.triu_indices(n)
-    by_start = np.zeros((1, n, n + 1, d))
-    by_end = np.zeros((1, n, n + 1, d))
-    by_start[0, i, j - i + 1] = by_end[0, j, j - i + 1] = charts.inside[i, j]
-    out, out_scale = _outside_batch(params, by_start, by_end, charts.inside_scale[None])
-    charts.outside = _square(out[0])
-    charts.outside_scale = out_scale[0]
-    return charts
+def outside(params: PcfgParams, chart: _ChartBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Outside chart and width scales of an inside chart batch."""
+    return _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
 
 
 def _log_evidences(params: PcfgParams, sequences: list[np.ndarray]) -> np.ndarray:

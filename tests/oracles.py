@@ -10,8 +10,10 @@ import itertools
 
 import numpy as np
 
+from chordlm import pcfg
 from chordlm.corpus import EncodedDataset, Vocabulary
-from chordlm.pcfg import START, length_log_probabilities
+from chordlm.hmm import HmmParams
+from chordlm.pcfg import START, PcfgParams, length_log_probabilities
 
 
 def make_dataset(rows: list[str], symbols: list[str]) -> EncodedDataset:
@@ -24,6 +26,16 @@ def make_dataset(rows: list[str], symbols: list[str]) -> EncodedDataset:
     return EncodedDataset(sequences=seqs, vocab=vocab)
 
 
+def raw_log_evidence(model, seq: np.ndarray) -> float:
+    """One sequence's log evidence under any family; a grammar's is its inside
+    value, not normalized within its length."""
+    if isinstance(model, PcfgParams):
+        return pcfg.inside(model, seq).log_evidence[0]
+    if isinstance(model, HmmParams):
+        return model.log_evidences([seq])[0]
+    return model.log_evidence(seq)
+
+
 def evidence_ratio_prediction(model, seq: np.ndarray, position: int) -> np.ndarray:
     """P(x_n = y | rest) by substituting every candidate symbol and
     normalizing full-sequence evidences."""
@@ -32,7 +44,7 @@ def evidence_ratio_prediction(model, seq: np.ndarray, position: int) -> np.ndarr
     for y in range(model.vocab_size):
         variant = seq.copy()
         variant[position - 1] = y
-        logs[y] = model.log_evidence(variant)
+        logs[y] = raw_log_evidence(model, variant)
     finite = np.isfinite(logs)
     if not finite.any():
         raise ValueError("all substitutions have zero evidence")
@@ -79,6 +91,43 @@ def hmm_forward_backward_reference(params, seq):
     for t in range(n - 2, -1, -1):
         beta[t] = (params.transition @ (params.emission[:, seq[t + 1]] * beta[t + 1])) / scaling[t + 1]
     return alpha, beta, scaling, float(np.log(scaling).sum())
+
+
+def hmm_gamma(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Posterior state marginals of one sequence, one row per position, from
+    its scaled forward and backward variables."""
+    return alpha * beta
+
+
+def hmm_xi(params, seq, alpha: np.ndarray, beta: np.ndarray, scaling: np.ndarray) -> np.ndarray:
+    """Posterior transition marginals of one sequence for positions 1..N-1."""
+    seq = np.asarray(seq)
+    n = len(seq)
+    out = np.empty((n - 1, params.n_states, params.n_states))
+    for t in range(n - 1):
+        weighted = params.emission[:, seq[t + 1]] * beta[t + 1] / scaling[t + 1]
+        out[t] = alpha[t][:, None] * params.transition * weighted[None, :]
+    return out
+
+
+def hmm_expected_counts_reference(params, seqs):
+    """(initial, transition, emission) posterior expected counts summed over
+    the sequences, and each sequence's log evidence, one sequence at a time
+    from ``hmm_forward_backward_reference``; a zero-evidence sequence adds no
+    counts."""
+    k, v = params.n_states, params.vocab_size
+    initial, transition, emission = np.zeros(k), np.zeros((k, k)), np.zeros((k, v))
+    log_ev = np.empty(len(seqs))
+    for i, seq in enumerate(seqs):
+        alpha, beta, scaling, log_ev[i] = hmm_forward_backward_reference(params, seq)
+        if log_ev[i] == -np.inf:
+            continue
+        gamma = hmm_gamma(alpha, beta)
+        initial += gamma[0]
+        transition += hmm_xi(params, seq, alpha, beta, scaling).sum(axis=0)
+        for t, x in enumerate(np.asarray(seq).tolist()):
+            emission[:, x] += gamma[t]
+    return initial, transition, emission, log_ev
 
 
 def hmm_prediction_weights_reference(params, seq) -> np.ndarray:
@@ -337,6 +386,16 @@ def kn_reference_table(top_counts: np.ndarray, n_symbols: int, modified: bool) -
 # code the library replaced with batched passes and cached cumulative rows.
 # It is kept here, unchanged in its arithmetic, as the reference the batched
 # path is compared against.
+
+
+def square_chart(by_start: np.ndarray) -> np.ndarray:
+    """One sequence's (n, n + 1, D) by-start chart as an (n, n, D) array
+    indexed by (first, last) position."""
+    n = len(by_start)
+    i, j = np.triu_indices(n)
+    out = np.zeros((n, n, by_start.shape[-1]))
+    out[i, j] = by_start[i, j - i + 1]
+    return out
 
 
 def pcfg_inside_reference(params, seq):

@@ -158,7 +158,7 @@ def test_config_flags_parse_like_the_fields():
         ["sweep", "--train-sizes", "3,30", "--algos", "em,gs", "--kappa", "0.6", "--test-count", "0",
          "--model", "pcfg", "--pcfg-init", "hmm", "--out-dir", "r"]
     )
-    cfg = cli._config_from_args(args)
+    cfg, _ = cli._config_from_args(args)
     assert cfg.train_sizes == [3, 30] and cfg.algos == ["em", "gs"]
     assert cfg.kappa == 0.6 and cfg.test_count == 0
     assert (cfg.model, cfg.pcfg_init, cfg.out_dir) == ("pcfg", "hmm", "r")
@@ -406,6 +406,35 @@ def test_a_cell_seed_reads_the_corpus_bytes_not_its_path(sixty_lines):
         assert cli.main(["prepare", *data, "--out-dir", f"{name}/run"]) == 0
         models.append(_model_after(["train", "--size", "2", "--algo", "em", *data], out_dir=f"{name}/run"))
     assert models[0] == models[1] == models[2]
+
+
+def test_sweep_and_train_check_a_data_field_set_to_its_default(sixty_lines, capsys):
+    # run is prepared with --vocab-k 5 and data seed 0, seeded with data seed 3
+    assert cli.main(["prepare", "--corpus", "corpus.txt", "--out-dir", "seeded", "--vocab-k", "5",
+                     "--test-count", "6", "--data-seed", "3"]) == 0
+    Path("seed0.json").write_text(json.dumps({"out_dir": "seeded", "data_seed": 0}))
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        for data, name in ((["--out-dir", "run", "--vocab-k", "10"], "vocab_k"), (["--config", "seed0.json"], "data_seed")):
+            assert cli.main([*command, *data, *CELL]) == 1
+            error = json.loads(capsys.readouterr().err)
+            assert error["error"] == "ValueError" and f"prepared with {name}=" in error["message"]
+    # a command that sets no data field takes the directory as it is
+    assert cli.main(["sweep", "--out-dir", "seeded", "--sizes", "2", "--algos", "em", *CELL]) == 0
+
+
+@pytest.mark.parametrize("bad", ["0 1 x", "0 1 99"], ids=["not-an-int", "out-of-range"])
+def test_a_bad_encoded_id_names_its_file_and_line(sixty_lines, capsys, bad):
+    with open("run/test.ids", "a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    where = f"{Path('run') / 'test.ids'} line 7: "
+    capsys.readouterr()
+    assert cli.main(["train", "--out-dir", "run", "--size", "2", "--algo", "em", *CELL]) == 1
+    assert where in json.loads(capsys.readouterr().err)["message"]
+    assert cli.main(["sweep", "--out-dir", "run", "--sizes", "2", "--algos", "em", *CELL]) == 0
+    with open("run/results.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["error"].startswith(f"ValueError: {where}")
 
 
 def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys):

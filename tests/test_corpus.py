@@ -41,7 +41,7 @@ def test_build_vocabulary_counts():
     assert vocab.symbols == ["C", "G", "Other"]
     assert vocab.size == 3
     assert vocab.counts == [5, 3, 1]
-    assert vocab.other_id == 2
+    assert vocab.index["Other"] == 2
 
 
 def test_build_vocabulary_fewer_distinct_than_k():
@@ -68,20 +68,20 @@ def test_build_vocabulary_literal_other_token():
     assert vocab.symbols == ["C", "G", "Other"]
     assert vocab.counts == [2, 1, 1]  # the literal token counts toward the bucket
     data = encode(seqs, vocab)
-    assert data.sequences[0].tolist() == [0, 0, vocab.other_id, 1]
+    assert data.sequences[0].tolist() == [0, 0, vocab.index["Other"], 1]
 
 
 def test_encode_oov():
     vocab = build_vocabulary(parse_corpus("C C G"), k=2)
     data = encode(parse_corpus("C F#m G"), vocab)
-    assert data.sequences[0].tolist() == [vocab.index["C"], vocab.other_id, vocab.index["G"]]
+    assert data.sequences[0].tolist() == [vocab.index["C"], vocab.index["Other"], vocab.index["G"]]
 
 
 def test_encode_empty_and_all_oov():
     vocab = build_vocabulary(parse_corpus("C"), k=1)
     assert len(encode([], vocab)) == 0
     data = encode(parse_corpus("X Y Z"), vocab)
-    assert data.sequences[0].tolist() == [vocab.other_id] * 3
+    assert data.sequences[0].tolist() == [vocab.index["Other"]] * 3
 
 
 def test_encode_round_trips_token_counts():
@@ -95,7 +95,7 @@ def test_encode_round_trips_token_counts():
     vocab = build_vocabulary(seqs, k=3)
     data = encode(seqs, vocab)
     total_tokens = sum(len(s.tokens) for s in seqs)
-    assert data.n_tokens == total_tokens
+    assert sum(len(s) for s in data.sequences) == total_tokens
     # retained frequencies dominate replaced frequencies
     kept = {s: c for s, c in zip(vocab.symbols[:-1], vocab.counts[:-1])}
     from collections import Counter

@@ -71,7 +71,7 @@ def test_perplexity_uses_normalized_evidence_for_grammars():
     data = [np.zeros(3, dtype=np.int64)]
     # normalized evidence of the only length-3 string is exactly 1
     assert evaluate.perplexity(g, data) == pytest.approx(1.0, rel=1e-12)
-    raw = math.exp(pcfg.inside(g, data[0]).log_evidence / 3)
+    raw = math.exp(pcfg.inside(g, data[0]).log_evidence[0] / 3)
     assert raw < 1.0  # unnormalized evidence would have given > 1 perplexity
 
 

@@ -13,8 +13,11 @@ from oracles import (
     entropy_perplexity,
     evidence_ratio_prediction,
     hmm_evidence_by_enumeration,
+    hmm_expected_counts_reference,
     hmm_forward_backward_reference,
+    hmm_gamma,
     hmm_prediction_weights_reference,
+    hmm_xi,
     make_dataset,
     random_stochastic,
     stationary_by_linear_solve,
@@ -51,8 +54,8 @@ def test_evidence_single_state_uniform():
         transition=np.array([[1.0]]),
         emission=np.array([[0.5, 0.5]]),
     )
-    tables = hmm.forward_backward(params, np.array([0, 1, 0]))
-    assert tables.log_evidence == pytest.approx(math.log(1 / 8), abs=1e-12)
+    log_evidence = hmm.forward_backward(params, np.array([0, 1, 0]))[3]
+    assert log_evidence == pytest.approx(math.log(1 / 8), abs=1e-12)
 
 
 def test_evidence_matches_path_enumeration():
@@ -61,7 +64,7 @@ def test_evidence_matches_path_enumeration():
         params = random_params(rng, 3, 4)
         seq = rng.integers(0, 4, size=5)
         want = hmm_evidence_by_enumeration(params.initial, params.transition, params.emission, seq)
-        got = math.exp(hmm.forward_backward(params, seq).log_evidence)
+        got = math.exp(hmm.forward_backward(params, seq)[3])
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -69,19 +72,19 @@ def test_posteriors_normalized_and_consistent():
     rng = np.random.default_rng(2)
     params = random_params(rng, 4, 3)
     seq = rng.integers(0, 3, size=7)
-    tables = hmm.forward_backward(params, seq)
-    gamma = tables.gamma()
+    alpha, beta, scaling, log_evidence = hmm.forward_backward(params, seq)
+    gamma = hmm_gamma(alpha, beta)
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
-    xi = tables.xi(params, seq)
+    xi = hmm_xi(params, seq, alpha, beta, scaling)
     # transition posteriors marginalize back to the state posteriors
     assert np.allclose(xi.sum(axis=2), gamma[:-1], atol=1e-9)
     assert np.allclose(xi.sum(axis=1), gamma[1:], atol=1e-9)
     # unscaled alpha * beta reproduces the evidence at every position
-    log_cum = np.cumsum(np.log(tables.scaling))
+    log_cum = np.cumsum(np.log(scaling))
     for t in range(len(seq)):
-        log_rest = tables.log_evidence - log_cum[t]
-        recon = (tables.alpha[t] * tables.beta[t]).sum() * math.exp(log_cum[t] + log_rest)
-        assert recon == pytest.approx(math.exp(tables.log_evidence), rel=1e-9)
+        log_rest = log_evidence - log_cum[t]
+        recon = (alpha[t] * beta[t]).sum() * math.exp(log_cum[t] + log_rest)
+        assert recon == pytest.approx(math.exp(log_evidence), rel=1e-9)
 
 
 def test_zero_evidence_signalled():
@@ -90,16 +93,15 @@ def test_zero_evidence_signalled():
         transition=np.eye(2),
         emission=np.array([[1.0, 0.0], [0.0, 1.0]]),
     )
-    tables = hmm.forward_backward(params, np.array([0, 1]))
-    assert tables.log_evidence == -np.inf
+    assert hmm.forward_backward(params, np.array([0, 1]))[3] == -np.inf
 
 
 def assert_tables_equal(tables, params, seq):
     alpha, beta, scaling, log_evidence = hmm_forward_backward_reference(params, seq)
-    assert np.array_equal(tables.alpha, alpha)
-    assert np.array_equal(tables.beta, beta)
-    assert np.array_equal(tables.scaling, scaling)
-    assert tables.log_evidence == log_evidence
+    assert np.array_equal(tables[0], alpha)
+    assert np.array_equal(tables[1], beta)
+    assert np.array_equal(tables[2], scaling)
+    assert tables[3] == log_evidence
 
 
 def test_forward_backward_matches_step_by_step_reference_bitwise():
@@ -118,9 +120,10 @@ def test_forward_backward_matches_step_by_step_reference_bitwise():
     )
     seq = np.array([0, 1, 2, 0])
     tables = hmm.forward_backward(params, seq)
-    assert tables.log_evidence == -np.inf
-    assert (tables.alpha[2:] == 0.0).all() and (tables.scaling[2:] == 0.0).all()
-    assert (tables.alpha[:2] > 0.0).all()
+    alpha, _, scaling, log_evidence = tables
+    assert log_evidence == -np.inf
+    assert (alpha[2:] == 0.0).all() and (scaling[2:] == 0.0).all()
+    assert (alpha[:2] > 0.0).all()
     assert_tables_equal(tables, params, seq)
 
 
@@ -162,10 +165,10 @@ def test_log_evidence_is_the_forward_pass_of_forward_backward():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seq in mixed_lines(rng, 4, 40):
-            assert params.log_evidence(seq) == hmm.forward_backward(params, seq).log_evidence
-        assert params.log_evidence(np.array([0, 3, 1])) == -np.inf
+            assert params.log_evidences([seq])[0] == hmm.forward_backward(params, seq)[3]
+        assert params.log_evidences([np.array([0, 3, 1])])[0] == -np.inf
     with pytest.raises(ValueError, match="non-empty"):
-        params.log_evidence(np.array([], dtype=np.int64))
+        params.log_evidences([np.array([], dtype=np.int64)])
 
 
 @pytest.mark.parametrize("k", [2, 12, 100])
@@ -183,6 +186,22 @@ def test_batched_prediction_rows_match_per_line_rows(k):
     np.testing.assert_array_equal(log_ev, params.log_evidences(live))
     for seq, seq_rows in zip(live, rows):
         np.testing.assert_allclose(seq_rows, params.predict_distributions(seq), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [2, 12])
+def test_e_step_counts_match_the_per_line_reference(k):
+    rng = np.random.default_rng(47 + k)
+    params = random_params(rng, k, 6)
+    seqs = mixed_lines(rng, 6, 80)
+    groups = hmm._group_by_length(seqs)
+    assert len(groups) == 20
+    for got, want in zip(hmm._e_step(params, groups), hmm_expected_counts_reference(params, seqs)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # with a zero-evidence line in some batch, the E-step returns evidences only
+    dead = with_dead_symbol(params)
+    want = hmm_expected_counts_reference(dead, seqs)[3]
+    assert 0 < (want == -np.inf).sum() < len(seqs)
+    np.testing.assert_allclose(hmm._e_step(dead, groups)[3], want, rtol=1e-12, atol=0)
 
 
 def test_evaluate_model_runs_one_forward_pass_per_length_group(monkeypatch):
@@ -391,7 +410,7 @@ def test_from_markov_structure_and_evidence_equality():
     for length in (1, 2, 3, 4):
         for seq in all_sequences(3, length):
             a = m.log_evidence(seq)
-            b = hmm.forward_backward(params, seq).log_evidence
+            b = hmm.forward_backward(params, seq)[3]
             assert b == pytest.approx(a, rel=1e-12)
 
 

@@ -29,6 +29,7 @@ from oracles import (
     pcfg_outside_by_enumeration,
     random_stochastic,
     sample_tree_reference,
+    square_chart,
     tree_log_probability,
 )
 
@@ -108,7 +109,7 @@ def test_strict_embed_single_state_hand_value():
     g = pcfg.strict_embed_hmm(base, end_prob=np.array([0.5]))
     g.validate(tol=1e-12)
     # the HMM emits "a a" then stops with probability 0.5 * 0.5
-    got = math.exp(pcfg.inside(g, np.array([0, 0])).log_evidence)
+    got = math.exp(pcfg.inside(g, np.array([0, 0])).log_evidence[0])
     assert got == pytest.approx(0.25, rel=1e-12)
 
 
@@ -120,7 +121,7 @@ def test_strict_embed_length_one_reads_off_stop_marginal():
     want = (base.initial * end) @ base.emission
     assert np.allclose(g.start_emissions, want, atol=1e-12)
     for x in range(3):
-        got = math.exp(pcfg.inside(g, np.array([x])).log_evidence)
+        got = math.exp(pcfg.inside(g, np.array([x])).log_evidence[0])
         assert got == pytest.approx(want[x], rel=1e-12)
 
 
@@ -133,7 +134,7 @@ def test_strict_embed_evidence_equality_exhaustive():
     for length in range(1, 5):
         for seq in all_sequences(3, length):
             want = hmm_terminated_evidence(base.initial, base.transition, base.emission, end, seq)
-            got = math.exp(pcfg.inside(g, seq).log_evidence)
+            got = math.exp(pcfg.inside(g, seq).log_evidence[0])
             assert got == pytest.approx(want, rel=1e-9), seq
 
 
@@ -148,15 +149,15 @@ def test_strict_embed_validates_rows():
 
 def test_inside_single_terminal_values():
     g = single_terminal_grammar(kappa=0.6)
-    assert math.exp(pcfg.inside(g, np.array([0, 0])).log_evidence) == pytest.approx(0.36, rel=1e-12)
-    assert math.exp(pcfg.inside(g, np.array([0, 0, 0])).log_evidence) == pytest.approx(
+    assert math.exp(pcfg.inside(g, np.array([0, 0])).log_evidence[0]) == pytest.approx(0.36, rel=1e-12)
+    assert math.exp(pcfg.inside(g, np.array([0, 0, 0])).log_evidence[0]) == pytest.approx(
         2 * 0.4 * 0.6**3, rel=1e-12
     )
 
 
 def test_inside_length_one_without_start_emission():
     g = single_terminal_grammar()
-    assert pcfg.inside(g, np.array([0])).log_evidence == -np.inf
+    assert pcfg.inside(g, np.array([0])).log_evidence[0] == -np.inf
 
 
 def test_inside_matches_tree_enumeration():
@@ -168,14 +169,14 @@ def test_inside_matches_tree_enumeration():
         want = pcfg_evidence_by_enumeration(
             g.start_rules, g.start_emissions, g.rules, g.emissions, seq
         )
-        got = math.exp(pcfg.inside(g, seq).log_evidence)
+        got = math.exp(pcfg.inside(g, seq).log_evidence[0])
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_inside_long_sequence_stays_finite():
     g = single_terminal_grammar(kappa=0.51)
     seq = np.zeros(200, dtype=np.int64)
-    log_ev = pcfg.inside(g, seq).log_evidence
+    log_ev = pcfg.inside(g, seq).log_evidence[0]
     assert np.isfinite(log_ev)
 
 
@@ -185,8 +186,8 @@ def test_inside_long_sequence_stays_finite():
 def test_outside_hand_value():
     g = single_terminal_grammar(kappa=0.6)
     seq = np.array([0, 0])
-    charts = pcfg.outside(g, seq, pcfg.inside(g, seq))
-    a_00 = charts.outside[0, 0] * math.exp(charts.outside_scale[1])
+    out, out_scale = pcfg.outside(g, pcfg.inside(g, seq))
+    a_00 = square_chart(out[0])[0, 0] * math.exp(out_scale[0, 1])
     assert a_00[0] == pytest.approx(0.6, rel=1e-12)
 
 
@@ -195,11 +196,13 @@ def test_outside_leaf_band_identity():
     for _ in range(5):
         g = random_grammar(rng, 3, 2)
         seq = rng.integers(0, 2, size=6)
-        charts = pcfg.outside(g, seq, pcfg.inside(g, seq))
-        ev = math.exp(charts.log_evidence)
-        joint_scale = math.exp(charts.outside_scale[1] + charts.inside_scale[1])
+        chart = pcfg.inside(g, seq)
+        out, out_scale = pcfg.outside(g, chart)
+        outside, inside = square_chart(out[0]), square_chart(chart.by_start[0])
+        ev = math.exp(chart.log_evidence[0])
+        joint_scale = math.exp(out_scale[0, 1] + chart.scale[0, 1])
         for i in range(len(seq)):
-            val = float(charts.outside[i, i] @ charts.inside[i, i]) * joint_scale
+            val = float(outside[i, i] @ inside[i, i]) * joint_scale
             assert val == pytest.approx(ev, rel=1e-9)
 
 
@@ -207,15 +210,16 @@ def test_outside_matches_enumeration():
     rng = np.random.default_rng(34)
     g = random_grammar(rng, 2, 2)
     seq = rng.integers(0, 2, size=4)
-    charts = pcfg.outside(g, seq, pcfg.inside(g, seq))
+    out, out_scale = pcfg.outside(g, pcfg.inside(g, seq))
+    outside = square_chart(out[0])
     for i in range(4):
         for j in range(i, 4):
             w = j - i + 1
             if w == 4:
                 continue
-            scale = charts.outside_scale[w]
+            scale = out_scale[0, w]
             for z in range(2):
-                got = charts.outside[i, j, z] * (math.exp(scale) if np.isfinite(scale) else 0.0)
+                got = outside[i, j, z] * (math.exp(scale) if np.isfinite(scale) else 0.0)
                 want = pcfg_outside_by_enumeration(
                     g.start_rules, g.rules, g.emissions, seq, i, j, z
                 )
@@ -249,8 +253,8 @@ def assert_batch_matches_reference(g, seqs):
             a, h = pcfg_outside_reference(g, seqs[i], b, s)
             assert_close(chart.log_evidence[k], log_ev)
             assert np.array_equal(chart.scale[k] == -np.inf, s == -np.inf)
-            assert_close(true_values(pcfg._square(chart.by_start[k]), chart.scale[k]), true_values(b, s))
-            assert_close(true_values(pcfg._square(out[k]), out_scale[k]), true_values(a, h))
+            assert_close(true_values(square_chart(chart.by_start[k]), chart.scale[k]), true_values(b, s))
+            assert_close(true_values(square_chart(out[k]), out_scale[k]), true_values(a, h))
 
 
 def test_batched_charts_match_reference_on_mixed_lengths():
@@ -259,12 +263,13 @@ def test_batched_charts_match_reference_on_mixed_lengths():
         g = random_grammar(rng, d, 3)
         seqs = [rng.integers(0, 3, size=n) for n in (1, 2, 5, 1, 2, 9, 5, 3, 5)]
         assert_batch_matches_reference(g, seqs)
-        wrapped = [pcfg.outside(g, seq, pcfg.inside(g, seq)) for seq in seqs]
-        for seq, charts in zip(seqs, wrapped):
+        for seq in seqs:
+            chart = pcfg.inside(g, seq)
+            out, out_scale = pcfg.outside(g, chart)
             b, s, log_ev = pcfg_inside_reference(g, seq)
             a, h = pcfg_outside_reference(g, seq, b, s)
-            assert_close(charts.log_evidence, log_ev)
-            assert_close(true_values(charts.outside, charts.outside_scale), true_values(a, h))
+            assert_close(chart.log_evidence[0], log_ev)
+            assert_close(true_values(square_chart(out[0]), out_scale[0]), true_values(a, h))
 
 
 def test_batched_charts_match_reference_with_start_emissions():
@@ -497,9 +502,9 @@ def test_length_probability_matches_string_sum():
     g = random_grammar(rng, 2, 2)
     for n in range(1, 6):
         want = sum(
-            math.exp(pcfg.inside(g, seq).log_evidence)
+            math.exp(pcfg.inside(g, seq).log_evidence[0])
             for seq in all_sequences(2, n)
-            if pcfg.inside(g, seq).log_evidence > -np.inf
+            if pcfg.inside(g, seq).log_evidence[0] > -np.inf
         )
         assert length_probability(g, n) == pytest.approx(want, abs=1e-9)
 
@@ -524,7 +529,7 @@ def test_a_maximum_length_line_matches_the_log_space_reference(bench, tmp_path):
     ref, model = bench["reference"], bench["reference"].read_model(tmp_path / "g.model")
     n = pcfg.DEFAULT_MAX_TRAIN_LENGTH
     seq = np.random.default_rng(8).integers(0, 5, n)
-    assert g.log_evidence(seq) == pytest.approx(ref.pcfg_log_inside(model, seq[None])[0], rel=1e-12, abs=0)
+    assert pcfg.inside(g, seq).log_evidence[0] == pytest.approx(ref.pcfg_log_inside(model, seq[None])[0], rel=1e-12, abs=0)
     assert pcfg.length_log_probabilities(g, n)[n] == pytest.approx(ref.pcfg_log_length(model, n), rel=1e-12, abs=0)
 
 
