@@ -504,6 +504,8 @@ def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, set[s
     """The config file's fields overridden by the flags given, and the names
     of the fields that either one sets."""
     given = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(given, dict):
+        raise ValueError(f"config file {args.config} does not hold a JSON object")
     for f in dataclasses.fields(ExperimentConfig):
         value = getattr(args, f.name)
         if value is not None:

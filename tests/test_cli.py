@@ -128,6 +128,14 @@ def test_config_checks_algos_against_the_model(capsys):
     assert error["error"] == "ValueError" and "emm" in error["message"]
 
 
+def test_a_config_file_must_hold_a_json_object(tmp_path, capsys):
+    for text in ("[1]", "[]", "3"):
+        (tmp_path / "config.json").write_text(text)
+        assert cli.main(["sweep", "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and "does not hold a JSON object" in error["message"]
+
+
 def test_config_accepts_edge_values():
     cfg = ExperimentConfig(test_count=0, rel_tol=0.0, epsilon=1, polish_iters=0, kappa=1.0, eta=0.0)
     assert cfg.test_count == 0 and cfg.epsilon == 1
