@@ -312,11 +312,13 @@ def cmd_sweep(cfg: ExperimentConfig, given: Collection[str] = DATA_FIELDS) -> Pa
             rows[i]["best_by_train"] = int(i == best_train)
             rows[i]["best_by_test"] = int(i == best_test)
 
+    import csv  # only sweep writes CSV; the other commands' processes stay smaller without it
+
     out_path = Path(cfg.out_dir) / "results.csv"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row[c]) for c in CSV_HEADER) + "\n")
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows([_format_cell(row[c]) for c in CSV_HEADER] for row in rows)
     return out_path
 
 

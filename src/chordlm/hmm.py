@@ -97,7 +97,7 @@ def _dirichlet_rows(rng: np.random.Generator, concentration: np.ndarray) -> np.n
 
 
 def forward_backward(params: HmmParams, seq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(alpha, beta, scaling, log evidence) of one sequence: a batch of one.
+    """(alpha, beta, scaling, log evidence) of one sequence: a chunk of one.
 
     ``alpha[n]`` is the filtered state distribution P(z_n | x_{1:n}),
     ``beta[n]`` the scaled backward variable and ``scaling[n]`` the per-step
@@ -105,64 +105,95 @@ def forward_backward(params: HmmParams, seq: np.ndarray) -> tuple[np.ndarray, np
     -inf; alpha and the scaling are then zero from the first impossible step
     on, and beta is all zero.
     """
-    seq = np.asarray(seq)[None]
-    alpha, scaling = _forward_batch(params, seq)
+    (_, batch, lengths), = _chunks([np.asarray(seq)], params.n_states)
+    alpha, scaling = _forward_batch(params, batch, lengths)
     if (scaling <= 0.0).any():
         return alpha[0], np.zeros_like(alpha[0]), scaling[0], -np.inf
-    return alpha[0], _backward_batch(params, seq, scaling)[0], scaling[0], float(np.log(scaling[0]).sum())
+    beta = _backward_batch(params, batch, lengths, scaling)
+    return alpha[0], beta[0], scaling[0], float(np.log(scaling[0]).sum())
 
 
-def _group_by_length(sequences: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pack equal-length sequences into 2-d arrays for batched passes.
+# (corpus indices, (B, n) padded batch, lengths) of lines run together
+Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    Returns (indices, batch) pairs in ascending length order so every
-    consumer walks the data in the same deterministic order.
+# Upper bound on the floats of a chunk's filter: rows times its longest line
+# times the number of states. A longer line runs alone. An E-step keeps about
+# four tables of that size at once, so a sweep's peak memory stays near what
+# one batch per length needed.
+MAX_CHUNK_FLOATS = 1 << 16
+
+
+def _chunks(sequences: list[np.ndarray], n_states: int) -> list[Chunk]:
+    """Pad the sequences into (corpus indices, (B, n) batch, lengths) chunks.
+
+    The lines are sorted longest first by a stable sort, so equal lengths keep
+    corpus order, and each chunk's first line sets its width n. At step t a
+    pass works on the prefix of rows whose line is longer than t; the padded
+    cells hold id 0 and no pass reads them as a symbol.
     """
-    by_len: dict[int, list[int]] = {}
-    for i, seq in enumerate(sequences):
-        by_len.setdefault(len(seq), []).append(i)
-    groups = []
-    for length in sorted(by_len):
-        idx = np.asarray(by_len[length], dtype=np.int64)
-        batch = np.stack([sequences[i] for i in idx])
-        groups.append((idx, batch))
-    return groups
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    if (lengths == 0).any():
+        raise ValueError("sequence must be non-empty")
+    order = np.argsort(-lengths, kind="stable")
+    chunks = []
+    lo = 0
+    while lo < len(order):
+        n = int(lengths[order[lo]])
+        idx = order[lo:lo + max(1, MAX_CHUNK_FLOATS // (n * n_states))]
+        batch = np.zeros((len(idx), n), dtype=np.int64)
+        for row, i in enumerate(idx.tolist()):
+            batch[row, :lengths[i]] = sequences[i]
+        chunks.append((idx, batch, lengths[idx]))
+        lo += len(idx)
+    return chunks
 
 
-def _forward_batch(params: HmmParams, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered state distributions and scaling factors for an equal-length batch.
+def _live_rows(lengths: np.ndarray, n: int) -> list[int]:
+    """Entry t is the number of leading rows of a chunk whose line is longer
+    than t."""
+    return _valid(lengths, n).sum(axis=0).tolist()
+
+
+def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) mask of the positions a chunk's lines hold."""
+    return np.arange(n) < lengths[:, None]
+
+
+def _forward_batch(params: HmmParams, batch: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered state distributions and scaling factors of a chunk.
 
     A sequence's filter stops at its first zero scaling: alpha stays zero
-    from there on, and so do the later scalings.
+    from there on, and so do the later scalings. Past a line's end alpha is
+    zero and the scaling 1, so a row's log scalings sum to its log evidence.
     """
     b, n = batch.shape
-    if n == 0:
-        raise ValueError("sequence must be non-empty")
     emission_t = params.emission.T
     alpha = np.zeros((b, n, params.n_states))
-    scaling = np.zeros((b, n))
+    scaling = np.ones((b, n))
     probe = params.initial[None, :] * emission_t[batch[:, 0]]
-    for t in range(n):
+    for t, m in enumerate(_live_rows(lengths, n)):
         if t > 0:
-            probe = (alpha[:, t - 1] @ params.transition) * emission_t[batch[:, t]]
+            probe = (alpha[:m, t - 1] @ params.transition) * emission_t[batch[:m, t]]
         c = probe.sum(axis=1)
-        scaling[:, t] = c
+        scaling[:m, t] = c
         ok = c > 0.0
         if ok.all():
-            alpha[:, t] = probe / c[:, None]
+            alpha[:m, t] = probe / c[:, None]
         else:
-            alpha[ok, t] = probe[ok] / c[ok, None]
+            alpha[:m, t][ok] = probe[ok] / c[ok, None]
     return alpha, scaling
 
 
-def _backward_batch(params: HmmParams, batch: np.ndarray, scaling: np.ndarray) -> np.ndarray:
+def _backward_batch(params: HmmParams, batch: np.ndarray, lengths: np.ndarray, scaling: np.ndarray) -> np.ndarray:
     b, n = batch.shape
     emission_t = params.emission.T
+    live = _live_rows(lengths, n)
     beta = np.zeros((b, n, params.n_states))
-    beta[:, n - 1] = 1.0
+    beta[np.arange(b), lengths - 1] = 1.0
     for t in range(n - 2, -1, -1):
-        msg = emission_t[batch[:, t + 1]] * beta[:, t + 1]
-        beta[:, t] = (msg @ params.transition.T) / scaling[:, t + 1][:, None]
+        m = live[t + 1]
+        msg = emission_t[batch[:m, t + 1]] * beta[:m, t + 1]
+        beta[:m, t] = (msg @ params.transition.T) / scaling[:m, t + 1][:, None]
     return beta
 
 
@@ -173,13 +204,17 @@ def _summed_log_scalings(scaling: np.ndarray) -> np.ndarray:
     return np.where(live, log_scaling.sum(axis=1), -np.inf)
 
 
+def _chunk_evidences(params: HmmParams, chunks: list[Chunk]) -> np.ndarray:
+    out = np.empty(sum(len(idx) for idx, _, _ in chunks))
+    for idx, batch, lengths in chunks:
+        out[idx] = _summed_log_scalings(_forward_batch(params, batch, lengths)[1])
+    return out
+
+
 def log_evidences(params: HmmParams, seqs: list[np.ndarray]) -> np.ndarray:
     """Each sequence's log evidence in corpus order, -inf where it is zero;
-    one forward pass per length group."""
-    out = np.empty(len(seqs))
-    for idx, batch in _group_by_length(seqs):
-        out[idx] = _summed_log_scalings(_forward_batch(params, batch)[1])
-    return out
+    one forward pass per chunk."""
+    return _chunk_evidences(params, _chunks(seqs, params.n_states))
 
 
 def log_evidence_total(params: HmmParams, train: EncodedDataset | list[np.ndarray]) -> float:
@@ -187,34 +222,39 @@ def log_evidence_total(params: HmmParams, train: EncodedDataset | list[np.ndarra
     return training.sum_in_order(log_evidences(params, sequences_of(train)))
 
 
-def _e_step(params: HmmParams, groups: list[tuple[np.ndarray, np.ndarray]]):
+def _transition_counts(
+    params: HmmParams, batch: np.ndarray, valid: np.ndarray, alpha: np.ndarray, beta: np.ndarray, scaling: np.ndarray
+) -> np.ndarray:
+    """Posterior transition counts of a chunk: xi summed over every step
+    (t, t + 1) that a line holds, as one product over those steps."""
+    nxt = valid[:, 1:]
+    weighted = beta[:, 1:][nxt]
+    weighted *= params.emission.T[batch[:, 1:][nxt]]
+    weighted /= scaling[:, 1:][nxt][:, None]
+    return params.transition * (alpha[:, :-1][nxt].T @ weighted)
+
+
+def _e_step(params: HmmParams, chunks: list[Chunk]):
     """Expected initial, transition and emission counts, and each sequence's
     log evidence; after a zero one, which training rejects, only evidences."""
     k, v = params.n_states, params.vocab_size
     init_acc = np.zeros(k)
     trans_acc = np.zeros((k, k))
-    emit_acc = np.zeros((k, v))
-    emission_t = params.emission.T
-    log_ev = np.full(sum(len(idx) for idx, _ in groups), np.nan)
-    for idx, batch in groups:
-        alpha, scaling = _forward_batch(params, batch)
+    emit_acc = np.zeros(k * v)
+    log_ev = np.full(sum(len(idx) for idx, _, _ in chunks), np.nan)
+    for idx, batch, lengths in chunks:
+        alpha, scaling = _forward_batch(params, batch, lengths)
         log_ev[idx] = _summed_log_scalings(scaling)
         if (log_ev == -np.inf).any():
             continue
-        beta = _backward_batch(params, batch, scaling)
-        gamma = alpha * beta
+        beta = _backward_batch(params, batch, lengths, scaling)
+        valid = _valid(lengths, batch.shape[1])
+        trans_acc += _transition_counts(params, batch, valid, alpha, beta, scaling)
+        gamma = np.multiply(alpha, beta, out=alpha)
         init_acc += gamma[:, 0].sum(axis=0)
-        n = batch.shape[1]
-        for t in range(n - 1):
-            weighted = emission_t[batch[:, t + 1]] * beta[:, t + 1]
-            weighted = weighted / scaling[:, t + 1][:, None]
-            trans_acc += params.transition * (alpha[:, t].T @ weighted)
-        flat_gamma = gamma.reshape(-1, k)
-        flat_obs = batch.reshape(-1)
-        emit_acc_t = np.zeros((v, k))
-        np.add.at(emit_acc_t, flat_obs, flat_gamma)
-        emit_acc += emit_acc_t.T
-    return init_acc, trans_acc, emit_acc, log_ev
+        cells = np.arange(k) * v + batch[valid][:, None]
+        emit_acc += np.bincount(cells.reshape(-1), weights=gamma[valid].reshape(-1), minlength=k * v)
+    return init_acc, trans_acc, emit_acc.reshape(k, v), log_ev
 
 
 def _m_step(init_acc: np.ndarray, trans_acc: np.ndarray, emit_acc: np.ndarray) -> HmmParams:
@@ -236,8 +276,8 @@ def em_fit(
     sequences = sequences_of(train)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
-    groups = _group_by_length(sequences)
-    return training.em(params, lambda p: _e_step(p, groups), _m_step, lambda p: log_evidences(p, sequences), config)
+    chunks = _chunks(sequences, params.n_states)
+    return training.em(params, lambda p: _e_step(p, chunks), _m_step, lambda p: _chunk_evidences(p, chunks), config)
 
 
 def _normalize_rows(acc: np.ndarray) -> np.ndarray:
@@ -247,14 +287,21 @@ def _normalize_rows(acc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_states(transition: np.ndarray, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Blocked draw of latent state paths, backward from a batch's forward filter."""
+def _sample_states(
+    transition: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Blocked draw of latent state paths, backward from a chunk's forward
+    filter. Step t draws one uniform per row whose line is longer than t, in
+    chunk order; a row whose line ends at t draws from its filter alone."""
     b, n, _ = alpha.shape
-    states = np.empty((b, n), dtype=np.int64)
-    states[:, n - 1] = _categorical_rows(rng, alpha[:, n - 1])
-    for t in range(n - 2, -1, -1):
-        w = alpha[:, t] * transition[:, states[:, t + 1]].T
-        states[:, t] = _categorical_rows(rng, w)
+    states = np.zeros((b, n), dtype=np.int64)
+    live = _live_rows(lengths, n) + [0]
+    for t in range(n - 1, -1, -1):
+        m, going_on = live[t], live[t + 1]
+        w = alpha[:m, t].copy()
+        if going_on:
+            w[:going_on] *= transition[:, states[:going_on, t + 1]].T
+        states[:m, t] = _categorical_rows(rng, w)
     return states
 
 
@@ -266,7 +313,7 @@ def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarr
 
 def _gibbs_step(
     params: HmmParams,
-    groups: list[tuple[np.ndarray, np.ndarray]],
+    chunks: list[Chunk],
     prior: HmmPrior,
     rng: np.random.Generator,
 ) -> tuple[HmmParams, np.ndarray]:
@@ -275,25 +322,24 @@ def _gibbs_step(
     from the filter the draw runs on; after a zero one, only evidences."""
     k, v = params.n_states, params.vocab_size
     init_counts = np.zeros(k)
-    trans_counts = np.zeros((k, k))
-    emit_counts = np.zeros((k, v))
-    log_ev = np.full(sum(len(idx) for idx, _ in groups), np.nan)
-    for idx, batch in groups:
-        alpha, scaling = _forward_batch(params, batch)
+    trans_counts = np.zeros(k * k)
+    emit_counts = np.zeros(k * v)
+    log_ev = np.full(sum(len(idx) for idx, _, _ in chunks), np.nan)
+    for idx, batch, lengths in chunks:
+        alpha, scaling = _forward_batch(params, batch, lengths)
         log_ev[idx] = _summed_log_scalings(scaling)
         if (log_ev == -np.inf).any():
             continue
-        states = _sample_states(params.transition, alpha, rng)
+        states = _sample_states(params.transition, alpha, lengths, rng)
         init_counts += np.bincount(states[:, 0], minlength=k)
-        if batch.shape[1] > 1:
-            pairs = states[:, :-1].reshape(-1) * k + states[:, 1:].reshape(-1)
-            trans_counts += np.bincount(pairs, minlength=k * k).reshape(k, k)
-        cells = states.reshape(-1) * v + batch.reshape(-1)
-        emit_counts += np.bincount(cells, minlength=k * v).reshape(k, v)
+        valid = _valid(lengths, batch.shape[1])
+        nxt = valid[:, 1:]
+        trans_counts += np.bincount(states[:, :-1][nxt] * k + states[:, 1:][nxt], minlength=k * k)
+        emit_counts += np.bincount(states[valid] * v + batch[valid], minlength=k * v)
     sample = HmmParams(
         initial=_dirichlet_rows(rng, (prior.initial + init_counts)[None, :])[0],
-        transition=_dirichlet_rows(rng, prior.transition + trans_counts),
-        emission=_dirichlet_rows(rng, prior.emission + emit_counts),
+        transition=_dirichlet_rows(rng, prior.transition + trans_counts.reshape(k, k)),
+        emission=_dirichlet_rows(rng, prior.emission + emit_counts.reshape(k, v)),
     )
     return sample, log_ev
 
@@ -309,19 +355,20 @@ def gibbs_fit(
     sequences = sequences_of(train)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
-    groups = _group_by_length(sequences)
+    chunks = _chunks(sequences, params.n_states)
     return training.best_of_gibbs(
         params,
-        lambda p, rng: _gibbs_step(p, groups, prior, rng),
-        lambda p: log_evidences(p, sequences),
+        lambda p, rng: _gibbs_step(p, chunks, prior, rng),
+        lambda p: _chunk_evidences(p, chunks),
         lambda best: em_fit(best, sequences, EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol)),
         config,
     )
 
 
-def _score_batch(params: HmmParams, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log evidences (B,) of an equal-length batch and the unnormalized
-    weights (B, n, V) of every candidate symbol at every position.
+def _score_batch(params: HmmParams, batch: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log evidences (B,) of a chunk and the unnormalized weights of every
+    candidate symbol at every position its lines hold, one (V,) row per
+    position, line by line in chunk order.
 
     The evidences come from the forward pass's scalings. Row i combines the
     filtered prefix message P(z_i | x_{1:i-1}) with a backward message
@@ -329,36 +376,39 @@ def _score_batch(params: HmmParams, batch: np.ndarray) -> tuple[np.ndarray, np.n
     i; one forward and one backward pass give every row. A prefix of zero
     evidence leaves its rows zero.
     """
-    b, n = batch.shape
-    alpha, scaling = _forward_batch(params, batch)
+    n = batch.shape[1]
+    alpha, scaling = _forward_batch(params, batch, lengths)
     state_in = np.empty_like(alpha)
     state_in[:, 0] = params.initial
     state_in[:, 1:] = alpha[:, :-1] @ params.transition
     emission_t = params.emission.T
+    live = _live_rows(lengths, n)
     # suffix messages, self-normalized so they never divide by prefix scalings
     beta = np.ones_like(alpha)
     for i in range(n - 2, -1, -1):
-        msg = (emission_t[batch[:, i + 1]] * beta[:, i + 1]) @ params.transition.T
+        m = live[i + 1]
+        msg = (emission_t[batch[:m, i + 1]] * beta[:m, i + 1]) @ params.transition.T
         total = msg.sum(axis=1)
-        beta[:, i] = msg / np.where(total > 0.0, total, 1.0)[:, None]
-    return _summed_log_scalings(scaling), (state_in * beta) @ params.emission
+        beta[:m, i] = msg / np.where(total > 0.0, total, 1.0)[:, None]
+    return _summed_log_scalings(scaling), (state_in * beta)[_valid(lengths, n)] @ params.emission
 
 
 def score(params: HmmParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Each sequence's log evidence and its ``predict_distributions`` rows, in
-    corpus order, from one forward and one backward pass per length group."""
+    corpus order, from one forward and one backward pass per chunk."""
     log_ev = np.empty(len(seqs))
     rows: list = [None] * len(seqs)
-    for idx, batch in _group_by_length(seqs):
-        log_ev[idx], weights = _score_batch(params, batch)
-        for i, group_rows in zip(idx.tolist(), _normalize_predictions(weights)):
-            rows[i] = group_rows
+    for idx, batch, lengths in _chunks(seqs, params.n_states):
+        log_ev[idx], weights = _score_batch(params, batch, lengths)
+        line_rows = np.split(_normalize_predictions(weights), np.cumsum(lengths)[:-1])
+        for i, chunk_rows in zip(idx.tolist(), line_rows):
+            rows[i] = chunk_rows
     return log_ev, rows
 
 
 def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:
     """Distribution of the symbol at 1-based ``position`` given the others."""
-    return _position_distribution(seq, position, lambda s, i: _score_batch(params, s[None])[1][0, i])
+    return _position_distribution(seq, position, lambda s, i: _score_batch(params, s[None], np.array([len(s)]))[1][i])
 
 
 def from_markov(model: MarkovModel) -> HmmParams:

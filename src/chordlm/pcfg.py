@@ -24,7 +24,7 @@ import numpy as np
 
 from . import training
 from .corpus import EncodedDataset
-from .hmm import HmmParams, _dirichlet_rows, _group_by_length, _normalize_rows
+from .hmm import HmmParams, _dirichlet_rows, _normalize_rows
 from .markov import _normalize_predictions, _position_distribution
 from .training import GibbsTrace, sequences_of
 
@@ -406,6 +406,19 @@ def _outside_batch(
         as_right[:, wp - 1:, 1:wp] += f * (sibling_left @ product)
     as_left[:, :, 1], out_scale[:, 1] = _normalize(as_left[:, :, 1] + as_right[:, :, 1], out_scale[:, 1])
     return as_left, out_scale
+
+
+def _group_by_length(sequences: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(corpus indices, stacked sequences) of each length, in ascending
+    length order."""
+    by_len: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_len.setdefault(len(seq), []).append(i)
+    groups = []
+    for length in sorted(by_len):
+        idx = np.asarray(by_len[length], dtype=np.int64)
+        groups.append((idx, np.stack([sequences[i] for i in idx])))
+    return groups
 
 
 def _batches(sequences: list[np.ndarray], d: int):

@@ -130,6 +130,23 @@ def hmm_expected_counts_reference(params, seqs):
     return initial, transition, emission, log_ev
 
 
+def hmm_state_draw_reference(transition: np.ndarray, filters: list[np.ndarray], rng) -> list[np.ndarray]:
+    """Backward state draws of lines given in a chunk's order, longest first,
+    from their (n_i, K) forward filters, one uniform at a time: at step t each
+    line longer than t draws in turn, from its filter alone at its last
+    position and from the filter times the transitions into the state drawn
+    at t + 1 before it."""
+    states = [np.empty(len(f), dtype=np.int64) for f in filters]
+    for t in range(max(len(f) for f in filters) - 1, -1, -1):
+        for f, path in zip(filters, states):
+            if len(f) <= t:
+                continue
+            w = f[t] if t == len(f) - 1 else f[t] * transition[:, path[t + 1]]
+            cdf = np.cumsum(w)
+            path[t] = int((rng.random() * cdf[-1] >= cdf).sum())
+    return states
+
+
 def hmm_prediction_weights_reference(params, seq) -> np.ndarray:
     """Unnormalized candidate weights at every position of one sequence, one
     position at a time: the filtered prefix message times a suffix message

@@ -333,6 +333,21 @@ def test_sweep_records_partial_failures(prepared, tmp_path):
     assert rows[0]["error"] != ""
 
 
+def test_sweep_quotes_an_error_that_holds_a_comma(prepared, monkeypatch):
+    cfg, _ = prepared
+
+    def fail(*args):
+        raise ValueError("a, b")
+
+    monkeypatch.setattr(cli, "_train_cell", fail)
+    with open(cli.cmd_sweep(cfg), encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 2
+    for row in rows:
+        assert list(row) == cli.CSV_HEADER  # no extra column
+        assert row["error"] == "ValueError: a, b"
+
+
 @pytest.mark.parametrize(
     "change",
     [{"corpus": "other.txt"}, {"vocab_k": 5}, {"test_count": 5}, {"data_seed": 1}, {"train_sizes": [7]}],

@@ -17,6 +17,7 @@ from oracles import (
     hmm_forward_backward_reference,
     hmm_gamma,
     hmm_prediction_weights_reference,
+    hmm_state_draw_reference,
     hmm_xi,
     make_dataset,
     random_stochastic,
@@ -150,7 +151,7 @@ def test_batched_evidences_match_reference_per_line(k):
     got = hmm.log_evidences(params, seqs)
     dead = [i for i, seq in enumerate(seqs) if (seq == 6).any()]
     assert 0 < len(dead) < len(seqs)
-    assert len(hmm._group_by_length(seqs)) == 20
+    assert len({len(seq) for seq in seqs}) == 20
     for i, seq in enumerate(seqs):
         want = hmm_forward_backward_reference(params, seq)[3]
         if i in dead:
@@ -176,10 +177,10 @@ def test_batched_prediction_rows_match_per_line_rows(k):
     rng = np.random.default_rng(44 + k)
     params = with_dead_symbol(random_params(rng, k, 7))
     seqs = mixed_lines(rng, 7, 60)
-    for idx, batch in hmm._group_by_length(seqs):
-        log_ev, weights = hmm._score_batch(params, batch)
+    for idx, batch, lengths in hmm._chunks(seqs, k):
+        log_ev, weights = hmm._score_batch(params, batch, lengths)
         np.testing.assert_array_equal(log_ev, hmm.log_evidences(params, [seqs[i] for i in idx]))
-        for i, rows in zip(idx, weights):
+        for i, rows in zip(idx, np.split(weights, np.cumsum(lengths)[:-1])):
             np.testing.assert_allclose(rows, hmm_prediction_weights_reference(params, seqs[i]), rtol=1e-12, atol=0)
     live = [seq for seq in seqs if not (seq == 6).any()]
     log_ev, rows = params.score(live)
@@ -193,25 +194,110 @@ def test_e_step_counts_match_the_per_line_reference(k):
     rng = np.random.default_rng(47 + k)
     params = random_params(rng, k, 6)
     seqs = mixed_lines(rng, 6, 80)
-    groups = hmm._group_by_length(seqs)
-    assert len(groups) == 20
-    for got, want in zip(hmm._e_step(params, groups), hmm_expected_counts_reference(params, seqs)):
+    chunks = hmm._chunks(seqs, k)
+    assert len({len(seq) for seq in seqs}) == 20
+    for got, want in zip(hmm._e_step(params, chunks), hmm_expected_counts_reference(params, seqs)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     # with a zero-evidence line in some batch, the E-step returns evidences only
     dead = with_dead_symbol(params)
     want = hmm_expected_counts_reference(dead, seqs)[3]
     assert 0 < (want == -np.inf).sum() < len(seqs)
-    np.testing.assert_allclose(hmm._e_step(dead, groups)[3], want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(hmm._e_step(dead, chunks)[3], want, rtol=1e-12, atol=0)
 
 
-def test_evaluate_model_runs_one_forward_pass_per_length_group(monkeypatch):
+def with_dead_padding_id(params: HmmParams) -> HmmParams:
+    """The same model with symbol 0, the id that pads a chunk, never emitted."""
+    emission = params.emission.copy()
+    emission[:, 0] = 0.0
+    return HmmParams(params.initial, params.transition, emission / emission.sum(axis=1, keepdims=True))
+
+
+def normalized(weights: np.ndarray) -> np.ndarray:
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [2, 12, 100])
+def test_chunks_match_the_per_line_references(k, monkeypatch):
+    rng = np.random.default_rng(60 + k)
+    params = random_params(rng, k, 7)
+    dead = with_dead_padding_id(params)
+    seqs = mixed_lines(rng, 7, 90)
+    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 15 * k)  # lines of 16 to 20 chords run alone
+    chunks = hmm._chunks(seqs, k)
+    order = np.concatenate([idx for idx, _, _ in chunks])
+    assert sorted(order.tolist()) == list(range(len(seqs)))
+    lengths = [len(seqs[i]) for i in order]
+    assert lengths == sorted(lengths, reverse=True)
+    for a, b in zip(order, order[1:]):
+        assert len(seqs[a]) > len(seqs[b]) or a < b  # a stable sort
+    for idx, batch, chunk_lengths in chunks:
+        assert chunk_lengths.tolist() == [len(seqs[i]) for i in idx]
+        for i, row in zip(idx, batch):
+            np.testing.assert_array_equal(row[: len(seqs[i])], seqs[i])
+    assert len(chunks) > 1
+    assert [len(idx) for idx, batch, _ in chunks if batch.shape[1] > 15] == [1] * sum(len(s) > 15 for s in seqs)
+
+    # every line live, then symbol 0 dead: lines that hold it have zero
+    # evidence, and the others are padded with it
+    live = [seq for seq in seqs if not (seq == 0).any()]
+    assert 0 < len(live) < len(seqs)
+    assert any(chunk_lengths.min() < batch.shape[1] for _, batch, chunk_lengths in hmm._chunks(live, k))
+    for model, lines in [(params, seqs), (dead, live)]:
+        want = hmm_expected_counts_reference(model, lines)
+        for got, w in zip(hmm._e_step(model, hmm._chunks(lines, k)), want):
+            np.testing.assert_allclose(got, w, rtol=1e-12, atol=0)
+        log_ev, rows = model.score(lines)
+        np.testing.assert_array_equal(log_ev, model.log_evidences(lines))
+        np.testing.assert_allclose(log_ev, want[3], rtol=1e-12, atol=0)
+        for seq, seq_rows in zip(lines, rows):
+            np.testing.assert_allclose(seq_rows, normalized(hmm_prediction_weights_reference(model, seq)), rtol=1e-12)
+    want = hmm_expected_counts_reference(dead, seqs)[3]
+    np.testing.assert_allclose(dead.log_evidences(seqs), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(hmm._e_step(dead, chunks)[3], want, rtol=1e-12, atol=0)
+
+
+def test_gibbs_draws_one_uniform_per_live_row_in_chunk_order(monkeypatch):
+    rng = np.random.default_rng(63)
+    params = with_dead_padding_id(random_params(rng, 3, 5))
+    seqs = [seq for seq in mixed_lines(rng, 5, 70) if not (seq == 0).any()]
+    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 3 * 40)
+    chunks = hmm._chunks(seqs, 3)
+    assert len(chunks) > 1
+    draws, want = np.random.default_rng(5), np.random.default_rng(5)
+    state_counts = np.zeros(3, dtype=np.int64)
+    for _, batch, lengths in chunks:
+        alpha, _ = hmm._forward_batch(params, batch, lengths)
+        got = hmm._sample_states(params.transition, alpha, lengths, draws)
+        paths = hmm_state_draw_reference(params.transition, [a[:n] for a, n in zip(alpha, lengths)], want)
+        for row, path in zip(got, paths):
+            np.testing.assert_array_equal(row[: len(path)], path)
+            state_counts += np.bincount(path, minlength=3)
+    assert draws.random() == want.random()
+    # the counts a sweep draws its parameters from hold the lines' positions only
+    concentrations = []
+    dirichlet_rows = hmm._dirichlet_rows
+    monkeypatch.setattr(hmm, "_dirichlet_rows", lambda r, c: concentrations.append(c) or dirichlet_rows(r, c))
+    prior = HmmPrior.symmetric(3, 5, alpha=0.5)
+    hmm._gibbs_step(params, chunks, prior, np.random.default_rng(5))
+    priors = (prior.initial[None], prior.transition, prior.emission)
+    initial, transition, emission = (c - p for c, p in zip(concentrations, priors))
+    tokens = sum(len(seq) for seq in seqs)
+    assert initial.sum() == len(seqs)
+    assert transition.sum() == tokens - len(seqs)
+    np.testing.assert_array_equal(emission.sum(axis=0), np.bincount(np.concatenate(seqs), minlength=5))
+    np.testing.assert_array_equal(emission.sum(axis=1), state_counts)
+
+
+def test_evaluate_model_runs_one_forward_pass_per_chunk(monkeypatch):
     rng = np.random.default_rng(45)
     params = random_params(rng, 6, 5)
     seqs = mixed_lines(rng, 5, 50)
-    groups = len(hmm._group_by_length(seqs))
+    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 6 * 60)
+    chunks = len(hmm._chunks(seqs, 6))
+    assert chunks > 1
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     evaluate.evaluate_model(params, seqs)
-    assert calls[0] == groups  # evidences and prediction rows from one pass
+    assert calls[0] == chunks  # evidences and prediction rows from one pass
 
 
 # ----------------------------------------------------------------------- EM
@@ -276,11 +362,11 @@ def test_gibbs_defaults():
 def test_gibbs_rows_valid_every_iteration():
     rng = np.random.default_rng(0)
     data = make_dataset(["a b a b", "b a", "a a b"], symbols=["a", "b"])
-    groups = hmm._group_by_length(data.sequences)
+    chunks = hmm._chunks(data.sequences, 2)
     prior = HmmPrior.symmetric(2, 2)
     params = hmm.init_random(2, 2, seed=3)
     for _ in range(25):
-        params, _ = hmm._gibbs_step(params, groups, prior, rng)
+        params, _ = hmm._gibbs_step(params, chunks, prior, rng)
         params.validate(tol=1e-9)
 
 
@@ -306,11 +392,11 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
     prior = HmmPrior.symmetric(3, 4)
     init = hmm.init_random(3, 4, seed=8)
     cfg = GibbsConfig(n_samples=12, polish_iters=4, seed=17, rel_tol=0.0)
-    groups = hmm._group_by_length(seqs)
+    chunks = hmm._chunks(seqs, 3)
     fitted, trace, _ = hmm.gibbs_fit(init, seqs, prior, cfg)
     want, want_samples, want_polish = best_of_gibbs_reference(
         init,
-        lambda p, r: hmm._gibbs_step(p, groups, prior, r),
+        lambda p, r: hmm._gibbs_step(p, chunks, prior, r),
         lambda p: hmm.log_evidence_total(p, seqs),
         lambda best: hmm.em_fit(best, seqs, EmConfig(max_iter=cfg.polish_iters, rel_tol=cfg.rel_tol)),
         cfg.n_samples,
@@ -322,16 +408,18 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
         assert np.array_equal(getattr(fitted, name), getattr(want, name))
 
 
-def test_gibbs_fit_runs_one_forward_pass_per_group_and_sample(monkeypatch):
+def test_gibbs_fit_runs_one_forward_pass_per_chunk_and_sample(monkeypatch):
     rng = np.random.default_rng(47)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(1, 7, size=20)]
-    groups = len(hmm._group_by_length(seqs))
+    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 2 * 12)
+    chunks = len(hmm._chunks(seqs, 2))
+    assert chunks > 1
     cfg = GibbsConfig(n_samples=7, polish_iters=3, seed=2, rel_tol=0.0)
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     _, trace, _ = hmm.gibbs_fit(hmm.init_random(2, 3, seed=1), seqs, HmmPrior.symmetric(2, 3), cfg)
     assert len(trace.polish_trace) == cfg.polish_iters + 1  # E-steps, then the capped end's evidence
     # each sample's draw, the last sample's evidence, and the polish
-    assert calls[0] == groups * (cfg.n_samples + 1 + len(trace.polish_trace))
+    assert calls[0] == chunks * (cfg.n_samples + 1 + len(trace.polish_trace))
 
 
 def test_gibbs_single_state_posterior_mean():
@@ -343,10 +431,10 @@ def test_gibbs_single_state_posterior_mean():
     post = prior.emission[0] + counts
     want = post / post.sum()
     draws = []
-    groups = hmm._group_by_length(data.sequences)
+    chunks = hmm._chunks(data.sequences, 1)
     for seed in range(400):
         rng = np.random.default_rng(seed)
-        params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), groups, prior, rng)
+        params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), chunks, prior, rng)
         draws.append(params.emission[0])
     mean = np.mean(draws, axis=0)
     # 400 draws, Dirichlet sd ~ 0.22/sqrt(400) ~ 0.011; allow 4 sigma

@@ -117,9 +117,11 @@ def test_pcfg_em_cell_runs_one_inside_pass_per_batch_and_iteration(prepared, mon
     assert calls[0] == (cfg.em_max_iter + 1) * batches + len(list(pcfg._batches(test, 2)))
 
 
-def test_hmm_em_cell_runs_one_forward_pass_per_group_and_iteration(prepared, monkeypatch):
+def test_hmm_em_cell_runs_one_forward_pass_per_chunk_and_iteration(prepared, monkeypatch):
     cfg, meta, train, test = prepared
+    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 2 * 2 * 7)  # two lines of 7 chords per chunk at K=2
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     _run(cfg, meta, "hmm", "em")
-    groups = len(hmm._group_by_length(train))
-    assert calls[0] == (cfg.em_max_iter + 1) * groups + len(hmm._group_by_length(test))
+    chunks = len(hmm._chunks(train, 2))
+    assert chunks > 1
+    assert calls[0] == (cfg.em_max_iter + 1) * chunks + len(hmm._chunks(test, 2))
