@@ -117,6 +117,11 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     return meta
 
 
+# the keys of the meta.json that `prepare` writes
+PREPARED_KEYS = ("config", "corpus_sha256", "n_sequences", "vocab_size", "test_count", "train_sizes",
+                 "mean_train_length")
+
+
 def _prepared_data(meta: dict) -> dict:
     """The data a prepared directory holds: the sha256 of the corpus bytes and
     the data fields as `prepare` resolved them."""
@@ -135,7 +140,15 @@ def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
     meta_path = Path(cfg.out_dir) / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found; run `chordlm prepare` first")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{meta_path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} does not hold a JSON object; run `chordlm prepare` again")
+    for key in PREPARED_KEYS:
+        if key not in meta:
+            raise ValueError(f"{meta_path} lacks the key {key!r}; run `chordlm prepare` again")
     data = _prepared_data(meta)
     for name in DATA_FIELDS:
         value = getattr(cfg, name)
@@ -325,6 +338,18 @@ def cmd_sweep(cfg: ExperimentConfig, given: Collection[str] = DATA_FIELDS) -> Pa
 # ------------------------------------------------------------------ analyze
 
 
+def _load_model_and_vocabulary(model_path: str, vocab_path: str) -> tuple:
+    """A model and its vocabulary, which must be of the model's size and, where
+    the model records a vocabulary hash, have that hash."""
+    model, recorded_hash = model_io.load_model(model_path)
+    vocab = Vocabulary.load(vocab_path)
+    if recorded_hash is not None and recorded_hash != vocab.content_hash():
+        raise ValueError("vocabulary does not match the one the model was trained on")
+    if model.vocab_size != vocab.size:
+        raise ValueError(f"model {model_path} has {model.vocab_size} symbols, vocabulary {vocab_path} has {vocab.size}")
+    return model, vocab
+
+
 def _top_symbols(row: np.ndarray, vocab: Vocabulary, top: int) -> list[dict]:
     order = np.argsort(-row, kind="stable")[: min(top, len(row))]
     return [
@@ -335,10 +360,7 @@ def _top_symbols(row: np.ndarray, vocab: Vocabulary, top: int) -> list[dict]:
 
 
 def cmd_analyze(model_path: str, vocab_path: str, threshold: float) -> dict:
-    model, recorded_hash = model_io.load_model(model_path)
-    vocab = Vocabulary.load(vocab_path)
-    if recorded_hash is not None and recorded_hash != vocab.content_hash():
-        raise ValueError("vocabulary does not match the one the model was trained on")
+    model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
     if isinstance(model, markov.MarkovModel):
         raise ValueError("Markov models have no latent structure to analyze")
 
@@ -415,18 +437,15 @@ def cmd_generate(
     length: int | None,
     trees: bool = False,
 ) -> list[str]:
-    model, recorded_hash = model_io.load_model(model_path)
-    vocab = Vocabulary.load(vocab_path)
-    if recorded_hash is not None and recorded_hash != vocab.content_hash():
-        raise ValueError("vocabulary does not match the one the model was trained on")
+    model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
     lines = []
     if isinstance(model, pcfg.PcfgParams):
         if length is not None:
             raise ValueError("grammar sampling determines its own length; drop --length")
         for i in range(count):
-            tree, ids = pcfg.sample_tree(model, seed=cell_seed(str(seed), "generate", i))
+            derivation, ids = pcfg.sample_tree(model, seed=cell_seed(str(seed), "generate", i))
             if trees:
-                lines.append(tree.to_bracketed(vocab.symbols))
+                lines.append(pcfg.bracketed(derivation, model.n_nonterminals, vocab.symbols))
             else:
                 lines.append(" ".join(vocab.symbols[int(x)] for x in ids))
         return lines

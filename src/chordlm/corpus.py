@@ -75,16 +75,19 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        if not lines or lines[0] != VOCAB_MAGIC:
-            raise ValueError(f"not a vocabulary file (missing {VOCAB_MAGIC!r} header)")
+            lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(fh, 1) if ln.strip()]
+        if not lines or lines[0][1] != VOCAB_MAGIC:
+            raise ValueError(f"{path} is not a vocabulary file (missing {VOCAB_MAGIC!r} header)")
         symbols, counts = [], []
-        for ln in lines[1:]:
-            ident, sym, cnt = ln.split("\t")
-            if int(ident) != len(symbols):
-                raise ValueError(f"non-dense vocabulary ids near line {ln!r}")
+        for number, ln in lines[1:]:
+            try:  # id, symbol and count, tab-separated
+                ident, sym, cnt = ln.split("\t")
+                if int(ident) != len(symbols):
+                    raise ValueError(f"id {ident} is not the next dense id {len(symbols)}")
+                counts.append(int(cnt))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
             symbols.append(sym)
-            counts.append(int(cnt))
         return cls(symbols=symbols, counts=counts)
 
 

@@ -47,10 +47,6 @@ class HmmParams:
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
 
-    def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
-        """Row i is ``predict_distribution(seq, i + 1)``; shape (len(seq), V)."""
-        return score(self, [np.asarray(seq)])[1][0]
-
 
 @dataclass
 class HmmPrior:
@@ -394,7 +390,7 @@ def _score_batch(params: HmmParams, batch: np.ndarray, lengths: np.ndarray) -> t
 
 
 def score(params: HmmParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each sequence's log evidence and its ``predict_distributions`` rows, in
+    """Each sequence's log evidence and its rows of ``predict_distribution``, in
     corpus order, from one forward and one backward pass per chunk."""
     log_ev = np.empty(len(seqs))
     rows: list = [None] * len(seqs)

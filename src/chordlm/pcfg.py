@@ -97,10 +97,6 @@ class PcfgParams:
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
 
-    def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
-        """Row i is ``predict_distribution(seq, i + 1)``; shape (len(seq), V)."""
-        return next(self.score([np.asarray(seq)])[1])
-
 
 @dataclass
 class PcfgPrior:
@@ -122,36 +118,6 @@ class PcfgPrior:
             rules=np.full((d, d, d), alpha),
             emissions=np.full((d, vocab_size), alpha),
         )
-
-
-@dataclass
-class DerivationTree:
-    """Binary derivation tree; internal nodes either emit one terminal or
-    expand into exactly two children."""
-
-    head: int  # nonterminal id, or START for the start symbol
-    terminal: int | None = None
-    left: "DerivationTree | None" = None
-    right: "DerivationTree | None" = None
-
-    def yield_ids(self) -> np.ndarray:
-        out: list[int] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.terminal is not None:
-                out.append(node.terminal)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return np.asarray(out, dtype=np.int64)
-
-    def to_bracketed(self, symbols: list[str] | None = None) -> str:
-        name = "S" if self.head == START else f"z{self.head}"
-        if self.terminal is not None:
-            term = symbols[self.terminal] if symbols else f"t{self.terminal}"
-            return f"({name} {term})"
-        return f"({name} {self.left.to_bracketed(symbols)} {self.right.to_bracketed(symbols)})"
 
 
 # the shared training configs, with grammar defaults and a training length cap
@@ -256,10 +222,10 @@ def strict_embed_hmm(params: HmmParams, end_prob: np.ndarray) -> PcfgParams:
 
 # ------------------------------------------------------------------ charts
 
-# Upper bound on the floats one chart batch keeps: per sequence of length n,
-# D^2 n (n - 1) / 2 in the pair matrices and 4 D n (n + 1) in the inside and
-# outside charts. An equal-length group that would exceed it runs as several
-# batches, and a longer sequence runs alone.
+# Upper bound on the floats one chart batch holds at its peak: per sequence of
+# length n, 4 D n (n + 1) in the inside and outside charts plus D^2 (n - 1) in
+# the pair matrices of one span width. An equal-length group that would exceed
+# it runs as several batches, and a longer sequence runs alone.
 MAX_BATCH_FLOATS = 1 << 17
 
 
@@ -271,17 +237,14 @@ class _ChartBatch:
     ``by_start[k, i, w]`` and ``by_end[k, j, w]``, so the left children of
     every split of a width are one slice of the first and the right children
     one slice of the second. Its true value is the stored one times
-    ``exp(scale[k, w])``. ``pairs[w]`` (B, n - w + 1, D^2) holds, for each
-    span of width w by start, the split-summed outer products of its two
-    children's inside vectors, scaled by ``exp(pair_scale[k, w])``. A scale
-    of -inf marks an all-zero width.
+    ``exp(scale[k, w])``; a scale of -inf marks an all-zero width. The pass
+    keeps no pair matrices: ``_chart_pairs`` rebuilds any width's from the
+    finished chart.
     """
 
     by_start: np.ndarray      # (B, n, n + 1, D)
     by_end: np.ndarray        # (B, n, n + 1, D)
     scale: np.ndarray         # (B, n + 1)
-    pairs: list
-    pair_scale: np.ndarray    # (B, n + 1)
     log_evidence: np.ndarray  # (B,)
 
 
@@ -327,6 +290,13 @@ def _width_pairs(left: np.ndarray, right: np.ndarray, scale: np.ndarray, w: int)
     return (left.transpose(0, 1, 3, 2) @ right).reshape(n_seq, count, d * d), m_comb
 
 
+def _chart_pairs(by_start: np.ndarray, by_end: np.ndarray, scale: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_width_pairs`` of the spans of width w of an inside chart batch, whose
+    widths below w are done."""
+    count = by_start.shape[1] - w + 1
+    return _width_pairs(by_start[:, :count, 1:w], by_end[:, w - 1:, w - 1:0:-1], scale, w)
+
+
 def _inside_batch(params: PcfgParams, batch: np.ndarray) -> _ChartBatch:
     """Inside charts of equal-length sequences, stacked as (B, n); O(n^3 D^3)
     time per sequence."""
@@ -338,22 +308,19 @@ def _inside_batch(params: PcfgParams, batch: np.ndarray) -> _ChartBatch:
     by_start = np.zeros((n_seq, n, n + 1, d))
     by_end = np.zeros((n_seq, n, n + 1, d))
     scale = np.full((n_seq, n + 1), -np.inf)
-    pair_scale = np.full((n_seq, n + 1), -np.inf)
-    pairs: list = [None] * (n + 1)
 
     band, scale[:, 1] = _normalize(params.emissions.T[batch], np.zeros(n_seq))
     by_start[:, :, 1] = by_end[:, :, 1] = band
     for w in range(2, n + 1):
-        count = n - w + 1
-        pairs[w], pair_scale[:, w] = _width_pairs(by_start[:, :count, 1:w], by_end[:, w - 1:, w - 1:0:-1], scale, w)
-        cells, scale[:, w] = _normalize(pairs[w] @ rules_t, pair_scale[:, w])
-        by_start[:, :count, w] = by_end[:, w - 1:, w] = cells
+        pairs, pair_scale = _chart_pairs(by_start, by_end, scale, w)
+        cells, scale[:, w] = _normalize(pairs @ rules_t, pair_scale)
+        by_start[:, :n - w + 1, w] = by_end[:, w - 1:, w] = cells
 
     if n == 1:
         top, top_scale = params.start_emissions[batch[:, 0]], np.zeros(n_seq)
-    else:
-        top, top_scale = pairs[n][:, 0] @ params.start_rules.reshape(-1), pair_scale[:, n]
-    return _ChartBatch(by_start, by_end, scale, pairs, pair_scale, _log_scaled(top, top_scale))
+    else:  # the pairs of the last width, n
+        top, top_scale = pairs[:, 0] @ params.start_rules.reshape(-1), pair_scale
+    return _ChartBatch(by_start, by_end, scale, _log_scaled(top, top_scale))
 
 
 def _outside_batch(
@@ -408,28 +375,18 @@ def _outside_batch(
     return as_left, out_scale
 
 
-def _group_by_length(sequences: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(corpus indices, stacked sequences) of each length, in ascending
-    length order."""
+def _batches(sequences: list[np.ndarray], d: int):
+    """(corpus indices, stacked sequences) of equal length, in ascending length
+    order, each holding at most MAX_BATCH_FLOATS floats at its peak (at least
+    one sequence)."""
     by_len: dict[int, list[int]] = {}
     for i, seq in enumerate(sequences):
         by_len.setdefault(len(seq), []).append(i)
-    groups = []
-    for length in sorted(by_len):
-        idx = np.asarray(by_len[length], dtype=np.int64)
-        groups.append((idx, np.stack([sequences[i] for i in idx])))
-    return groups
-
-
-def _batches(sequences: list[np.ndarray], d: int):
-    """(corpus indices, stacked sequences) of equal length, in ascending length
-    order, each keeping at most MAX_BATCH_FLOATS floats (at least one
-    sequence)."""
-    for idx, batch in _group_by_length(sequences):
-        n = batch.shape[1]
-        size = max(1, MAX_BATCH_FLOATS // (d * d * n * (n - 1) // 2 + 4 * d * n * (n + 1)))
+    for n in sorted(by_len):
+        idx = np.asarray(by_len[n], dtype=np.int64)
+        size = max(1, MAX_BATCH_FLOATS // (4 * d * n * (n + 1) + d * d * (n - 1)))
         for lo in range(0, len(idx), size):
-            yield idx[lo:lo + size], batch[lo:lo + size]
+            yield idx[lo:lo + size], np.stack([sequences[i] for i in idx[lo:lo + size]])
 
 
 def inside(params: PcfgParams, seq: np.ndarray) -> _ChartBatch:
@@ -457,7 +414,8 @@ def _e_step(params: PcfgParams, sequences: list[np.ndarray]):
 
     The rule counts of width w come from one matrix product per batch: each
     parent's outside vector, weighted by its share of the evidence, against
-    the pair matrix the inside pass kept for that width.
+    that width's pair matrix, rebuilt from the inside chart; the start counts
+    take the pair matrix of the whole sequence.
     """
     d, v = params.n_nonterminals, params.vocab_size
     start = np.zeros(d * d)
@@ -472,14 +430,18 @@ def _e_step(params: PcfgParams, sequences: list[np.ndarray]):
         denom = np.where(chart.log_evidence > -np.inf, chart.log_evidence, np.inf)
 
         if n > 1:
-            start += np.exp(chart.pair_scale[:, n] - denom) @ chart.pairs[n][:, 0]
+            pairs, pair_scale = _chart_pairs(chart.by_start, chart.by_end, chart.scale, n)
+            start += np.exp(pair_scale - denom) @ pairs[:, 0]
         contrib = out[:, :, 1] * params.emissions.T[batch] * np.exp(out_scale[:, 1] - denom)[:, None, None]
         np.add.at(emit_t, batch.reshape(-1), contrib.reshape(-1, d))
         for w in range(2, n):
-            f = np.exp(out_scale[:, w] + chart.pair_scale[:, w] - denom)
-            if f.any():
-                parent = (out[:, :n - w + 1, w] * f[:, None, None]).reshape(-1, d)
-                rules += parent.T @ chart.pairs[w].reshape(-1, d * d)
+            # a parent weighs nothing where its outside scale or the evidence is zero
+            if (out_scale[:, w] - denom == -np.inf).all():
+                continue
+            pairs, pair_scale = _chart_pairs(chart.by_start, chart.by_end, chart.scale, w)
+            f = np.exp(out_scale[:, w] + pair_scale - denom)
+            parent = (out[:, :n - w + 1, w] * f[:, None, None]).reshape(-1, d)
+            rules += parent.T @ pairs.reshape(-1, d * d)
     return (
         params.start_rules * start.reshape(d, d),
         params.rules * rules.reshape(d, d, d),
@@ -712,30 +674,48 @@ def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> 
 
 def sample_tree(
     params: PcfgParams, seed: int, max_expansions: int = DEFAULT_EXPANSION_CAP
-) -> tuple[DerivationTree, np.ndarray]:
-    """Ancestral top-down sampling of one derivation tree and its yield."""
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Ancestral top-down sampling of one derivation and its yield.
+
+    The derivation lists each node's (head, production) in preorder, left
+    child first; the start symbol's head is START. A production p < D^2
+    rewrites the head to (p // D, p % D), and p >= D^2 emits terminal p - D^2.
+    """
     rng = np.random.default_rng(seed)
     d = params.n_nonterminals
     start_cdf, cdfs = params.production_cdfs()
 
-    expansions = 0
-    root = DerivationTree(head=START)
-    stack = [root]
+    derivation: list[tuple[int, int]] = []
+    leaves: list[int] = []
+    stack = [START]
     while stack:
-        node = stack.pop()
-        expansions += 1
-        if expansions > max_expansions:
+        if len(derivation) == max_expansions:
             raise RuntimeError(
                 f"exceeded {max_expansions} expansions; the grammar is unlikely to terminate"
             )
-        cdf = start_cdf if node.head == START else cdfs[node.head]
-        choice = bisect_right(cdf, rng.random())
+        head = stack.pop()
+        choice = bisect_right(start_cdf if head == START else cdfs[head], rng.random())
+        derivation.append((head, choice))
         if choice < d * d:
-            zl, zr = divmod(choice, d)
-            node.left = DerivationTree(head=zl)
-            node.right = DerivationTree(head=zr)
-            stack.append(node.right)
-            stack.append(node.left)
+            stack.append(choice % d)
+            stack.append(choice // d)
         else:
-            node.terminal = choice - d * d
-    return root, root.yield_ids()
+            leaves.append(choice - d * d)
+    return derivation, np.asarray(leaves, dtype=np.int64)
+
+
+def bracketed(derivation: list[tuple[int, int]], d: int, symbols: list[str] | None = None) -> str:
+    """A ``sample_tree`` derivation over D nonterminals as a bracketed tree:
+    S names the start symbol, z<id> a nonterminal, and a terminal is its
+    symbol, or t<id> without ``symbols``. Built from the last node back, so a
+    binary node finds its left subtree on top of the stack and its right one
+    below it."""
+    stack: list[str] = []
+    for head, production in reversed(derivation):
+        name = "S" if head == START else f"z{head}"
+        if production < d * d:
+            stack.append(f"({name} {stack.pop()} {stack.pop()})")
+        else:
+            terminal = production - d * d
+            stack.append(f"({name} {symbols[terminal]})" if symbols else f"({name} t{terminal})")
+    return stack[0]

@@ -606,42 +606,33 @@ def sample_tree_reference(params, seed: int, max_expansions: int = 10_000):
     return text, np.asarray(leaves, dtype=np.int64)
 
 
-def tree_log_probability(params, tree) -> float:
-    """Log probability of one complete derivation tree."""
+def tree_log_probability(params, derivation) -> float:
+    """Log probability of one complete derivation, a preorder list of
+    (head, production) as ``pcfg.sample_tree`` returns it."""
+    d = params.rules.shape[0]
     total = 0.0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.terminal is not None:
-            row = params.start_emissions if node.head == START else params.emissions[node.head]
-            p = row[node.terminal]
+    for head, production in derivation:
+        if head == START:
+            row = np.concatenate([params.start_rules.reshape(-1), params.start_emissions])
         else:
-            table = params.start_rules if node.head == START else params.rules[node.head]
-            p = table[node.left.head, node.right.head]
-            stack.append(node.left)
-            stack.append(node.right)
-        if p <= 0.0:
+            row = np.concatenate([params.rules[head].reshape(-1), params.emissions[head]])
+        if row[production] <= 0.0:
             return -np.inf
-        total += float(np.log(p))
+        total += float(np.log(row[production]))
     return total
 
 
-def count_nodes(tree) -> tuple[int, int]:
+def count_nodes(derivation, d: int) -> tuple[int, int]:
     """(number of leaves, number of binary nonterminal productions) of a
-    derivation tree, the start production excluded."""
-    leaves = 0
-    binaries = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.terminal is not None:
-            leaves += 1
-        else:
-            if node.head != START:
-                binaries += 1
-            stack.append(node.left)
-            stack.append(node.right)
+    derivation over d nonterminals, the start production excluded."""
+    leaves = sum(production >= d * d for _, production in derivation)
+    binaries = sum(production < d * d and head != START for head, production in derivation)
     return leaves, binaries
+
+
+def rows_of_one(model, seq) -> np.ndarray:
+    """A model's prediction rows of one sequence: ``score`` of a batch of one."""
+    return next(iter(model.score([np.asarray(seq)])[1]))
 
 
 CSV_HEADER = "model,dataset,perplexity,error_rate,rmrr,n_symbols"

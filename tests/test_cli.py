@@ -460,6 +460,27 @@ def test_a_bad_encoded_id_names_its_file_and_line(sixty_lines, capsys, bad):
     assert len(rows) == 1 and rows[0]["error"].startswith(f"ValueError: {where}")
 
 
+@pytest.mark.parametrize(
+    "text, why",
+    [("{not json", "is not JSON"), ("[1]", "does not hold a JSON object"),
+     (None, "lacks the key 'train_sizes'")],
+    ids=["not-json", "not-an-object", "missing-key"],
+)
+def test_a_bad_meta_json_names_its_file(sixty_lines, capsys, text, why):
+    meta_path = Path("run") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert set(meta) == set(cli.PREPARED_KEYS)
+    if text is None:
+        del meta["train_sizes"]
+        text = json.dumps(meta)
+    meta_path.write_text(text)
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and f"{meta_path} {why}" in error["message"]
+
+
 def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys):
     # one tenth of 9 lines is no test line: prepare accepts that, training does not
     corpus = write_corpus(tmp_path / "nine.txt", np.random.default_rng(4), n_sequences=9)
@@ -549,6 +570,19 @@ def test_analyze_vocab_hash_mismatch(tmp_path):
     Vocabulary(symbols=["a", "Other"]).save(tmp_path / "v.txt")
     with pytest.raises(ValueError):
         cli.cmd_analyze(str(tmp_path / "m.model"), str(tmp_path / "v.txt"), 0.05)
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_a_model_and_a_vocabulary_of_other_sizes_are_refused(tmp_path, command):
+    # a model saved without a vocabulary hash is checked by its size alone
+    model_io.save_model(hmm.init_random(2, 5, 0), tmp_path / "m.model")
+    Vocabulary(symbols=["a", "Other"]).save(tmp_path / "v.txt")
+    paths = (str(tmp_path / "m.model"), str(tmp_path / "v.txt"))
+    with pytest.raises(ValueError, match="has 5 symbols, vocabulary .* has 2"):
+        if command == "analyze":
+            cli.cmd_analyze(*paths, 0.05)
+        else:
+            cli.cmd_generate(*paths, 2, 0, 4)
 
 
 # ---------------------------------------------------------------- generate

@@ -159,3 +159,25 @@ def test_vocabulary_save_load_round_trip(tmp_path):
     assert loaded.symbols == vocab.symbols
     assert loaded.counts == vocab.counts
     assert loaded.content_hash() == vocab.content_hash()
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [("2\tX", r"not enough values to unpack \(expected 3, got 2\)"), ("two\tX\t3", "invalid literal"),
+     ("2\tX\tmany", "invalid literal"), ("5\tX\t3", "not the next dense id 2")],
+    ids=["field-count", "id-not-an-int", "count-not-an-int", "non-dense-id"],
+)
+def test_a_malformed_vocabulary_line_names_its_file_and_line(tmp_path, bad, why):
+    path = tmp_path / "vocab.txt"
+    Vocabulary(symbols=["C", "Other"], counts=[3, 1]).save(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + bad + "\n")  # a blank line still counts toward the line number
+    with pytest.raises(ValueError, match=f"{path} line 5: .*{why}"):
+        Vocabulary.load(path)
+
+
+def test_a_file_without_the_vocabulary_header_is_named(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("0\tC\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{path} is not a vocabulary file"):
+        Vocabulary.load(path)

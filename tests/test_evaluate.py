@@ -6,7 +6,7 @@ import pytest
 from chordlm import evaluate, hmm, markov, pcfg
 from chordlm.hmm import HmmParams
 from chordlm.markov import MarkovModel
-from oracles import CSV_HEADER, csv_row, evidence_ratio_prediction, make_dataset, random_stochastic
+from oracles import CSV_HEADER, csv_row, evidence_ratio_prediction, make_dataset, random_stochastic, rows_of_one
 
 
 def uniform_markov(n_symbols: int) -> MarkovModel:
@@ -223,7 +223,7 @@ def test_evaluate_model_matches_per_position_oracle(make_model):
     assert evaluate.error_rate(model, TIED_SEQUENCES) == report.error_rate
     assert evaluate.rmrr(model, TIED_SEQUENCES) == report.rmrr
     for seq in TIED_SEQUENCES:
-        rows = model.predict_distributions(seq)
+        rows = rows_of_one(model, seq)
         for pos in range(1, len(seq) + 1):
             assert np.array_equal(rows[pos - 1], model.predict_distribution(seq, pos))
 
@@ -276,7 +276,7 @@ def test_score_matches_log_evidences_and_per_line_rows(make_model):
     log_ev, rows = model.score(TIED_SEQUENCES)
     assert list(log_ev) == list(model.log_evidences(TIED_SEQUENCES))
     for seq, got in zip(TIED_SEQUENCES, rows):
-        np.testing.assert_allclose(got, model.predict_distributions(seq), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, rows_of_one(model, seq), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("make_model", [_tied_markov, _tied_hmm, _tied_grammar])

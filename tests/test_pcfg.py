@@ -8,7 +8,6 @@ from chordlm.config import ExperimentConfig
 from chordlm.hmm import HmmParams
 from chordlm.pcfg import (
     START,
-    DerivationTree,
     EmConfig,
     GibbsConfig,
     PcfgParams,
@@ -28,6 +27,7 @@ from oracles import (
     pcfg_outside_reference,
     pcfg_outside_by_enumeration,
     random_stochastic,
+    rows_of_one,
     sample_tree_reference,
     square_chart,
     tree_log_probability,
@@ -304,15 +304,61 @@ def test_zero_evidence_sequence_in_live_batch():
 
 def test_expected_counts_over_several_batches_match_one_at_a_time():
     rng = np.random.default_rng(82)
-    g = random_grammar(rng, 12, 4)
-    seqs = [rng.integers(0, 4, size=10) for _ in range(25)] + [rng.integers(0, 4, size=3)]
-    batches = list(pcfg._batches(seqs, 12))
-    assert len(batches) > 2 and max(len(idx) for idx, _ in batches) > 1
-    start, rules, emit, log_ev = pcfg._e_step(g, seqs)
-    refs = [pcfg_expected_counts_reference(g, seq) for seq in seqs]
-    for got, k in ((start, 0), (rules, 1), (emit, 2)):
-        assert_close(got, sum(r[k] for r in refs))
-    assert_close(log_ev, [r[3] for r in refs])
+    for d in (12, 20):
+        g = random_grammar(rng, d, 4)
+        seqs = [rng.integers(0, 4, size=10) for _ in range(25)] + [rng.integers(0, 4, size=3)]
+        batches = list(pcfg._batches(seqs, d))
+        assert len(batches) > 2 and max(len(idx) for idx, _ in batches) > 1
+        start, rules, emit, log_ev = pcfg._e_step(g, seqs)
+        refs = [pcfg_expected_counts_reference(g, seq) for seq in seqs]
+        for got, k in ((start, 0), (rules, 1), (emit, 2)):
+            assert_close(got, sum(r[k] for r in refs))
+        assert_close(log_ev, [r[3] for r in refs])
+
+
+def test_e_step_rebuilds_the_pair_matrices_of_the_inside_pass(monkeypatch):
+    rng = np.random.default_rng(86)
+    g = random_grammar(rng, 4, 3)
+    calls = []
+    width_pairs = pcfg._width_pairs
+
+    def recorded(left, right, scale, w):
+        pairs, pair_scale = width_pairs(left, right, scale, w)
+        calls.append((w, pairs, pair_scale))
+        return pairs, pair_scale
+
+    monkeypatch.setattr(pcfg, "_width_pairs", recorded)
+    for n in (2, 3, 7):
+        seqs = [rng.integers(0, 3, size=n) for _ in range(5)]
+        assert len(list(pcfg._batches(seqs, 4))) == 1
+        calls.clear()
+        pcfg._e_step(g, seqs)
+        inside, rebuilt = calls[:n - 1], calls[n - 1:]
+        assert [w for w, _, _ in inside] == list(range(2, n + 1))
+        assert sorted(w for w, _, _ in rebuilt) == list(range(2, n + 1))
+        kept = {w: (pairs, pair_scale) for w, pairs, pair_scale in inside}
+        for w, pairs, pair_scale in rebuilt:
+            assert np.array_equal(pairs, kept[w][0])
+            assert np.array_equal(pair_scale, kept[w][1])
+
+
+def test_a_batch_holds_its_charts_and_one_widths_pairs_within_the_cap():
+    # each case's length group fills at least one batch
+    rng = np.random.default_rng(87)
+    for d, n, count in ((10, 12, 30), (20, 15, 8), (20, 20, 4)):
+        g = random_grammar(rng, d, 3)
+        seqs = [rng.integers(0, 3, size=n) for _ in range(count)] + [rng.integers(0, 3, size=4)]
+        multi_line = 0
+        for idx, batch in pcfg._batches(seqs, d):
+            if len(idx) == 1:
+                continue
+            multi_line += 1
+            chart = pcfg._inside_batch(g, batch)
+            out, _ = pcfg._outside_batch(g, chart.by_start, chart.by_end, chart.scale)
+            widest, _ = pcfg._chart_pairs(chart.by_start, chart.by_end, chart.scale, 2)
+            # the outside pass also holds its right-child sums, shaped like ``out``
+            assert chart.by_start.size + chart.by_end.size + 2 * out.size + widest.size <= pcfg.MAX_BATCH_FLOATS
+        assert multi_line > 0
 
 
 def test_gibbs_trees_do_not_depend_on_batching(monkeypatch):
@@ -450,7 +496,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop(monkeypatch):
     rng = np.random.default_rng(84)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 8, size=24)]
     batches = list(pcfg._batches(seqs, 3))
-    assert len(batches) > len(pcfg._group_by_length(seqs))
+    assert len(batches) > len({len(seq) for seq in seqs})
     prior = PcfgPrior.symmetric(3, 3)
     init = pcfg.init_random(3, 3, seed=4)
     cfg = GibbsConfig(n_samples=8, polish_iters=3, seed=6, rel_tol=0.0)
@@ -582,7 +628,7 @@ def test_predict_sums_to_one():
 
 
 def assert_batched_rows_match_per_line(g, seqs):
-    """``score``'s rows against per-line ``predict_distributions``. A
+    """``score``'s rows against each line's rows in a batch of one. A
     one-chord line raises when its turn comes, so it may only come last.
 
     With numpy 2.4 and OpenBLAS on x86-64 every row came out bit-identical;
@@ -595,7 +641,7 @@ def assert_batched_rows_match_per_line(g, seqs):
             with pytest.raises(ValueError, match="length >= 2"):
                 next(rows)
             break
-        np.testing.assert_allclose(next(rows), g.predict_distributions(seq), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(next(rows), rows_of_one(g, seq), rtol=1e-12, atol=0)
 
 
 def test_batched_rows_match_per_line_rows_on_mixed_lengths():
@@ -604,7 +650,9 @@ def test_batched_rows_match_per_line_rows_on_mixed_lengths():
     assert_batched_rows_match_per_line(g, [rng.integers(0, 4, size=n) for n in (5, 2, 7, 5, 3, 7, 2, 5, 1)])
 
 
-def test_batched_rows_match_per_line_rows_in_a_split_length_group():
+def test_batched_rows_match_per_line_rows_in_a_split_length_group(monkeypatch):
+    # two lines of 15 chords at D=20 per batch: 2 x (4 D n (n + 1) + D^2 (n - 1)) floats
+    monkeypatch.setattr(pcfg, "MAX_BATCH_FLOATS", 2 * (4 * 20 * 15 * 16 + 20 * 20 * 14))
     rng = np.random.default_rng(65)
     g = pcfg.init_random(20, 5, seed=66)
     seqs = [rng.integers(0, 5, size=15) for _ in range(5)]
@@ -633,7 +681,7 @@ def test_sample_tree_deterministic():
     t1, y1 = pcfg.sample_tree(g, seed=4)
     t2, y2 = pcfg.sample_tree(g, seed=4)
     assert np.array_equal(y1, y2)
-    assert t1.to_bracketed() == t2.to_bracketed()
+    assert t1 == t2
 
 
 def test_sample_tree_matches_per_draw_cumsum_sampler():
@@ -646,9 +694,9 @@ def test_sample_tree_matches_per_draw_cumsum_sampler():
     )
     for g in grammars:
         for seed in range(40):
-            tree, ids = pcfg.sample_tree(g, seed=seed, max_expansions=100_000)
+            derivation, ids = pcfg.sample_tree(g, seed=seed, max_expansions=100_000)
             want_text, want_ids = sample_tree_reference(g, seed, max_expansions=100_000)
-            assert tree.to_bracketed() == want_text
+            assert pcfg.bracketed(derivation, g.n_nonterminals) == want_text
             assert np.array_equal(ids, want_ids)
 
 
@@ -664,8 +712,8 @@ def test_production_cdfs_follow_assigned_arrays():
 
 def test_sample_tree_counts_and_yield():
     g = single_terminal_grammar(kappa=0.6)
-    tree, yield_ids = pcfg.sample_tree(g, seed=7)
-    leaves, binaries = count_nodes(tree)
+    derivation, yield_ids = pcfg.sample_tree(g, seed=7)
+    leaves, binaries = count_nodes(derivation, g.n_nonterminals)
     assert leaves == len(yield_ids)
     assert binaries == leaves - 2
 
@@ -683,16 +731,12 @@ def test_sampled_trees_respect_linear_chain_structure():
     rng = np.random.default_rng(70)
     base = random_hmm(rng, 3, 4)
     g = pcfg.init_from_hmm(base, kappa=0.7, eta=0.0)
+    d = g.n_nonterminals
     for seed in range(30):
-        tree, _ = pcfg.sample_tree(g, seed=seed)
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.terminal is None:
-                if node.head != START:
-                    assert node.left.head == node.head
-                stack.append(node.left)
-                stack.append(node.right)
+        derivation, _ = pcfg.sample_tree(g, seed=seed)
+        for head, production in derivation:
+            if production < d * d and head != START:
+                assert production // d == head
 
 
 def test_canonical_comb_probability_matches_chain_product():
@@ -706,20 +750,18 @@ def test_canonical_comb_probability_matches_chain_product():
     symbols = [3, 0, 2, 2]
     n = len(states)
 
-    node = DerivationTree(head=states[-1], terminal=symbols[-1])
-    for t in range(n - 2, 0, -1):
-        emitter = DerivationTree(head=states[t], terminal=symbols[t])
-        node = DerivationTree(head=states[t], left=emitter, right=node)
-    root = DerivationTree(
-        head=START, left=DerivationTree(head=states[0], terminal=symbols[0]), right=node
-    )
-    assert root.yield_ids().tolist() == symbols
+    d = g.n_nonterminals
+    derivation = [(START, states[0] * d + states[1]), (states[0], d * d + symbols[0])]
+    for t in range(1, n - 1):
+        derivation += [(states[t], states[t] * d + states[t + 1]), (states[t], d * d + symbols[t])]
+    derivation.append((states[-1], d * d + symbols[-1]))
+    assert [production - d * d for _, production in derivation if production >= d * d] == symbols
 
     chain = base.initial[states[0]] * base.emission[states[0], symbols[0]]
     for t in range(1, n):
         chain *= base.transition[states[t - 1], states[t]] * base.emission[states[t], symbols[t]]
     want = math.log(chain * kappa**n * (1 - kappa) ** (n - 2))
-    assert tree_log_probability(g, root) == pytest.approx(want, rel=1e-12)
+    assert tree_log_probability(g, derivation) == pytest.approx(want, rel=1e-12)
 
 
 def test_sample_tree_mean_length_and_length_marginal():
@@ -732,9 +774,17 @@ def test_sample_tree_mean_length_and_length_marginal():
     assert abs(freq2 - p2) <= 4 * sigma
 
 
+def test_bracketed_renders_a_comb_deeper_than_the_recursion_limit():
+    # one nonterminal: production 0 rewrites z0 to (z0, z0), production 1 emits t0
+    n = 3000
+    derivation = [(START, 0), (0, 1)] + [(0, 0), (0, 1)] * (n - 2) + [(0, 1)]
+    want = "(S " + "(z0 t0) (z0 " * (n - 2) + "(z0 t0) (z0 t0)" + ")" * (n - 1)
+    assert pcfg.bracketed(derivation, 1) == want
+
+
 def test_bracketed_export():
     g = single_terminal_grammar()
-    tree, _ = pcfg.sample_tree(g, seed=0)
-    text = tree.to_bracketed(symbols=["C"])
+    derivation, _ = pcfg.sample_tree(g, seed=0)
+    text = pcfg.bracketed(derivation, g.n_nonterminals, symbols=["C"])
     assert text.startswith("(S ")
     assert "C" in text
