@@ -149,6 +149,11 @@ def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
     for key in PREPARED_KEYS:
         if key not in meta:
             raise ValueError(f"{meta_path} lacks the key {key!r}; run `chordlm prepare` again")
+    if not isinstance(meta["config"], dict):
+        raise ValueError(f"{meta_path} has a config that is not a JSON object; run `chordlm prepare` again")
+    for name in DATA_FIELDS:
+        if name not in meta["config"]:
+            raise ValueError(f"{meta_path} lacks the config key {name!r}; run `chordlm prepare` again")
     data = _prepared_data(meta)
     for name in DATA_FIELDS:
         value = getattr(cfg, name)
@@ -161,7 +166,7 @@ def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
         raise ValueError(f"{meta_path} has no test lines; run `chordlm prepare` again with --test-count >= 1")
     if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
         raise ValueError(
-            f"{meta_path} was prepared with corpus={meta['config']['corpus']!r}, whose bytes differ from "
+            f"{meta_path} was prepared with corpus={meta['config'].get('corpus')!r}, whose bytes differ from "
             f"{cfg.corpus!r}; run `chordlm prepare` again or use another out_dir"
         )
     return meta
@@ -198,26 +203,25 @@ def _train_cell(
         model = markov.fit(train, order=size, smoothing=algo, epsilon=cfg.epsilon)
         return model, {"algorithm": algo}, model.log_evidences(train.sequences)
     if cfg.model == "hmm":
-        family, prior_kind, options, log = hmm, hmm.HmmPrior, {}, {}
+        family, options, log = hmm, {}, {}
         init = hmm.init_random(size, train.n_symbols, cell_seed(*cell, "init"))
     else:
-        family, prior_kind = pcfg, pcfg.PcfgPrior
-        options, log = {"max_length": cfg.pcfg_max_length}, {"initialization": cfg.pcfg_init}
+        family, options, log = pcfg, {"max_length": cfg.pcfg_max_length}, {"initialization": cfg.pcfg_init}
         init = _pcfg_initializer(cfg, train, size, cell, mean_train_length)
     if algo == "em":
         config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
         fitted, trace, log_evidences = family.em_fit(init, train, config)
         log.update(algorithm="em", log_likelihood=trace)
     elif algo == "gs":
-        prior = prior_kind.symmetric(size, train.n_symbols, cfg.dirichlet_alpha)
         config = family.GibbsConfig(
             n_samples=cfg.resolved_gs_samples(),
             polish_iters=cfg.polish_iters,
             seed=cell_seed(*cell, "gibbs"),
             rel_tol=cfg.rel_tol,
+            dirichlet_alpha=cfg.dirichlet_alpha,
             **options,
         )
-        fitted, trace, log_evidences = family.gibbs_fit(init, train, prior, config)
+        fitted, trace, log_evidences = family.gibbs_fit(init, train, config)
         log.update(
             algorithm="gs",
             sample_log_evidence=trace.sample_log_evidence,
@@ -359,6 +363,15 @@ def _top_symbols(row: np.ndarray, vocab: Vocabulary, top: int) -> list[dict]:
     ]
 
 
+def _entries_above(table: np.ndarray, threshold: float, names: tuple[str, ...]) -> list[dict]:
+    """The entries of ``table`` above ``threshold`` in row-major order, each
+    with its indices under ``names`` and its ``probability``."""
+    return [
+        {**dict(zip(names, map(int, index))), "probability": float(table[tuple(index)])}
+        for index in np.argwhere(table > threshold)
+    ]
+
+
 def cmd_analyze(model_path: str, vocab_path: str, threshold: float) -> dict:
     model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
     if isinstance(model, markov.MarkovModel):
@@ -375,18 +388,12 @@ def cmd_analyze(model_path: str, vocab_path: str, threshold: float) -> dict:
             }
             for z in range(model.n_states)
         ]
-        transitions = [
-            {"from": int(z), "to": int(w), "probability": float(model.transition[z, w])}
-            for z in range(model.n_states)
-            for w in range(model.n_states)
-            if model.transition[z, w] > threshold
-        ]
         return {
             "kind": "hmm",
             "n_states": model.n_states,
             "info_measures": info.as_dict(),
             "states": states,
-            "transitions_above_threshold": transitions,
+            "transitions_above_threshold": _entries_above(model.transition, threshold, ("from", "to")),
             "threshold": threshold,
         }
 
@@ -398,30 +405,12 @@ def cmd_analyze(model_path: str, vocab_path: str, threshold: float) -> dict:
         }
         for z in range(d)
     ]
-    start_rules = [
-        {"left": int(l), "right": int(r), "probability": float(model.start_rules[l, r])}
-        for l in range(d)
-        for r in range(d)
-        if model.start_rules[l, r] > threshold
-    ]
-    rules = [
-        {
-            "head": int(z),
-            "left": int(l),
-            "right": int(r),
-            "probability": float(model.rules[z, l, r]),
-        }
-        for z in range(d)
-        for l in range(d)
-        for r in range(d)
-        if model.rules[z, l, r] > threshold
-    ]
     return {
         "kind": "pcfg",
         "n_nonterminals": d,
         "nonterminals": nonterminals,
-        "start_rules_above_threshold": start_rules,
-        "rules_above_threshold": rules,
+        "start_rules_above_threshold": _entries_above(model.start_rules, threshold, ("left", "right")),
+        "rules_above_threshold": _entries_above(model.rules, threshold, ("head", "left", "right")),
         "threshold": threshold,
     }
 
@@ -437,6 +426,8 @@ def cmd_generate(
     length: int | None,
     trees: bool = False,
 ) -> list[str]:
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
     lines = []
     if isinstance(model, pcfg.PcfgParams):

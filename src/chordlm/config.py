@@ -54,7 +54,7 @@ class ExperimentConfig:
 
     # hyperparameters
     epsilon: float = field(default=0.1, metadata={">": 0})
-    dirichlet_alpha: float = field(default=0.1, metadata={">": 0})
+    dirichlet_alpha: float = field(default=training.GibbsConfig.dirichlet_alpha, metadata={">": 0})
     em_max_iter: int | None = field(default=None, metadata={">=": 1})  # default: the family's EmConfig
     rel_tol: float = field(default=training.EmConfig.rel_tol, metadata={">=": 0})
     gs_samples: int | None = field(default=None, metadata={">=": 1})  # default: the family's GibbsConfig

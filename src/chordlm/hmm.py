@@ -16,7 +16,7 @@ import numpy as np
 from . import training
 from .corpus import EncodedDataset
 from .markov import MarkovModel, _check_rows, _draw, _normalize_predictions, _position_distribution
-from .training import EmConfig, GibbsConfig, GibbsTrace, sequences_of  # the configs are re-exported
+from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows, sequences_of  # the configs are re-exported
 
 
 @dataclass
@@ -48,48 +48,19 @@ class HmmParams:
         return predict_distribution(self, seq, position)
 
 
-@dataclass
-class HmmPrior:
-    """Dirichlet concentrations for the initial, transition, and emission rows."""
-
-    initial: np.ndarray     # (n_states,)
-    transition: np.ndarray  # (n_states, n_states)
-    emission: np.ndarray    # (n_states, vocab_size)
-
-    @classmethod
-    def symmetric(cls, n_states: int, vocab_size: int, alpha: float = 0.1) -> "HmmPrior":
-        if alpha <= 0:
-            raise ValueError("Dirichlet concentration must be positive")
-        return cls(
-            initial=np.full(n_states, alpha),
-            transition=np.full((n_states, n_states), alpha),
-            emission=np.full((n_states, vocab_size), alpha),
-        )
-
-
 def init_random(n_states: int, vocab_size: int, seed: int) -> HmmParams:
     """Rows drawn from a flat Dirichlet, deterministically per seed."""
     if n_states < 1 or vocab_size < 1:
         raise ValueError("n_states and vocab_size must be >= 1")
     rng = np.random.default_rng(seed)
-    return HmmParams(
-        initial=_dirichlet_rows(rng, np.ones((1, n_states)))[0],
-        transition=_dirichlet_rows(rng, np.ones((n_states, n_states))),
-        emission=_dirichlet_rows(rng, np.ones((n_states, vocab_size))),
-    )
+    k, v = n_states, vocab_size
+    return _from_counts(lambda c: dirichlet_rows(rng, 1.0 + c), np.zeros(k), np.zeros((k, k)), np.zeros((k, v)))
 
 
-def _dirichlet_rows(rng: np.random.Generator, concentration: np.ndarray) -> np.ndarray:
-    draws = rng.standard_gamma(concentration)
-    totals = draws.sum(axis=-1, keepdims=True)
-    # a zero total cannot occur for concentrations >= ~1e-2 in practice, but
-    # guard against it to keep rows proper
-    bad = (totals == 0.0).reshape(-1)
-    if bad.any():
-        flat = draws.reshape(-1, draws.shape[-1])
-        flat[bad] = 1.0
-        totals = draws.sum(axis=-1, keepdims=True)
-    return draws / totals
+def _from_counts(rows, init: np.ndarray, trans: np.ndarray, emit: np.ndarray) -> HmmParams:
+    """Parameters whose initial, transition and emission rows are ``rows`` of
+    the (K,), (K, K) and (K, V) counts, drawn in that order."""
+    return HmmParams(rows(init[None])[0], rows(trans), rows(emit))
 
 
 def forward_backward(params: HmmParams, seq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -253,14 +224,6 @@ def _e_step(params: HmmParams, chunks: list[Chunk]):
     return init_acc, trans_acc, emit_acc.reshape(k, v), log_ev
 
 
-def _m_step(init_acc: np.ndarray, trans_acc: np.ndarray, emit_acc: np.ndarray) -> HmmParams:
-    return HmmParams(
-        initial=_normalize_rows(init_acc[None, :])[0],
-        transition=_normalize_rows(trans_acc),
-        emission=_normalize_rows(emit_acc),
-    )
-
-
 def em_fit(
     params: HmmParams,
     train: EncodedDataset | list[np.ndarray],
@@ -273,14 +236,9 @@ def em_fit(
     if len(sequences) == 0:
         raise ValueError("training data is empty")
     chunks = _chunks(sequences, params.n_states)
-    return training.em(params, lambda p: _e_step(p, chunks), _m_step, lambda p: _chunk_evidences(p, chunks), config)
-
-
-def _normalize_rows(acc: np.ndarray) -> np.ndarray:
-    """Row normalization with uniform reset of zero-count rows."""
-    totals = acc.sum(axis=-1, keepdims=True)
-    out = np.where(totals > 0.0, acc / np.where(totals > 0.0, totals, 1.0), 1.0 / acc.shape[-1])
-    return out
+    return training.em(
+        params, lambda p: _e_step(p, chunks), _from_counts, lambda p: _chunk_evidences(p, chunks), config
+    )
 
 
 def _sample_states(
@@ -310,7 +268,7 @@ def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarr
 def _gibbs_step(
     params: HmmParams,
     chunks: list[Chunk],
-    prior: HmmPrior,
+    dirichlet_alpha: float,
     rng: np.random.Generator,
 ) -> tuple[HmmParams, np.ndarray]:
     """One sweep: draw state paths given parameters, then parameters given
@@ -332,18 +290,13 @@ def _gibbs_step(
         nxt = valid[:, 1:]
         trans_counts += np.bincount(states[:, :-1][nxt] * k + states[:, 1:][nxt], minlength=k * k)
         emit_counts += np.bincount(states[valid] * v + batch[valid], minlength=k * v)
-    sample = HmmParams(
-        initial=_dirichlet_rows(rng, (prior.initial + init_counts)[None, :])[0],
-        transition=_dirichlet_rows(rng, prior.transition + trans_counts.reshape(k, k)),
-        emission=_dirichlet_rows(rng, prior.emission + emit_counts.reshape(k, v)),
-    )
-    return sample, log_ev
+    counts = init_counts, trans_counts.reshape(k, k), emit_counts.reshape(k, v)
+    return _from_counts(lambda c: dirichlet_rows(rng, dirichlet_alpha + c), *counts), log_ev
 
 
 def gibbs_fit(
     params: HmmParams,
     train: EncodedDataset | list[np.ndarray],
-    prior: HmmPrior,
     config: GibbsConfig = GibbsConfig(),
 ) -> tuple[HmmParams, GibbsTrace, np.ndarray]:
     """Bayesian training: keep the maximum-evidence parameter sample from the
@@ -354,7 +307,7 @@ def gibbs_fit(
     chunks = _chunks(sequences, params.n_states)
     return training.best_of_gibbs(
         params,
-        lambda p, rng: _gibbs_step(p, chunks, prior, rng),
+        lambda p, rng: _gibbs_step(p, chunks, config.dirichlet_alpha, rng),
         lambda p: _chunk_evidences(p, chunks),
         lambda best: em_fit(best, sequences, EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol)),
         config,

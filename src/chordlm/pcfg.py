@@ -24,9 +24,9 @@ import numpy as np
 
 from . import training
 from .corpus import EncodedDataset
-from .hmm import HmmParams, _dirichlet_rows, _normalize_rows
+from .hmm import HmmParams
 from .markov import _normalize_predictions, _position_distribution
-from .training import GibbsTrace, sequences_of
+from .training import GibbsTrace, dirichlet_rows, sequences_of
 
 START = -1
 
@@ -98,28 +98,6 @@ class PcfgParams:
         return predict_distribution(self, seq, position)
 
 
-@dataclass
-class PcfgPrior:
-    """Dirichlet concentrations for the production rows."""
-
-    start_rules: np.ndarray      # (D, D)
-    start_emissions: np.ndarray  # (V,)
-    rules: np.ndarray            # (D, D, D)
-    emissions: np.ndarray        # (D, V)
-
-    @classmethod
-    def symmetric(cls, n_nonterminals: int, vocab_size: int, alpha: float = 0.1) -> "PcfgPrior":
-        if alpha <= 0:
-            raise ValueError("Dirichlet concentration must be positive")
-        d = n_nonterminals
-        return cls(
-            start_rules=np.full((d, d), alpha),
-            start_emissions=np.full(vocab_size, alpha),
-            rules=np.full((d, d, d), alpha),
-            emissions=np.full((d, vocab_size), alpha),
-        )
-
-
 # the shared training configs, with grammar defaults and a training length cap
 @dataclass
 class EmConfig(training.EmConfig):
@@ -143,8 +121,16 @@ def init_random(n_nonterminals: int, vocab_size: int, seed: int) -> PcfgParams:
         raise ValueError("n_nonterminals and vocab_size must be >= 1")
     d, v = n_nonterminals, vocab_size
     rng = np.random.default_rng(seed)
-    start = _dirichlet_rows(rng, np.ones((1, d * d)))[0].reshape(d, d)
-    return _from_joint(start, _dirichlet_rows(rng, np.ones((d, d * d + v))))
+    return _from_counts(lambda c: dirichlet_rows(rng, 1.0 + c), np.zeros((d, d)), np.zeros((d, d, d)), np.zeros((d, v)))
+
+
+def _from_counts(rows, start: np.ndarray, rules: np.ndarray, emissions: np.ndarray) -> PcfgParams:
+    """A grammar whose start row is ``rows`` of the (D, D) start counts and
+    whose joint production rows are ``rows`` of the (D, D, D) rule and (D, V)
+    emission counts side by side, drawn in that order."""
+    d = len(start)
+    start_rules = rows(start.reshape(1, -1))[0].reshape(d, d)
+    return _from_joint(start_rules, rows(np.concatenate([rules.reshape(d, d * d), emissions], axis=1)))
 
 
 def _from_joint(start_rules: np.ndarray, joint: np.ndarray) -> PcfgParams:
@@ -468,13 +454,6 @@ def _check_trainable(params: PcfgParams, sequences: list[np.ndarray], max_length
             )
 
 
-def _m_step(start_counts: np.ndarray, rule_counts: np.ndarray, emit_counts: np.ndarray) -> PcfgParams:
-    d = len(start_counts)
-    total_start = start_counts.sum()
-    start = start_counts / total_start if total_start > 0.0 else np.full((d, d), 1.0 / (d * d))
-    return _from_joint(start, _normalize_rows(np.concatenate([rule_counts.reshape(d, d * d), emit_counts], axis=1)))
-
-
 def em_fit(
     params: PcfgParams,
     train: EncodedDataset | list[np.ndarray],
@@ -485,7 +464,7 @@ def em_fit(
     sequences = sequences_of(train)
     _check_trainable(params, sequences, config.max_length)
     fitted, trace, log_ev = training.em(
-        params, lambda p: _e_step(p, sequences), _m_step, lambda p: _log_evidences(p, sequences), config
+        params, lambda p: _e_step(p, sequences), _from_counts, lambda p: _log_evidences(p, sequences), config
     )
     return fitted, trace, list(_normalized_in_turn(fitted, sequences, log_ev))
 
@@ -540,7 +519,7 @@ def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int
 def _gibbs_step(
     params: PcfgParams,
     sequences: list[np.ndarray],
-    prior: PcfgPrior,
+    dirichlet_alpha: float,
     rng: np.random.Generator,
 ) -> tuple[PcfgParams, np.ndarray]:
     """One sweep: sample a tree per sequence, then production rows from their
@@ -569,17 +548,12 @@ def _gibbs_step(
             start_acc += s
             rule_acc += r
             emit_acc += e
-    start = _dirichlet_rows(rng, (prior.start_rules + start_acc).reshape(1, -1))[0].reshape(d, d)
-    joint_conc = np.concatenate(
-        [(prior.rules + rule_acc).reshape(d, d * d), prior.emissions + emit_acc], axis=1
-    )
-    return _from_joint(start, _dirichlet_rows(rng, joint_conc)), log_ev
+    return _from_counts(lambda c: dirichlet_rows(rng, dirichlet_alpha + c), start_acc, rule_acc, emit_acc), log_ev
 
 
 def gibbs_fit(
     params: PcfgParams,
     train: EncodedDataset | list[np.ndarray],
-    prior: PcfgPrior,
     config: GibbsConfig = GibbsConfig(),
 ) -> tuple[PcfgParams, GibbsTrace, list[float]]:
     """Bayesian training: keep the maximum-evidence sampled grammar, then
@@ -589,7 +563,7 @@ def gibbs_fit(
     polish = EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol, max_length=config.max_length)
     return training.best_of_gibbs(
         params,
-        lambda p, rng: _gibbs_step(p, sequences, prior, rng),
+        lambda p, rng: _gibbs_step(p, sequences, config.dirichlet_alpha, rng),
         lambda p: _log_evidences(p, sequences),
         lambda best: em_fit(best, sequences, polish),
         config,

@@ -4,11 +4,14 @@
 runs a Gibbs chain, keeps its maximum-evidence sample and polishes it with EM
 (Johnson, Griffiths & Goldwater 2007). A family supplies the pieces as
 callables over its own parameters: an E-step returning counts and then per-line
-log evidences, an M-step taking the counts as arguments, the evidences alone,
-and one Gibbs sweep that also returns the evidences of the parameters it
-started from. Evidences come in corpus order, and only this module checks and
-sums them. ``hmm.em_fit``, ``hmm.gibbs_fit``, ``pcfg.em_fit`` and
-``pcfg.gibbs_fit`` bind them.
+log evidences, ``from_counts(rows, *counts)``, which builds its parameters by
+applying ``rows`` to each block of counts, the evidences alone, and one Gibbs
+sweep that also returns the evidences of the parameters it started from. The
+two row operations live here: EM's M-step is ``from_counts(normalize_rows,
+*counts)``, and a Gibbs sweep draws ``dirichlet_rows`` from its counts plus the
+symmetric concentration ``GibbsConfig.dirichlet_alpha``. Evidences come in
+corpus order, and only this module checks and sums them. ``hmm.em_fit``,
+``hmm.gibbs_fit``, ``pcfg.em_fit`` and ``pcfg.gibbs_fit`` bind them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ class GibbsConfig:
     polish_iters: int = 50
     seed: int = 0
     rel_tol: float = 1e-5
+    dirichlet_alpha: float = 0.1  # the symmetric prior of every Dirichlet row
 
 
 @dataclass
@@ -52,6 +56,26 @@ def sum_in_order(log_evidences) -> float:
     return total
 
 
+def normalize_rows(acc: np.ndarray) -> np.ndarray:
+    """Row normalization with uniform reset of zero-count rows."""
+    totals = acc.sum(axis=-1, keepdims=True)
+    return np.where(totals > 0.0, acc / np.where(totals > 0.0, totals, 1.0), 1.0 / acc.shape[-1])
+
+
+def dirichlet_rows(rng: np.random.Generator, concentration: np.ndarray) -> np.ndarray:
+    """One Dirichlet draw per row of ``concentration``, by normalized gammas."""
+    draws = rng.standard_gamma(concentration)
+    totals = draws.sum(axis=-1, keepdims=True)
+    # a zero total cannot occur for concentrations >= ~1e-2 in practice, but
+    # guard against it to keep rows proper
+    bad = (totals == 0.0).reshape(-1)
+    if bad.any():
+        flat = draws.reshape(-1, draws.shape[-1])
+        flat[bad] = 1.0
+        totals = draws.sum(axis=-1, keepdims=True)
+    return draws / totals
+
+
 def _training_total(log_evidences) -> float:
     """``sum_in_order``, where the first zero evidence is an error."""
     dead = np.flatnonzero(np.asarray(log_evidences) == -np.inf)
@@ -60,9 +84,10 @@ def _training_total(log_evidences) -> float:
     return sum_in_order(log_evidences)
 
 
-def em(params, e_step, m_step, log_evidences, config: EmConfig) -> tuple[object, list[float], np.ndarray]:
-    """Iterate E-step and M-step; returns the final parameters, the
-    per-iteration log-likelihood trace, which ends at them, and their evidences.
+def em(params, e_step, from_counts, log_evidences, config: EmConfig) -> tuple[object, list[float], np.ndarray]:
+    """Iterate the E-step and the M-step ``from_counts(normalize_rows,
+    *counts)``; returns the final parameters, the per-iteration
+    log-likelihood trace, which ends at them, and their evidences.
 
     Stops once the log likelihood moves by at most ``rel_tol`` relative to the
     previous iteration, returning the parameters that E-step scored; at the
@@ -77,7 +102,7 @@ def em(params, e_step, m_step, log_evidences, config: EmConfig) -> tuple[object,
         if prev_ll is not None and abs(ll - prev_ll) <= config.rel_tol * abs(prev_ll):
             return params, trace, log_ev
         prev_ll = ll
-        params = m_step(*counts)
+        params = from_counts(normalize_rows, *counts)
     log_ev = log_evidences(params)
     trace.append(_training_total(log_ev))
     return params, trace, log_ev
@@ -95,6 +120,8 @@ def best_of_gibbs(params, gibbs_step, log_evidences, polish, config: GibbsConfig
     """
     if config.n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not config.dirichlet_alpha > 0:
+        raise ValueError("Dirichlet concentration must be positive")
     rng = np.random.default_rng(config.seed)
     trace = GibbsTrace()
     best, best_ll = None, -np.inf

@@ -319,6 +319,31 @@ def random_stochastic(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
+def _flat_dirichlet_rows(rng: np.random.Generator, n_rows: int, n_cols: int) -> np.ndarray:
+    """Rows of standard gammas of shape 1, each divided by its sum."""
+    draws = rng.standard_gamma(np.ones((n_rows, n_cols)))
+    return draws / draws.sum(axis=1, keepdims=True)
+
+
+def hmm_init_random_reference(n_states: int, vocab_size: int, seed: int) -> HmmParams:
+    """Flat Dirichlet rows drawn in turn: the initial row, then the transition
+    rows, then the emission rows."""
+    rng = np.random.default_rng(seed)
+    initial = _flat_dirichlet_rows(rng, 1, n_states)[0]
+    transition = _flat_dirichlet_rows(rng, n_states, n_states)
+    return HmmParams(initial, transition, _flat_dirichlet_rows(rng, n_states, vocab_size))
+
+
+def pcfg_init_random_reference(d: int, vocab_size: int, seed: int) -> PcfgParams:
+    """Flat Dirichlet rows drawn in turn: the start row over the D^2 binary
+    rules, then one joint row per nonterminal over its binary rules and
+    terminals; the start symbol never emits."""
+    rng = np.random.default_rng(seed)
+    start = _flat_dirichlet_rows(rng, 1, d * d)[0].reshape(d, d)
+    joint = _flat_dirichlet_rows(rng, d, d * d + vocab_size)
+    return PcfgParams(start, np.zeros(vocab_size), joint[:, : d * d].reshape(d, d, d), joint[:, d * d:])
+
+
 def kn_reference_table(top_counts: np.ndarray, n_symbols: int, modified: bool) -> np.ndarray:
     """Dict-based reference for interpolated (modified) Kneser-Ney tables.
 

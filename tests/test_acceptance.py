@@ -13,7 +13,7 @@ import pytest
 from chordlm import cli, evaluate, hmm, markov, pcfg
 from chordlm.config import ExperimentConfig
 from chordlm.corpus import EncodedDataset, Vocabulary
-from chordlm.hmm import HmmParams, HmmPrior
+from chordlm.hmm import HmmParams
 from oracles import (
     all_sequences,
     entropy_perplexity,
@@ -237,9 +237,8 @@ def test_criterion_7_synthetic_recovery():
     best = math.inf
     for seed in range(10):
         init = hmm.init_random(4, 11, seed=seed)
-        prior = HmmPrior.symmetric(4, 11, alpha=0.1)
         fitted, _, _ = hmm.gibbs_fit(
-            init, train, prior, hmm.GibbsConfig(n_samples=500, polish_iters=50, seed=seed)
+            init, train, hmm.GibbsConfig(n_samples=500, polish_iters=50, seed=seed, dirichlet_alpha=0.1)
         )
         best = min(best, evaluate.perplexity(fitted, test))
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import shutil
@@ -481,6 +482,27 @@ def test_a_bad_meta_json_names_its_file(sixty_lines, capsys, text, why):
         assert error["error"] == "ValueError" and f"{meta_path} {why}" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "edit, why",
+    [("list", "has a config that is not a JSON object"), ("vocab_k", "lacks the config key 'vocab_k'"),
+     ("train_sizes", "lacks the config key 'train_sizes'")],
+    ids=["not-an-object", "missing-vocab-k", "missing-train-sizes"],
+)
+def test_a_bad_config_in_meta_json_names_its_file_and_key(sixty_lines, capsys, edit, why):
+    meta_path = Path("run") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    if edit == "list":
+        meta["config"] = list(meta["config"])
+    else:
+        del meta["config"][edit]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and f"{meta_path} {why}" in error["message"]
+
+
 def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys):
     # one tenth of 9 lines is no test line: prepare accepts that, training does not
     corpus = write_corpus(tmp_path / "nine.txt", np.random.default_rng(4), n_sequences=9)
@@ -554,6 +576,31 @@ def test_analyze_pcfg_report(tmp_path):
     assert all(r["probability"] > 0.05 for r in report["rules_above_threshold"])
 
 
+def _entries_by_nested_loops(table: np.ndarray, threshold: float, names: tuple[str, ...]) -> list[dict]:
+    entries = []
+    for index in itertools.product(*(range(n) for n in table.shape)):
+        if table[index] > threshold:
+            entries.append({**dict(zip(names, index)), "probability": float(table[index])})
+    return entries
+
+
+def test_analyze_lists_every_entry_above_the_threshold_in_row_major_order(tmp_path):
+    Vocabulary(symbols=["a", "b", "Other"]).save(tmp_path / "v.txt")
+    params, grammar = hmm.init_random(5, 3, seed=11), pcfg.init_random(3, 3, seed=12)
+    model_io.save_model(params, tmp_path / "m.model")
+    model_io.save_model(grammar, tmp_path / "g.model")
+    lists = [
+        ("m.model", "transitions_above_threshold", params.transition, ("from", "to")),
+        ("g.model", "start_rules_above_threshold", grammar.start_rules, ("left", "right")),
+        ("g.model", "rules_above_threshold", grammar.rules, ("head", "left", "right")),
+    ]
+    for model_file, key, table, names in lists:
+        report = cli.cmd_analyze(str(tmp_path / model_file), str(tmp_path / "v.txt"), 0.08)
+        want = _entries_by_nested_loops(table, 0.08, names)
+        assert 0 < len(want) < table.size
+        assert report[key] == want
+
+
 def test_analyze_markov_rejected(tmp_path):
     data = make_dataset(["a b a"], symbols=["a", "b"])
     m = markov.fit(data, order=1)
@@ -613,6 +660,18 @@ def test_generate_pcfg_forbids_length_and_matches_mean(tmp_path):
     lines = cli.cmd_generate(str(tmp_path / "g.model"), str(tmp_path / "v.txt"), 3000, 0, None)
     mean = np.mean([len(ln.split()) for ln in lines])
     assert abs(mean - 6.0) < 0.5
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_generate_refuses_a_count_below_one(tmp_path, capsys, count):
+    model_io.save_model(hmm.init_random(2, 2, seed=1), tmp_path / "m.model")
+    Vocabulary(symbols=["a", "Other"]).save(tmp_path / "v.txt")
+    capsys.readouterr()
+    files = ["--model-file", str(tmp_path / "m.model"), "--vocab-file", str(tmp_path / "v.txt")]
+    assert cli.main(["generate", *files, "--length", "4", "--count", str(count)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": f"count must be >= 1, got {count}"}
 
 
 # ----------------------------------------------------------- process-level

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chordlm import evaluate, hmm, markov
-from chordlm.hmm import EmConfig, GibbsConfig, HmmParams, HmmPrior
+from chordlm.hmm import EmConfig, GibbsConfig, HmmParams
 from oracles import (
     all_sequences,
     best_of_gibbs_reference,
@@ -16,6 +16,7 @@ from oracles import (
     hmm_expected_counts_reference,
     hmm_forward_backward_reference,
     hmm_gamma,
+    hmm_init_random_reference,
     hmm_prediction_weights_reference,
     hmm_state_draw_reference,
     hmm_xi,
@@ -45,6 +46,14 @@ def test_init_random_rows_and_determinism():
     assert np.array_equal(a.transition, b.transition)
     assert np.array_equal(a.emission, b.emission)
     assert hmm.init_random(1, 4, seed=0).initial.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("n_states, vocab_size, seed", [(1, 1, 0), (3, 5, 7), (12, 30, 2)])
+def test_init_random_draws_normalized_gamma_rows_in_turn(n_states, vocab_size, seed):
+    got = hmm.init_random(n_states, vocab_size, seed)
+    want = hmm_init_random_reference(n_states, vocab_size, seed)
+    for name in ("initial", "transition", "emission"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 # ----------------------------------------------------------- forward_backward
@@ -276,12 +285,10 @@ def test_gibbs_draws_one_uniform_per_live_row_in_chunk_order(monkeypatch):
     assert draws.random() == want.random()
     # the counts a sweep draws its parameters from hold the lines' positions only
     concentrations = []
-    dirichlet_rows = hmm._dirichlet_rows
-    monkeypatch.setattr(hmm, "_dirichlet_rows", lambda r, c: concentrations.append(c) or dirichlet_rows(r, c))
-    prior = HmmPrior.symmetric(3, 5, alpha=0.5)
-    hmm._gibbs_step(params, chunks, prior, np.random.default_rng(5))
-    priors = (prior.initial[None], prior.transition, prior.emission)
-    initial, transition, emission = (c - p for c, p in zip(concentrations, priors))
+    dirichlet_rows = hmm.dirichlet_rows
+    monkeypatch.setattr(hmm, "dirichlet_rows", lambda r, c: concentrations.append(c) or dirichlet_rows(r, c))
+    hmm._gibbs_step(params, chunks, 0.5, np.random.default_rng(5))
+    initial, transition, emission = (c - 0.5 for c in concentrations)
     tokens = sum(len(seq) for seq in seqs)
     assert initial.sum() == len(seqs)
     assert transition.sum() == tokens - len(seqs)
@@ -354,30 +361,25 @@ def test_gibbs_defaults():
     cfg = GibbsConfig()
     assert cfg.n_samples == 500
     assert cfg.polish_iters == 50
-    prior = HmmPrior.symmetric(3, 4)
-    assert np.all(prior.initial == 0.1)
-    assert np.all(prior.transition == 0.1)
-    assert np.all(prior.emission == 0.1)
+    assert cfg.dirichlet_alpha == 0.1
 
 
 def test_gibbs_rows_valid_every_iteration():
     rng = np.random.default_rng(0)
     data = make_dataset(["a b a b", "b a", "a a b"], symbols=["a", "b"])
     chunks = hmm._chunks(data.sequences, 2)
-    prior = HmmPrior.symmetric(2, 2)
     params = hmm.init_random(2, 2, seed=3)
     for _ in range(25):
-        params, _ = hmm._gibbs_step(params, chunks, prior, rng)
+        params, _ = hmm._gibbs_step(params, chunks, 0.1, rng)
         params.validate(tol=1e-9)
 
 
 def test_gibbs_deterministic_and_polish_improves():
     data = make_dataset(["a b a b a", "b a b", "a a b b"], symbols=["a", "b"])
-    prior = HmmPrior.symmetric(2, 2)
     init = hmm.init_random(2, 2, seed=9)
     cfg = GibbsConfig(n_samples=30, polish_iters=20, seed=42)
-    fit1, trace1, _ = hmm.gibbs_fit(init, data, prior, cfg)
-    fit2, trace2, _ = hmm.gibbs_fit(init, data, prior, cfg)
+    fit1, trace1, _ = hmm.gibbs_fit(init, data, cfg)
+    fit2, trace2, _ = hmm.gibbs_fit(init, data, cfg)
     assert np.array_equal(fit1.transition, fit2.transition)
     assert np.array_equal(fit1.emission, fit2.emission)
     assert trace1.sample_log_evidence == trace2.sample_log_evidence
@@ -390,14 +392,13 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
     # mixed lengths, several lines per length group
     rng = np.random.default_rng(46)
     seqs = [rng.integers(0, 4, size=int(n)) for n in rng.integers(1, 9, size=30)]
-    prior = HmmPrior.symmetric(3, 4)
     init = hmm.init_random(3, 4, seed=8)
     cfg = GibbsConfig(n_samples=12, polish_iters=4, seed=17, rel_tol=0.0)
     chunks = hmm._chunks(seqs, 3)
-    fitted, trace, _ = hmm.gibbs_fit(init, seqs, prior, cfg)
+    fitted, trace, _ = hmm.gibbs_fit(init, seqs, cfg)
     want, want_samples, want_polish = best_of_gibbs_reference(
         init,
-        lambda p, r: hmm._gibbs_step(p, chunks, prior, r),
+        lambda p, r: hmm._gibbs_step(p, chunks, cfg.dirichlet_alpha, r),
         lambda p: hmm.log_evidence_total(p, seqs),
         lambda best: hmm.em_fit(best, seqs, EmConfig(max_iter=cfg.polish_iters, rel_tol=cfg.rel_tol)),
         cfg.n_samples,
@@ -417,7 +418,7 @@ def test_gibbs_fit_runs_one_forward_pass_per_chunk_and_sample(monkeypatch):
     assert chunks > 1
     cfg = GibbsConfig(n_samples=7, polish_iters=3, seed=2, rel_tol=0.0)
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
-    _, trace, _ = hmm.gibbs_fit(hmm.init_random(2, 3, seed=1), seqs, HmmPrior.symmetric(2, 3), cfg)
+    _, trace, _ = hmm.gibbs_fit(hmm.init_random(2, 3, seed=1), seqs, cfg)
     assert len(trace.polish_trace) == cfg.polish_iters + 1  # E-steps, then the capped end's evidence
     # each sample's draw, the last sample's evidence, and the polish
     assert calls[0] == chunks * (cfg.n_samples + 1 + len(trace.polish_trace))
@@ -427,15 +428,14 @@ def test_gibbs_single_state_posterior_mean():
     # with one state the emission posterior is Dirichlet(prior + counts);
     # averaging many independent draws recovers its mean
     data = make_dataset(["a a b"], symbols=["a", "b"])
-    prior = HmmPrior.symmetric(1, 2, alpha=0.5)
     counts = np.array([2.0, 1.0])
-    post = prior.emission[0] + counts
+    post = 0.5 + counts
     want = post / post.sum()
     draws = []
     chunks = hmm._chunks(data.sequences, 1)
     for seed in range(400):
         rng = np.random.default_rng(seed)
-        params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), chunks, prior, rng)
+        params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), chunks, 0.5, rng)
         draws.append(params.emission[0])
     mean = np.mean(draws, axis=0)
     # 400 draws, Dirichlet sd ~ 0.22/sqrt(400) ~ 0.011; allow 4 sigma

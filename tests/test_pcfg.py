@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import cli, evaluate, hmm, model_io, pcfg
+from chordlm import cli, evaluate, hmm, model_io, pcfg, training
 from chordlm.config import ExperimentConfig
 from chordlm.hmm import HmmParams
 from chordlm.pcfg import (
@@ -11,7 +11,6 @@ from chordlm.pcfg import (
     EmConfig,
     GibbsConfig,
     PcfgParams,
-    PcfgPrior,
 )
 from oracles import (
     all_sequences,
@@ -23,6 +22,7 @@ from oracles import (
     length_probability,
     pcfg_evidence_by_enumeration,
     pcfg_expected_counts_reference,
+    pcfg_init_random_reference,
     pcfg_inside_reference,
     pcfg_outside_reference,
     pcfg_outside_by_enumeration,
@@ -68,6 +68,26 @@ def test_init_random_valid_and_deterministic():
     assert np.array_equal(a.start_rules, b.start_rules)
     one = pcfg.init_random(1, 2, seed=0)
     assert one.start_rules[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, vocab_size, seed", [(1, 1, 0), (3, 4, 5), (20, 10, 3)])
+def test_init_random_draws_normalized_gamma_rows_in_turn(d, vocab_size, seed):
+    got = pcfg.init_random(d, vocab_size, seed)
+    want = pcfg_init_random_reference(d, vocab_size, seed)
+    for name in ("start_rules", "start_emissions", "rules", "emissions"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("d", [1, 3, 20])
+def test_m_step_start_row_is_the_start_counts_over_their_sum(d):
+    rng = np.random.default_rng(d)
+    rules, emissions = rng.random((d, d, d)), rng.random((d, 4))
+    start = 7.3 * rng.random((d, d))
+    got = pcfg._from_counts(training.normalize_rows, start, rules, emissions)
+    np.testing.assert_array_equal(got.start_rules, start / start.sum())
+    # no start counts at all give the uniform start row
+    got = pcfg._from_counts(training.normalize_rows, np.zeros((d, d)), rules, emissions)
+    np.testing.assert_array_equal(got.start_rules, np.full((d, d), 1.0 / (d * d)))
 
 
 def test_init_from_hmm_rows_exact_when_eta_zero():
@@ -364,11 +384,10 @@ def test_a_batch_holds_its_charts_and_one_widths_pairs_within_the_cap():
 def test_gibbs_trees_do_not_depend_on_batching(monkeypatch):
     rng = np.random.default_rng(83)
     seqs = [rng.integers(0, 3, size=int(rng.integers(2, 8))) for _ in range(12)]
-    prior = PcfgPrior.symmetric(3, 3)
     g = pcfg.init_random(3, 3, seed=1)
-    batched, _ = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
+    batched, _ = pcfg._gibbs_step(g, seqs, 0.1, np.random.default_rng(5))
     monkeypatch.setattr(pcfg, "MAX_BATCH_FLOATS", 1)
-    alone, _ = pcfg._gibbs_step(g, seqs, prior, np.random.default_rng(5))
+    alone, _ = pcfg._gibbs_step(g, seqs, 0.1, np.random.default_rng(5))
     for name in ("start_rules", "rules", "emissions"):
         assert np.array_equal(getattr(batched, name), getattr(alone, name))
 
@@ -468,11 +487,10 @@ def test_gibbs_tree_arithmetic():
 def test_gibbs_rows_valid_every_iteration():
     rng = np.random.default_rng(1)
     seqs = [rng.integers(0, 2, size=int(rng.integers(2, 6))) for _ in range(5)]
-    prior = PcfgPrior.symmetric(2, 2)
     params = pcfg.init_random(2, 2, seed=2)
     step_rng = np.random.default_rng(77)
     for _ in range(15):
-        params, _ = pcfg._gibbs_step(params, seqs, prior, step_rng)
+        params, _ = pcfg._gibbs_step(params, seqs, 0.1, step_rng)
         params.validate(tol=1e-9)
         assert not params.start_emits
 
@@ -480,11 +498,10 @@ def test_gibbs_rows_valid_every_iteration():
 def test_gibbs_deterministic_and_polish_improves():
     rng = np.random.default_rng(2)
     seqs = [rng.integers(0, 2, size=int(rng.integers(2, 6))) for _ in range(6)]
-    prior = PcfgPrior.symmetric(2, 2)
     init = pcfg.init_random(2, 2, seed=3)
     cfg = GibbsConfig(n_samples=15, polish_iters=15, seed=5)
-    fit1, trace1, _ = pcfg.gibbs_fit(init, seqs, prior, cfg)
-    fit2, trace2, _ = pcfg.gibbs_fit(init, seqs, prior, cfg)
+    fit1, trace1, _ = pcfg.gibbs_fit(init, seqs, cfg)
+    fit2, trace2, _ = pcfg.gibbs_fit(init, seqs, cfg)
     assert np.array_equal(fit1.rules, fit2.rules)
     assert trace1.sample_log_evidence == trace2.sample_log_evidence
     assert trace1.polish_trace[0] == pytest.approx(max(trace1.sample_log_evidence), abs=1e-9)
@@ -497,13 +514,12 @@ def test_gibbs_fit_matches_the_score_every_sample_loop(monkeypatch):
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 8, size=24)]
     batches = list(pcfg._batches(seqs, 3))
     assert len(batches) > len({len(seq) for seq in seqs})
-    prior = PcfgPrior.symmetric(3, 3)
     init = pcfg.init_random(3, 3, seed=4)
     cfg = GibbsConfig(n_samples=8, polish_iters=3, seed=6, rel_tol=0.0)
-    fitted, trace, _ = pcfg.gibbs_fit(init, seqs, prior, cfg)
+    fitted, trace, _ = pcfg.gibbs_fit(init, seqs, cfg)
     want, want_samples, want_polish = best_of_gibbs_reference(
         init,
-        lambda p, r: pcfg._gibbs_step(p, seqs, prior, r),
+        lambda p, r: pcfg._gibbs_step(p, seqs, cfg.dirichlet_alpha, r),
         lambda p: pcfg.log_evidence_total(p, seqs),
         lambda best: pcfg.em_fit(best, seqs, EmConfig(max_iter=cfg.polish_iters, rel_tol=cfg.rel_tol)),
         cfg.n_samples,
@@ -521,7 +537,7 @@ def test_gibbs_fit_runs_one_inside_pass_per_batch_and_sample(monkeypatch):
     batches = len(list(pcfg._batches(seqs, 2)))
     cfg = GibbsConfig(n_samples=5, polish_iters=2, seed=3, rel_tol=0.0)
     calls = count_calls(monkeypatch, pcfg, "_inside_batch")
-    _, trace, _ = pcfg.gibbs_fit(pcfg.init_random(2, 3, seed=1), seqs, PcfgPrior.symmetric(2, 3), cfg)
+    _, trace, _ = pcfg.gibbs_fit(pcfg.init_random(2, 3, seed=1), seqs, cfg)
     assert len(trace.polish_trace) == cfg.polish_iters + 1  # E-steps, then the capped end's evidence
     # each sample's trees, the last sample's evidence, and the polish
     assert calls[0] == batches * (cfg.n_samples + 1 + len(trace.polish_trace))

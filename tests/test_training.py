@@ -13,7 +13,7 @@ from chordlm.corpus import Vocabulary
 from chordlm.hmm import HmmParams
 from oracles import count_calls
 
-FAMILIES = {"hmm": (hmm, hmm.HmmPrior), "pcfg": (pcfg, pcfg.PcfgPrior)}
+FAMILIES = {"hmm": hmm, "pcfg": pcfg}
 
 
 @pytest.mark.parametrize("family_name", ["hmm", "pcfg"])
@@ -29,14 +29,14 @@ FAMILIES = {"hmm": (hmm, hmm.HmmPrior), "pcfg": (pcfg, pcfg.PcfgPrior)}
 def test_fit_returns_the_fitted_models_training_evidences(family_name, algo, options, stop):
     rng = np.random.default_rng(90)
     seqs = [rng.integers(0, 4, size=int(n)) for n in rng.integers(2, 8, size=14)]
-    family, prior_kind = FAMILIES[family_name]
+    family = FAMILIES[family_name]
     init = family.init_random(2, 4, seed=3)
     if algo == "em":
         fitted, em_trace, log_evidences = family.em_fit(init, seqs, family.EmConfig(**options))
         cap = options["max_iter"]
     else:
         config = family.GibbsConfig(seed=5, **options)
-        fitted, trace, log_evidences = family.gibbs_fit(init, seqs, prior_kind.symmetric(2, 4), config)
+        fitted, trace, log_evidences = family.gibbs_fit(init, seqs, config)
         em_trace, cap = trace.polish_trace, options["polish_iters"]
     assert (len(em_trace) <= cap) == (stop == "tolerance")
     assert list(log_evidences) == list(fitted.log_evidences(seqs))
@@ -53,7 +53,7 @@ def test_zero_evidence_names_the_first_dead_line_in_corpus_order(family_name, al
         transition=np.array([[0.5, 0.5], [0.5, 0.5]]),
         emission=np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]),
     )
-    family, prior_kind = FAMILIES[family_name]
+    family = FAMILIES[family_name]
     init = base if family is hmm else pcfg.init_from_hmm(base, kappa=0.7, eta=0.01)
     seqs = [np.array([2, 0, 0]), np.array([2, 2])]
     with pytest.raises(ValueError, match="^training sequence 0 has zero evidence$"):
@@ -61,7 +61,17 @@ def test_zero_evidence_names_the_first_dead_line_in_corpus_order(family_name, al
             family.em_fit(init, seqs, family.EmConfig(max_iter=2))
         else:
             config = family.GibbsConfig(n_samples=2, polish_iters=1)
-            family.gibbs_fit(init, seqs, prior_kind.symmetric(2, 3), config)
+            family.gibbs_fit(init, seqs, config)
+
+
+@pytest.mark.parametrize("family_name", ["hmm", "pcfg"])
+@pytest.mark.parametrize("alpha", [0.0, -0.5, float("nan")])
+def test_gibbs_fit_refuses_a_concentration_that_is_not_positive(family_name, alpha):
+    family = FAMILIES[family_name]
+    seqs = [np.array([0, 1, 0]), np.array([1, 1])]
+    config = family.GibbsConfig(n_samples=2, polish_iters=1, dirichlet_alpha=alpha)
+    with pytest.raises(ValueError, match="^Dirichlet concentration must be positive$"):
+        family.gibbs_fit(family.init_random(2, 2, seed=0), seqs, config)
 
 
 @pytest.fixture
