@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from collections.abc import Collection
@@ -26,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, hmm, markov, model_io, pcfg
-from .config import DATA_FIELDS, FIELD_KINDS, ExperimentConfig, cell_seed, kappa_from_mean_length
-from .corpus import EncodedDataset, Vocabulary, build_vocabulary, encode, parse_corpus, split, subsample
+from .config import DATA_FIELDS, FIELD_KINDS, ExperimentConfig, cell_seed, is_kind, kappa_from_mean_length
+from .corpus import Vocabulary, build_vocabulary, encode, parse_corpus, split, subsample
 
 RESULT_FIELDS = [
     "model",
@@ -51,13 +52,13 @@ ANALYZE_THRESHOLD = 0.05
 # ------------------------------------------------------------ encoded files
 
 
-def _write_encoded(path: Path, dataset: EncodedDataset) -> None:
+def _write_encoded(path: Path, sequences: list[np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for seq in dataset.sequences:
+        for seq in sequences:
             fh.write(" ".join(str(int(i)) for i in seq) + "\n")
 
 
-def _read_encoded(path: Path, vocab: Vocabulary) -> EncodedDataset:
+def _read_encoded(path: Path, vocab: Vocabulary) -> list[np.ndarray]:
     sequences = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -69,7 +70,7 @@ def _read_encoded(path: Path, vocab: Vocabulary) -> EncodedDataset:
                 except (ValueError, OverflowError) as exc:
                     raise ValueError(f"{path} line {number}: {exc}") from None
                 sequences.append(seq)
-    return EncodedDataset(sequences=sequences, vocab=vocab)
+    return sequences
 
 
 # ----------------------------------------------------------------- prepare
@@ -103,7 +104,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     for n_x in train_sizes:
         _write_encoded(out / f"train_nx{n_x}.ids", subsample(train, n_x, cfg.data_seed))
 
-    mean_train_length = sum(len(s) for s in train.sequences) / len(train)
+    mean_train_length = sum(len(s) for s in train) / len(train)
     meta = {
         "config": cfg.as_dict(),
         "corpus_sha256": hashlib.sha256(raw).hexdigest(),
@@ -120,6 +121,8 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
 # the keys of the meta.json that `prepare` writes
 PREPARED_KEYS = ("config", "corpus_sha256", "n_sequences", "vocab_size", "test_count", "train_sizes",
                  "mean_train_length")
+# the type and the least value of each number in meta.json that is not a data field
+PREPARED_NUMBERS = {"n_sequences": (int, 1), "vocab_size": (int, 1), "mean_train_length": (float, 1.0)}
 
 
 def _prepared_data(meta: dict) -> dict:
@@ -155,6 +158,18 @@ def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
         if name not in meta["config"]:
             raise ValueError(f"{meta_path} lacks the config key {name!r}; run `chordlm prepare` again")
     data = _prepared_data(meta)
+    try:  # the data fields by the config's own checks, and never null once `prepare` resolved them
+        if not isinstance(meta["corpus_sha256"], str):
+            raise ValueError(f"corpus_sha256 must be str, got {meta['corpus_sha256']!r}")
+        for key, (kind, least) in PREPARED_NUMBERS.items():
+            if not (is_kind(meta[key], kind) and least <= meta[key] < math.inf):
+                raise ValueError(f"{key} must be a finite {kind.__name__} >= {least}, got {meta[key]!r}")
+        for name in DATA_FIELDS:
+            if data[name] is None:
+                raise ValueError(f"{name} must not be null")
+        ExperimentConfig(**{name: data[name] for name in DATA_FIELDS})
+    except ValueError as exc:
+        raise ValueError(f"{meta_path} has a bad value: {exc}; run `chordlm prepare` again") from None
     for name in DATA_FIELDS:
         value = getattr(cfg, name)
         if name in given and value is not None and value != data[name]:
@@ -180,34 +195,40 @@ def _cell_name(model: str, size: int, n_x: int, algo: str, seed: int) -> str:
 
 
 def _pcfg_initializer(
-    cfg: ExperimentConfig, train: EncodedDataset, size: int, cell: tuple, mean_train_length: float
+    cfg: ExperimentConfig, train: list[np.ndarray], vocab_size: int, size: int, cell: tuple, mean_length: float
 ) -> pcfg.PcfgParams:
     if cfg.pcfg_init == "random":
-        return pcfg.init_random(size, train.n_symbols, cell_seed(*cell, "init"))
+        return pcfg.init_random(size, vocab_size, cell_seed(*cell, "init"))
     # linear-chain initialization from a Gibbs-trained HMM of the same size
     hmm_cfg = dataclasses.replace(cfg, model="hmm")
-    base, _, _ = _train_cell(hmm_cfg, train, size, "gs", cell + ("pcfg-init",), mean_train_length)
-    kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_train_length)
+    base, _, _ = _train_cell(hmm_cfg, train, vocab_size, size, "gs", cell + ("pcfg-init",), mean_length)
+    kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_length)
     eta = cfg.eta if cfg.eta is not None else 0.01 / size
     return pcfg.init_from_hmm(base, kappa=kappa, eta=eta)
 
 
 def _train_cell(
-    cfg: ExperimentConfig, train: EncodedDataset, size: int, algo: str, cell: tuple, mean_train_length: float
+    cfg: ExperimentConfig,
+    train: list[np.ndarray],
+    vocab_size: int,
+    size: int,
+    algo: str,
+    cell: tuple,
+    mean_length: float,
 ) -> tuple:
     """Train the model of one cell; ``cell`` is the hash that seeds it, then
     its coordinates. Returns the model, its log record and its training
     ``log_evidences``. HMMs and PCFGs train by EM or by best-of-n Gibbs
     sampling, through the same calls to their family module."""
     if cfg.model == "markov":
-        model = markov.fit(train, order=size, smoothing=algo, epsilon=cfg.epsilon)
-        return model, {"algorithm": algo}, model.log_evidences(train.sequences)
+        model = markov.fit(train, vocab_size, order=size, smoothing=algo, epsilon=cfg.epsilon)
+        return model, {"algorithm": algo}, model.log_evidences(train)
     if cfg.model == "hmm":
         family, options, log = hmm, {}, {}
-        init = hmm.init_random(size, train.n_symbols, cell_seed(*cell, "init"))
+        init = hmm.init_random(size, vocab_size, cell_seed(*cell, "init"))
     else:
         family, options, log = pcfg, {"max_length": cfg.pcfg_max_length}, {"initialization": cfg.pcfg_init}
-        init = _pcfg_initializer(cfg, train, size, cell, mean_train_length)
+        init = _pcfg_initializer(cfg, train, vocab_size, size, cell, mean_length)
     if algo == "em":
         config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
         fitted, trace, log_evidences = family.em_fit(init, train, config)
@@ -251,7 +272,7 @@ def _run_cell(payload: dict) -> dict:
         row["param_count"] = evaluate.param_count(cfg.model, size, vocab.size)
 
         cell = (payload["config_hash"], cfg.model, size, n_x, algo, seed)
-        model, log, train_log_evidences = _train_cell(cfg, train, size, algo, cell, payload["mean_train_length"])
+        model, log, train_log_ev = _train_cell(cfg, train, vocab.size, size, algo, cell, payload["mean_train_length"])
 
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
@@ -259,7 +280,7 @@ def _run_cell(payload: dict) -> dict:
         model_io.save_model(model, models_dir / f"{name}.model", vocab_hash=vocab.content_hash())
         (models_dir / f"{name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n")
 
-        row["train_perplexity"] = evaluate._perplexity(train.sequences, train_log_evidences)
+        row["train_perplexity"] = evaluate._perplexity(train, train_log_ev)
         report = evaluate.evaluate_model(model, test)
         row["test_perplexity"] = report.perplexity
         row["error_rate"] = report.error_rate

@@ -73,7 +73,7 @@ class ExperimentConfig:
             if value is None and optional:
                 continue
             items = value if is_list and isinstance(value, list) else [value]
-            if is_list != isinstance(value, list) or not all(_is_kind(x, kind) for x in items):
+            if is_list != isinstance(value, list) or not all(is_kind(x, kind) for x in items):
                 expected = f"a list of {kind.__name__}" if is_list else kind.__name__
                 raise ValueError(f"{f.name} must be {expected}, got {value!r}")
             if is_list and not value:
@@ -140,7 +140,7 @@ class ExperimentConfig:
 _BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
-def _is_kind(value, kind: type) -> bool:
+def is_kind(value, kind: type) -> bool:
     """isinstance, except that a bool counts as no number and an int counts as
     a float."""
     if isinstance(value, bool):

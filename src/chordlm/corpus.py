@@ -3,6 +3,10 @@
 The corpus format is plain UTF-8 text with one chord sequence per line and
 whitespace-separated chord symbols. Symbols are arbitrary strings; anything
 outside the retained vocabulary is mapped to the reserved ``Other`` symbol.
+Each stage passes plain values: ``parse_corpus`` gives one token list per
+line, ``encode`` turns them into integer id arrays, and ``split`` and
+``subsample`` take and give lists of those arrays, the one sequence type that
+every model family trains and scores on.
 """
 
 from __future__ import annotations
@@ -16,22 +20,6 @@ import numpy as np
 OTHER_SYMBOL = "Other"
 
 VOCAB_MAGIC = "chordlm-vocab v1"
-
-
-@dataclass(frozen=True)
-class ChordSequence:
-    """An ordered, non-empty sequence of chord symbol strings."""
-
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.tokens) == 0:
-            raise ValueError("chord sequence must contain at least one token")
-        if any(t == "" for t in self.tokens):
-            raise ValueError("chord sequence contains an empty token")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass
@@ -78,53 +66,34 @@ class Vocabulary:
             lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(fh, 1) if ln.strip()]
         if not lines or lines[0][1] != VOCAB_MAGIC:
             raise ValueError(f"{path} is not a vocabulary file (missing {VOCAB_MAGIC!r} header)")
-        symbols, counts = [], []
+        symbols, counts, ids = [], [], {}
         for number, ln in lines[1:]:
             try:  # id, symbol and count, tab-separated
                 ident, sym, cnt = ln.split("\t")
                 if int(ident) != len(symbols):
                     raise ValueError(f"id {ident} is not the next dense id {len(symbols)}")
+                if sym in ids:
+                    raise ValueError(f"symbol {sym!r} already has id {ids[sym]}")
                 counts.append(int(cnt))
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
+            ids[sym] = len(symbols)
             symbols.append(sym)
         return cls(symbols=symbols, counts=counts)
 
 
-@dataclass
-class EncodedDataset:
-    """Integer-encoded sequences together with the vocabulary that encodes them."""
-
-    sequences: list[np.ndarray]
-    vocab: Vocabulary
-
-    def __post_init__(self):
-        for seq in self.sequences:
-            if len(seq) == 0:
-                raise ValueError("encoded dataset contains an empty sequence")
-            if seq.min(initial=0) < 0 or seq.max(initial=0) >= self.vocab.size:
-                raise ValueError("encoded id out of vocabulary range")
-
-    def __len__(self) -> int:
-        return len(self.sequences)
-
-    @property
-    def n_symbols(self) -> int:
-        return self.vocab.size
-
-
-def parse_corpus(text: str) -> list[ChordSequence]:
-    """Parse a corpus document: one sequence per line, whitespace-separated
-    tokens, blank lines skipped."""
+def parse_corpus(text: str) -> list[list[str]]:
+    """Parse a corpus document into one token list per nonblank line, its
+    whitespace-separated symbols; so no list and no token is empty."""
     sequences = []
     for line in text.splitlines():
         tokens = line.split()
         if tokens:
-            sequences.append(ChordSequence(tokens=tuple(tokens)))
+            sequences.append(tokens)
     return sequences
 
 
-def build_vocabulary(sequences: list[ChordSequence], k: int) -> Vocabulary:
+def build_vocabulary(sequences: list[list[str]], k: int) -> Vocabulary:
     """Retain the ``k`` most frequent symbols plus ``Other``.
 
     Frequency ties are broken lexicographically so the result is a pure
@@ -133,8 +102,8 @@ def build_vocabulary(sequences: list[ChordSequence], k: int) -> Vocabulary:
     if k < 1:
         raise ValueError("k must be >= 1")
     counter: Counter[str] = Counter()
-    for seq in sequences:
-        counter.update(seq.tokens)
+    for tokens in sequences:
+        counter.update(tokens)
     # literal "Other" tokens always land in the reserved bucket
     literal_other = counter.pop(OTHER_SYMBOL, 0)
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -145,43 +114,41 @@ def build_vocabulary(sequences: list[ChordSequence], k: int) -> Vocabulary:
     return Vocabulary(symbols=symbols, counts=counts)
 
 
-def encode(sequences: list[ChordSequence], vocab: Vocabulary) -> EncodedDataset:
-    """Map token sequences to id sequences; out-of-vocabulary tokens map to
-    the ``Other`` id."""
+def encode(sequences: list[list[str]], vocab: Vocabulary) -> list[np.ndarray]:
+    """Map token lists to id arrays; out-of-vocabulary tokens map to the
+    ``Other`` id."""
     other = vocab.index.get(OTHER_SYMBOL)
     encoded = []
-    for seq in sequences:
-        ids = [vocab.index.get(t, other) for t in seq.tokens]
+    for tokens in sequences:
+        ids = [vocab.index.get(t, other) for t in tokens]
         if any(i is None for i in ids):
             raise ValueError("vocabulary has no Other symbol for OOV tokens")
         encoded.append(np.asarray(ids, dtype=np.int64))
-    return EncodedDataset(sequences=encoded, vocab=vocab)
+    return encoded
 
 
-def split(dataset: EncodedDataset, test_count: int, seed: int) -> tuple[EncodedDataset, EncodedDataset]:
-    """Deterministically split off ``test_count`` random sequences."""
-    n = len(dataset)
+def split(sequences: list[np.ndarray], test_count: int, seed: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Deterministically split off ``test_count`` random sequences: (train, test)."""
+    n = len(sequences)
     if not 0 <= test_count <= n:
         raise ValueError(f"test_count {test_count} out of range [0, {n}]")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     test_idx = sorted(perm[:test_count].tolist())
     train_idx = sorted(perm[test_count:].tolist())
-    train = EncodedDataset([dataset.sequences[i] for i in train_idx], dataset.vocab)
-    test = EncodedDataset([dataset.sequences[i] for i in test_idx], dataset.vocab)
-    return train, test
+    return [sequences[i] for i in train_idx], [sequences[i] for i in test_idx]
 
 
-def subsample(dataset: EncodedDataset, n_x: int, seed: int) -> EncodedDataset:
+def subsample(sequences: list[np.ndarray], n_x: int, seed: int) -> list[np.ndarray]:
     """Uniform subsample without replacement.
 
     For a fixed seed the selected index sets are nested across sizes, so
     growing ``n_x`` only ever adds sequences.
     """
-    n = len(dataset)
+    n = len(sequences)
     if not 1 <= n_x <= n:
         raise ValueError(f"subsample size {n_x} out of range [1, {n}]")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     idx = sorted(perm[:n_x].tolist())
-    return EncodedDataset([dataset.sequences[i] for i in idx], dataset.vocab)
+    return [sequences[i] for i in idx]

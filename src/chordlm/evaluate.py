@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EncodedDataset
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -27,11 +25,10 @@ class EvalReport:
     n_symbols: int
 
 
-def _sequences(test) -> list[np.ndarray]:
-    seqs = test.sequences if isinstance(test, EncodedDataset) else list(test)
-    if len(seqs) == 0:
+def _sequences(test: list[np.ndarray]) -> list[np.ndarray]:
+    if len(test) == 0:
         raise ValueError("test data is empty")
-    return seqs
+    return test
 
 
 def _perplexity(seqs: list[np.ndarray], log_evidences) -> float:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training
-from .corpus import EncodedDataset
 from .markov import MarkovModel, _check_rows, _draw, _normalize_predictions, _position_distribution
-from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows, sequences_of  # the configs are re-exported
+from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows  # the configs are re-exported
 
 
 @dataclass
@@ -184,9 +183,9 @@ def log_evidences(params: HmmParams, seqs: list[np.ndarray]) -> np.ndarray:
     return _chunk_evidences(params, _chunks(seqs, params.n_states))
 
 
-def log_evidence_total(params: HmmParams, train: EncodedDataset | list[np.ndarray]) -> float:
+def log_evidence_total(params: HmmParams, sequences: list[np.ndarray]) -> float:
     """Sum of sequence log evidences over a dataset, in corpus order."""
-    return training.sum_in_order(log_evidences(params, sequences_of(train)))
+    return training.sum_in_order(log_evidences(params, sequences))
 
 
 def _transition_counts(
@@ -226,13 +225,12 @@ def _e_step(params: HmmParams, chunks: list[Chunk]):
 
 def em_fit(
     params: HmmParams,
-    train: EncodedDataset | list[np.ndarray],
+    sequences: list[np.ndarray],
     config: EmConfig = EmConfig(),
 ) -> tuple[HmmParams, list[float], np.ndarray]:
     """Maximum-likelihood training; returns the final parameters, the
     per-iteration log-likelihood trace and the training ``log_evidences``, both
     of the returned model."""
-    sequences = sequences_of(train)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
     chunks = _chunks(sequences, params.n_states)
@@ -296,12 +294,11 @@ def _gibbs_step(
 
 def gibbs_fit(
     params: HmmParams,
-    train: EncodedDataset | list[np.ndarray],
+    sequences: list[np.ndarray],
     config: GibbsConfig = GibbsConfig(),
 ) -> tuple[HmmParams, GibbsTrace, np.ndarray]:
     """Bayesian training: keep the maximum-evidence parameter sample from the
     Gibbs chain, then locally optimize it with a bounded EM polish."""
-    sequences = sequences_of(train)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
     chunks = _chunks(sequences, params.n_states)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EncodedDataset
-
 SMOOTHING_TAGS = ("additive", "kn", "mkn")
 
 _FALLBACK_EPSILON = 0.1
@@ -149,7 +147,8 @@ def _check_rows(table: np.ndarray, tol: float, label: str) -> None:
 
 
 def fit(
-    train: EncodedDataset,
+    sequences: list[np.ndarray],
+    vocab_size: int,
     order: int,
     smoothing: str = "additive",
     epsilon: float = 0.1,
@@ -169,15 +168,15 @@ def fit(
         raise ValueError(f"unknown smoothing {smoothing!r}")
     if smoothing == "additive" and epsilon <= 0:
         raise ValueError("additive smoothing requires epsilon > 0")
-    if len(train) == 0:
+    if len(sequences) == 0:
         raise ValueError("training data is empty")
 
-    n = train.n_symbols
+    n = vocab_size
     initial_tables = []
     for j in range(1, order + 1):
-        counts = _prefix_counts(train.sequences, j, n)
+        counts = _prefix_counts(sequences, j, n)
         initial_tables.append(_build_table(counts, smoothing, epsilon, n))
-    trans_counts = _ngram_counts(train.sequences, order + 1, n)
+    trans_counts = _ngram_counts(sequences, order + 1, n)
     transitions = _build_table(trans_counts, smoothing, epsilon, n)
     model = MarkovModel(
         order=order,

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import training
-from .corpus import EncodedDataset
 from .hmm import HmmParams
 from .markov import _normalize_predictions, _position_distribution
-from .training import GibbsTrace, dirichlet_rows, sequences_of
+from .training import GibbsTrace, dirichlet_rows
 
 START = -1
 
@@ -456,12 +455,11 @@ def _check_trainable(params: PcfgParams, sequences: list[np.ndarray], max_length
 
 def em_fit(
     params: PcfgParams,
-    train: EncodedDataset | list[np.ndarray],
+    sequences: list[np.ndarray],
     config: EmConfig = EmConfig(),
 ) -> tuple[PcfgParams, list[float], list[float]]:
     """Inside-outside maximum-likelihood training; the trace ends at the
     returned parameters, and so do the training ``log_evidences``."""
-    sequences = sequences_of(train)
     _check_trainable(params, sequences, config.max_length)
     fitted, trace, log_ev = training.em(
         params, lambda p: _e_step(p, sequences), _from_counts, lambda p: _log_evidences(p, sequences), config
@@ -469,9 +467,9 @@ def em_fit(
     return fitted, trace, list(_normalized_in_turn(fitted, sequences, log_ev))
 
 
-def log_evidence_total(params: PcfgParams, train: EncodedDataset | list[np.ndarray]) -> float:
+def log_evidence_total(params: PcfgParams, sequences: list[np.ndarray]) -> float:
     """Sum of sequence log evidences over a dataset, in corpus order."""
-    return training.sum_in_order(_log_evidences(params, sequences_of(train)))
+    return training.sum_in_order(_log_evidences(params, sequences))
 
 
 def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int, draws: Iterator[float]):
@@ -553,12 +551,11 @@ def _gibbs_step(
 
 def gibbs_fit(
     params: PcfgParams,
-    train: EncodedDataset | list[np.ndarray],
+    sequences: list[np.ndarray],
     config: GibbsConfig = GibbsConfig(),
 ) -> tuple[PcfgParams, GibbsTrace, list[float]]:
     """Bayesian training: keep the maximum-evidence sampled grammar, then
     locally optimize it with a bounded EM polish."""
-    sequences = sequences_of(train)
     _check_trainable(params, sequences, config.max_length)
     polish = EmConfig(max_iter=config.polish_iters, rel_tol=config.rel_tol, max_length=config.max_length)
     return training.best_of_gibbs(

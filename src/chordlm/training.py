@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import EncodedDataset
-
 
 @dataclass
 class EmConfig:
@@ -42,10 +40,6 @@ class GibbsConfig:
 class GibbsTrace:
     sample_log_evidence: list[float] = field(default_factory=list)
     polish_trace: list[float] = field(default_factory=list)
-
-
-def sequences_of(train: EncodedDataset | list[np.ndarray]) -> list[np.ndarray]:
-    return train.sequences if isinstance(train, EncodedDataset) else train
 
 
 def sum_in_order(log_evidences) -> float:

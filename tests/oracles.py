@@ -11,19 +11,19 @@ import itertools
 import numpy as np
 
 from chordlm import pcfg
-from chordlm.corpus import EncodedDataset, Vocabulary
+from chordlm.corpus import Vocabulary
 from chordlm.hmm import HmmParams
 from chordlm.pcfg import START, PcfgParams, length_log_probabilities
 
 
-def make_dataset(rows: list[str], symbols: list[str]) -> EncodedDataset:
+def make_dataset(rows: list[str], symbols: list[str]) -> list[np.ndarray]:
     """Encode whitespace-separated symbol rows against an explicit vocabulary."""
     vocab = Vocabulary(symbols=list(symbols))
     seqs = []
     for row in rows:
         toks = row.split()
         seqs.append(np.asarray([vocab.index[t] for t in toks], dtype=np.int64))
-    return EncodedDataset(sequences=seqs, vocab=vocab)
+    return seqs
 
 
 def raw_log_evidence(model, seq: np.ndarray) -> float:

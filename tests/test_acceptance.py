@@ -12,7 +12,6 @@ import pytest
 
 from chordlm import cli, evaluate, hmm, markov, pcfg
 from chordlm.config import ExperimentConfig
-from chordlm.corpus import EncodedDataset, Vocabulary
 from chordlm.hmm import HmmParams
 from oracles import (
     all_sequences,
@@ -46,7 +45,7 @@ def test_criterion_1_embedding_equalities():
 
     # (a) first-order Markov model embedded as an HMM
     data = make_dataset(["a b c a b", "c a b", "b b c a"], symbols=["a", "b", "c"])
-    mk = markov.fit(data, order=1, smoothing="additive", epsilon=0.1)
+    mk = markov.fit(data, 3, order=1, smoothing="additive", epsilon=0.1)
     embedded = hmm.from_markov(mk)
     for length in range(1, 5):
         for seq in all_sequences(3, length):
@@ -112,7 +111,7 @@ def test_criterion_3_symbolwise_prediction_formulas():
         order = int(rng.integers(1, 4))
         smoothing = ("additive", "kn", "mkn")[i % 3]
         rows = [" ".join(rng.choice(symbols, size=rng.integers(2, 9))) for _ in range(10)]
-        model = markov.fit(make_dataset(rows, symbols=symbols), order=order, smoothing=smoothing)
+        model = markov.fit(make_dataset(rows, symbols=symbols), len(symbols), order=order, smoothing=smoothing)
         seq = rng.integers(0, 3, size=int(rng.integers(1, 8)))
         for pos in range(1, len(seq) + 1):
             got = model.predict_distribution(seq, pos)
@@ -222,16 +221,11 @@ def _planted_hmm() -> HmmParams:
 def test_criterion_7_synthetic_recovery():
     started = time.perf_counter()
     planted = _planted_hmm()
-    vocab = Vocabulary(symbols=[f"s{i}" for i in range(10)] + ["Other"])
-    train = EncodedDataset(
-        [hmm.sample_sequence(planted, 20, seed=1000 + i) for i in range(30)], vocab
-    )
-    test = EncodedDataset(
-        [hmm.sample_sequence(planted, 20, seed=2000 + i) for i in range(200)], vocab
-    )
+    train = [hmm.sample_sequence(planted, 20, seed=1000 + i) for i in range(30)]
+    test = [hmm.sample_sequence(planted, 20, seed=2000 + i) for i in range(200)]
 
     planted_perplexity = evaluate.perplexity(planted, test)
-    markov_model = markov.fit(train, order=1, smoothing="mkn")
+    markov_model = markov.fit(train, 11, order=1, smoothing="mkn")
     markov_perplexity = evaluate.perplexity(markov_model, test)
 
     best = math.inf
@@ -297,7 +291,7 @@ def test_criterion_9_smoothing_sanity():
     # test sequences engineered to contain n-grams unseen in training
     test_seqs = [rng.integers(0, 12, size=12) for _ in range(20)]
     trigrams = set()
-    for seq in train.sequences:
+    for seq in train:
         for j in range(len(seq) - 2):
             trigrams.add(tuple(int(t) for t in seq[j : j + 3]))
     assert any(
@@ -309,7 +303,7 @@ def test_criterion_9_smoothing_sanity():
     ok = True
     for order in (1, 2, 3):
         for smoothing in ("additive", "kn", "mkn"):
-            model = markov.fit(train, order=order, smoothing=smoothing)
+            model = markov.fit(train, len(symbols), order=order, smoothing=smoothing)
             try:
                 model.validate(tol=1e-9)
             except ValueError:

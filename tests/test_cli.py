@@ -503,6 +503,37 @@ def test_a_bad_config_in_meta_json_names_its_file_and_key(sixty_lines, capsys, e
         assert error["error"] == "ValueError" and f"{meta_path} {why}" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value, why",
+    [("train_sizes", "54", "train_sizes must be a list of int, got '54'"),
+     ("train_sizes", [0], "train_sizes must be >= 1"),
+     ("test_count", "6", "test_count must be int, got '6'"),
+     ("test_count", None, "test_count must not be null"),
+     ("vocab_k", 5.0, "vocab_k must be int, got 5.0"),
+     ("data_seed", -1, "data_seed must be >= 0"),
+     ("mean_train_length", "x", "mean_train_length must be a finite float >= 1.0, got 'x'"),
+     ("mean_train_length", float("nan"), "mean_train_length must be a finite float >= 1.0, got nan"),
+     ("mean_train_length", float("inf"), "mean_train_length must be a finite float >= 1.0, got inf"),
+     ("n_sequences", True, "n_sequences must be a finite int >= 1, got True"),
+     ("vocab_size", 0, "vocab_size must be a finite int >= 1, got 0"),
+     ("corpus_sha256", None, "corpus_sha256 must be str, got None")],
+    ids=["train-sizes-str", "train-size-zero", "test-count-str", "test-count-null", "vocab-k-float",
+         "data-seed-negative", "mean-length-str", "mean-length-nan", "mean-length-inf", "n-sequences-bool",
+         "vocab-size-zero", "sha256-null"],
+)
+def test_a_bad_value_in_meta_json_names_its_file_and_key(sixty_lines, capsys, key, value, why):
+    meta_path = Path("run") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    (meta["config"] if key in ("vocab_k", "data_seed") else meta)[key] = value
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and f"{meta_path} has a bad value: {why}" in error["message"]
+    assert not Path("run/models").exists() and not Path("run/results.csv").exists()
+
+
 def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys):
     # one tenth of 9 lines is no test line: prepare accepts that, training does not
     corpus = write_corpus(tmp_path / "nine.txt", np.random.default_rng(4), n_sequences=9)
@@ -537,12 +568,13 @@ def test_train_and_sweep_after_prepare_need_no_data_flags(tmp_path, capsys):
 
 def test_analyze_identity_emission_hmm(tmp_path):
     data = make_dataset(["a b a", "b a"], symbols=["a", "b"])
-    m = markov.fit(data, order=1, smoothing="additive", epsilon=0.1)
+    m = markov.fit(data, 2, order=1, smoothing="additive", epsilon=0.1)
     params = hmm.from_markov(m)
+    vocab = Vocabulary(symbols=["a", "b"])
     vocab_path = tmp_path / "vocab.txt"
-    data.vocab.save(vocab_path)
+    vocab.save(vocab_path)
     model_path = tmp_path / "m.model"
-    model_io.save_model(params, model_path, vocab_hash=data.vocab.content_hash())
+    model_io.save_model(params, model_path, vocab_hash=vocab.content_hash())
     report = cli.cmd_analyze(str(model_path), str(vocab_path), threshold=0.05)
     assert report["kind"] == "hmm"
     assert report["info_measures"]["emission_perplexity"] == pytest.approx(1.0, abs=1e-9)
@@ -603,7 +635,7 @@ def test_analyze_lists_every_entry_above_the_threshold_in_row_major_order(tmp_pa
 
 def test_analyze_markov_rejected(tmp_path):
     data = make_dataset(["a b a"], symbols=["a", "b"])
-    m = markov.fit(data, order=1)
+    m = markov.fit(data, 2, order=1)
     vocab = Vocabulary(symbols=["a", "b"])
     vocab.save(tmp_path / "v.txt")
     model_io.save_model(m, tmp_path / "m.model")

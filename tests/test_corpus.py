@@ -3,8 +3,6 @@ import pytest
 
 from chordlm import corpus
 from chordlm.corpus import (
-    ChordSequence,
-    EncodedDataset,
     Vocabulary,
     build_vocabulary,
     encode,
@@ -16,7 +14,7 @@ from chordlm.corpus import (
 
 def test_parse_basic():
     seqs = parse_corpus("C F G C\nAm Dm")
-    assert [list(s.tokens) for s in seqs] == [["C", "F", "G", "C"], ["Am", "Dm"]]
+    assert seqs == [["C", "F", "G", "C"], ["Am", "Dm"]]
 
 
 def test_parse_empty_input():
@@ -25,14 +23,7 @@ def test_parse_empty_input():
 
 def test_parse_collapses_whitespace_and_blank_lines():
     seqs = parse_corpus("  C   G  \n\n")
-    assert [list(s.tokens) for s in seqs] == [["C", "G"]]
-
-
-def test_sequence_invariants():
-    with pytest.raises(ValueError):
-        ChordSequence(tokens=())
-    with pytest.raises(ValueError):
-        ChordSequence(tokens=("C", ""))
+    assert seqs == [["C", "G"]]
 
 
 def test_build_vocabulary_counts():
@@ -68,20 +59,20 @@ def test_build_vocabulary_literal_other_token():
     assert vocab.symbols == ["C", "G", "Other"]
     assert vocab.counts == [2, 1, 1]  # the literal token counts toward the bucket
     data = encode(seqs, vocab)
-    assert data.sequences[0].tolist() == [0, 0, vocab.index["Other"], 1]
+    assert data[0].tolist() == [0, 0, vocab.index["Other"], 1]
 
 
 def test_encode_oov():
     vocab = build_vocabulary(parse_corpus("C C G"), k=2)
     data = encode(parse_corpus("C F#m G"), vocab)
-    assert data.sequences[0].tolist() == [vocab.index["C"], vocab.index["Other"], vocab.index["G"]]
+    assert data[0].tolist() == [vocab.index["C"], vocab.index["Other"], vocab.index["G"]]
 
 
 def test_encode_empty_and_all_oov():
     vocab = build_vocabulary(parse_corpus("C"), k=1)
     assert len(encode([], vocab)) == 0
     data = encode(parse_corpus("X Y Z"), vocab)
-    assert data.sequences[0].tolist() == [vocab.index["Other"]] * 3
+    assert data[0].tolist() == [vocab.index["Other"]] * 3
 
 
 def test_encode_round_trips_token_counts():
@@ -94,35 +85,32 @@ def test_encode_round_trips_token_counts():
     seqs = parse_corpus("\n".join(lines))
     vocab = build_vocabulary(seqs, k=3)
     data = encode(seqs, vocab)
-    total_tokens = sum(len(s.tokens) for s in seqs)
-    assert sum(len(s) for s in data.sequences) == total_tokens
+    total_tokens = sum(len(s) for s in seqs)
+    assert sum(len(s) for s in data) == total_tokens
     # retained frequencies dominate replaced frequencies
     kept = {s: c for s, c in zip(vocab.symbols[:-1], vocab.counts[:-1])}
     from collections import Counter
 
-    full = Counter(t for s in seqs for t in s.tokens)
+    full = Counter(t for s in seqs for t in s)
     dropped = [c for s, c in full.items() if s not in kept]
     if dropped and kept:
         assert min(kept.values()) >= max(dropped)
 
 
 def test_split_deterministic_and_disjoint():
-    vocab = Vocabulary(symbols=["a", "Other"])
-    data = EncodedDataset([np.array([0, 1]) + 0 * i for i in range(10)], vocab)
     # give each sequence a distinguishable length
-    data = EncodedDataset([np.full(i + 1, 0, dtype=np.int64) for i in range(10)], vocab)
+    data = [np.full(i + 1, 0, dtype=np.int64) for i in range(10)]
     train, test = split(data, test_count=3, seed=11)
     train2, test2 = split(data, test_count=3, seed=11)
     assert len(train) == 7 and len(test) == 3
-    assert [len(s) for s in train.sequences] == [len(s) for s in train2.sequences]
-    assert [len(s) for s in test.sequences] == [len(s) for s in test2.sequences]
-    lengths = sorted(len(s) for s in train.sequences) + sorted(len(s) for s in test.sequences)
+    assert [len(s) for s in train] == [len(s) for s in train2]
+    assert [len(s) for s in test] == [len(s) for s in test2]
+    lengths = sorted(len(s) for s in train) + sorted(len(s) for s in test)
     assert sorted(lengths) == list(range(1, 11))
 
 
 def test_split_edges():
-    vocab = Vocabulary(symbols=["a", "Other"])
-    data = EncodedDataset([np.zeros(2, dtype=np.int64) for _ in range(4)], vocab)
+    data = [np.zeros(2, dtype=np.int64) for _ in range(4)]
     train, test = split(data, 0, seed=0)
     assert len(test) == 0 and len(train) == 4
     train, test = split(data, 4, seed=0)
@@ -132,15 +120,14 @@ def test_split_edges():
 
 
 def test_subsample_nested_and_deterministic():
-    vocab = Vocabulary(symbols=["a", "Other"])
-    data = EncodedDataset([np.full(i + 1, 0, dtype=np.int64) for i in range(300)], vocab)
+    data = [np.full(i + 1, 0, dtype=np.int64) for i in range(300)]
     small = subsample(data, 30, seed=5)
     large = subsample(data, 200, seed=5)
     again = subsample(data, 30, seed=5)
-    key = lambda ds: sorted(len(s) for s in ds.sequences)
+    key = lambda ds: sorted(len(s) for s in ds)
     assert key(small) == key(again)
     assert set(key(small)) <= set(key(large))
-    assert subsample(data, 300, seed=5).sequences is not data.sequences
+    assert subsample(data, 300, seed=5) is not data
     assert key(subsample(data, 300, seed=5)) == key(data)
     with pytest.raises(ValueError):
         subsample(data, 0, seed=1)
@@ -164,8 +151,9 @@ def test_vocabulary_save_load_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "bad, why",
     [("2\tX", r"not enough values to unpack \(expected 3, got 2\)"), ("two\tX\t3", "invalid literal"),
-     ("2\tX\tmany", "invalid literal"), ("5\tX\t3", "not the next dense id 2")],
-    ids=["field-count", "id-not-an-int", "count-not-an-int", "non-dense-id"],
+     ("2\tX\tmany", "invalid literal"), ("5\tX\t3", "not the next dense id 2"),
+     ("2\tC\t3", "symbol 'C' already has id 0")],
+    ids=["field-count", "id-not-an-int", "count-not-an-int", "non-dense-id", "duplicate-symbol"],
 )
 def test_a_malformed_vocabulary_line_names_its_file_and_line(tmp_path, bad, why):
     path = tmp_path / "vocab.txt"

@@ -53,8 +53,8 @@ def test_perplexity_perfect_model():
 
 def test_perplexity_hand_arithmetic():
     data = make_dataset(["a b b", "b a"], symbols=["a", "b"])
-    model = markov.fit(data, order=1, smoothing="additive", epsilon=0.5)
-    total = sum(model.log_evidence(s) for s in data.sequences)
+    model = markov.fit(data, 2, order=1, smoothing="additive", epsilon=0.5)
+    total = sum(model.log_evidence(s) for s in data)
     want = math.exp(-total / 5)
     assert evaluate.perplexity(model, data) == pytest.approx(want, rel=1e-12)
 
@@ -87,10 +87,10 @@ def test_error_rate_perfect_and_constant():
 
 def test_error_rate_hand_enumeration():
     data = make_dataset(["a b", "b b", "a a b"], symbols=["a", "b"])
-    model = markov.fit(data, order=1, smoothing="additive", epsilon=0.1)
+    model = markov.fit(data, 2, order=1, smoothing="additive", epsilon=0.1)
     wrong = 0
     count = 0
-    for seq in data.sequences:
+    for seq in data:
         for pos in range(1, len(seq) + 1):
             probs = model.predict_distribution(seq, pos)
             best = min(
@@ -122,7 +122,7 @@ def test_rmrr_tie_breaks_by_lowest_id():
 def test_rank_metrics_invariant_under_monotone_rescaling():
     rng = np.random.default_rng(4)
     data = make_dataset(["a b a", "b a b b"], symbols=["a", "b"])
-    model = markov.fit(data, order=1, smoothing="additive", epsilon=0.3)
+    model = markov.fit(data, 2, order=1, smoothing="additive", epsilon=0.3)
 
     class Rescaled:
         vocab_size = 2
@@ -141,7 +141,7 @@ def test_rank_metrics_invariant_under_monotone_rescaling():
 
 def test_evaluate_model_report_bounds():
     data = make_dataset(["a b b a", "b a"], symbols=["a", "b"])
-    model = markov.fit(data, order=1)
+    model = markov.fit(data, 2, order=1)
     report = evaluate.evaluate_model(model, data)
     assert report.perplexity >= 1.0
     assert 0.0 <= report.error_rate <= 1.0
@@ -151,7 +151,7 @@ def test_evaluate_model_report_bounds():
 
 def test_csv_row_round_trips_metrics():
     data = make_dataset(["a b b a", "b a"], symbols=["a", "b"])
-    model = markov.fit(data, order=1)
+    model = markov.fit(data, 2, order=1)
     report = evaluate.evaluate_model(model, data)
     row = csv_row("markov-1", "toy", report)
     cells = row.split(",")
@@ -188,7 +188,7 @@ def _tied_grammar() -> pcfg.PcfgParams:
 def _tied_markov() -> MarkovModel:
     # b and c follow a equally often and start no sequence
     data = make_dataset(["a b", "a c", "a b a c", "d a"], symbols=["a", "b", "c", "d"])
-    return markov.fit(data, order=2, smoothing="additive", epsilon=0.2)
+    return markov.fit(data, 4, order=2, smoothing="additive", epsilon=0.2)
 
 
 TIED_SEQUENCES = [np.array(s) for s in ([0, 1, 3, 2], [3, 2, 0, 1, 1], [0, 2], [1, 2, 2, 0, 3, 1])]

@@ -367,7 +367,7 @@ def test_gibbs_defaults():
 def test_gibbs_rows_valid_every_iteration():
     rng = np.random.default_rng(0)
     data = make_dataset(["a b a b", "b a", "a a b"], symbols=["a", "b"])
-    chunks = hmm._chunks(data.sequences, 2)
+    chunks = hmm._chunks(data, 2)
     params = hmm.init_random(2, 2, seed=3)
     for _ in range(25):
         params, _ = hmm._gibbs_step(params, chunks, 0.1, rng)
@@ -432,7 +432,7 @@ def test_gibbs_single_state_posterior_mean():
     post = 0.5 + counts
     want = post / post.sum()
     draws = []
-    chunks = hmm._chunks(data.sequences, 1)
+    chunks = hmm._chunks(data, 1)
     for seed in range(400):
         rng = np.random.default_rng(seed)
         params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), chunks, 0.5, rng)
@@ -492,7 +492,7 @@ def test_predict_handles_zero_evidence_sequence():
 
 def test_from_markov_structure_and_evidence_equality():
     data = make_dataset(["a b c a", "b c", "c c a"], symbols=["a", "b", "c"])
-    m = markov.fit(data, order=1, smoothing="additive", epsilon=0.1)
+    m = markov.fit(data, 3, order=1, smoothing="additive", epsilon=0.1)
     params = hmm.from_markov(m)
     assert params.n_states == m.vocab_size
     assert np.array_equal(params.emission, np.eye(3))
@@ -505,7 +505,7 @@ def test_from_markov_structure_and_evidence_equality():
 
 def test_from_markov_rejects_higher_order():
     data = make_dataset(["a b a b"], symbols=["a", "b"])
-    m = markov.fit(data, order=2)
+    m = markov.fit(data, 2, order=2)
     with pytest.raises(ValueError):
         hmm.from_markov(m)
 

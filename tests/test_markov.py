@@ -15,7 +15,7 @@ from oracles import (
 @pytest.fixture
 def tiny_additive():
     data = make_dataset(["a b b", "a b"], symbols=["a", "b"])
-    return markov.fit(data, order=1, smoothing="additive", epsilon=0.1)
+    return markov.fit(data, 2, order=1, smoothing="additive", epsilon=0.1)
 
 
 def test_fit_additive_hand_counts(tiny_additive):
@@ -33,14 +33,14 @@ def test_fit_rows_normalized(tiny_additive):
 def test_fit_rejects_bad_input():
     data = make_dataset(["a b"], symbols=["a", "b"])
     with pytest.raises(ValueError):
-        markov.fit(data, order=0)
+        markov.fit(data, 2, order=0)
     with pytest.raises(ValueError):
-        markov.fit(data, order=1, smoothing="katz")
+        markov.fit(data, 2, order=1, smoothing="katz")
     with pytest.raises(ValueError):
-        markov.fit(data, order=1, smoothing="additive", epsilon=0.0)
+        markov.fit(data, 2, order=1, smoothing="additive", epsilon=0.0)
     empty = make_dataset([], symbols=["a", "b"])
     with pytest.raises(ValueError):
-        markov.fit(empty, order=1)
+        markov.fit(empty, 2, order=1)
 
 
 def test_log_evidence_hand_value(tiny_additive):
@@ -84,7 +84,7 @@ def test_predict_matches_evidence_ratio_oracle(order, smoothing):
     rng = np.random.default_rng(100 + order)
     rows = [" ".join(rng.choice(["a", "b", "c"], size=rng.integers(2, 9))) for _ in range(12)]
     data = make_dataset(rows, symbols=["a", "b", "c"])
-    m = markov.fit(data, order=order, smoothing=smoothing)
+    m = markov.fit(data, 3, order=order, smoothing=smoothing)
     for seq_len in (1, 2, 4, 6):
         seq = rng.integers(0, 3, size=seq_len)
         for pos in range(1, seq_len + 1):
@@ -96,7 +96,7 @@ def test_predict_matches_evidence_ratio_oracle(order, smoothing):
 @pytest.mark.parametrize("smoothing", ["kn", "mkn"])
 def test_kn_unseen_bigram_positive(smoothing):
     data = make_dataset(["a a b", "a b", "a a"], symbols=["a", "b"])
-    m = markov.fit(data, order=1, smoothing=smoothing)
+    m = markov.fit(data, 2, order=1, smoothing=smoothing)
     # bigram "b a" never observed
     assert m.transitions[1, 0] > 0.0
     assert np.isfinite(m.log_evidence(np.array([1, 0])))
@@ -110,8 +110,8 @@ def test_kn_matches_reference_implementation(order, modified):
     syms = list("abcdefgh")
     rows = [" ".join(rng.choice(syms, size=rng.integers(3, 9))) for _ in range(10)]
     data = make_dataset(rows, symbols=syms)
-    m = markov.fit(data, order=order, smoothing="mkn" if modified else "kn")
-    counts = markov._ngram_counts(data.sequences, order + 1, len(syms))
+    m = markov.fit(data, len(syms), order=order, smoothing="mkn" if modified else "kn")
+    counts = markov._ngram_counts(data, order + 1, len(syms))
     want = kn_reference_table(counts, len(syms), modified=modified)
     assert np.allclose(m.transitions, want, atol=1e-12)
 
@@ -126,7 +126,7 @@ def test_kn_matches_reference_implementation(order, modified):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("smoothing", ["kn", "mkn"])
 def test_kn_tables_strictly_positive_with_zero_discounts(rows, order, smoothing):
-    m = markov.fit(make_dataset(rows, symbols=["a", "b", "c"]), order=order, smoothing=smoothing)
+    m = markov.fit(make_dataset(rows, symbols=["a", "b", "c"]), 3, order=order, smoothing=smoothing)
     for table in m.initial_tables + [m.transitions]:
         assert (table > 0.0).all()
 
@@ -134,8 +134,8 @@ def test_kn_tables_strictly_positive_with_zero_discounts(rows, order, smoothing)
 def test_kn_degenerate_counts_fall_back_to_additive():
     # every bigram occurs three times: no singletons or doubletons
     data = make_dataset(["a b a b a b a"], symbols=["a", "b"])
-    m = markov.fit(data, order=1, smoothing="kn")
-    counts = markov._ngram_counts(data.sequences, 2, 2)
+    m = markov.fit(data, 2, order=1, smoothing="kn")
+    counts = markov._ngram_counts(data, 2, 2)
     want = (counts + 0.1) / (counts.sum(axis=-1, keepdims=True) + 0.2)
     assert np.allclose(m.transitions, want, atol=1e-12)
     m.validate()
@@ -147,7 +147,7 @@ def test_row_sums_orders_one_to_three():
     data = make_dataset(rows, symbols=list("abcde"))
     for order in (1, 2, 3):
         for smoothing in ("additive", "kn", "mkn"):
-            markov.fit(data, order=order, smoothing=smoothing).validate(tol=1e-9)
+            markov.fit(data, 5, order=order, smoothing=smoothing).validate(tol=1e-9)
 
 
 def test_training_perplexity_non_increasing_in_order():
@@ -156,9 +156,9 @@ def test_training_perplexity_non_increasing_in_order():
     data = make_dataset(rows, symbols=["a", "b"])
     perps = []
     for order in (1, 2, 3):
-        m = markov.fit(data, order=order, smoothing="additive", epsilon=1e-9)
-        total = sum(m.log_evidence(s) for s in data.sequences)
-        perps.append(math.exp(-total / sum(len(s) for s in data.sequences)))
+        m = markov.fit(data, 2, order=order, smoothing="additive", epsilon=1e-9)
+        total = sum(m.log_evidence(s) for s in data)
+        perps.append(math.exp(-total / sum(len(s) for s in data)))
     assert perps[1] <= perps[0] + 1e-6
     assert perps[2] <= perps[1] + 1e-6
 

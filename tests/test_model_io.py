@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from chordlm import cli, hmm, markov, model_io, pcfg
+from chordlm.corpus import Vocabulary
 from oracles import make_dataset
 
 
 def test_markov_round_trip(tmp_path):
     data = make_dataset(["a b b a", "b a a"], symbols=["a", "b"])
-    model = markov.fit(data, order=2, smoothing="mkn")
+    model = markov.fit(data, 2, order=2, smoothing="mkn")
+    vocab = Vocabulary(symbols=["a", "b"])
     path = tmp_path / "m.model"
-    model_io.save_model(model, path, vocab_hash=data.vocab.content_hash())
+    model_io.save_model(model, path, vocab_hash=vocab.content_hash())
     loaded, vocab_hash = model_io.load_model(path)
-    assert vocab_hash == data.vocab.content_hash()
+    assert vocab_hash == vocab.content_hash()
     assert loaded.order == 2
     assert loaded.smoothing == "mkn"
     assert loaded.epsilon is None

@@ -87,7 +87,7 @@ def prepared(tmp_path):
     meta = cli.cmd_prepare(cfg)
     run = Path(cfg.out_dir)
     vocab = Vocabulary.load(run / "vocab.txt")
-    train, test = (cli._read_encoded(run / name, vocab).sequences for name in ("train_nx20.ids", "test.ids"))
+    train, test = (cli._read_encoded(run / name, vocab) for name in ("train_nx20.ids", "test.ids"))
     return cfg, meta, train, test
 
 
