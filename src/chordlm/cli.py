@@ -133,8 +133,9 @@ def _prepared_data(meta: dict) -> dict:
 
 
 def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
-    """The prepared directory's meta.json, which must hold test lines and must
-    not have been written for other data than this config names.
+    """The prepared directory's meta.json, which must hold test lines and the
+    file of each train size, and must not have been written for other data
+    than this config names.
 
     A data field is checked when it is in ``given``, the fields the config
     sets, and is not None, against what `prepare` resolved it to; the corpus
@@ -179,6 +180,12 @@ def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
             )
     if data["test_count"] == 0:
         raise ValueError(f"{meta_path} has no test lines; run `chordlm prepare` again with --test-count >= 1")
+    for n_x in data["train_sizes"]:
+        ids = Path(cfg.out_dir) / f"train_nx{n_x}.ids"
+        if n_x > meta["n_sequences"] - data["test_count"]:
+            raise ValueError(f"{meta_path} has train size {n_x}, above its training lines; run `chordlm prepare` again")
+        if not ids.exists():
+            raise FileNotFoundError(f"{ids} not found; run `chordlm prepare` again")
     if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
         raise ValueError(
             f"{meta_path} was prepared with corpus={meta['config'].get('corpus')!r}, whose bytes differ from "

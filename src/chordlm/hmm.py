@@ -3,8 +3,8 @@
 Provides scaled forward-backward inference, EM training, Bayesian training by
 Gibbs sampling (blocked forward-filter backward-sample state draws alternated
 with Dirichlet posterior parameter draws), symbol-wise prediction, generation,
-embedding of first-order Markov models, and information-theoretic summaries of
-the latent structure.
+and information-theoretic summaries of the latent structure. Every pass runs
+over the padded chunks of length-sorted lines that ``markov`` defines.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training
-from .markov import MarkovModel, _check_rows, _draw, _normalize_predictions, _position_distribution
+from .markov import Chunk, _check_rows, _chunks, _draw, _live_rows, _valid
+from .markov import _normalize_predictions, _position_distribution
 from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows  # the configs are re-exported
 
 
@@ -77,52 +78,6 @@ def forward_backward(params: HmmParams, seq: np.ndarray) -> tuple[np.ndarray, np
         return alpha[0], np.zeros_like(alpha[0]), scaling[0], -np.inf
     beta = _backward_batch(params, batch, lengths, scaling)
     return alpha[0], beta[0], scaling[0], float(np.log(scaling[0]).sum())
-
-
-# (corpus indices, (B, n) padded batch, lengths) of lines run together
-Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-# Upper bound on the floats of a chunk's filter: rows times its longest line
-# times the number of states. A longer line runs alone. An E-step keeps about
-# four tables of that size at once, so a sweep's peak memory stays near what
-# one batch per length needed.
-MAX_CHUNK_FLOATS = 1 << 16
-
-
-def _chunks(sequences: list[np.ndarray], n_states: int) -> list[Chunk]:
-    """Pad the sequences into (corpus indices, (B, n) batch, lengths) chunks.
-
-    The lines are sorted longest first by a stable sort, so equal lengths keep
-    corpus order, and each chunk's first line sets its width n. At step t a
-    pass works on the prefix of rows whose line is longer than t; the padded
-    cells hold id 0 and no pass reads them as a symbol.
-    """
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    if (lengths == 0).any():
-        raise ValueError("sequence must be non-empty")
-    order = np.argsort(-lengths, kind="stable")
-    chunks = []
-    lo = 0
-    while lo < len(order):
-        n = int(lengths[order[lo]])
-        idx = order[lo:lo + max(1, MAX_CHUNK_FLOATS // (n * n_states))]
-        batch = np.zeros((len(idx), n), dtype=np.int64)
-        for row, i in enumerate(idx.tolist()):
-            batch[row, :lengths[i]] = sequences[i]
-        chunks.append((idx, batch, lengths[idx]))
-        lo += len(idx)
-    return chunks
-
-
-def _live_rows(lengths: np.ndarray, n: int) -> list[int]:
-    """Entry t is the number of leading rows of a chunk whose line is longer
-    than t."""
-    return _valid(lengths, n).sum(axis=0).tolist()
-
-
-def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) mask of the positions a chunk's lines hold."""
-    return np.arange(n) < lengths[:, None]
 
 
 def _forward_batch(params: HmmParams, batch: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,19 +310,6 @@ def score(params: HmmParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[n
 def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:
     """Distribution of the symbol at 1-based ``position`` given the others."""
     return _position_distribution(seq, position, lambda s, i: _score_batch(params, s[None], np.array([len(s)]))[1][i])
-
-
-def from_markov(model: MarkovModel) -> HmmParams:
-    """Embed a first-order Markov model: states are the symbols themselves and
-    each state deterministically emits its own symbol."""
-    if model.order != 1:
-        raise ValueError("only first-order Markov models embed into an HMM")
-    n = model.vocab_size
-    return HmmParams(
-        initial=model.initial_tables[0].copy(),
-        transition=model.transitions.copy(),
-        emission=np.eye(n),
-    )
 
 
 def stationary_distribution(

@@ -5,6 +5,10 @@ A fitted model holds one initial table per prefix length (the distribution of
 the j-th symbol given the first j-1 symbols) plus the full-order transition
 table, all stored densely so that every conditional row is a proper
 distribution over the vocabulary.
+
+Fits and scores run on the padded chunks that the HMM passes import from
+here: one bincount counts every n-gram, and one gather of table rows per step
+and window position gives a chunk's evidences and prediction weights.
 """
 
 from __future__ import annotations
@@ -16,6 +20,49 @@ import numpy as np
 SMOOTHING_TAGS = ("additive", "kn", "mkn")
 
 _FALLBACK_EPSILON = 0.1
+
+# (corpus indices, (B, n) padded batch, lengths) of lines run together
+Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# Upper bound on the floats of a chunk's table: rows times its longest line
+# times ``depth``, the floats per position (an HMM's states, a Markov model's
+# symbols); a longer line runs alone. An HMM E-step keeps about four at once.
+MAX_CHUNK_FLOATS = 1 << 16
+
+
+def _chunks(sequences: list[np.ndarray], depth: int) -> list[Chunk]:
+    """Pad the sequences into (corpus indices, (B, n) batch, lengths) chunks.
+
+    The lines are sorted longest first by a stable sort, so equal lengths keep
+    corpus order, and each chunk's first line sets its width n. At step t a
+    pass works on the prefix of rows whose line is longer than t; the padded
+    cells hold id 0 and no pass reads them as a symbol.
+    """
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    if (lengths == 0).any():
+        raise ValueError("sequence must be non-empty")
+    order = np.argsort(-lengths, kind="stable")
+    chunks = []
+    lo = 0
+    while lo < len(order):
+        n = int(lengths[order[lo]])
+        idx = order[lo:lo + max(1, MAX_CHUNK_FLOATS // (n * depth))]
+        batch = np.zeros((len(idx), n), dtype=np.int64)
+        for row, i in enumerate(idx.tolist()):
+            batch[row, :lengths[i]] = sequences[i]
+        chunks.append((idx, batch, lengths[idx]))
+        lo += len(idx)
+    return chunks
+
+
+def _live_rows(lengths: np.ndarray, n: int) -> list[int]:
+    """Entry t is the number of leading rows of a chunk whose line is longer than t."""
+    return _valid(lengths, n).sum(axis=0).tolist()
+
+
+def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) mask of the positions a chunk's lines hold."""
+    return np.arange(n) < lengths[:, None]
 
 
 @dataclass
@@ -39,71 +86,60 @@ class MarkovModel:
             raise ValueError("transition table has wrong shape")
         _check_rows(self.transitions, tol, "transition table")
 
-    def _step_distribution(self, seq: np.ndarray, pos: int) -> np.ndarray:
-        """Conditional distribution of the symbol at 0-based ``pos`` given the
-        preceding symbols of ``seq``."""
-        if pos < self.order:
-            table = self.initial_tables[pos]
-            ctx = seq[:pos]
-        else:
-            table = self.transitions
-            ctx = seq[pos - self.order:pos]
-        return table[tuple(int(c) for c in ctx)]
+    def _score_chunk(self, batch: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log evidences (B,) of a chunk and the (B, n, V) weights of every
+        candidate symbol at every position, from ones.
+
+        Step t gathers, for the live rows and each position i of factor t's
+        window, the table rows with the candidate at i, through flat indices
+        into the dense table, and multiplies the weights at i by them: so i's
+        weights multiply the factors t = i, ..., i + order in increasing t. The
+        row at i = t gives the observed symbol's factor, whose log adds to the
+        evidence left to right from 0.0; a zero factor makes it -inf.
+        """
+        b, n = batch.shape
+        v = self.vocab_size
+        total = np.zeros(b)
+        weights = np.ones((b, n, v))
+        for t, m in enumerate(_live_rows(lengths, n)):
+            lo = max(0, t - self.order)
+            table = (self.initial_tables[t] if t < self.order else self.transitions).reshape(-1)
+            window = batch[:m, lo:t + 1]
+            flat = np.ravel_multi_index(tuple(window.T), (v,) * (t - lo + 1))  # raises on an id outside 0..V-1
+            strides = v ** np.arange(t - lo, -1, -1)
+            for a, stride in enumerate(strides.tolist()):
+                rows = table[(flat - window[:, a] * stride)[:, None] + np.arange(v) * stride]
+                weights[:m, lo + a] *= rows
+            with np.errstate(divide="ignore"):  # log 0 is -inf, and so is every sum with it
+                total[:m] += np.log(rows[np.arange(m), batch[:m, t]])
+        return total, weights
+
+    def _score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each sequence's log evidence and (len(seq), V) weights, in corpus order."""
+        log_ev = np.empty(len(seqs))
+        weights: list = [None] * len(seqs)
+        for idx, batch, lengths in _chunks(seqs, self.vocab_size):
+            log_ev[idx], chunk_weights = self._score_chunk(batch, lengths)
+            for i, w, length in zip(idx.tolist(), chunk_weights, lengths.tolist()):
+                weights[i] = w[:length]
+        return log_ev, weights
 
     def log_evidence(self, seq: np.ndarray) -> float:
-        """Natural-log probability of a full sequence."""
-        seq = np.asarray(seq)
-        if len(seq) == 0:
-            raise ValueError("sequence must be non-empty")
-        total = 0.0
-        for pos in range(len(seq)):
-            p = self._step_distribution(seq, pos)[int(seq[pos])]
-            if p <= 0.0:
-                return -np.inf
-            total += float(np.log(p))
-        return total
-
-    def _position_weights(self, seq: np.ndarray, i: int) -> np.ndarray:
-        """Unnormalized weights of each candidate symbol at 0-based ``i``.
-
-        Only the conditional factors whose context window touches the queried
-        position vary with the candidate symbol, so the weights are the
-        product of those factors.
-        """
-        n = len(seq)
-        probs = np.ones(self.vocab_size)
-        for pos in range(i, min(i + self.order, n - 1) + 1):
-            if pos < self.order:
-                table = self.initial_tables[pos]
-                lo = 0
-            else:
-                table = self.transitions
-                lo = pos - self.order
-            # Build an index with a free axis at the queried position.
-            idx: list = []
-            for j in range(lo, pos + 1):
-                idx.append(slice(None) if j == i else int(seq[j]))
-            factor = table[tuple(idx)]
-            probs = probs * factor
-        return probs
+        """Natural-log probability of a full sequence: a batch of one."""
+        return float(self.log_evidences([np.asarray(seq)])[0])
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
-        """Distribution of the symbol at 1-based ``position`` given all other
-        symbols of ``seq``."""
-        return _position_distribution(seq, position, self._position_weights)
+        """Distribution of the symbol at 1-based ``position`` given the others."""
+        return _position_distribution(seq, position, lambda s, i: self._score([s])[1][0][i])
 
-    def predict_distributions(self, seq: np.ndarray) -> np.ndarray:
-        """Row i is ``predict_distribution(seq, i + 1)``; shape (len(seq), V)."""
-        seq = np.asarray(seq)
-        return _normalize_predictions(np.stack([self._position_weights(seq, i) for i in range(len(seq))]))
-
-    def log_evidences(self, seqs: list[np.ndarray]):
-        """Each sequence's log evidence in turn, in corpus order."""
-        return map(self.log_evidence, seqs)
+    def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
+        """Each sequence's log evidence in corpus order, -inf where it is zero."""
+        return self._score(seqs)[0]
 
     def score(self, seqs: list[np.ndarray]):
-        """Each sequence's log evidence and prediction rows, in turn."""
-        return self.log_evidences(seqs), map(self.predict_distributions, seqs)
+        """Each sequence's log evidence, and its prediction rows in turn."""
+        log_ev, weights = self._score(seqs)
+        return log_ev, map(_normalize_predictions, weights)
 
     def sample_sequence(self, length: int, seed: int) -> np.ndarray:
         if length < 1:
@@ -111,8 +147,8 @@ class MarkovModel:
         rng = np.random.default_rng(seed)
         out = np.empty(length, dtype=np.int64)
         for pos in range(length):
-            row = self._step_distribution(out[:pos], pos)
-            out[pos] = _draw(rng, row)
+            table = self.initial_tables[pos] if pos < self.order else self.transitions
+            out[pos] = _draw(rng, table[tuple(out[max(0, pos - self.order):pos].tolist())])
         return out
 
 
@@ -172,12 +208,10 @@ def fit(
         raise ValueError("training data is empty")
 
     n = vocab_size
-    initial_tables = []
-    for j in range(1, order + 1):
-        counts = _prefix_counts(sequences, j, n)
-        initial_tables.append(_build_table(counts, smoothing, epsilon, n))
-    trans_counts = _ngram_counts(sequences, order + 1, n)
-    transitions = _build_table(trans_counts, smoothing, epsilon, n)
+    # a line's first j symbols are the one j-gram of its prefix of length j
+    prefix_counts = [_ngram_counts([seq[:j] for seq in sequences], j, n) for j in range(1, order + 1)]
+    initial_tables = [_build_table(counts, smoothing, epsilon, n) for counts in prefix_counts]
+    transitions = _build_table(_ngram_counts(sequences, order + 1, n), smoothing, epsilon, n)
     model = MarkovModel(
         order=order,
         vocab_size=n,
@@ -190,28 +224,14 @@ def fit(
     return model
 
 
-def _prefix_counts(sequences: list[np.ndarray], width: int, n: int) -> np.ndarray:
-    """Counts of the first ``width`` symbols of each sequence of length >= width."""
-    counts = np.zeros((n,) * width, dtype=np.float64)
-    for seq in sequences:
-        if len(seq) >= width:
-            counts[tuple(int(s) for s in seq[:width])] += 1
-    return counts
-
-
 def _ngram_counts(sequences: list[np.ndarray], width: int, n: int) -> np.ndarray:
-    """Counts of every ``width``-gram of each sequence."""
-    counts = np.zeros((n,) * width, dtype=np.float64)
-    flat = counts.reshape(-1)
-    for seq in sequences:
-        if len(seq) < width:
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(seq, width)
-        ravel = np.zeros(len(windows), dtype=np.int64)
-        for j in range(width):
-            ravel = ravel * n + windows[:, j]
-        np.add.at(flat, ravel, 1.0)
-    return counts
+    """Counts of every ``width``-gram of each sequence: the windows of the
+    padded chunks of the lines that hold one, in one bincount."""
+    cells = [np.zeros(0, dtype=np.int64)]
+    for _, batch, lengths in _chunks([seq for seq in sequences if len(seq) >= width], n):
+        flat = np.lib.stride_tricks.sliding_window_view(batch, width, axis=1) @ n ** np.arange(width - 1, -1, -1)
+        cells.append(flat[_valid(lengths - width + 1, flat.shape[1])])
+    return np.bincount(np.concatenate(cells), minlength=n**width).astype(np.float64).reshape((n,) * width)
 
 
 def _build_table(counts: np.ndarray, smoothing: str, epsilon: float, n: int) -> np.ndarray:

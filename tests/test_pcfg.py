@@ -30,6 +30,7 @@ from oracles import (
     rows_of_one,
     sample_tree_reference,
     square_chart,
+    strict_embed_hmm,
     tree_log_probability,
 )
 
@@ -126,7 +127,7 @@ def test_init_from_hmm_mean_length_targets():
 
 def test_strict_embed_single_state_hand_value():
     base = HmmParams(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
-    g = pcfg.strict_embed_hmm(base, end_prob=np.array([0.5]))
+    g = strict_embed_hmm(base, end_prob=np.array([0.5]))
     g.validate(tol=1e-12)
     # the HMM emits "a a" then stops with probability 0.5 * 0.5
     got = math.exp(pcfg.inside(g, np.array([0, 0])).log_evidence[0])
@@ -137,7 +138,7 @@ def test_strict_embed_length_one_reads_off_stop_marginal():
     rng = np.random.default_rng(3)
     base = random_hmm(rng, 2, 3)
     end = np.array([0.3, 0.6])
-    g = pcfg.strict_embed_hmm(base, end)
+    g = strict_embed_hmm(base, end)
     want = (base.initial * end) @ base.emission
     assert np.allclose(g.start_emissions, want, atol=1e-12)
     for x in range(3):
@@ -149,7 +150,7 @@ def test_strict_embed_evidence_equality_exhaustive():
     rng = np.random.default_rng(14)
     base = random_hmm(rng, 2, 3)
     end = rng.uniform(0.2, 0.6, size=2)
-    g = pcfg.strict_embed_hmm(base, end)
+    g = strict_embed_hmm(base, end)
     g.validate(tol=1e-9)
     for length in range(1, 5):
         for seq in all_sequences(3, length):
@@ -161,7 +162,7 @@ def test_strict_embed_evidence_equality_exhaustive():
 def test_strict_embed_validates_rows():
     base = HmmParams(np.array([1.0]), np.array([[0.9]]), np.array([[1.0]]))
     with pytest.raises(ValueError):
-        pcfg.strict_embed_hmm(base, end_prob=np.array([0.5]))
+        strict_embed_hmm(base, end_prob=np.array([0.5]))
 
 
 # ------------------------------------------------------------------ inside
@@ -294,7 +295,7 @@ def test_batched_charts_match_reference_on_mixed_lengths():
 
 def test_batched_charts_match_reference_with_start_emissions():
     rng = np.random.default_rng(81)
-    g = pcfg.strict_embed_hmm(random_hmm(rng, 2, 3), end_prob=np.array([0.3, 0.6]))
+    g = strict_embed_hmm(random_hmm(rng, 2, 3), end_prob=np.array([0.3, 0.6]))
     assert g.start_emits
     seqs = [rng.integers(0, 3, size=n) for n in (1, 1, 2, 3, 4, 4, 6)]
     assert_batch_matches_reference(g, seqs)
@@ -434,7 +435,7 @@ def test_em_rejects_bad_inputs():
     with pytest.raises(ValueError):
         pcfg.em_fit(g, [np.zeros(65, dtype=np.int64)], EmConfig())
     base = HmmParams(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
-    embedded = pcfg.strict_embed_hmm(base, np.array([0.5]))
+    embedded = strict_embed_hmm(base, np.array([0.5]))
     with pytest.raises(ValueError):
         pcfg.em_fit(embedded, [np.zeros(3, dtype=np.int64)], EmConfig())
 
@@ -573,7 +574,7 @@ def test_length_probability_matches_string_sum():
 
 def test_length_table_matches_length_probability_bitwise():
     rng = np.random.default_rng(53)
-    embedded = pcfg.strict_embed_hmm(random_hmm(rng, 2, 3), end_prob=np.array([0.3, 0.6]))
+    embedded = strict_embed_hmm(random_hmm(rng, 2, 3), end_prob=np.array([0.3, 0.6]))
     for g in (single_terminal_grammar(), random_grammar(rng, 3, 2), embedded):
         table = pcfg.length_log_probabilities(g, 12)
         assert table.shape == (13,) and table[0] == -np.inf
@@ -706,7 +707,7 @@ def test_sample_tree_matches_per_draw_cumsum_sampler():
     grammars = (
         pcfg.init_from_hmm(random_hmm(np.random.default_rng(5), 2, 3), kappa=0.5416, eta=0.0),
         pcfg.init_from_hmm(base, kappa=0.7, eta=0.05),
-        pcfg.strict_embed_hmm(base, end_prob=np.array([0.4, 0.5])),
+        strict_embed_hmm(base, end_prob=np.array([0.4, 0.5])),
     )
     for g in grammars:
         for seed in range(40):

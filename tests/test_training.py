@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordlm import cli, evaluate, hmm, pcfg
+from chordlm import cli, evaluate, hmm, markov, pcfg
 from chordlm.config import ExperimentConfig
 from chordlm.corpus import Vocabulary
 from chordlm.hmm import HmmParams
@@ -129,7 +129,7 @@ def test_pcfg_em_cell_runs_one_inside_pass_per_batch_and_iteration(prepared, mon
 
 def test_hmm_em_cell_runs_one_forward_pass_per_chunk_and_iteration(prepared, monkeypatch):
     cfg, meta, train, test = prepared
-    monkeypatch.setattr(hmm, "MAX_CHUNK_FLOATS", 2 * 2 * 7)  # two lines of 7 chords per chunk at K=2
+    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 2 * 2 * 7)  # two lines of 7 chords per chunk at K=2
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     _run(cfg, meta, "hmm", "em")
     chunks = len(hmm._chunks(train, 2))
