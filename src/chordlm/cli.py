@@ -457,29 +457,23 @@ def cmd_generate(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
-    lines = []
+    seeds = [cell_seed(str(seed), "generate", i) for i in range(count)]
     if isinstance(model, pcfg.PcfgParams):
         if length is not None:
             raise ValueError("grammar sampling determines its own length; drop --length")
-        for i in range(count):
-            derivation, ids = pcfg.sample_tree(model, seed=cell_seed(str(seed), "generate", i))
-            if trees:
-                lines.append(pcfg.bracketed(derivation, model.n_nonterminals, vocab.symbols))
-            else:
-                lines.append(" ".join(vocab.symbols[int(x)] for x in ids))
-        return lines
+        samples = pcfg.sample_tree(model, seeds)
+        if trees:
+            return [pcfg.bracketed(derivation, model.n_nonterminals, vocab.symbols) for derivation, _ in samples]
+        return [" ".join(vocab.symbols[x] for x in ids.tolist()) for _, ids in samples]
     if trees:
         raise ValueError("--trees is only meaningful for grammar models")
     if length is None:
         raise ValueError("--length is required for Markov and HMM models")
-    for i in range(count):
-        child = cell_seed(str(seed), "generate", i)
-        if isinstance(model, hmm.HmmParams):
-            ids = hmm.sample_sequence(model, length, seed=child)
-        else:
-            ids = model.sample_sequence(length, seed=child)
-        lines.append(" ".join(vocab.symbols[int(x)] for x in ids))
-    return lines
+    if isinstance(model, hmm.HmmParams):
+        ids = hmm.sample_sequence(model, length, seeds)
+    else:
+        ids = model.sample_sequence(length, seeds)
+    return [" ".join(vocab.symbols[x] for x in row) for row in ids.tolist()]
 
 
 # --------------------------------------------------------------------- main

@@ -9,12 +9,12 @@ over the padded chunks of length-sorted lines that ``markov`` defines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import training
-from .markov import Chunk, _check_rows, _chunks, _draw, _live_rows, _valid
+from .markov import Chunk, _check_rows, _chunks, _live_rows, _pick, _valid
 from .markov import _normalize_predictions, _position_distribution
 from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows  # the configs are re-exported
 
@@ -72,7 +72,7 @@ def forward_backward(params: HmmParams, seq: np.ndarray) -> tuple[np.ndarray, np
     -inf; alpha and the scaling are then zero from the first impossible step
     on, and beta is all zero.
     """
-    (_, batch, lengths), = _chunks([np.asarray(seq)], params.n_states)
+    (_, batch, lengths), = _chunks([np.asarray(seq)], params.n_states, params.vocab_size)
     alpha, scaling = _forward_batch(params, batch, lengths)
     if (scaling <= 0.0).any():
         return alpha[0], np.zeros_like(alpha[0]), scaling[0], -np.inf
@@ -135,7 +135,7 @@ def _chunk_evidences(params: HmmParams, chunks: list[Chunk]) -> np.ndarray:
 def log_evidences(params: HmmParams, seqs: list[np.ndarray]) -> np.ndarray:
     """Each sequence's log evidence in corpus order, -inf where it is zero;
     one forward pass per chunk."""
-    return _chunk_evidences(params, _chunks(seqs, params.n_states))
+    return _chunk_evidences(params, _chunks(seqs, params.n_states, params.vocab_size))
 
 
 def log_evidence_total(params: HmmParams, sequences: list[np.ndarray]) -> float:
@@ -188,7 +188,7 @@ def em_fit(
     of the returned model."""
     if len(sequences) == 0:
         raise ValueError("training data is empty")
-    chunks = _chunks(sequences, params.n_states)
+    chunks = _chunks(sequences, params.n_states, params.vocab_size)
     return training.em(
         params, lambda p: _e_step(p, chunks), _from_counts, lambda p: _chunk_evidences(p, chunks), config
     )
@@ -208,14 +208,9 @@ def _sample_states(
         w = alpha[:m, t].copy()
         if going_on:
             w[:going_on] *= transition[:, states[:going_on, t + 1]].T
-        states[:m, t] = _categorical_rows(rng, w)
+        cdf = np.cumsum(w, axis=1)
+        states[:m, t] = _pick(cdf, rng.random(m) * cdf[:, -1])
     return states
-
-
-def _categorical_rows(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(weights, axis=1)
-    u = rng.random(weights.shape[0]) * cdf[:, -1]
-    return (u[:, None] >= cdf).sum(axis=1)
 
 
 def _gibbs_step(
@@ -256,7 +251,7 @@ def gibbs_fit(
     Gibbs chain, then locally optimize it with a bounded EM polish."""
     if len(sequences) == 0:
         raise ValueError("training data is empty")
-    chunks = _chunks(sequences, params.n_states)
+    chunks = _chunks(sequences, params.n_states, params.vocab_size)
     return training.best_of_gibbs(
         params,
         lambda p, rng: _gibbs_step(p, chunks, config.dirichlet_alpha, rng),
@@ -299,7 +294,7 @@ def score(params: HmmParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[n
     corpus order, from one forward and one backward pass per chunk."""
     log_ev = np.empty(len(seqs))
     rows: list = [None] * len(seqs)
-    for idx, batch, lengths in _chunks(seqs, params.n_states):
+    for idx, batch, lengths in _chunks(seqs, params.n_states, params.vocab_size):
         log_ev[idx], weights = _score_batch(params, batch, lengths)
         line_rows = np.split(_normalize_predictions(weights), np.cumsum(lengths)[:-1])
         for i, chunk_rows in zip(idx.tolist(), line_rows):
@@ -341,12 +336,7 @@ class InfoMeasures:
     transition_perplexity: float   # average reachable states per state
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "stationary_perplexity": self.stationary_perplexity,
-            "emission_perplexity": self.emission_perplexity,
-            "state_variety": self.state_variety,
-            "transition_perplexity": self.transition_perplexity,
-        }
+        return asdict(self)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -379,15 +369,19 @@ def info_measures(params: HmmParams) -> InfoMeasures:
     return InfoMeasures(p_state, p_emit, variety, p_trans)
 
 
-def sample_sequence(params: HmmParams, length: int, seed: int) -> np.ndarray:
-    """Ancestral sampling of a symbol sequence of the given length."""
+def sample_sequence(params: HmmParams, length: int, seeds: list[int]) -> np.ndarray:
+    """Ancestral sampling of one symbol sequence of the given length per seed,
+    as a (len(seeds), length) array. Row i takes its uniforms from
+    ``default_rng(seeds[i])``, a state's then a symbol's at each step, and is
+    what seed i draws alone."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = np.empty(length, dtype=np.int64)
-    state = _draw(rng, params.initial)
-    out[0] = _draw(rng, params.emission[state])
-    for t in range(1, length):
-        state = _draw(rng, params.transition[state])
-        out[t] = _draw(rng, params.emission[state])
+    u = np.array([np.random.default_rng(seed).random(2 * length) for seed in seeds]).reshape(-1, length, 2)
+    transition, emission = np.cumsum(params.transition, axis=1), np.cumsum(params.emission, axis=1)
+    out = np.empty(u.shape[:2], dtype=np.int64)
+    state = _pick(np.cumsum(params.initial), u[:, 0, 0])
+    for t in range(length):
+        if t:
+            state = _pick(transition[state], u[:, t, 0])
+        out[:, t] = _pick(emission[state], u[:, t, 1])
     return out

@@ -30,13 +30,14 @@ Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
 MAX_CHUNK_FLOATS = 1 << 16
 
 
-def _chunks(sequences: list[np.ndarray], depth: int) -> list[Chunk]:
+def _chunks(sequences: list[np.ndarray], depth: int, vocab_size: int) -> list[Chunk]:
     """Pad the sequences into (corpus indices, (B, n) batch, lengths) chunks.
 
     The lines are sorted longest first by a stable sort, so equal lengths keep
     corpus order, and each chunk's first line sets its width n. At step t a
     pass works on the prefix of rows whose line is longer than t; the padded
-    cells hold id 0 and no pass reads them as a symbol.
+    cells hold id 0 and no pass reads them as a symbol. An id outside
+    0..vocab_size-1 raises.
     """
     lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
     if (lengths == 0).any():
@@ -50,9 +51,19 @@ def _chunks(sequences: list[np.ndarray], depth: int) -> list[Chunk]:
         batch = np.zeros((len(idx), n), dtype=np.int64)
         for row, i in enumerate(idx.tolist()):
             batch[row, :lengths[i]] = sequences[i]
+        _check_ids(idx, batch, vocab_size)
         chunks.append((idx, batch, lengths[idx]))
         lo += len(idx)
     return chunks
+
+
+def _check_ids(idx: np.ndarray, batch: np.ndarray, vocab_size: int) -> None:
+    """Raise on the first id of a batch, row ``k`` holding line ``idx[k]``,
+    that is not a symbol of the alphabet."""
+    bad = np.argwhere((batch < 0) | (batch >= vocab_size))
+    if len(bad):
+        row, t = bad[0].tolist()
+        raise ValueError(f"line {idx[row]} holds symbol id {batch[row, t]}, outside 0..{vocab_size - 1}")
 
 
 def _live_rows(lengths: np.ndarray, n: int) -> list[int]:
@@ -105,7 +116,7 @@ class MarkovModel:
             lo = max(0, t - self.order)
             table = (self.initial_tables[t] if t < self.order else self.transitions).reshape(-1)
             window = batch[:m, lo:t + 1]
-            flat = np.ravel_multi_index(tuple(window.T), (v,) * (t - lo + 1))  # raises on an id outside 0..V-1
+            flat = np.ravel_multi_index(tuple(window.T), (v,) * (t - lo + 1))
             strides = v ** np.arange(t - lo, -1, -1)
             for a, stride in enumerate(strides.tolist()):
                 rows = table[(flat - window[:, a] * stride)[:, None] + np.arange(v) * stride]
@@ -118,7 +129,7 @@ class MarkovModel:
         """Each sequence's log evidence and (len(seq), V) weights, in corpus order."""
         log_ev = np.empty(len(seqs))
         weights: list = [None] * len(seqs)
-        for idx, batch, lengths in _chunks(seqs, self.vocab_size):
+        for idx, batch, lengths in _chunks(seqs, self.vocab_size, self.vocab_size):
             log_ev[idx], chunk_weights = self._score_chunk(batch, lengths)
             for i, w, length in zip(idx.tolist(), chunk_weights, lengths.tolist()):
                 weights[i] = w[:length]
@@ -141,19 +152,27 @@ class MarkovModel:
         log_ev, weights = self._score(seqs)
         return log_ev, map(_normalize_predictions, weights)
 
-    def sample_sequence(self, length: int, seed: int) -> np.ndarray:
+    def sample_sequence(self, length: int, seeds: list[int]) -> np.ndarray:
+        """One line of the given length per seed, as a (len(seeds), length)
+        array: row i takes its ``length`` uniforms from ``default_rng(seeds[i])``
+        and is what seed i draws alone."""
         if length < 1:
             raise ValueError("length must be >= 1")
-        rng = np.random.default_rng(seed)
-        out = np.empty(length, dtype=np.int64)
+        u = np.array([np.random.default_rng(seed).random(length) for seed in seeds]).reshape(-1, length)
+        v = self.vocab_size
+        out = np.empty(u.shape, dtype=np.int64)
         for pos in range(length):
-            table = self.initial_tables[pos] if pos < self.order else self.transitions
-            out[pos] = _draw(rng, table[tuple(out[max(0, pos - self.order):pos].tolist())])
+            lo = max(0, pos - self.order)
+            table = (self.initial_tables[pos] if pos < self.order else self.transitions).reshape(-1, v)
+            context = out[:, lo:pos] @ v ** np.arange(pos - lo - 1, -1, -1)  # each line's row of the table
+            out[:, pos] = _pick(np.cumsum(table[context], axis=1), u[:, pos])
         return out
 
 
-def _draw(rng: np.random.Generator, row: np.ndarray) -> int:
-    return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Categorical draws: for each uniform, the count of entries of its CDF
+    row (or of the one row ``cdf``) that are <= it."""
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def _normalize_predictions(weights: np.ndarray) -> np.ndarray:
@@ -226,11 +245,12 @@ def fit(
 
 def _ngram_counts(sequences: list[np.ndarray], width: int, n: int) -> np.ndarray:
     """Counts of every ``width``-gram of each sequence: the windows of the
-    padded chunks of the lines that hold one, in one bincount."""
+    padded chunks, in one bincount; a line shorter than ``width`` has none."""
     cells = [np.zeros(0, dtype=np.int64)]
-    for _, batch, lengths in _chunks([seq for seq in sequences if len(seq) >= width], n):
-        flat = np.lib.stride_tricks.sliding_window_view(batch, width, axis=1) @ n ** np.arange(width - 1, -1, -1)
-        cells.append(flat[_valid(lengths - width + 1, flat.shape[1])])
+    for _, batch, lengths in _chunks(sequences, n, n):
+        if batch.shape[1] >= width:
+            flat = np.lib.stride_tricks.sliding_window_view(batch, width, axis=1) @ n ** np.arange(width - 1, -1, -1)
+            cells.append(flat[_valid(lengths - width + 1, flat.shape[1])])
     return np.bincount(np.concatenate(cells), minlength=n**width).astype(np.float64).reshape((n,) * width)
 
 

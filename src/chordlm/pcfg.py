@@ -16,16 +16,15 @@ as the exact embedding of a length-terminated HMM.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import training
 from .hmm import HmmParams
-from .markov import _normalize_predictions, _position_distribution
+from .markov import _check_ids, _normalize_predictions, _position_distribution
 from .training import GibbsTrace, dirichlet_rows
 
 START = -1
@@ -40,7 +39,6 @@ class PcfgParams:
     start_emissions: np.ndarray  # (V,):   P(S -> x), zero in training mode
     rules: np.ndarray            # (D, D, D): P(z -> l r)
     emissions: np.ndarray        # (D, V):   P(z -> x)
-    _cdf_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nonterminals(self) -> int:
@@ -65,23 +63,6 @@ class PcfgParams:
         totals = self.rules.sum(axis=(1, 2)) + self.emissions.sum(axis=1)
         if np.abs(totals - 1.0).max() > tol:
             raise ValueError("per-nonterminal productions do not sum to 1")
-
-    def production_cdfs(self) -> tuple[array, list[array]]:
-        """Cumulative production rows, the start row and one row per
-        nonterminal, each over its binary rules then its terminals, as flat
-        double arrays that ``bisect`` searches without numpy call overhead.
-
-        Built once and kept while the four arrays are the same objects: edit
-        a grammar by assigning new arrays, since an in-place edit is not seen.
-        """
-        arrays = (self.start_rules, self.start_emissions, self.rules, self.emissions)
-        cache = self._cdf_cache
-        if cache is None or any(a is not b for a, b in zip(cache[0], arrays)):
-            d = self.n_nonterminals
-            start = np.concatenate([self.start_rules.reshape(-1), self.start_emissions])
-            rows = np.cumsum(np.concatenate([self.rules.reshape(d, d * d), self.emissions], axis=1), axis=1)
-            cache = self._cdf_cache = (arrays, array("d", np.cumsum(start)), [array("d", row) for row in rows])
-        return cache[1], cache[2]
 
     def log_evidences(self, seqs: list[np.ndarray]):
         """Yields each sequence's log evidence normalized within its length."""
@@ -328,10 +309,10 @@ def _outside_batch(
     return as_left, out_scale
 
 
-def _batches(sequences: list[np.ndarray], d: int):
+def _batches(sequences: list[np.ndarray], d: int, vocab_size: int):
     """(corpus indices, stacked sequences) of equal length, in ascending length
     order, each holding at most MAX_BATCH_FLOATS floats at its peak (at least
-    one sequence)."""
+    one sequence). An id outside 0..vocab_size-1 raises."""
     by_len: dict[int, list[int]] = {}
     for i, seq in enumerate(sequences):
         by_len.setdefault(len(seq), []).append(i)
@@ -339,7 +320,9 @@ def _batches(sequences: list[np.ndarray], d: int):
         idx = np.asarray(by_len[n], dtype=np.int64)
         size = max(1, MAX_BATCH_FLOATS // (4 * d * n * (n + 1) + d * d * (n - 1)))
         for lo in range(0, len(idx), size):
-            yield idx[lo:lo + size], np.stack([sequences[i] for i in idx[lo:lo + size]])
+            batch = np.stack([sequences[i] for i in idx[lo:lo + size]])
+            _check_ids(idx[lo:lo + size], batch, vocab_size)
+            yield idx[lo:lo + size], batch
 
 
 def inside(params: PcfgParams, seq: np.ndarray) -> _ChartBatch:
@@ -355,7 +338,7 @@ def outside(params: PcfgParams, chart: _ChartBatch) -> tuple[np.ndarray, np.ndar
 def _log_evidences(params: PcfgParams, sequences: list[np.ndarray]) -> np.ndarray:
     """Each sequence's log evidence, in corpus order."""
     out = np.empty(len(sequences))
-    for idx, batch in _batches(sequences, params.n_nonterminals):
+    for idx, batch in _batches(sequences, params.n_nonterminals, params.vocab_size):
         out[idx] = _inside_batch(params, batch).log_evidence
     return out
 
@@ -375,7 +358,7 @@ def _e_step(params: PcfgParams, sequences: list[np.ndarray]):
     rules = np.zeros((d, d * d))
     emit_t = np.zeros((v, d))
     log_ev = np.empty(len(sequences))
-    for idx, batch in _batches(sequences, d):
+    for idx, batch in _batches(sequences, d, params.vocab_size):
         n = batch.shape[1]
         chart = _inside_batch(params, batch)
         out, out_scale = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
@@ -503,7 +486,7 @@ def _gibbs_step(
     ends = np.cumsum([len(seq) - 1 for seq in sequences]).tolist()
     draws = rng.random(ends[-1]).tolist()
     log_ev = np.empty(len(sequences))
-    for idx, batch in _batches(sequences, d):
+    for idx, batch in _batches(sequences, d, params.vocab_size):
         chart = _inside_batch(params, batch)
         log_ev[idx] = chart.log_evidence
         for k, i in enumerate(idx.tolist()):
@@ -588,7 +571,7 @@ def _score_weights(params: PcfgParams, seqs: list[np.ndarray]) -> tuple[np.ndarr
     the symbol there."""
     log_ev = np.empty(len(seqs))
     weights: list = [None] * len(seqs)
-    for idx, batch in _batches(seqs, params.n_nonterminals):
+    for idx, batch in _batches(seqs, params.n_nonterminals, params.vocab_size):
         chart = _inside_batch(params, batch)
         out, _ = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
         log_ev[idx] = chart.log_evidence
@@ -612,35 +595,43 @@ def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> 
 
 
 def sample_tree(
-    params: PcfgParams, seed: int, max_expansions: int = DEFAULT_EXPANSION_CAP
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Ancestral top-down sampling of one derivation and its yield.
+    params: PcfgParams, seeds: list[int], max_expansions: int = DEFAULT_EXPANSION_CAP
+) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
+    """Ancestral top-down sampling of one derivation and its yield per seed;
+    tree i takes one uniform per node from ``default_rng(seeds[i])`` and is
+    what seed i draws alone.
 
     The derivation lists each node's (head, production) in preorder, left
     child first; the start symbol's head is START. A production p < D^2
     rewrites the head to (p // D, p % D), and p >= D^2 emits terminal p - D^2.
     """
-    rng = np.random.default_rng(seed)
     d = params.n_nonterminals
-    start_cdf, cdfs = params.production_cdfs()
+    # cumulative production rows, each over its binary rules then its
+    # terminals, as lists that ``bisect`` searches without numpy call overhead
+    start_cdf = np.cumsum(np.concatenate([params.start_rules.reshape(-1), params.start_emissions])).tolist()
+    cdfs = np.cumsum(np.concatenate([params.rules.reshape(d, d * d), params.emissions], axis=1), axis=1).tolist()
 
-    derivation: list[tuple[int, int]] = []
-    leaves: list[int] = []
-    stack = [START]
-    while stack:
-        if len(derivation) == max_expansions:
-            raise RuntimeError(
-                f"exceeded {max_expansions} expansions; the grammar is unlikely to terminate"
-            )
-        head = stack.pop()
-        choice = bisect_right(start_cdf if head == START else cdfs[head], rng.random())
-        derivation.append((head, choice))
-        if choice < d * d:
-            stack.append(choice % d)
-            stack.append(choice // d)
-        else:
-            leaves.append(choice - d * d)
-    return derivation, np.asarray(leaves, dtype=np.int64)
+    trees = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        derivation: list[tuple[int, int]] = []
+        leaves: list[int] = []
+        stack = [START]
+        while stack:
+            if len(derivation) == max_expansions:
+                raise RuntimeError(
+                    f"exceeded {max_expansions} expansions; the grammar is unlikely to terminate"
+                )
+            head = stack.pop()
+            choice = bisect_right(start_cdf if head == START else cdfs[head], rng.random())
+            derivation.append((head, choice))
+            if choice < d * d:
+                stack.append(choice % d)
+                stack.append(choice // d)
+            else:
+                leaves.append(choice - d * d)
+        trees.append((derivation, np.asarray(leaves, dtype=np.int64)))
+    return trees
 
 
 def bracketed(derivation: list[tuple[int, int]], d: int, symbols: list[str] | None = None) -> str:

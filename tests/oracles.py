@@ -676,6 +676,35 @@ def pcfg_expected_counts_reference(params, seq):
     return start_counts, rule_counts, emit_counts, log_ev
 
 
+def _draw_reference(rng, row: np.ndarray) -> int:
+    """One categorical draw: a uniform searched in a fresh cumsum of the row."""
+    return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+
+
+def hmm_sample_reference(params, length: int, seed: int) -> np.ndarray:
+    """One ancestrally sampled HMM line, one uniform at a time: a state, then
+    its symbol, at each step."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(length, dtype=np.int64)
+    state = _draw_reference(rng, params.initial)
+    out[0] = _draw_reference(rng, params.emission[state])
+    for t in range(1, length):
+        state = _draw_reference(rng, params.transition[state])
+        out[t] = _draw_reference(rng, params.emission[state])
+    return out
+
+
+def markov_sample_reference(model, length: int, seed: int) -> np.ndarray:
+    """One sampled Markov line, one uniform per symbol, each from the table
+    row its context indexes directly."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(length, dtype=np.int64)
+    for pos in range(length):
+        table = model.initial_tables[pos] if pos < model.order else model.transitions
+        out[pos] = _draw_reference(rng, table[tuple(out[max(0, pos - model.order):pos].tolist())])
+    return out
+
+
 def sample_tree_reference(params, seed: int, max_expansions: int = 10_000):
     """(bracketed tree, yield) of one ancestral tree draw, taking each
     production from a fresh cumsum of its row; brackets name the start
@@ -694,7 +723,7 @@ def sample_tree_reference(params, seed: int, max_expansions: int = 10_000):
         if expansions > max_expansions:
             raise RuntimeError("expansion cap exceeded")
         row = start_row if node["head"] == -1 else rows[node["head"]]
-        choice = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+        choice = _draw_reference(rng, row)
         if choice < d * d:
             node["left"] = {"head": choice // d}
             node["right"] = {"head": choice % d}

@@ -191,10 +191,10 @@ def test_criterion_6_expected_length():
     for kappa, lo, hi in ((0.6, 5.9, 6.1), (0.5416, 12.5, 13.5)):
         grammar = pcfg.init_from_hmm(base, kappa=kappa, eta=0.0)
         total = 0
-        n_trees = 100_000
-        for i in range(n_trees):
-            _, ids = pcfg.sample_tree(grammar, seed=i, max_expansions=1_000_000)
-            total += len(ids)
+        n_trees, block = 100_000, 10_000
+        for first in range(0, n_trees, block):  # so that not every derivation is held at once
+            trees = pcfg.sample_tree(grammar, list(range(first, first + block)), max_expansions=1_000_000)
+            total += sum(len(ids) for _, ids in trees)
         mean = total / n_trees
         ok &= lo <= mean <= hi
 
@@ -223,8 +223,8 @@ def _planted_hmm() -> HmmParams:
 def test_criterion_7_synthetic_recovery():
     started = time.perf_counter()
     planted = _planted_hmm()
-    train = [hmm.sample_sequence(planted, 20, seed=1000 + i) for i in range(30)]
-    test = [hmm.sample_sequence(planted, 20, seed=2000 + i) for i in range(200)]
+    train = list(hmm.sample_sequence(planted, 20, [1000 + i for i in range(30)]))
+    test = list(hmm.sample_sequence(planted, 20, [2000 + i for i in range(200)]))
 
     planted_perplexity = evaluate.perplexity(planted, test)
     markov_model = markov.fit(train, 11, order=1, smoothing="mkn")
@@ -287,7 +287,7 @@ def test_criterion_9_smoothing_sanity():
     train_rows = []
     for i in range(1000):
         n = int(rng.integers(5, 26))
-        train_rows.append(" ".join(symbols[x] for x in hmm.sample_sequence(source, n, seed=i)))
+        train_rows.append(" ".join(symbols[x] for x in hmm.sample_sequence(source, n, [i])[0]))
     train = make_dataset(train_rows, symbols=symbols)
 
     # test sequences engineered to contain n-grams unseen in training

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -714,6 +715,38 @@ def test_generate_pcfg_forbids_length_and_matches_mean(tmp_path):
     lines = cli.cmd_generate(str(tmp_path / "g.model"), str(tmp_path / "v.txt"), 3000, 0, None)
     mean = np.mean([len(ln.split()) for ln in lines])
     assert abs(mean - 6.0) < 0.5
+
+
+def _generation_models() -> dict:
+    rng = np.random.default_rng(11)
+    lines = [rng.integers(0, 5, size=int(n)) for n in rng.integers(1, 12, size=40)]
+    base = hmm.init_random(3, 5, seed=1)
+    return {
+        "markov": markov.fit(lines, 5, order=2, smoothing="mkn"),
+        "hmm": hmm.init_random(4, 5, seed=0),
+        "pcfg": pcfg.init_from_hmm(base, kappa=0.6, eta=0.01),
+    }
+
+
+# sha256 of 40 generated lines at seed 7, joined by newlines; the values were
+# recorded from the one-line-at-a-time samplers that the batch samplers replaced
+GENERATED_SHA256 = {
+    ("markov", 16, False): "45946d3e1c6e257a3fceba18f254f187f13bbb47aedaf42c9ef0c329bc37a236",
+    ("markov", 1, False): "0872195488d5f89ed44cd3755ae634aafaebbf60f80080c77690f480902e0beb",
+    ("hmm", 16, False): "7d6438d5d1095886b97bba5fe923a36aba128184aca8dc11ebaff56960835d1d",
+    ("hmm", 1, False): "f7a82354f65d402cd45deb53d72c03ad84251086a70bb4dfc0d23012a55e7dbc",
+    ("pcfg", None, False): "94679198ac4de29f8db5e00a6dea19a2a2c2141ff66c6ce922ac2f235c9ac2d5",
+    ("pcfg", None, True): "76f32cc65fc20a57528a448b4deec98cab530bbe38189e6374b2e5dbe20d3d40",
+}
+
+
+@pytest.mark.parametrize("family, length, trees", list(GENERATED_SHA256))
+def test_generated_lines_keep_their_bytes(tmp_path, family, length, trees):
+    model_io.save_model(_generation_models()[family], tmp_path / "m.model")
+    Vocabulary(symbols=["C", "F", "G", "Am", "Other"]).save(tmp_path / "v.txt")
+    lines = cli.cmd_generate(str(tmp_path / "m.model"), str(tmp_path / "v.txt"), 40, 7, length, trees)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == GENERATED_SHA256[family, length, trees]
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from chordlm import evaluate, markov, pcfg
+from chordlm import evaluate, hmm, markov, pcfg
 from chordlm.hmm import HmmParams
 from chordlm.markov import MarkovModel
 from oracles import (
@@ -276,6 +277,22 @@ def test_grammar_errors_name_the_first_failing_line():
     for metric in (evaluate.evaluate_model, evaluate.error_rate):
         with pytest.raises(ValueError, match="no symbol has positive probability at this position"):
             metric(g, short_last)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_every_family_rejects_an_id_outside_the_alphabet_naming_its_line(bad):
+    lines = [np.array([0, 1, 2]), np.array([2, bad])]
+    calls = [
+        lambda: markov.fit(lines, 3, 1),
+        lambda: markov.fit(lines[:1], 3, 2).log_evidences(lines),
+        lambda: hmm.init_random(2, 3, 0).log_evidences(lines),
+        lambda: hmm.em_fit(hmm.init_random(2, 3, 0), lines),
+        lambda: pcfg.init_random(2, 3, 0).log_evidences(lines),
+        lambda: pcfg.em_fit(pcfg.init_random(2, 3, 0), lines),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"line 1 holds symbol id {bad}, outside 0..2")):
+            call()
 
 
 @pytest.mark.parametrize("make_model", [_tied_markov, _tied_hmm, _tied_grammar])

@@ -19,6 +19,7 @@ from oracles import (
     hmm_gamma,
     hmm_init_random_reference,
     hmm_prediction_weights_reference,
+    hmm_sample_reference,
     hmm_state_draw_reference,
     hmm_xi,
     make_dataset,
@@ -188,7 +189,7 @@ def test_batched_prediction_rows_match_per_line_rows(k):
     rng = np.random.default_rng(44 + k)
     params = with_dead_symbol(random_params(rng, k, 7))
     seqs = mixed_lines(rng, 7, 60)
-    for idx, batch, lengths in hmm._chunks(seqs, k):
+    for idx, batch, lengths in hmm._chunks(seqs, k, 7):
         log_ev, weights = hmm._score_batch(params, batch, lengths)
         np.testing.assert_array_equal(log_ev, hmm.log_evidences(params, [seqs[i] for i in idx]))
         for i, rows in zip(idx, np.split(weights, np.cumsum(lengths)[:-1])):
@@ -205,7 +206,7 @@ def test_e_step_counts_match_the_per_line_reference(k):
     rng = np.random.default_rng(47 + k)
     params = random_params(rng, k, 6)
     seqs = mixed_lines(rng, 6, 80)
-    chunks = hmm._chunks(seqs, k)
+    chunks = hmm._chunks(seqs, k, 6)
     assert len({len(seq) for seq in seqs}) == 20
     for got, want in zip(hmm._e_step(params, chunks), hmm_expected_counts_reference(params, seqs)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -234,7 +235,7 @@ def test_chunks_match_the_per_line_references(k, monkeypatch):
     dead = with_dead_padding_id(params)
     seqs = mixed_lines(rng, 7, 90)
     monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 15 * k)  # lines of 16 to 20 chords run alone
-    chunks = hmm._chunks(seqs, k)
+    chunks = hmm._chunks(seqs, k, 7)
     order = np.concatenate([idx for idx, _, _ in chunks])
     assert sorted(order.tolist()) == list(range(len(seqs)))
     lengths = [len(seqs[i]) for i in order]
@@ -252,10 +253,10 @@ def test_chunks_match_the_per_line_references(k, monkeypatch):
     # evidence, and the others are padded with it
     live = [seq for seq in seqs if not (seq == 0).any()]
     assert 0 < len(live) < len(seqs)
-    assert any(chunk_lengths.min() < batch.shape[1] for _, batch, chunk_lengths in hmm._chunks(live, k))
+    assert any(chunk_lengths.min() < batch.shape[1] for _, batch, chunk_lengths in hmm._chunks(live, k, 7))
     for model, lines in [(params, seqs), (dead, live)]:
         want = hmm_expected_counts_reference(model, lines)
-        for got, w in zip(hmm._e_step(model, hmm._chunks(lines, k)), want):
+        for got, w in zip(hmm._e_step(model, hmm._chunks(lines, k, 7)), want):
             np.testing.assert_allclose(got, w, rtol=1e-12, atol=0)
         log_ev, rows = model.score(lines)
         np.testing.assert_array_equal(log_ev, model.log_evidences(lines))
@@ -272,7 +273,7 @@ def test_gibbs_draws_one_uniform_per_live_row_in_chunk_order(monkeypatch):
     params = with_dead_padding_id(random_params(rng, 3, 5))
     seqs = [seq for seq in mixed_lines(rng, 5, 70) if not (seq == 0).any()]
     monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 3 * 40)
-    chunks = hmm._chunks(seqs, 3)
+    chunks = hmm._chunks(seqs, 3, 5)
     assert len(chunks) > 1
     draws, want = np.random.default_rng(5), np.random.default_rng(5)
     state_counts = np.zeros(3, dtype=np.int64)
@@ -302,7 +303,7 @@ def test_evaluate_model_runs_one_forward_pass_per_chunk(monkeypatch):
     params = random_params(rng, 6, 5)
     seqs = mixed_lines(rng, 5, 50)
     monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 6 * 60)
-    chunks = len(hmm._chunks(seqs, 6))
+    chunks = len(hmm._chunks(seqs, 6, 5))
     assert chunks > 1
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     evaluate.evaluate_model(params, seqs)
@@ -368,7 +369,7 @@ def test_gibbs_defaults():
 def test_gibbs_rows_valid_every_iteration():
     rng = np.random.default_rng(0)
     data = make_dataset(["a b a b", "b a", "a a b"], symbols=["a", "b"])
-    chunks = hmm._chunks(data, 2)
+    chunks = hmm._chunks(data, 2, 2)
     params = hmm.init_random(2, 2, seed=3)
     for _ in range(25):
         params, _ = hmm._gibbs_step(params, chunks, 0.1, rng)
@@ -395,7 +396,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
     seqs = [rng.integers(0, 4, size=int(n)) for n in rng.integers(1, 9, size=30)]
     init = hmm.init_random(3, 4, seed=8)
     cfg = GibbsConfig(n_samples=12, polish_iters=4, seed=17, rel_tol=0.0)
-    chunks = hmm._chunks(seqs, 3)
+    chunks = hmm._chunks(seqs, 3, 4)
     fitted, trace, _ = hmm.gibbs_fit(init, seqs, cfg)
     want, want_samples, want_polish = best_of_gibbs_reference(
         init,
@@ -415,7 +416,7 @@ def test_gibbs_fit_runs_one_forward_pass_per_chunk_and_sample(monkeypatch):
     rng = np.random.default_rng(47)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(1, 7, size=20)]
     monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 2 * 12)
-    chunks = len(hmm._chunks(seqs, 2))
+    chunks = len(hmm._chunks(seqs, 2, 3))
     assert chunks > 1
     cfg = GibbsConfig(n_samples=7, polish_iters=3, seed=2, rel_tol=0.0)
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
@@ -433,7 +434,7 @@ def test_gibbs_single_state_posterior_mean():
     post = 0.5 + counts
     want = post / post.sum()
     draws = []
-    chunks = hmm._chunks(data, 1)
+    chunks = hmm._chunks(data, 1, 2)
     for seed in range(400):
         rng = np.random.default_rng(seed)
         params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), chunks, 0.5, rng)
@@ -589,11 +590,22 @@ def test_sample_sequence_forced_and_deterministic():
         transition=np.array([[0.0, 1.0], [0.0, 1.0]]),
         emission=np.array([[1.0, 0.0], [0.0, 1.0]]),
     )
-    assert hmm.sample_sequence(params, 4, seed=0).tolist() == [0, 1, 1, 1]
+    assert hmm.sample_sequence(params, 4, [0]).tolist() == [[0, 1, 1, 1]]
     rng_params = random_params(np.random.default_rng(1), 3, 4)
     assert np.array_equal(
-        hmm.sample_sequence(rng_params, 10, seed=5), hmm.sample_sequence(rng_params, 10, seed=5)
+        hmm.sample_sequence(rng_params, 10, [5]), hmm.sample_sequence(rng_params, 10, [5])
     )
+
+
+@pytest.mark.parametrize("k", [1, 12, 100])
+@pytest.mark.parametrize("length", [1, 16])
+def test_sample_sequence_rows_equal_the_per_line_reference(k, length):
+    params = random_params(np.random.default_rng(k), k, 11)
+    seeds = [1000 * k + i for i in range(50)]
+    got = hmm.sample_sequence(params, length, seeds)
+    assert got.shape == (50, length)
+    for row, seed in zip(got.tolist(), seeds):
+        assert row == hmm_sample_reference(params, length, seed).tolist()
 
 
 def test_sample_sequence_first_symbol_marginal():
@@ -601,9 +613,7 @@ def test_sample_sequence_first_symbol_marginal():
     params = random_params(rng, 2, 3)
     want = params.initial @ params.emission
     n = 100_000
-    counts = np.zeros(3)
-    for i in range(n):
-        counts[hmm.sample_sequence(params, 1, seed=i)[0]] += 1
+    counts = np.bincount(hmm.sample_sequence(params, 1, list(range(n)))[:, 0], minlength=3)
     freq = counts / n
     sigma = np.sqrt(want * (1 - want) / n)
     assert np.all(np.abs(freq - want) <= 3 * sigma + 1e-9)

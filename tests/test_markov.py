@@ -11,7 +11,9 @@ from oracles import (
     make_dataset,
     markov_log_evidence_reference,
     markov_position_weights_reference,
+    markov_sample_reference,
     ngram_counts_reference,
+    random_stochastic,
 )
 
 
@@ -129,7 +131,7 @@ def test_chunk_path_equals_the_per_line_reference(order, smoothing, monkeypatch)
     m = markov.fit(train, 5, order=order, smoothing=smoothing)
     for cap in (markov.MAX_CHUNK_FLOATS, 5 * 20 * 4):  # then four lines of 20 chords per chunk
         monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", cap)
-        assert (len(markov._chunks(test, 5)) > 1) == (cap < 1 << 16)
+        assert (len(markov._chunks(test, 5, 5)) > 1) == (cap < 1 << 16)
         assert_scores_equal_the_reference(m, test)
         for width in range(1, order + 2):
             np.testing.assert_array_equal(markov._ngram_counts(train, width, 5), ngram_counts_reference(train, width, 5))
@@ -227,6 +229,20 @@ def test_sample_sequence_deterministic_and_forced():
     ini = np.array([1.0, 0.0])
     trans = np.array([[0.0, 1.0], [0.0, 1.0]])
     m = markov.MarkovModel(1, 2, [ini], trans, smoothing="additive")
-    assert m.sample_sequence(4, seed=0).tolist() == [0, 1, 1, 1]
-    rng_draws_a = m.sample_sequence(4, seed=9).tolist()
-    assert rng_draws_a == m.sample_sequence(4, seed=9).tolist()
+    assert m.sample_sequence(4, [0]).tolist() == [[0, 1, 1, 1]]
+    rng_draws_a = m.sample_sequence(4, [9]).tolist()
+    assert rng_draws_a == m.sample_sequence(4, [9]).tolist()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("length", [1, 16])
+def test_sample_sequence_rows_equal_the_per_line_reference(order, length):
+    rng = np.random.default_rng(order)
+    v = 11
+    tables = [random_stochastic(rng, (v,) * j) for j in range(1, order + 2)]
+    m = markov.MarkovModel(order, v, tables[:-1], tables[-1], smoothing="additive")
+    seeds = [1000 * order + i for i in range(50)]
+    got = m.sample_sequence(length, seeds)
+    assert got.shape == (50, length)
+    for row, seed in zip(got.tolist(), seeds):
+        assert row == markov_sample_reference(m, length, seed).tolist()

@@ -266,7 +266,7 @@ def assert_close(got, want, rtol=1e-12):
 def assert_batch_matches_reference(g, seqs):
     """Every batch's inside and outside charts and log evidences against the
     per-sequence reference."""
-    for idx, batch in pcfg._batches(seqs, g.n_nonterminals):
+    for idx, batch in pcfg._batches(seqs, g.n_nonterminals, g.vocab_size):
         chart = pcfg._inside_batch(g, batch)
         out, out_scale = pcfg._outside_batch(g, chart.by_start, chart.by_end, chart.scale)
         for k, i in enumerate(idx):
@@ -328,7 +328,7 @@ def test_expected_counts_over_several_batches_match_one_at_a_time():
     for d in (12, 20):
         g = random_grammar(rng, d, 4)
         seqs = [rng.integers(0, 4, size=10) for _ in range(25)] + [rng.integers(0, 4, size=3)]
-        batches = list(pcfg._batches(seqs, d))
+        batches = list(pcfg._batches(seqs, d, 4))
         assert len(batches) > 2 and max(len(idx) for idx, _ in batches) > 1
         start, rules, emit, log_ev = pcfg._e_step(g, seqs)
         refs = [pcfg_expected_counts_reference(g, seq) for seq in seqs]
@@ -351,7 +351,7 @@ def test_e_step_rebuilds_the_pair_matrices_of_the_inside_pass(monkeypatch):
     monkeypatch.setattr(pcfg, "_width_pairs", recorded)
     for n in (2, 3, 7):
         seqs = [rng.integers(0, 3, size=n) for _ in range(5)]
-        assert len(list(pcfg._batches(seqs, 4))) == 1
+        assert len(list(pcfg._batches(seqs, 4, 3))) == 1
         calls.clear()
         pcfg._e_step(g, seqs)
         inside, rebuilt = calls[:n - 1], calls[n - 1:]
@@ -370,7 +370,7 @@ def test_a_batch_holds_its_charts_and_one_widths_pairs_within_the_cap():
         g = random_grammar(rng, d, 3)
         seqs = [rng.integers(0, 3, size=n) for _ in range(count)] + [rng.integers(0, 3, size=4)]
         multi_line = 0
-        for idx, batch in pcfg._batches(seqs, d):
+        for idx, batch in pcfg._batches(seqs, d, 3):
             if len(idx) == 1:
                 continue
             multi_line += 1
@@ -513,7 +513,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop(monkeypatch):
     monkeypatch.setattr(pcfg, "MAX_BATCH_FLOATS", 1500)  # two lines of 6 or 7 chords per batch at D=3
     rng = np.random.default_rng(84)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 8, size=24)]
-    batches = list(pcfg._batches(seqs, 3))
+    batches = list(pcfg._batches(seqs, 3, 3))
     assert len(batches) > len({len(seq) for seq in seqs})
     init = pcfg.init_random(3, 3, seed=4)
     cfg = GibbsConfig(n_samples=8, polish_iters=3, seed=6, rel_tol=0.0)
@@ -535,7 +535,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop(monkeypatch):
 def test_gibbs_fit_runs_one_inside_pass_per_batch_and_sample(monkeypatch):
     rng = np.random.default_rng(85)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 7, size=15)]
-    batches = len(list(pcfg._batches(seqs, 2)))
+    batches = len(list(pcfg._batches(seqs, 2, 3)))
     cfg = GibbsConfig(n_samples=5, polish_iters=2, seed=3, rel_tol=0.0)
     calls = count_calls(monkeypatch, pcfg, "_inside_batch")
     _, trace, _ = pcfg.gibbs_fit(pcfg.init_random(2, 3, seed=1), seqs, cfg)
@@ -673,7 +673,7 @@ def test_batched_rows_match_per_line_rows_in_a_split_length_group(monkeypatch):
     rng = np.random.default_rng(65)
     g = pcfg.init_random(20, 5, seed=66)
     seqs = [rng.integers(0, 5, size=15) for _ in range(5)]
-    assert [len(idx) for idx, _ in pcfg._batches(seqs, 20)] == [2, 2, 1]
+    assert [len(idx) for idx, _ in pcfg._batches(seqs, 20, 5)] == [2, 2, 1]
     assert_batched_rows_match_per_line(g, seqs)
 
 
@@ -681,7 +681,7 @@ def test_evaluate_model_runs_one_inside_and_outside_pass_per_batch(monkeypatch):
     rng = np.random.default_rng(67)
     g = random_grammar(rng, 2, 3)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(2, 9, size=30)]
-    batches = len(list(pcfg._batches(seqs, 2)))
+    batches = len(list(pcfg._batches(seqs, 2, 3)))
     inside_calls = count_calls(monkeypatch, pcfg, "_inside_batch")
     outside_calls = count_calls(monkeypatch, pcfg, "_outside_batch")
     evaluate.evaluate_model(g, seqs)
@@ -695,8 +695,8 @@ def test_sample_tree_deterministic():
     # a linear-chain grammar is guaranteed subcritical, so sampling halts
     base = random_hmm(np.random.default_rng(12), 2, 3)
     g = pcfg.init_from_hmm(base, kappa=0.7, eta=0.01)
-    t1, y1 = pcfg.sample_tree(g, seed=4)
-    t2, y2 = pcfg.sample_tree(g, seed=4)
+    [(t1, y1)] = pcfg.sample_tree(g, [4])
+    [(t2, y2)] = pcfg.sample_tree(g, [4])
     assert np.array_equal(y1, y2)
     assert t1 == t2
 
@@ -710,26 +710,15 @@ def test_sample_tree_matches_per_draw_cumsum_sampler():
         strict_embed_hmm(base, end_prob=np.array([0.4, 0.5])),
     )
     for g in grammars:
-        for seed in range(40):
-            derivation, ids = pcfg.sample_tree(g, seed=seed, max_expansions=100_000)
+        for seed, (derivation, ids) in enumerate(pcfg.sample_tree(g, list(range(40)), max_expansions=100_000)):
             want_text, want_ids = sample_tree_reference(g, seed, max_expansions=100_000)
             assert pcfg.bracketed(derivation, g.n_nonterminals) == want_text
             assert np.array_equal(ids, want_ids)
 
 
-def test_production_cdfs_follow_assigned_arrays():
-    g = single_terminal_grammar(kappa=0.6)
-    first = g.production_cdfs()
-    assert g.production_cdfs()[1] is first[1]
-    other = single_terminal_grammar(kappa=0.7)
-    g.rules, g.emissions = other.rules, other.emissions
-    row = np.concatenate([other.rules.reshape(-1), other.emissions[0]])
-    assert g.production_cdfs()[1][0].tolist() == np.cumsum(row).tolist()
-
-
 def test_sample_tree_counts_and_yield():
     g = single_terminal_grammar(kappa=0.6)
-    derivation, yield_ids = pcfg.sample_tree(g, seed=7)
+    [(derivation, yield_ids)] = pcfg.sample_tree(g, [7])
     leaves, binaries = count_nodes(derivation, g.n_nonterminals)
     assert leaves == len(yield_ids)
     assert binaries == leaves - 2
@@ -739,8 +728,7 @@ def test_sample_tree_depth_cap():
     # kappa just above 1/2 gives long spines; a tiny cap must trip
     g = single_terminal_grammar(kappa=0.51)
     with pytest.raises(RuntimeError):
-        for seed in range(50):
-            pcfg.sample_tree(g, seed=seed, max_expansions=3)
+        pcfg.sample_tree(g, list(range(50)), max_expansions=3)
 
 
 def test_sampled_trees_respect_linear_chain_structure():
@@ -749,8 +737,7 @@ def test_sampled_trees_respect_linear_chain_structure():
     base = random_hmm(rng, 3, 4)
     g = pcfg.init_from_hmm(base, kappa=0.7, eta=0.0)
     d = g.n_nonterminals
-    for seed in range(30):
-        derivation, _ = pcfg.sample_tree(g, seed=seed)
+    for derivation, _ in pcfg.sample_tree(g, list(range(30))):
         for head, production in derivation:
             if production < d * d and head != START:
                 assert production // d == head
@@ -783,7 +770,7 @@ def test_canonical_comb_probability_matches_chain_product():
 
 def test_sample_tree_mean_length_and_length_marginal():
     g = single_terminal_grammar(kappa=0.6)
-    lengths = np.array([len(pcfg.sample_tree(g, seed=s)[1]) for s in range(4000)])
+    lengths = np.array([len(ids) for _, ids in pcfg.sample_tree(g, list(range(4000)))])
     assert abs(lengths.mean() - 6.0) < 0.4  # sd ~ 7.75/sqrt(4000) ~ 0.12
     p2 = length_probability(g, 2)
     freq2 = (lengths == 2).mean()
@@ -801,7 +788,7 @@ def test_bracketed_renders_a_comb_deeper_than_the_recursion_limit():
 
 def test_bracketed_export():
     g = single_terminal_grammar()
-    derivation, _ = pcfg.sample_tree(g, seed=0)
+    [(derivation, _)] = pcfg.sample_tree(g, [0])
     text = pcfg.bracketed(derivation, g.n_nonterminals, symbols=["C"])
     assert text.startswith("(S ")
     assert "C" in text

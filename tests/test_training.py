@@ -123,8 +123,9 @@ def test_pcfg_em_cell_runs_one_inside_pass_per_batch_and_iteration(prepared, mon
     _run(cfg, meta, "pcfg", "em")
     # each E-step, the capped end's evidences (also the train perplexity's),
     # then one pass over the test set
-    batches = len(list(pcfg._batches(train, 2)))
-    assert calls[0] == (cfg.em_max_iter + 1) * batches + len(list(pcfg._batches(test, 2)))
+    v = meta["vocab_size"]
+    batches = len(list(pcfg._batches(train, 2, v)))
+    assert calls[0] == (cfg.em_max_iter + 1) * batches + len(list(pcfg._batches(test, 2, v)))
 
 
 def test_hmm_em_cell_runs_one_forward_pass_per_chunk_and_iteration(prepared, monkeypatch):
@@ -132,6 +133,7 @@ def test_hmm_em_cell_runs_one_forward_pass_per_chunk_and_iteration(prepared, mon
     monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 2 * 2 * 7)  # two lines of 7 chords per chunk at K=2
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     _run(cfg, meta, "hmm", "em")
-    chunks = len(hmm._chunks(train, 2))
+    v = meta["vocab_size"]
+    chunks = len(hmm._chunks(train, 2, v))
     assert chunks > 1
-    assert calls[0] == (cfg.em_max_iter + 1) * chunks + len(hmm._chunks(test, 2))
+    assert calls[0] == (cfg.em_max_iter + 1) * chunks + len(hmm._chunks(test, 2, v))
