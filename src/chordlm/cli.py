@@ -401,6 +401,8 @@ def _entries_above(table: np.ndarray, threshold: float, names: tuple[str, ...]) 
 
 
 def cmd_analyze(model_path: str, vocab_path: str, threshold: float) -> dict:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
     if isinstance(model, markov.MarkovModel):
         raise ValueError("Markov models have no latent structure to analyze")

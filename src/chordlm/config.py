@@ -5,8 +5,8 @@ uses it, and is overridable from the command line, which has one flag per
 field. A cell's seed comes from its coordinates, the training fields and the
 prepared data as meta.json records it, so ``train`` reproduces a ``sweep``
 cell whatever the grid, the repeated data flags or the corpus path. A config
-checks its values when it is built: each field's type, and the bounds or
-choices its metadata sets.
+checks its values when it is built: each field's type, that a float is
+finite, and the bounds or choices its metadata sets.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 import types
 import typing
@@ -84,6 +85,8 @@ class ExperimentConfig:
             for sign, holds in _BOUNDS.items():
                 if sign in f.metadata and not all(holds(x, f.metadata[sign]) for x in items):
                     raise ValueError(f"{f.name} must be {sign} {f.metadata[sign]}, got {value!r}")
+            if kind is float and not all(math.isfinite(x) for x in items):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         unknown = sorted(set(self.resolved_algos()) - set(ALGOS[self.model]))
         if unknown:
             raise ValueError(f"algos for model {self.model!r} must be among {ALGOS[self.model]}, got {unknown}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import training
 from .hmm import HmmParams
-from .markov import _check_ids, _normalize_predictions, _position_distribution
+from .markov import _check_ids, _check_rows, _normalize_predictions, _position_distribution
 from .training import GibbsTrace, dirichlet_rows
 
 START = -1
@@ -52,17 +52,19 @@ class PcfgParams:
     def start_emits(self) -> bool:
         return bool((self.start_emissions > 0.0).any())
 
+    @property
+    def productions(self) -> np.ndarray:
+        """The (D + 1, D^2 + V) production table: row 0 is the start symbol's,
+        row z + 1 nonterminal z's, each over its binary rules then its terminals,
+        so a derivation node (head, p) is cell (head + 1, p)."""
+        d = self.n_nonterminals
+        return np.block([
+            [self.start_rules.reshape(1, -1), self.start_emissions[None]],
+            [self.rules.reshape(d, d * d), self.emissions],
+        ])
+
     def validate(self, tol: float = 1e-9) -> None:
-        if (self.start_rules < 0).any() or (self.start_emissions < 0).any():
-            raise ValueError("start production probabilities must be non-negative")
-        if (self.rules < 0).any() or (self.emissions < 0).any():
-            raise ValueError("production probabilities must be non-negative")
-        s = self.start_rules.sum() + self.start_emissions.sum()
-        if abs(s - 1.0) > tol:
-            raise ValueError(f"start productions sum to {s}, expected 1")
-        totals = self.rules.sum(axis=(1, 2)) + self.emissions.sum(axis=1)
-        if np.abs(totals - 1.0).max() > tol:
-            raise ValueError("per-nonterminal productions do not sum to 1")
+        _check_rows(self.productions, tol, "production table")
 
     def log_evidences(self, seqs: list[np.ndarray]):
         """Yields each sequence's log evidence normalized within its length."""
@@ -102,22 +104,17 @@ def init_random(n_nonterminals: int, vocab_size: int, seed: int) -> PcfgParams:
         raise ValueError("n_nonterminals and vocab_size must be >= 1")
     d, v = n_nonterminals, vocab_size
     rng = np.random.default_rng(seed)
-    return _from_counts(lambda c: dirichlet_rows(rng, 1.0 + c), np.zeros((d, d)), np.zeros((d, d, d)), np.zeros((d, v)))
+    return _from_counts(lambda c: dirichlet_rows(rng, 1.0 + c), np.zeros((d + 1, d * d + v)))
 
 
-def _from_counts(rows, start: np.ndarray, rules: np.ndarray, emissions: np.ndarray) -> PcfgParams:
-    """A grammar whose start row is ``rows`` of the (D, D) start counts and
-    whose joint production rows are ``rows`` of the (D, D, D) rule and (D, V)
-    emission counts side by side, drawn in that order."""
-    d = len(start)
-    start_rules = rows(start.reshape(1, -1))[0].reshape(d, d)
-    return _from_joint(start_rules, rows(np.concatenate([rules.reshape(d, d * d), emissions], axis=1)))
-
-
-def _from_joint(start_rules: np.ndarray, joint: np.ndarray) -> PcfgParams:
-    """A grammar whose start symbol never emits, from its (D, D) start rules
-    and the (D, D^2 + V) joint production rows, binary rules then terminals."""
-    d = len(start_rules)
+def _from_counts(rows, counts: np.ndarray) -> PcfgParams:
+    """A grammar whose start symbol never emits, from a table of production
+    counts laid out as ``PcfgParams.productions``: its start rules are
+    ``rows`` of the start row's binary-rule counts, and its joint production
+    rows are ``rows`` of the other rows, drawn in that order."""
+    d = len(counts) - 1
+    start_rules = rows(counts[:1, : d * d]).reshape(d, d)
+    joint = rows(counts[1:])
     return PcfgParams(
         start_rules=start_rules,
         start_emissions=np.zeros(joint.shape[1] - d * d),
@@ -344,9 +341,9 @@ def _log_evidences(params: PcfgParams, sequences: list[np.ndarray]) -> np.ndarra
 
 
 def _e_step(params: PcfgParams, sequences: list[np.ndarray]):
-    """Posterior expected production counts summed over the sequences, and
-    each sequence's log evidence in corpus order. A zero-evidence sequence
-    adds no counts.
+    """Posterior expected production counts summed over the sequences, as a
+    table laid out as ``PcfgParams.productions``, and each sequence's log
+    evidence in corpus order. A zero-evidence sequence adds no counts.
 
     The rule counts of width w come from one matrix product per batch: each
     parent's outside vector, weighted by its share of the evidence, against
@@ -354,9 +351,9 @@ def _e_step(params: PcfgParams, sequences: list[np.ndarray]):
     take the pair matrix of the whole sequence.
     """
     d, v = params.n_nonterminals, params.vocab_size
-    start = np.zeros(d * d)
-    rules = np.zeros((d, d * d))
-    emit_t = np.zeros((v, d))
+    counts = np.zeros((d + 1, d * d + v))
+    # views of the table's blocks, which the sums below write through
+    start, rules, emit_t = counts[0, : d * d], counts[1:, : d * d], counts[1:, d * d:].T
     log_ev = np.empty(len(sequences))
     for idx, batch in _batches(sequences, d, params.vocab_size):
         n = batch.shape[1]
@@ -378,12 +375,8 @@ def _e_step(params: PcfgParams, sequences: list[np.ndarray]):
             f = np.exp(out_scale[:, w] + pair_scale - denom)
             parent = (out[:, :n - w + 1, w] * f[:, None, None]).reshape(-1, d)
             rules += parent.T @ pairs.reshape(-1, d * d)
-    return (
-        params.start_rules * start.reshape(d, d),
-        params.rules * rules.reshape(d, d, d),
-        emit_t.T,
-        log_ev,
-    )
+    counts[:, : d * d] *= params.productions[:, : d * d]
+    return counts, log_ev
 
 
 # ------------------------------------------------------------------- training
@@ -426,19 +419,17 @@ def log_evidence_total(params: PcfgParams, sequences: list[np.ndarray]) -> float
 def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int, draws: Iterator[float]):
     """Draw one derivation tree of sequence k of a chart batch from the tree
     posterior via top-down sampling on its inside chart, taking one uniform
-    from ``draws`` per binary node (n - 1 of them). Returns production counts."""
+    from ``draws`` per binary node (n - 1 of them). Returns the derivation as
+    ``sample_tree`` does, a preorder list of (head, production)."""
     n = len(seq)
     d = params.n_nonterminals
     by_start, by_end, g = chart.by_start[k], chart.by_end[k], chart.scale[k]
-    start_counts = np.zeros((d, d))
-    rule_counts = np.zeros((d, d, d))
-    emit_counts = np.zeros((d, params.vocab_size))
-
+    derivation: list[tuple[int, int]] = []
     stack: list[tuple[int, int, int]] = [(START, 0, n - 1)]
     while stack:
         head, i, j = stack.pop()
         if i == j and head != START:
-            emit_counts[head, seq[i]] += 1.0
+            derivation.append((head, d * d + int(seq[i])))
             continue
         table = params.start_rules if head == START else params.rules[head]
         w = j - i + 1
@@ -453,16 +444,11 @@ def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int
         if total <= 0.0:
             raise ValueError("cannot sample a tree for a zero-evidence span")
         choice = int(np.searchsorted(np.cumsum(flat), next(draws) * total, side="right"))
-        w1, rest = divmod(choice, d * d)
-        zl, zr = divmod(rest, d)
-        w1 += 1
-        if head == START:
-            start_counts[zl, zr] += 1.0
-        else:
-            rule_counts[head, zl, zr] += 1.0
-        stack.append((zr, i + w1, j))
-        stack.append((zl, i, i + w1 - 1))
-    return start_counts, rule_counts, emit_counts
+        split, production = divmod(choice, d * d)  # the left child spans i..i + split
+        derivation.append((head, production))
+        stack.append((production % d, i + split + 1, j))
+        stack.append((production // d, i, i + split))
+    return derivation
 
 
 def _gibbs_step(
@@ -478,11 +464,11 @@ def _gibbs_step(
 
     Sequence i's tree takes the i-th run of n_i - 1 uniforms, drawn up front
     in corpus order, so the trees do not depend on how the charts are batched.
+    The nodes of all trees are counted at once, each in its cell of the
+    production table.
     """
     d, v = params.n_nonterminals, params.vocab_size
-    start_acc = np.zeros((d, d))
-    rule_acc = np.zeros((d, d, d))
-    emit_acc = np.zeros((d, v))
+    nodes: list[tuple[int, int]] = []
     ends = np.cumsum([len(seq) - 1 for seq in sequences]).tolist()
     draws = rng.random(ends[-1]).tolist()
     log_ev = np.empty(len(sequences))
@@ -493,11 +479,10 @@ def _gibbs_step(
             if chart.log_evidence[k] == -np.inf:
                 continue
             mine = iter(draws[ends[i] - batch.shape[1] + 1:ends[i]])
-            s, r, e = _sample_tree(params, batch[k], chart, k, mine)
-            start_acc += s
-            rule_acc += r
-            emit_acc += e
-    return _from_counts(lambda c: dirichlet_rows(rng, dirichlet_alpha + c), start_acc, rule_acc, emit_acc), log_ev
+            nodes += _sample_tree(params, batch[k], chart, k, mine)
+    heads, productions = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    counts = np.bincount((heads + 1) * (d * d + v) + productions, minlength=(d + 1) * (d * d + v))
+    return _from_counts(lambda c: dirichlet_rows(rng, dirichlet_alpha + c), counts.reshape(d + 1, -1)), log_ev
 
 
 def gibbs_fit(
@@ -606,10 +591,9 @@ def sample_tree(
     rewrites the head to (p // D, p % D), and p >= D^2 emits terminal p - D^2.
     """
     d = params.n_nonterminals
-    # cumulative production rows, each over its binary rules then its
-    # terminals, as lists that ``bisect`` searches without numpy call overhead
-    start_cdf = np.cumsum(np.concatenate([params.start_rules.reshape(-1), params.start_emissions])).tolist()
-    cdfs = np.cumsum(np.concatenate([params.rules.reshape(d, d * d), params.emissions], axis=1), axis=1).tolist()
+    # cumulative production rows as lists that ``bisect`` searches without
+    # numpy call overhead; the head's row is head + 1
+    cdfs = np.cumsum(params.productions, axis=1).tolist()
 
     trees = []
     for seed in seeds:
@@ -623,7 +607,7 @@ def sample_tree(
                     f"exceeded {max_expansions} expansions; the grammar is unlikely to terminate"
                 )
             head = stack.pop()
-            choice = bisect_right(start_cdf if head == START else cdfs[head], rng.random())
+            choice = bisect_right(cdfs[head + 1], rng.random())
             derivation.append((head, choice))
             if choice < d * d:
                 stack.append(choice % d)

@@ -14,6 +14,7 @@ from chordlm import pcfg
 from chordlm.corpus import Vocabulary
 from chordlm.hmm import HmmParams
 from chordlm.pcfg import START, PcfgParams, length_log_probabilities
+from chordlm.training import dirichlet_rows
 
 
 def make_dataset(rows: list[str], symbols: list[str]) -> list[np.ndarray]:
@@ -674,6 +675,99 @@ def pcfg_expected_counts_reference(params, seq):
             rule_counts += np.exp(s) * np.einsum("sz,sl,sr->zlr", parent, left, right)
     rule_counts *= params.rules
     return start_counts, rule_counts, emit_counts, log_ev
+
+
+def counts_table(start, rules, emissions) -> np.ndarray:
+    """(start, rule, emission) count blocks as one table laid out as
+    ``PcfgParams.productions``."""
+    d, v = emissions.shape
+    table = np.zeros((d + 1, d * d + v))
+    table[0, : d * d] = start.reshape(-1)
+    table[1:, : d * d] = rules.reshape(d, d * d)
+    table[1:, d * d:] = emissions
+    return table
+
+
+def count_blocks(table: np.ndarray):
+    """The (D, D) start, (D, D, D) rule and (D, V) emission blocks of a
+    production count table, without the start row's emission cells."""
+    d = len(table) - 1
+    return table[0, : d * d].reshape(d, d), table[1:, : d * d].reshape(d, d, d), table[1:, d * d:]
+
+
+def derivation_counts(derivation, d: int, v: int) -> np.ndarray:
+    """A derivation's production counts, node by node, as a table laid out
+    as ``PcfgParams.productions``."""
+    table = np.zeros((d + 1, d * d + v))
+    for head, production in derivation:
+        table[head + 1, production] += 1.0
+    return table
+
+
+def gibbs_tree_counts_reference(params, seq, chart, k: int, draws):
+    """The (start, rule, emission) production counts of one posterior tree
+    of sequence k of a chart batch, drawn top down on its inside chart with
+    one uniform from ``draws`` per binary node, each count added as its node
+    is drawn."""
+    n = len(seq)
+    d = params.n_nonterminals
+    by_start, by_end, g = chart.by_start[k], chart.by_end[k], chart.scale[k]
+    start_counts = np.zeros((d, d))
+    rule_counts = np.zeros((d, d, d))
+    emit_counts = np.zeros((d, params.vocab_size))
+
+    stack = [(START, 0, n - 1)]
+    while stack:
+        head, i, j = stack.pop()
+        if i == j and head != START:
+            emit_counts[head, seq[i]] += 1.0
+            continue
+        table = params.start_rules if head == START else params.rules[head]
+        w = j - i + 1
+        split_scales = g[1:w] + g[w - 1:0:-1]  # left child width w1 = 1..w-1
+        left = by_start[i, 1:w]
+        right = by_end[j, w - 1:0:-1]
+        weights = pcfg._exp_diff(split_scales, split_scales.max())[:, None, None] * table * (
+            left[:, :, None] * right[:, None, :]
+        )
+        flat = weights.reshape(-1)
+        total = flat.sum()
+        if total <= 0.0:
+            raise ValueError("cannot sample a tree for a zero-evidence span")
+        choice = int(np.searchsorted(np.cumsum(flat), next(draws) * total, side="right"))
+        w1, rest = divmod(choice, d * d)
+        zl, zr = divmod(rest, d)
+        w1 += 1
+        if head == START:
+            start_counts[zl, zr] += 1.0
+        else:
+            rule_counts[head, zl, zr] += 1.0
+        stack.append((zr, i + w1, j))
+        stack.append((zl, i, i + w1 - 1))
+    return start_counts, rule_counts, emit_counts
+
+
+def gibbs_step_reference(params, sequences, dirichlet_alpha: float, rng):
+    """One Gibbs sweep that adds up ``gibbs_tree_counts_reference`` tree by
+    tree, then draws the start row and the joint production rows from their
+    Dirichlet posteriors in that order."""
+    d, v = params.n_nonterminals, params.vocab_size
+    start_acc, rule_acc, emit_acc = np.zeros((d, d)), np.zeros((d, d, d)), np.zeros((d, v))
+    ends = np.cumsum([len(seq) - 1 for seq in sequences]).tolist()
+    draws = rng.random(ends[-1]).tolist()
+    for idx, batch in pcfg._batches(sequences, d, v):
+        chart = pcfg._inside_batch(params, batch)
+        for k, i in enumerate(idx.tolist()):
+            if chart.log_evidence[k] == -np.inf:
+                continue
+            mine = iter(draws[ends[i] - batch.shape[1] + 1:ends[i]])
+            s, r, e = gibbs_tree_counts_reference(params, batch[k], chart, k, mine)
+            start_acc += s
+            rule_acc += r
+            emit_acc += e
+    start = dirichlet_rows(rng, dirichlet_alpha + start_acc.reshape(1, -1))[0].reshape(d, d)
+    joint = dirichlet_rows(rng, dirichlet_alpha + np.concatenate([rule_acc.reshape(d, d * d), emit_acc], axis=1))
+    return PcfgParams(start, np.zeros(v), joint[:, : d * d].reshape(d, d, d), joint[:, d * d:])
 
 
 def _draw_reference(rng, row: np.ndarray) -> int:

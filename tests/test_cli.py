@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -109,14 +110,27 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"workers": 0}, {"seeds": []}, {"sizes": [0]}, {"epsilon": -1}, {"vocab_k": "10"}, {"em_max_iter": True}],
-    ids=["workers-0", "seeds-empty", "sizes-0", "epsilon-negative", "vocab_k-string", "bool-for-int"],
+    [
+        {"workers": 0}, {"seeds": []}, {"sizes": [0]}, {"epsilon": -1}, {"vocab_k": "10"}, {"em_max_iter": True},
+        {"epsilon": math.inf}, {"rel_tol": math.inf}, {"dirichlet_alpha": math.inf}, {"eta": math.inf},
+    ],
+    ids=[
+        "workers-0", "seeds-empty", "sizes-0", "epsilon-negative", "vocab_k-string", "bool-for-int",
+        "epsilon-inf", "rel_tol-inf", "dirichlet_alpha-inf", "eta-inf",
+    ],
 )
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         ExperimentConfig(**bad)
     with pytest.raises(ValueError, match=next(iter(bad))):
         ExperimentConfig.from_dict(bad)
+
+
+def test_sweep_refuses_an_infinite_float_flag(capsys):
+    argv = ["sweep", "--model", "markov", "--sizes", "1", "--algos", "additive", "--epsilon", "inf"]
+    assert cli.main(argv) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "ValueError", "message": "epsilon must be finite, got inf"}
 
 
 def test_config_checks_algos_against_the_model(capsys):
@@ -672,6 +686,18 @@ def test_analyze_vocab_hash_mismatch(tmp_path):
     Vocabulary(symbols=["a", "Other"]).save(tmp_path / "v.txt")
     with pytest.raises(ValueError):
         cli.cmd_analyze(str(tmp_path / "m.model"), str(tmp_path / "v.txt"), 0.05)
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.5", "2"])
+def test_analyze_refuses_a_threshold_outside_zero_to_one(tmp_path, capsys, threshold):
+    model_io.save_model(hmm.init_random(2, 2, seed=0), tmp_path / "m.model")
+    Vocabulary(symbols=["a", "Other"]).save(tmp_path / "v.txt")
+    argv = ["analyze", "--model-file", str(tmp_path / "m.model"), "--vocab-file", str(tmp_path / "v.txt")]
+    assert cli.main(argv + [f"--threshold={threshold}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "ValueError" and "threshold must lie in [0, 1]" in error["message"]
 
 
 @pytest.mark.parametrize("command", ["analyze", "generate"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,14 @@ from chordlm.pcfg import (
 from oracles import (
     all_sequences,
     best_of_gibbs_reference,
+    count_blocks,
     count_calls,
     count_nodes,
+    counts_table,
+    derivation_counts,
     evidence_ratio_prediction,
+    gibbs_step_reference,
+    gibbs_tree_counts_reference,
     hmm_terminated_evidence,
     length_probability,
     pcfg_evidence_by_enumeration,
@@ -84,10 +90,12 @@ def test_m_step_start_row_is_the_start_counts_over_their_sum(d):
     rng = np.random.default_rng(d)
     rules, emissions = rng.random((d, d, d)), rng.random((d, 4))
     start = 7.3 * rng.random((d, d))
-    got = pcfg._from_counts(training.normalize_rows, start, rules, emissions)
+    counts = counts_table(start, rules, emissions)
+    got = pcfg._from_counts(training.normalize_rows, counts)
     np.testing.assert_array_equal(got.start_rules, start / start.sum())
     # no start counts at all give the uniform start row
-    got = pcfg._from_counts(training.normalize_rows, np.zeros((d, d)), rules, emissions)
+    counts[0] = 0.0
+    got = pcfg._from_counts(training.normalize_rows, counts)
     np.testing.assert_array_equal(got.start_rules, np.full((d, d), 1.0 / (d * d)))
 
 
@@ -313,10 +321,10 @@ def test_zero_evidence_sequence_in_live_batch():
     assert (chart.scale[2, 1:] == -np.inf).all()
     assert_batch_matches_reference(g, seqs)
 
-    start, rules, emit, log_ev = pcfg._e_step(g, seqs)
+    counts, log_ev = pcfg._e_step(g, seqs)
     live = [pcfg_expected_counts_reference(g, seqs[i]) for i in (0, 3)]
     assert pcfg_expected_counts_reference(g, seqs[1]) is None
-    for got, k in ((start, 0), (rules, 1), (emit, 2)):
+    for got, k in zip(count_blocks(counts), range(3)):
         assert_close(got, live[0][k] + live[1][k])
     assert_close(log_ev, [live[0][3], -np.inf, -np.inf, live[1][3]])
     with pytest.raises(ValueError, match="sequence 1 has"):
@@ -330,9 +338,9 @@ def test_expected_counts_over_several_batches_match_one_at_a_time():
         seqs = [rng.integers(0, 4, size=10) for _ in range(25)] + [rng.integers(0, 4, size=3)]
         batches = list(pcfg._batches(seqs, d, 4))
         assert len(batches) > 2 and max(len(idx) for idx, _ in batches) > 1
-        start, rules, emit, log_ev = pcfg._e_step(g, seqs)
+        counts, log_ev = pcfg._e_step(g, seqs)
         refs = [pcfg_expected_counts_reference(g, seq) for seq in seqs]
-        for got, k in ((start, 0), (rules, 1), (emit, 2)):
+        for got, k in zip(count_blocks(counts), range(3)):
             assert_close(got, sum(r[k] for r in refs))
         assert_close(log_ev, [r[3] for r in refs])
 
@@ -479,10 +487,78 @@ def test_gibbs_tree_arithmetic():
     rng = np.random.default_rng(0)
     seq = np.zeros(7, dtype=np.int64)
     chart = pcfg._inside_batch(g, seq[None])
-    s, r, e = pcfg._sample_tree(g, seq, chart, 0, iter(rng.random(len(seq) - 1)))
+    derivation = pcfg._sample_tree(g, seq, chart, 0, iter(rng.random(len(seq) - 1)))
+    s, r, e = count_blocks(derivation_counts(derivation, g.n_nonterminals, g.vocab_size))
     assert s.sum() == 1.0
     assert r.sum() == len(seq) - 2
     assert e.sum() == len(seq)
+
+
+def grammar_without_last_symbol(d, v, seed):
+    """A random grammar whose nonterminals never emit symbol v - 1, so a line
+    holding it has zero evidence."""
+    g = pcfg.init_random(d, v, seed=seed)
+    emissions = g.emissions.copy()
+    emissions[:, -1] = 0.0
+    return PcfgParams(g.start_rules, g.start_emissions, g.rules, emissions)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_gibbs_tree_derivations_count_like_the_per_node_reference(d):
+    v = 4
+    rng = np.random.default_rng(90 + d)
+    g = grammar_without_last_symbol(d, v, seed=d)
+    seqs = [rng.integers(0, v - 1, size=int(n)) for n in rng.integers(2, 13, size=30)]
+    seqs.append(np.array([0, v - 1] + [1] * (len(seqs[0]) - 2)))  # dead, in a batch of live lines
+    batches = list(pcfg._batches(seqs, d, v))
+    dead_batch = next(idx for idx, _ in batches if len(seqs) - 1 in idx.tolist())
+    assert len(dead_batch) > 1
+    drawn = 0
+    for idx, batch in batches:
+        chart = pcfg._inside_batch(g, batch)
+        for k, i in enumerate(idx.tolist()):
+            seq = batch[k]
+            draws = rng.random(len(seq) - 1)
+            if chart.log_evidence[k] == -np.inf:
+                assert i == len(seqs) - 1
+                for sample in (pcfg._sample_tree, gibbs_tree_counts_reference):
+                    with pytest.raises(ValueError, match="zero-evidence"):
+                        sample(g, seq, chart, k, iter(draws.tolist()))
+                continue
+            derivation = pcfg._sample_tree(g, seq, chart, k, iter(draws.tolist()))
+            want = counts_table(*gibbs_tree_counts_reference(g, seq, chart, k, iter(draws.tolist())))
+            assert np.array_equal(derivation_counts(derivation, d, v), want)
+            leaves = [p - d * d for _, p in derivation if p >= d * d]
+            assert leaves == seq.tolist()
+            text = pcfg.bracketed(derivation, d)
+            assert text.startswith("(S ") and [int(t) for t in re.findall(r"t(\d+)\)", text)] == leaves
+            drawn += 1
+    assert drawn == len(seqs) - 1
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_gibbs_step_matches_the_sweep_that_adds_counts_tree_by_tree(d):
+    v = 4
+    rng = np.random.default_rng(95 + d)
+    g = grammar_without_last_symbol(d, v, seed=d + 1)
+    seqs = [rng.integers(0, v - 1, size=int(n)) for n in rng.integers(2, 13, size=30)]
+    seqs.append(np.array([v - 1] * len(seqs[0])))
+    got, log_ev = pcfg._gibbs_step(g, seqs, 0.1, np.random.default_rng(7))
+    want = gibbs_step_reference(g, seqs, 0.1, np.random.default_rng(7))
+    for name in ("start_rules", "start_emissions", "rules", "emissions"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert log_ev[-1] == -np.inf and np.isfinite(log_ev[:-1]).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["start_rules", "start_emissions", "rules", "emissions"])
+def test_validate_rejects_a_value_that_is_not_finite(name, value):
+    g = pcfg.init_random(3, 4, seed=0)
+    g.validate()
+    bad = getattr(g, name).copy()
+    bad.reshape(-1)[-1] = value
+    with pytest.raises(ValueError, match="production table"):
+        PcfgParams(**{**vars(g), name: bad}).validate()
 
 
 def test_gibbs_rows_valid_every_iteration():
@@ -586,8 +662,7 @@ def test_a_maximum_length_line_matches_the_log_space_reference(bench, tmp_path):
     # raising every production row to the 6th power leaves a near-degenerate
     # grammar, whose charts span many orders of magnitude within each width
     g = pcfg.init_random(8, 5, seed=7)
-    joint = np.concatenate([g.rules.reshape(8, 64), g.emissions], axis=1) ** 6
-    g = pcfg._from_joint(g.start_rules**6 / (g.start_rules**6).sum(), joint / joint.sum(axis=1, keepdims=True))
+    g = pcfg._from_counts(training.normalize_rows, g.productions**6)
     model_io.save_model(g, tmp_path / "g.model")
     ref, model = bench["reference"], bench["reference"].read_model(tmp_path / "g.model")
     n = pcfg.DEFAULT_MAX_TRAIN_LENGTH
