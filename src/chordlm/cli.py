@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
-from collections.abc import Collection
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -85,6 +85,8 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     if not sequences:
         raise ValueError(f"corpus {corpus_path} contains no sequences")
 
+    cfg = dataclasses.replace(cfg, vocab_k=10 if cfg.vocab_k is None else cfg.vocab_k,
+                              data_seed=0 if cfg.data_seed is None else cfg.data_seed)
     vocab = build_vocabulary(sequences, cfg.vocab_k)
     dataset = encode(sequences, vocab)
     test_count = cfg.test_count if cfg.test_count is not None else len(dataset) // 10
@@ -132,14 +134,15 @@ def _prepared_data(meta: dict) -> dict:
     return {"corpus_sha256": meta["corpus_sha256"], **{name: resolved[name] for name in DATA_FIELDS}}
 
 
-def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
+def _load_prepared(cfg: ExperimentConfig) -> tuple[dict, tuple[str, float]]:
     """The prepared directory's meta.json, which must hold test lines and the
     file of each train size, and must not have been written for other data
-    than this config names.
+    than this config names; and what every cell takes of it, the config hash
+    and the mean training length.
 
-    A data field is checked when it is in ``given``, the fields the config
-    sets, and is not None, against what `prepare` resolved it to; the corpus
-    is checked by the sha256 of its bytes.
+    A data field is checked when the config sets it (it is not None), against
+    what `prepare` resolved it to; the corpus is checked by the sha256 of its
+    bytes.
     """
     meta_path = Path(cfg.out_dir) / "meta.json"
     if not meta_path.exists():
@@ -173,7 +176,7 @@ def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
         raise ValueError(f"{meta_path} has a bad value: {exc}; run `chordlm prepare` again") from None
     for name in DATA_FIELDS:
         value = getattr(cfg, name)
-        if name in given and value is not None and value != data[name]:
+        if value is not None and value != data[name]:
             raise ValueError(
                 f"{meta_path} was prepared with {name}={data[name]!r}, not {value!r}; "
                 "run `chordlm prepare` again or use another out_dir"
@@ -191,7 +194,7 @@ def _load_prepared(cfg: ExperimentConfig, given: Collection[str]) -> dict:
             f"{meta_path} was prepared with corpus={meta['config'].get('corpus')!r}, whose bytes differ from "
             f"{cfg.corpus!r}; run `chordlm prepare` again or use another out_dir"
         )
-    return meta
+    return meta, (cfg.config_hash(data), meta["mean_train_length"])
 
 
 # ------------------------------------------------------------ cell training
@@ -260,14 +263,19 @@ def _train_cell(
     return fitted, log, log_evidences
 
 
-def _run_cell(payload: dict) -> dict:
-    """Train and evaluate one grid cell; returns a result row.
+def _run_cell(
+    cfg: ExperimentConfig, prepared: tuple[str, float], coordinates: tuple, record_error: bool = True
+) -> dict:
+    """Train and evaluate the grid cell at ``coordinates``, (size, algo, seed,
+    n_x); returns a result row. ``prepared`` is the config hash and the mean
+    training length, as ``_load_prepared`` gives them. A failure goes into the
+    row's error, so a sweep goes on, or is raised as it is if not
+    ``record_error``.
 
-    Top-level function so sweep cells can run in worker processes; all inputs
-    travel as plain paths and the configuration dictionary.
+    Top-level function so sweep cells can run in worker processes.
     """
-    cfg = ExperimentConfig.from_dict(payload["config"])
-    size, algo, seed, n_x = payload["size"], payload["algo"], payload["seed"], payload["n_x"]
+    config_hash, mean_train_length = prepared
+    size, algo, seed, n_x = coordinates
     row = dict.fromkeys(RESULT_FIELDS + ["error"], "")
     row.update(model=cfg.model, size=size, N_X=n_x, seed=seed, algo=algo)
     started = time.perf_counter()
@@ -278,8 +286,8 @@ def _run_cell(payload: dict) -> dict:
         test = _read_encoded(out / "test.ids", vocab)
         row["param_count"] = evaluate.param_count(cfg.model, size, vocab.size)
 
-        cell = (payload["config_hash"], cfg.model, size, n_x, algo, seed)
-        model, log, train_log_ev = _train_cell(cfg, train, vocab.size, size, algo, cell, payload["mean_train_length"])
+        cell = (config_hash, cfg.model, size, n_x, algo, seed)
+        model, log, train_log_ev = _train_cell(cfg, train, vocab.size, size, algo, cell, mean_train_length)
 
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
@@ -292,27 +300,18 @@ def _run_cell(payload: dict) -> dict:
         row["test_perplexity"] = report.perplexity
         row["error_rate"] = report.error_rate
         row["rmrr"] = report.rmrr
-    except Exception as exc:  # recorded per row, the sweep continues
+    except Exception as exc:
+        if not record_error:
+            raise
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_time"] = time.perf_counter() - started
     return row
 
 
-def _payload(cfg: ExperimentConfig, meta: dict, size: int, algo: str, seed: int, n_x: int) -> dict:
-    """What ``_run_cell`` needs of one cell, as plain data."""
-    return {"config": cfg.as_dict(), "config_hash": cfg.config_hash(_prepared_data(meta)), "size": size,
-            "algo": algo, "seed": seed, "n_x": n_x, "mean_train_length": meta["mean_train_length"]}
-
-
-def cmd_train(
-    cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None, given: Collection[str] = DATA_FIELDS
-) -> dict:
-    meta = _load_prepared(cfg, given)
+def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None) -> dict:
+    meta, prepared = _load_prepared(cfg)
     n_x = n_x if n_x is not None else meta["train_sizes"][-1]
-    row = _run_cell(_payload(cfg, meta, size, algo, seed, n_x))
-    if row["error"]:
-        raise RuntimeError(row["error"])
-    return row
+    return _run_cell(cfg, prepared, (size, algo, seed, n_x), record_error=False)
 
 
 # -------------------------------------------------------------------- sweep
@@ -324,20 +323,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def cmd_sweep(cfg: ExperimentConfig, given: Collection[str] = DATA_FIELDS) -> Path:
-    meta = _load_prepared(cfg, given)
-    payloads = [
-        _payload(cfg, meta, size, algo, seed, n_x)
+def cmd_sweep(cfg: ExperimentConfig) -> Path:
+    meta, prepared = _load_prepared(cfg)
+    cells = [
+        (size, algo, seed, n_x)
         for n_x in meta["train_sizes"]
         for size in cfg.resolved_sizes()
         for algo in cfg.resolved_algos()
         for seed in cfg.seeds
     ]
+    run = functools.partial(_run_cell, cfg, prepared)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_cell, payloads))
+            rows = list(pool.map(run, cells))
     else:
-        rows = [_run_cell(p) for p in payloads]
+        rows = list(map(run, cells))
 
     # per-cell best-seed flags, judged by training and by test perplexity
     groups: dict[tuple, list[int]] = {}
@@ -536,48 +536,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str]]:
-    """The config file's fields overridden by the flags given, and the names
-    of the fields that either one sets."""
-    given = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    if not isinstance(given, dict):
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's fields, overridden by the flags that are set."""
+    raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(raw, dict):
         raise ValueError(f"config file {args.config} does not hold a JSON object")
     for f in dataclasses.fields(ExperimentConfig):
         value = getattr(args, f.name)
         if value is not None:
-            given[f.name] = value
-    return ExperimentConfig.from_dict(given), set(given)
+            raw[f.name] = value
+    return ExperimentConfig.from_dict(raw)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "prepare":
-            meta = cmd_prepare(_config_from_args(args)[0])
-            print(json.dumps({"prepared": meta["config"]["out_dir"], "vocab_size": meta["vocab_size"]}))
+            meta = cmd_prepare(_config_from_args(args))
+            text = json.dumps({"prepared": meta["config"]["out_dir"], "vocab_size": meta["vocab_size"]})
         elif args.command == "train":
-            cfg, given = _config_from_args(args)
-            row = cmd_train(cfg, args.size, args.algo, args.seed, args.n_x, given)
-            print(json.dumps({k: row[k] for k in RESULT_FIELDS}, sort_keys=True))
+            row = cmd_train(_config_from_args(args), args.size, args.algo, args.seed, args.n_x)
+            text = json.dumps({k: row[k] for k in RESULT_FIELDS}, sort_keys=True)
         elif args.command == "sweep":
-            path = cmd_sweep(*_config_from_args(args))
-            print(json.dumps({"results": str(path)}))
+            text = json.dumps({"results": str(cmd_sweep(_config_from_args(args)))})
         elif args.command == "analyze":
-            report = cmd_analyze(args.model_file, args.vocab_file, args.threshold)
-            text = json.dumps(report, indent=2, sort_keys=True)
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            else:
-                print(text)
-        elif args.command == "generate":
-            lines = cmd_generate(
-                args.model_file, args.vocab_file, args.count, args.seed, args.length, args.trees
-            )
+            text = json.dumps(cmd_analyze(args.model_file, args.vocab_file, args.threshold), indent=2, sort_keys=True)
+        else:
+            lines = cmd_generate(args.model_file, args.vocab_file, args.count, args.seed, args.length, args.trees)
             text = "\n".join(lines)
-            if args.out:
-                Path(args.out).write_text(text + "\n")
-            else:
-                print(text)
+        if getattr(args, "out", None):  # only analyze and generate take --out
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
         return 0
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

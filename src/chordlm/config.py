@@ -30,8 +30,8 @@ MARKOV_ORDER_GRID = [1, 2, 3]
 MODEL_KINDS = ("markov", "hmm", "pcfg")
 ALGOS = {"markov": SMOOTHING_TAGS, "hmm": ("em", "gs"), "pcfg": ("em", "gs")}
 
-# The data fields, which ``prepare`` resolves and records in meta.json, and
-# the other fields that seed no cell: paths, the grid and the worker count.
+# The data fields, unset (None) until ``prepare`` resolves them into meta.json,
+# and the other fields that seed no cell: paths, the grid and the worker count.
 DATA_FIELDS = ("vocab_k", "test_count", "data_seed", "train_sizes")
 UNSEEDED_FIELDS = ("corpus", "out_dir", "sizes", "algos", "seeds", "workers") + DATA_FIELDS
 
@@ -42,9 +42,9 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     # data preparation
-    vocab_k: int = field(default=10, metadata={">=": 1})
+    vocab_k: int | None = field(default=None, metadata={">=": 1})  # default: 10
     test_count: int | None = field(default=None, metadata={">=": 0})  # default: one tenth of the corpus
-    data_seed: int = field(default=0, metadata={">=": 0})
+    data_seed: int | None = field(default=None, metadata={">=": 0})  # default: 0
     train_sizes: list[int] | None = field(default=None, metadata={">=": 1})  # default: the full training split
 
     # model grid
@@ -79,6 +79,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {expected}, got {value!r}")
             if is_list and not value:
                 raise ValueError(f"{f.name} must not be empty")
+            if is_list and len(set(value)) < len(value):
+                raise ValueError(f"{f.name} must not repeat a value, got {value!r}")
             choices = f.metadata.get("choices")
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")

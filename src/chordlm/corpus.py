@@ -72,8 +72,12 @@ class Vocabulary:
                 ident, sym, cnt = ln.split("\t")
                 if int(ident) != len(symbols):
                     raise ValueError(f"id {ident} is not the next dense id {len(symbols)}")
+                if sym.split() != [sym]:  # as parse_corpus splits a line
+                    raise ValueError(f"symbol {sym!r} is empty or holds whitespace")
                 if sym in ids:
                     raise ValueError(f"symbol {sym!r} already has id {ids[sym]}")
+                if int(cnt) < 0:
+                    raise ValueError(f"count {cnt} is negative")
                 counts.append(int(cnt))
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None

@@ -115,13 +115,19 @@ class _Reader:
             raise ValueError(f"table {name} has a value that is not finite")
         return rows
 
+    def end(self) -> None:
+        """Check that only blank lines are left."""
+        for number, line in enumerate(self.lines[self.pos:], self.pos + 1):
+            if line.strip():
+                raise ValueError(f"line {number}: unexpected content after the last table, {line!r}")
+
 
 def load_model(path):
     """Returns (model, vocab_hash); the hash is None when it was not recorded.
 
     Raises ValueError for a malformed or truncated file, a table whose shape
-    does not match the header, a value that is not finite, or a model that
-    fails its own ``validate()``.
+    does not match the header, a value that is not finite, content after the
+    last table, or a model that fails its own ``validate()``.
     """
     reader = _Reader(path)
     if reader.next() != MODEL_MAGIC:
@@ -163,5 +169,6 @@ def load_model(path):
         )
     else:
         raise ValueError(f"unknown model kind {kind!r}")
+    reader.end()
     model.validate()
     return model, vocab_hash

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 import chordlm
 from chordlm import cli, hmm, markov, model_io, pcfg
 from chordlm.config import (
+    DATA_FIELDS,
     ExperimentConfig,
     HMM_SIZE_GRID,
     PCFG_SIZE_GRID,
@@ -113,10 +115,12 @@ def test_config_rejects_unknown_keys():
     [
         {"workers": 0}, {"seeds": []}, {"sizes": [0]}, {"epsilon": -1}, {"vocab_k": "10"}, {"em_max_iter": True},
         {"epsilon": math.inf}, {"rel_tol": math.inf}, {"dirichlet_alpha": math.inf}, {"eta": math.inf},
+        {"sizes": [1, 2, 1]}, {"algos": ["em", "em"]}, {"seeds": [0, 0]}, {"train_sizes": [10, 10]},
     ],
     ids=[
         "workers-0", "seeds-empty", "sizes-0", "epsilon-negative", "vocab_k-string", "bool-for-int",
         "epsilon-inf", "rel_tol-inf", "dirichlet_alpha-inf", "eta-inf",
+        "sizes-repeated", "algos-repeated", "seeds-repeated", "train_sizes-repeated",
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -142,6 +146,15 @@ def test_config_checks_algos_against_the_model(capsys):
     assert cli.main(["sweep", "--model", "hmm", "--sizes", "2", "--algos", "emm"]) == 1
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "ValueError" and "emm" in error["message"]
+
+
+def test_a_repeated_grid_value_fails_before_any_cell_runs(tmp_path, capsys):
+    # repeated cells would write the same model files, concurrently with --workers
+    argv = ["sweep", "--out-dir", str(tmp_path), "--model", "markov", "--sizes", "1,1", "--algos", "additive"]
+    assert cli.main(argv) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error == {"error": "ValueError", "message": "sizes must not repeat a value, got [1, 1]"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_config_file_must_hold_a_json_object(tmp_path, capsys):
@@ -182,7 +195,7 @@ def test_config_flags_parse_like_the_fields():
         ["sweep", "--train-sizes", "3,30", "--algos", "em,gs", "--kappa", "0.6", "--test-count", "0",
          "--model", "pcfg", "--pcfg-init", "hmm", "--out-dir", "r"]
     )
-    cfg, _ = cli._config_from_args(args)
+    cfg = cli._config_from_args(args)
     assert cfg.train_sizes == [3, 30] and cfg.algos == ["em", "gs"]
     assert cfg.kappa == 0.6 and cfg.test_count == 0
     assert (cfg.model, cfg.pcfg_init, cfg.out_dir) == ("pcfg", "hmm", "r")
@@ -403,6 +416,32 @@ def test_sweep_accepts_a_directory_prepared_for_the_same_data(prepared, monkeypa
     assert cli.cmd_train(other, size=1, algo="additive", seed=0, n_x=None)["error"] == ""
 
 
+def test_a_python_call_takes_an_unset_data_field_from_the_directory(prepared):
+    cfg, tmp_path = prepared
+    # run was prepared with vocab_k=4, test_count=6, data seed 0 and train size 8
+    unset = ExperimentConfig(out_dir=cfg.out_dir, model="hmm", sizes=[1, 2], algos=["em"], seeds=[0, 1],
+                             em_max_iter=10)
+    assert all(getattr(unset, name) is None for name in DATA_FIELDS)
+    model = tmp_path / "run" / "models" / "hmm_s2_nx8_em_seed1.model"
+
+    def rows(config):
+        with open(cli.cmd_sweep(config), encoding="utf-8", newline="") as fh:
+            return [{k: v for k, v in row.items() if k != "wall_time"} for row in csv.DictReader(fh)]
+
+    swept, swept_model = rows(cfg), model.read_bytes()
+    assert rows(unset) == swept and model.read_bytes() == swept_model
+    assert cli.cmd_train(unset, size=2, algo="em", seed=1, n_x=None)["N_X"] == 8
+    assert model.read_bytes() == swept_model
+    # a data field that the config sets is checked, also to the value prepare defaults it to
+    for name, value in (("vocab_k", 10), ("data_seed", 1)):
+        other = dataclasses.replace(unset, **{name: value})
+        with pytest.raises(ValueError, match=f"prepared with {name}="):
+            cli.cmd_sweep(other)
+        with pytest.raises(ValueError, match=f"prepared with {name}="):
+            cli.cmd_train(other, size=2, algo="em", seed=1, n_x=None)
+    assert cli.cmd_train(dataclasses.replace(unset, data_seed=0), size=2, algo="em", seed=1, n_x=8)["error"] == ""
+
+
 @pytest.fixture
 def sixty_lines(tmp_path, monkeypatch):
     """A 60-line corpus.txt in the working directory, prepared into ``run``
@@ -474,6 +513,24 @@ def test_a_bad_encoded_id_names_its_file_and_line(sixty_lines, capsys, bad):
     with open("run/results.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["error"].startswith(f"ValueError: {where}")
+
+
+def test_train_reports_the_type_and_message_that_the_cell_raises(tmp_path, monkeypatch, capsys):
+    # a grammar trains on no one-chord line; one of the two lands in the training split
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.txt").write_text("C F G\nF G C Am\nC\nAm F\nG C F\nF\nC G\nDm G C\n")
+    assert cli.main(["prepare", "--corpus", "corpus.txt", "--out-dir", "run", "--test-count", "1"]) == 0
+    cell = ["--out-dir", "run", "--model", "pcfg", "--em-max-iter", "2"]
+    capsys.readouterr()
+    assert cli.main(["train", "--size", "2", "--algo", "em", *cell]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValueError"
+    assert re.fullmatch(r"training sequence \d+ has length < 2", error["message"])
+    # a sweep row keeps the type in its error text
+    assert cli.main(["sweep", "--sizes", "2", "--algos", "em", *cell]) == 0
+    with open("run/results.csv", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == f"ValueError: {error['message']}"
 
 
 @pytest.mark.parametrize(

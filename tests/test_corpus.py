@@ -152,8 +152,10 @@ def test_vocabulary_save_load_round_trip(tmp_path):
     "bad, why",
     [("2\tX", r"not enough values to unpack \(expected 3, got 2\)"), ("two\tX\t3", "invalid literal"),
      ("2\tX\tmany", "invalid literal"), ("5\tX\t3", "not the next dense id 2"),
-     ("2\tC\t3", "symbol 'C' already has id 0")],
-    ids=["field-count", "id-not-an-int", "count-not-an-int", "non-dense-id", "duplicate-symbol"],
+     ("2\tC\t3", "symbol 'C' already has id 0"), ("2\t\t3", "symbol '' is empty or holds whitespace"),
+     ("2\tC D\t3", "symbol 'C D' is empty or holds whitespace"), ("2\tX\t-5", "count -5 is negative")],
+    ids=["field-count", "id-not-an-int", "count-not-an-int", "non-dense-id", "duplicate-symbol", "empty-symbol",
+         "symbol-with-whitespace", "negative-count"],
 )
 def test_a_malformed_vocabulary_line_names_its_file_and_line(tmp_path, bad, why):
     path = tmp_path / "vocab.txt"

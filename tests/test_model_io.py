@@ -86,6 +86,25 @@ def test_rejects_truncated_file(tmp_path):
             model_io.load_model(path)
 
 
+@pytest.mark.parametrize("family", ["markov", "hmm", "pcfg"])
+def test_rejects_content_after_the_last_table(tmp_path, family):
+    model = {
+        "markov": lambda: markov.fit([np.array([0, 1, 2])], 3, order=1, smoothing="additive", epsilon=0.1),
+        "hmm": lambda: hmm.init_random(2, 3, seed=4),
+        "pcfg": lambda: pcfg.init_random(2, 3, seed=4),
+    }[family]()
+    path = tmp_path / "x.model"
+    model_io.save_model(model, path)
+    saved = path.read_text()
+    end = len(saved.splitlines())
+    path.write_text(saved + "\n  \n")  # blank lines are no content
+    model_io.load_model(path)
+    path.write_text(saved + "\ntable junk 1 1\nnot a number\n")
+    why = f"^line {end + 2}: unexpected content after the last table, 'table junk 1 1'$"
+    with pytest.raises(ValueError, match=why):
+        model_io.load_model(path)
+
+
 def test_rejects_wrong_shape_and_unnormalized_rows(tmp_path):
     path = tmp_path / "s.model"
     model_io.save_model(hmm.init_random(2, 3, seed=4), path)

@@ -93,7 +93,7 @@ def prepared(tmp_path):
 
 def _run(cfg: ExperimentConfig, meta: dict, model: str, algo: str) -> dict:
     cell_cfg = ExperimentConfig.from_dict({**cfg.as_dict(), "model": model, "algos": [algo]})
-    row = cli._run_cell(cli._payload(cell_cfg, meta, 2, algo, 0, 20))
+    row = cli._run_cell(cell_cfg, cli._load_prepared(cell_cfg)[1], (2, algo, 0, 20))
     assert row["error"] == ""
     return row
 
