@@ -85,16 +85,16 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     if not sequences:
         raise ValueError(f"corpus {corpus_path} contains no sequences")
 
-    cfg = dataclasses.replace(cfg, vocab_k=10 if cfg.vocab_k is None else cfg.vocab_k,
-                              data_seed=0 if cfg.data_seed is None else cfg.data_seed)
-    vocab = build_vocabulary(sequences, cfg.vocab_k)
-    dataset = encode(sequences, vocab)
-    test_count = cfg.test_count if cfg.test_count is not None else len(dataset) // 10
-    train, test = split(dataset, test_count, cfg.data_seed)
+    vocab_k = 10 if cfg.vocab_k is None else cfg.vocab_k
+    data_seed = 0 if cfg.data_seed is None else cfg.data_seed
+    test_count = len(sequences) // 10 if cfg.test_count is None else cfg.test_count
+    vocab = build_vocabulary(sequences, vocab_k)
+    train, test = split(encode(sequences, vocab), test_count, data_seed)
     if len(train) == 0:
         raise ValueError("no training sequences left after the test split")
-    train_sizes = cfg.train_sizes if cfg.train_sizes is not None else [len(train)]
-    for n_x in train_sizes:
+    cfg = dataclasses.replace(cfg, vocab_k=vocab_k, data_seed=data_seed, test_count=test_count,
+                              train_sizes=[len(train)] if cfg.train_sizes is None else cfg.train_sizes)
+    for n_x in cfg.train_sizes:
         if not 1 <= n_x <= len(train):
             raise ValueError(f"train size {n_x} out of range [1, {len(train)}]")
 
@@ -103,42 +103,31 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     vocab.save(out / "vocab.txt")
     _write_encoded(out / "train.ids", train)
     _write_encoded(out / "test.ids", test)
-    for n_x in train_sizes:
+    for n_x in cfg.train_sizes:
         _write_encoded(out / f"train_nx{n_x}.ids", subsample(train, n_x, cfg.data_seed))
 
-    mean_train_length = sum(len(s) for s in train) / len(train)
     meta = {
         "config": cfg.as_dict(),
         "corpus_sha256": hashlib.sha256(raw).hexdigest(),
-        "n_sequences": len(dataset),
+        "n_sequences": len(sequences),
         "vocab_size": vocab.size,
-        "test_count": test_count,
-        "train_sizes": train_sizes,
-        "mean_train_length": mean_train_length,
+        "mean_train_length": sum(len(s) for s in train) / len(train),
     }
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return meta
 
 
-# the keys of the meta.json that `prepare` writes
-PREPARED_KEYS = ("config", "corpus_sha256", "n_sequences", "vocab_size", "test_count", "train_sizes",
-                 "mean_train_length")
-# the type and the least value of each number in meta.json that is not a data field
+# the keys of the meta.json that `prepare` writes; its config holds the data fields as `prepare` resolved them
+PREPARED_KEYS = ("config", "corpus_sha256", "n_sequences", "vocab_size", "mean_train_length")
+# the type and the least value of each number in meta.json outside its config
 PREPARED_NUMBERS = {"n_sequences": (int, 1), "vocab_size": (int, 1), "mean_train_length": (float, 1.0)}
 
 
-def _prepared_data(meta: dict) -> dict:
-    """The data a prepared directory holds: the sha256 of the corpus bytes and
-    the data fields as `prepare` resolved them."""
-    resolved = {**meta["config"], "test_count": meta["test_count"], "train_sizes": meta["train_sizes"]}
-    return {"corpus_sha256": meta["corpus_sha256"], **{name: resolved[name] for name in DATA_FIELDS}}
-
-
-def _load_prepared(cfg: ExperimentConfig) -> tuple[dict, tuple[str, float]]:
-    """The prepared directory's meta.json, which must hold test lines and the
-    file of each train size, and must not have been written for other data
-    than this config names; and what every cell takes of it, the config hash
-    and the mean training length.
+def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, tuple[str, float]]:
+    """The config that the prepared directory's meta.json records, whose data
+    must hold test lines and the file of each train size, and must not be
+    other than this config names; and what every cell takes of the directory,
+    the config hash and the mean training length.
 
     A data field is checked when the config sets it (it is not None), against
     what `prepare` resolved it to; the corpus is checked by the sha256 of its
@@ -156,24 +145,27 @@ def _load_prepared(cfg: ExperimentConfig) -> tuple[dict, tuple[str, float]]:
     for key in PREPARED_KEYS:
         if key not in meta:
             raise ValueError(f"{meta_path} lacks the key {key!r}; run `chordlm prepare` again")
+    if set(meta) != set(PREPARED_KEYS):
+        raise ValueError(f"{meta_path} has unknown keys {sorted(set(meta) - set(PREPARED_KEYS))}; "
+                         "run `chordlm prepare` again")
     if not isinstance(meta["config"], dict):
         raise ValueError(f"{meta_path} has a config that is not a JSON object; run `chordlm prepare` again")
     for name in DATA_FIELDS:
         if name not in meta["config"]:
             raise ValueError(f"{meta_path} lacks the config key {name!r}; run `chordlm prepare` again")
-    data = _prepared_data(meta)
-    try:  # the data fields by the config's own checks, and never null once `prepare` resolved them
+    try:  # every recorded field by the config's own checks, and the data fields never null once resolved
         if not isinstance(meta["corpus_sha256"], str):
             raise ValueError(f"corpus_sha256 must be str, got {meta['corpus_sha256']!r}")
         for key, (kind, least) in PREPARED_NUMBERS.items():
             if not (is_kind(meta[key], kind) and least <= meta[key] < math.inf):
                 raise ValueError(f"{key} must be a finite {kind.__name__} >= {least}, got {meta[key]!r}")
         for name in DATA_FIELDS:
-            if data[name] is None:
+            if meta["config"][name] is None:
                 raise ValueError(f"{name} must not be null")
-        ExperimentConfig(**{name: data[name] for name in DATA_FIELDS})
+        recorded = ExperimentConfig.from_dict(meta["config"])
     except ValueError as exc:
         raise ValueError(f"{meta_path} has a bad value: {exc}; run `chordlm prepare` again") from None
+    data = {"corpus_sha256": meta["corpus_sha256"], **{name: getattr(recorded, name) for name in DATA_FIELDS}}
     for name in DATA_FIELDS:
         value = getattr(cfg, name)
         if value is not None and value != data[name]:
@@ -181,20 +173,20 @@ def _load_prepared(cfg: ExperimentConfig) -> tuple[dict, tuple[str, float]]:
                 f"{meta_path} was prepared with {name}={data[name]!r}, not {value!r}; "
                 "run `chordlm prepare` again or use another out_dir"
             )
-    if data["test_count"] == 0:
+    if recorded.test_count == 0:
         raise ValueError(f"{meta_path} has no test lines; run `chordlm prepare` again with --test-count >= 1")
-    for n_x in data["train_sizes"]:
+    for n_x in recorded.train_sizes:
         ids = Path(cfg.out_dir) / f"train_nx{n_x}.ids"
-        if n_x > meta["n_sequences"] - data["test_count"]:
+        if n_x > meta["n_sequences"] - recorded.test_count:
             raise ValueError(f"{meta_path} has train size {n_x}, above its training lines; run `chordlm prepare` again")
         if not ids.exists():
             raise FileNotFoundError(f"{ids} not found; run `chordlm prepare` again")
     if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
         raise ValueError(
-            f"{meta_path} was prepared with corpus={meta['config'].get('corpus')!r}, whose bytes differ from "
+            f"{meta_path} was prepared with corpus={recorded.corpus!r}, whose bytes differ from "
             f"{cfg.corpus!r}; run `chordlm prepare` again or use another out_dir"
         )
-    return meta, (cfg.config_hash(data), meta["mean_train_length"])
+    return recorded, (cfg.config_hash(data), meta["mean_train_length"])
 
 
 # ------------------------------------------------------------ cell training
@@ -309,8 +301,8 @@ def _run_cell(
 
 
 def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None) -> dict:
-    meta, prepared = _load_prepared(cfg)
-    n_x = n_x if n_x is not None else meta["train_sizes"][-1]
+    recorded, prepared = _load_prepared(cfg)
+    n_x = n_x if n_x is not None else recorded.train_sizes[-1]
     return _run_cell(cfg, prepared, (size, algo, seed, n_x), record_error=False)
 
 
@@ -324,10 +316,10 @@ def _format_cell(value) -> str:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
-    meta, prepared = _load_prepared(cfg)
+    recorded, prepared = _load_prepared(cfg)
     cells = [
         (size, algo, seed, n_x)
-        for n_x in meta["train_sizes"]
+        for n_x in recorded.train_sizes
         for size in cfg.resolved_sizes()
         for algo in cfg.resolved_algos()
         for seed in cfg.seeds

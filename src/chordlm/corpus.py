@@ -36,13 +36,14 @@ class Vocabulary:
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("vocabulary symbols must be distinct")
         if not self.counts:
             self.counts = [0] * len(self.symbols)
         if len(self.counts) != len(self.symbols):
             raise ValueError("counts length must match symbols length")
-        self.index = {s: i for i, s in enumerate(self.symbols)}
+        self.index = {}
+        for sym, cnt in zip(self.symbols, self.counts):
+            _check_entry(sym, cnt, self.index)
+            self.index[sym] = len(self.index)
 
     @property
     def size(self) -> int:
@@ -72,18 +73,23 @@ class Vocabulary:
                 ident, sym, cnt = ln.split("\t")
                 if int(ident) != len(symbols):
                     raise ValueError(f"id {ident} is not the next dense id {len(symbols)}")
-                if sym.split() != [sym]:  # as parse_corpus splits a line
-                    raise ValueError(f"symbol {sym!r} is empty or holds whitespace")
-                if sym in ids:
-                    raise ValueError(f"symbol {sym!r} already has id {ids[sym]}")
-                if int(cnt) < 0:
-                    raise ValueError(f"count {cnt} is negative")
-                counts.append(int(cnt))
+                _check_entry(sym, int(cnt), ids)
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
             ids[sym] = len(symbols)
             symbols.append(sym)
+            counts.append(int(cnt))
         return cls(symbols=symbols, counts=counts)
+
+
+def _check_entry(symbol: str, count: int, index: dict[str, int]) -> None:
+    """The rules of one vocabulary entry, given the ids of the entries before it."""
+    if symbol.split() != [symbol]:  # as parse_corpus splits a line
+        raise ValueError(f"symbol {symbol!r} is empty or holds whitespace")
+    if symbol in index:
+        raise ValueError(f"symbol {symbol!r} already has id {index[symbol]}")
+    if count < 0:
+        raise ValueError(f"count {count} is negative")
 
 
 def parse_corpus(text: str) -> list[list[str]]:

@@ -89,6 +89,7 @@ class MarkovModel:
     epsilon: float | None = None
 
     def validate(self, tol: float = 1e-9) -> None:
+        _check_epsilon(self.smoothing, self.epsilon)
         for j, table in enumerate(self.initial_tables, start=1):
             if table.shape != (self.vocab_size,) * j:
                 raise ValueError(f"initial table {j} has wrong shape {table.shape}")
@@ -221,8 +222,8 @@ def fit(
         raise ValueError("order must be >= 1")
     if smoothing not in SMOOTHING_TAGS:
         raise ValueError(f"unknown smoothing {smoothing!r}")
-    if smoothing == "additive" and epsilon <= 0:
-        raise ValueError("additive smoothing requires epsilon > 0")
+    epsilon = epsilon if smoothing == "additive" else None
+    _check_epsilon(smoothing, epsilon)
     if len(sequences) == 0:
         raise ValueError("training data is empty")
 
@@ -237,10 +238,19 @@ def fit(
         initial_tables=initial_tables,
         transitions=transitions,
         smoothing=smoothing,
-        epsilon=epsilon if smoothing == "additive" else None,
+        epsilon=epsilon,
     )
     model.validate()
     return model
+
+
+def _check_epsilon(smoothing: str, epsilon: float | None) -> None:
+    """Additive smoothing needs a finite epsilon > 0; KN and MKN take none."""
+    if smoothing == "additive":
+        if epsilon is None or not 0.0 < epsilon < np.inf:  # a NaN fails too
+            raise ValueError(f"additive smoothing requires a finite epsilon > 0, got {epsilon!r}")
+    elif epsilon is not None:
+        raise ValueError(f"{smoothing} smoothing takes no epsilon, got {epsilon!r}")
 
 
 def _ngram_counts(sequences: list[np.ndarray], width: int, n: int) -> np.ndarray:
@@ -254,7 +264,7 @@ def _ngram_counts(sequences: list[np.ndarray], width: int, n: int) -> np.ndarray
     return np.bincount(np.concatenate(cells), minlength=n**width).astype(np.float64).reshape((n,) * width)
 
 
-def _build_table(counts: np.ndarray, smoothing: str, epsilon: float, n: int) -> np.ndarray:
+def _build_table(counts: np.ndarray, smoothing: str, epsilon: float | None, n: int) -> np.ndarray:
     if smoothing == "additive":
         return _additive_table(counts, epsilon, n)
     try:

@@ -17,46 +17,42 @@ MODEL_MAGIC = "chordlm-model v1"
 
 NO_HASH = "-"
 
+# the header key that gives each kind's size
+SIZE_KEYS = {"markov": "order", "hmm": "n_states", "pcfg": "n_nonterminals"}
 
-def _write_table(lines: list[str], name: str, table: np.ndarray) -> None:
-    rows = table.reshape(-1, table.shape[-1]) if table.ndim > 1 else table.reshape(1, -1)
-    lines.append(f"table {name} {rows.shape[0]} {rows.shape[1]}")
-    for row in rows:
-        lines.append(" ".join(repr(float(v)) for v in row))
+
+def _layout(kind: str, v: int, size: int):
+    """Each table's name and (rows, columns), in file order. A generator, so a
+    loader works out a table's shape only once the tables before it have
+    been read: a huge Markov order fails at its first missing table."""
+    if kind == "markov":
+        for j in range(1, size + 1):
+            yield f"initial{j}", (v ** (j - 1), v)
+        yield "transitions", (v**size, v)
+    elif kind == "hmm":
+        yield from [("initial", (1, size)), ("transition", (size, size)), ("emission", (size, v))]
+    else:
+        yield from [("start_rules", (size, size)), ("start_emissions", (1, v)), ("rules", (size, size * size)),
+                    ("emissions", (size, v))]
 
 
 def save_model(model, path, vocab_hash: str | None = None) -> None:
-    lines = [MODEL_MAGIC]
-    tag = vocab_hash if vocab_hash else NO_HASH
+    extra = []
     if isinstance(model, MarkovModel):
-        lines.append("kind markov")
-        lines.append(f"vocab_size {model.vocab_size}")
-        lines.append(f"vocab_hash {tag}")
-        lines.append(f"order {model.order}")
-        lines.append(f"smoothing {model.smoothing}")
-        lines.append(f"epsilon {repr(model.epsilon) if model.epsilon is not None else '-'}")
-        for j, table in enumerate(model.initial_tables, start=1):
-            _write_table(lines, f"initial{j}", table)
-        _write_table(lines, "transitions", model.transitions)
+        kind, size, arrays = "markov", model.order, [*model.initial_tables, model.transitions]
+        extra = [f"smoothing {model.smoothing}", f"epsilon {'-' if model.epsilon is None else repr(model.epsilon)}"]
     elif isinstance(model, HmmParams):
-        lines.append("kind hmm")
-        lines.append(f"vocab_size {model.vocab_size}")
-        lines.append(f"vocab_hash {tag}")
-        lines.append(f"n_states {model.n_states}")
-        _write_table(lines, "initial", model.initial)
-        _write_table(lines, "transition", model.transition)
-        _write_table(lines, "emission", model.emission)
+        kind, size, arrays = "hmm", model.n_states, [model.initial, model.transition, model.emission]
     elif isinstance(model, PcfgParams):
-        lines.append("kind pcfg")
-        lines.append(f"vocab_size {model.vocab_size}")
-        lines.append(f"vocab_hash {tag}")
-        lines.append(f"n_nonterminals {model.n_nonterminals}")
-        _write_table(lines, "start_rules", model.start_rules)
-        _write_table(lines, "start_emissions", model.start_emissions)
-        _write_table(lines, "rules", model.rules.reshape(model.n_nonterminals, -1))
-        _write_table(lines, "emissions", model.emissions)
+        kind, size = "pcfg", model.n_nonterminals
+        arrays = [model.start_rules, model.start_emissions, model.rules, model.emissions]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    lines = [MODEL_MAGIC, f"kind {kind}", f"vocab_size {model.vocab_size}", f"vocab_hash {vocab_hash or NO_HASH}",
+             f"{SIZE_KEYS[kind]} {size}", *extra]
+    for (name, shape), array in zip(_layout(kind, model.vocab_size, size), arrays):
+        lines.append(f"table {name} {shape[0]} {shape[1]}")
+        lines.extend(" ".join(repr(float(x)) for x in row) for row in array.reshape(shape))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -135,10 +131,10 @@ def load_model(path):
     kind = reader.key_value("kind")
     v = reader.count("vocab_size")
     vocab_hash = reader.key_value("vocab_hash")
-    vocab_hash = None if vocab_hash == NO_HASH else vocab_hash
-
+    if kind not in SIZE_KEYS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    size = reader.count(SIZE_KEYS[kind])
     if kind == "markov":
-        order = reader.count("order")
         smoothing = reader.key_value("smoothing")
         if smoothing not in SMOOTHING_TAGS:
             raise ValueError(f"line {reader.pos}: unknown smoothing {smoothing!r}")
@@ -147,28 +143,14 @@ def load_model(path):
             epsilon = None if eps_text == "-" else float(eps_text)
         except ValueError:
             raise ValueError(f"line {reader.pos}: epsilon {eps_text!r} is not a number") from None
-        initial_tables = [
-            reader.table(f"initial{j}", (v ** (j - 1), v)).reshape((v,) * j) for j in range(1, order + 1)
-        ]
-        transitions = reader.table("transitions", (v**order, v)).reshape((v,) * (order + 1))
-        model = MarkovModel(order, v, initial_tables, transitions, smoothing, epsilon)
-    elif kind == "hmm":
-        k = reader.count("n_states")
-        model = HmmParams(
-            initial=reader.table("initial", (1, k)).reshape(k),
-            transition=reader.table("transition", (k, k)),
-            emission=reader.table("emission", (k, v)),
-        )
-    elif kind == "pcfg":
-        d = reader.count("n_nonterminals")
-        model = PcfgParams(
-            start_rules=reader.table("start_rules", (d, d)),
-            start_emissions=reader.table("start_emissions", (1, v)).reshape(v),
-            rules=reader.table("rules", (d, d * d)).reshape(d, d, d),
-            emissions=reader.table("emissions", (d, v)),
-        )
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    tables = [reader.table(name, shape) for name, shape in _layout(kind, v, size)]
     reader.end()
+    if kind == "markov":
+        initial_tables = [table.reshape((v,) * j) for j, table in enumerate(tables[:-1], start=1)]
+        model = MarkovModel(size, v, initial_tables, tables[-1].reshape((v,) * (size + 1)), smoothing, epsilon)
+    elif kind == "hmm":
+        model = HmmParams(tables[0].reshape(size), *tables[1:])
+    else:
+        model = PcfgParams(tables[0], tables[1].reshape(v), tables[2].reshape(size, size, size), tables[3])
     model.validate()
-    return model, vocab_hash
+    return model, None if vocab_hash == NO_HASH else vocab_hash

@@ -229,7 +229,7 @@ def test_prepare_vocab_size_and_artifacts(prepared):
     assert (run / "test.ids").exists()
     assert (run / "train_nx8.ids").exists()
     meta = json.loads((run / "meta.json").read_text())
-    assert meta["test_count"] == 6
+    assert meta["config"]["test_count"] == 6
 
 
 def test_prepare_idempotent(prepared):
@@ -536,7 +536,7 @@ def test_train_reports_the_type_and_message_that_the_cell_raises(tmp_path, monke
 @pytest.mark.parametrize(
     "text, why",
     [("{not json", "is not JSON"), ("[1]", "does not hold a JSON object"),
-     (None, "lacks the key 'train_sizes'")],
+     (None, "lacks the key 'mean_train_length'")],
     ids=["not-json", "not-an-object", "missing-key"],
 )
 def test_a_bad_meta_json_names_its_file(sixty_lines, capsys, text, why):
@@ -544,7 +544,7 @@ def test_a_bad_meta_json_names_its_file(sixty_lines, capsys, text, why):
     meta = json.loads(meta_path.read_text())
     assert set(meta) == set(cli.PREPARED_KEYS)
     if text is None:
-        del meta["train_sizes"]
+        del meta["mean_train_length"]
         text = json.dumps(meta)
     meta_path.write_text(text)
     capsys.readouterr()
@@ -596,7 +596,7 @@ def test_a_bad_config_in_meta_json_names_its_file_and_key(sixty_lines, capsys, e
 def test_a_bad_value_in_meta_json_names_its_file_and_key(sixty_lines, capsys, key, value, why):
     meta_path = Path("run") / "meta.json"
     meta = json.loads(meta_path.read_text())
-    (meta["config"] if key in ("vocab_k", "data_seed") else meta)[key] = value
+    (meta["config"] if key in DATA_FIELDS else meta)[key] = value
     meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
     for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
@@ -604,6 +604,45 @@ def test_a_bad_value_in_meta_json_names_its_file_and_key(sixty_lines, capsys, ke
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ValueError" and f"{meta_path} has a bad value: {why}" in error["message"]
     assert not Path("run/models").exists() and not Path("run/results.csv").exists()
+
+
+def test_meta_json_keeps_one_copy_of_each_data_field(sixty_lines):
+    meta = json.loads(Path("run/meta.json").read_text())
+    assert set(meta) == set(cli.PREPARED_KEYS) and "test_count" not in meta and "train_sizes" not in meta
+    resolved = {name: meta["config"][name] for name in DATA_FIELDS}
+    assert resolved == {"vocab_k": 5, "test_count": 6, "data_seed": 0, "train_sizes": [54]}
+
+
+@pytest.mark.parametrize(
+    "key, value, why",
+    [("workers", 0, "workers must be >= 1, got 0"),
+     ("model", "rnn", "model must be one of ('markov', 'hmm', 'pcfg'), got 'rnn'"),
+     ("colour", "red", "unknown config keys: ['colour']")],
+    ids=["workers-zero", "unknown-model", "unknown-key"],
+)
+def test_every_recorded_config_field_passes_the_config_checks(sixty_lines, capsys, key, value, why):
+    meta_path = Path("run") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["config"][key] = value
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and f"{meta_path} has a bad value: {why};" in error["message"]
+
+
+def test_a_directory_prepared_with_the_data_fields_at_the_top_level_is_prepared_again(sixty_lines, capsys):
+    # meta.json used to repeat the resolved test_count and train_sizes next to its config
+    meta_path = Path("run") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(test_count=meta["config"]["test_count"], train_sizes=meta["config"]["train_sizes"])
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert cli.main(["train", "--size", "2", "--algo", "em", "--out-dir", "run", *CELL]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["message"] == (f"{meta_path} has unknown keys ['test_count', 'train_sizes']; "
+                                "run `chordlm prepare` again")
 
 
 def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys):
@@ -630,7 +669,7 @@ def test_a_train_size_without_its_lines_is_a_command_error(tmp_path, capsys, siz
     out = tmp_path / "run"
     assert cli.main(["prepare", "--corpus", str(corpus), "--out-dir", str(out), "--test-count", "3"]) == 0
     meta = json.loads((out / "meta.json").read_text())
-    meta["train_sizes"] = [size]
+    meta["config"]["train_sizes"] = [size]
     (out / "meta.json").write_text(json.dumps(meta))
     (out / "train_nx28.ids").write_bytes((out / "train.ids").read_bytes())  # the file alone does not help
     capsys.readouterr()

@@ -166,6 +166,28 @@ def test_a_malformed_vocabulary_line_names_its_file_and_line(tmp_path, bad, why)
         Vocabulary.load(path)
 
 
+@pytest.mark.parametrize(
+    "symbols, counts, why",
+    [(["C D", "Other"], [1, 3], "symbol 'C D' is empty or holds whitespace"),
+     (["", "Other"], [1, 3], "symbol '' is empty or holds whitespace"),
+     (["C", "Other"], [-2, 3], "count -2 is negative"),
+     (["C", "C", "Other"], [1, 1, 3], "symbol 'C' already has id 0")],
+    ids=["symbol-with-whitespace", "empty-symbol", "negative-count", "duplicate-symbol"],
+)
+def test_a_vocabulary_that_load_would_refuse_cannot_be_built(symbols, counts, why):
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        Vocabulary(symbols=symbols, counts=counts)
+
+
+def test_every_vocabulary_that_prepare_builds_loads(tmp_path):
+    text = "C G  Am\tF\nOther C G7 \u00a0G7\n\nDm7b5 C C\n"  # odd whitespace and a literal Other
+    for k in (1, 2, 10):
+        vocab = build_vocabulary(parse_corpus(text), k=k)
+        vocab.save(tmp_path / "vocab.txt")
+        loaded = Vocabulary.load(tmp_path / "vocab.txt")
+        assert (loaded.symbols, loaded.counts) == (vocab.symbols, vocab.counts)
+
+
 def test_a_file_without_the_vocabulary_header_is_named(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("0\tC\t3\n", encoding="utf-8")

@@ -48,6 +48,13 @@ def test_fit_rejects_bad_input():
         markov.fit(empty, 2, order=1)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+def test_fit_rejects_an_additive_epsilon_that_is_not_finite_and_positive(epsilon):
+    data = make_dataset(["a b"], symbols=["a", "b"])
+    with pytest.raises(ValueError, match="additive smoothing requires a finite epsilon > 0"):
+        markov.fit(data, 2, order=1, smoothing="additive", epsilon=epsilon)
+
+
 def test_log_evidence_hand_value(tiny_additive):
     got = tiny_additive.log_evidence(np.array([0, 1]))
     assert got == pytest.approx(math.log((2.1 / 2.2) ** 2), abs=1e-12)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,4 +119,62 @@ def test_rejects_wrong_shape_and_unnormalized_rows(tmp_path):
     model.transition[1] *= 1.5
     model_io.save_model(model, path)
     with pytest.raises(ValueError, match="transition matrix rows do not sum to 1"):
+        model_io.load_model(path)
+
+
+def _pinned_models() -> dict:
+    lines = [np.array(s) for s in ([0, 1, 2, 1, 0], [2, 0, 1], [1, 1, 2, 0], [0, 2])]
+    return {
+        "markov-additive": (markov.fit(lines, 3, order=2, smoothing="additive", epsilon=0.1), "abc123"),
+        "markov-mkn": (markov.fit(lines, 3, order=2, smoothing="mkn"), None),
+        "hmm": (hmm.init_random(3, 4, seed=2), "abc123"),
+        "pcfg": (pcfg.init_random(2, 3, seed=1), None),
+    }
+
+
+@pytest.mark.parametrize(
+    "family, sha256",
+    [("markov-additive", "2e1c484dfbe5814a6714c6a58ecf37d8a0bb026c4627864abeddf1a7b9db4e80"),
+     ("markov-mkn", "9aed1c67f169f6c11c481944b47ab6697cd67967dd3dd4a9c16c649346cf8c78"),
+     ("hmm", "92bccd71c42eda515de931280405a378f61b15d68ccd7a2fe168f0ce46b78b0a"),
+     ("pcfg", "5d70f88872f6f11034214e94013e653a19b7dcfcd7b5956517ffd3e781eaeb64")],
+)
+def test_the_file_format_is_pinned_and_a_reload_saves_the_same_bytes(tmp_path, family, sha256):
+    model, vocab_hash = _pinned_models()[family]
+    first, second = tmp_path / "first.model", tmp_path / "second.model"
+    model_io.save_model(model, first, vocab_hash=vocab_hash)
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == sha256
+    loaded, loaded_hash = model_io.load_model(first)
+    assert loaded_hash == vocab_hash
+    model_io.save_model(loaded, second, vocab_hash=loaded_hash)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_a_huge_markov_order_fails_at_its_first_missing_table(tmp_path):
+    # each table's shape is worked out only when it is read: an order of 10^9
+    # must not build the shapes of all its tables first
+    path = tmp_path / "m.model"
+    model_io.save_model(markov.fit([np.array([0, 1, 2])], 3, order=1), path)
+    path.write_text(path.read_text().replace("\norder 1\n", "\norder 1000000000\n"))
+    with pytest.raises(ValueError, match="^line 10: expected table 'initial2'"):
+        model_io.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "smoothing, epsilon, why",
+    [("additive", "nan", "additive smoothing requires a finite epsilon > 0, got nan"),
+     ("additive", "inf", "additive smoothing requires a finite epsilon > 0, got inf"),
+     ("additive", "0.0", "additive smoothing requires a finite epsilon > 0, got 0.0"),
+     ("additive", "-1.0", "additive smoothing requires a finite epsilon > 0, got -1.0"),
+     ("additive", "-", "additive smoothing requires a finite epsilon > 0, got None"),
+     ("kn", "0.5", "kn smoothing takes no epsilon, got 0.5")],
+    ids=["nan", "inf", "zero", "negative", "none", "kn-with-epsilon"],
+)
+def test_a_markov_file_epsilon_must_suit_its_smoothing(tmp_path, smoothing, epsilon, why):
+    path = tmp_path / "m.model"
+    model_io.save_model(markov.fit([np.array([0, 1, 2, 0, 1])], 3, order=1, smoothing=smoothing), path)
+    text = path.read_text()
+    saved = "0.1" if smoothing == "additive" else "-"
+    path.write_text(text.replace(f"\nepsilon {saved}\n", f"\nepsilon {epsilon}\n"))
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
         model_io.load_model(path)
