@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, hmm, markov, model_io, pcfg
-from .config import DATA_FIELDS, FIELD_KINDS, ExperimentConfig, cell_seed, is_kind, kappa_from_mean_length
+from .config import DATA_FIELDS, FIELD_KINDS, MODELS, ExperimentConfig, cell_seed, is_kind, kappa_from_mean_length
 from .corpus import Vocabulary, build_vocabulary, encode, parse_corpus, split, subsample
 
 RESULT_FIELDS = [
@@ -220,8 +220,9 @@ def _train_cell(
 ) -> tuple:
     """Train the model of one cell; ``cell`` is the hash that seeds it, then
     its coordinates. Returns the model, its log record and its training
-    ``log_evidences``. HMMs and PCFGs train by EM or by best-of-n Gibbs
-    sampling, through the same calls to their family module."""
+    ``log_evidences``. HMMs and PCFGs train by EM or, for ``gs`` (the only
+    other algorithm the config and ``cmd_train`` let through), by best-of-n
+    Gibbs sampling, through the same calls to their family module."""
     if cfg.model == "markov":
         model = markov.fit(train, vocab_size, order=size, smoothing=algo, epsilon=cfg.epsilon)
         return model, {"algorithm": algo}, model.log_evidences(train)
@@ -235,7 +236,7 @@ def _train_cell(
         config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
         fitted, trace, log_evidences = family.em_fit(init, train, config)
         log.update(algorithm="em", log_likelihood=trace)
-    elif algo == "gs":
+    else:
         config = family.GibbsConfig(
             n_samples=cfg.resolved_gs_samples(),
             polish_iters=cfg.polish_iters,
@@ -250,8 +251,6 @@ def _train_cell(
             sample_log_evidence=trace.sample_log_evidence,
             polish_log_likelihood=trace.polish_trace,
         )
-    else:
-        raise ValueError(f"unknown {cfg.model.upper()} algorithm {algo!r}")
     return fitted, log, log_evidences
 
 
@@ -276,7 +275,7 @@ def _run_cell(
         vocab = Vocabulary.load(out / "vocab.txt")
         train = _read_encoded(out / f"train_nx{n_x}.ids", vocab)
         test = _read_encoded(out / "test.ids", vocab)
-        row["param_count"] = evaluate.param_count(cfg.model, size, vocab.size)
+        row["param_count"] = MODELS[cfg.model].param_count(size, vocab.size)
 
         cell = (config_hash, cfg.model, size, n_x, algo, seed)
         model, log, train_log_ev = _train_cell(cfg, train, vocab.size, size, algo, cell, mean_train_length)
@@ -301,8 +300,15 @@ def _run_cell(
 
 
 def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None) -> dict:
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    algos = MODELS[cfg.model].ALGOS
+    if algo not in algos:
+        raise ValueError(f"algo for model {cfg.model!r} must be one of {algos}, got {algo!r}")
     recorded, prepared = _load_prepared(cfg)
     n_x = n_x if n_x is not None else recorded.train_sizes[-1]
+    if n_x not in recorded.train_sizes:
+        raise ValueError(f"n_x must be one of the prepared train sizes {recorded.train_sizes}, got {n_x}")
     return _run_cell(cfg, prepared, (size, algo, seed, n_x), record_error=False)
 
 
@@ -463,10 +469,7 @@ def cmd_generate(
         raise ValueError("--trees is only meaningful for grammar models")
     if length is None:
         raise ValueError("--length is required for Markov and HMM models")
-    if isinstance(model, hmm.HmmParams):
-        ids = hmm.sample_sequence(model, length, seeds)
-    else:
-        ids = model.sample_sequence(length, seeds)
+    ids = model.sample_sequence(length, seeds)
     return [" ".join(vocab.symbols[x] for x in row) for row in ids.tolist()]
 
 

@@ -20,15 +20,11 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from . import pcfg, training
-from .markov import SMOOTHING_TAGS
+from . import hmm, markov, pcfg, training
 
-HMM_SIZE_GRID = list(range(1, 11)) + [15, 20, 25, 30, 40, 50, 60, 70, 80, 90, 100]
-PCFG_SIZE_GRID = list(range(1, 11)) + [15, 20]
-MARKOV_ORDER_GRID = [1, 2, 3]
-
-MODEL_KINDS = ("markov", "hmm", "pcfg")
-ALGOS = {"markov": SMOOTHING_TAGS, "hmm": ("em", "gs"), "pcfg": ("em", "gs")}
+# each family's model class, by its kind; the class states the family's size
+# key, default grid, algorithms, parameter count and model-file tables
+MODELS = {cls.KIND: cls for cls in (markov.MarkovModel, hmm.HmmParams, pcfg.PcfgParams)}
 
 # The data fields, unset (None) until ``prepare`` resolves them into meta.json,
 # and the other fields that seed no cell: paths, the grid and the worker count.
@@ -48,7 +44,7 @@ class ExperimentConfig:
     train_sizes: list[int] | None = field(default=None, metadata={">=": 1})  # default: the full training split
 
     # model grid
-    model: str = field(default="hmm", metadata={"choices": MODEL_KINDS})
+    model: str = field(default="hmm", metadata={"choices": tuple(MODELS)})
     sizes: list[int] | None = field(default=None, metadata={">=": 1})
     algos: list[str] | None = None
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -89,25 +85,18 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} must be {sign} {f.metadata[sign]}, got {value!r}")
             if kind is float and not all(math.isfinite(x) for x in items):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        unknown = sorted(set(self.resolved_algos()) - set(ALGOS[self.model]))
+        allowed = MODELS[self.model].ALGOS
+        unknown = sorted(set(self.resolved_algos()) - set(allowed))
         if unknown:
-            raise ValueError(f"algos for model {self.model!r} must be among {ALGOS[self.model]}, got {unknown}")
+            raise ValueError(f"algos for model {self.model!r} must be among {allowed}, got {unknown}")
 
     # ------------------------------------------------------------- defaults
 
     def resolved_sizes(self) -> list[int]:
-        if self.sizes is not None:
-            return list(self.sizes)
-        return {
-            "markov": MARKOV_ORDER_GRID,
-            "hmm": HMM_SIZE_GRID,
-            "pcfg": PCFG_SIZE_GRID,
-        }[self.model]
+        return list(MODELS[self.model].SIZE_GRID if self.sizes is None else self.sizes)
 
     def resolved_algos(self) -> list[str]:
-        if self.algos is not None:
-            return list(self.algos)
-        return list(ALGOS[self.model])
+        return list(MODELS[self.model].ALGOS if self.algos is None else self.algos)
 
     def resolved_em_max_iter(self) -> int:
         if self.em_max_iter is not None:

@@ -97,16 +97,3 @@ def evaluate_model(model, test) -> EvalReport:
     err, mrr = _rank_metrics(seqs, prediction_rows)
     return EvalReport(perplexity=ppl, error_rate=err, rmrr=mrr, n_symbols=sum(len(s) for s in seqs))
 
-
-def param_count(model_kind: str, size: int, vocab_size: int) -> int:
-    """Free parameters after normalization for each model family."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    n = vocab_size
-    if model_kind == "markov":
-        return sum(n**j for j in range(size + 1)) * (n - 1)
-    if model_kind == "hmm":
-        return (1 + size) * (size - 1) + size * (n - 1)
-    if model_kind == "pcfg":
-        return (1 + size) * (size**2 - 1) + size * n
-    raise ValueError(f"unknown model kind {model_kind!r}")

@@ -21,6 +21,13 @@ from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows  # the c
 
 @dataclass
 class HmmParams:
+    # the family's facts, as on ``markov.MarkovModel``
+    KIND = "hmm"
+    SIZE_KEY = "n_states"
+    SIZE_GRID = list(range(1, 11)) + [15, 20, 25, 30, 40, 50, 60, 70, 80, 90, 100]
+    ALGOS = ("em", "gs")
+    HEADER = ()
+
     initial: np.ndarray     # (n_states,)
     transition: np.ndarray  # (n_states, n_states), row stochastic
     emission: np.ndarray    # (n_states, vocab_size), row stochastic
@@ -38,14 +45,43 @@ class HmmParams:
         _check_rows(self.transition, tol, "transition matrix")
         _check_rows(self.emission, tol, "emission matrix")
 
+    @staticmethod
+    def param_count(size: int, vocab_size: int) -> int:
+        return (1 + size) * (size - 1) + size * (vocab_size - 1)
+
+    @staticmethod
+    def layout(vocab_size: int, size: int) -> list[tuple[str, tuple[int, int]]]:
+        return [("initial", (1, size)), ("transition", (size, size)), ("emission", (size, vocab_size))]
+
+    def tables(self) -> list[np.ndarray]:
+        return [self.initial, self.transition, self.emission]
+
+    @classmethod
+    def from_tables(cls, vocab_size: int, size: int, tables: list[np.ndarray]) -> HmmParams:
+        return cls(tables[0].reshape(size), *tables[1:])
+
     def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
-        return log_evidences(self, seqs)
+        """Each sequence's log evidence in corpus order, -inf where it is zero;
+        one forward pass per chunk."""
+        return _chunk_evidences(self, _chunks(seqs, self.n_states, self.vocab_size))
 
     def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        return score(self, seqs)
+        """Each sequence's log evidence and its rows of ``predict_distribution``, in
+        corpus order, from one forward and one backward pass per chunk."""
+        log_ev = np.empty(len(seqs))
+        rows: list = [None] * len(seqs)
+        for idx, batch, lengths in _chunks(seqs, self.n_states, self.vocab_size):
+            log_ev[idx], weights = _score_batch(self, batch, lengths)
+            line_rows = np.split(_normalize_predictions(weights), np.cumsum(lengths)[:-1])
+            for i, chunk_rows in zip(idx.tolist(), line_rows):
+                rows[i] = chunk_rows
+        return log_ev, rows
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
+
+    def sample_sequence(self, length: int, seeds: list[int]) -> np.ndarray:
+        return sample_sequence(self, length, seeds)
 
 
 def init_random(n_states: int, vocab_size: int, seed: int) -> HmmParams:
@@ -132,15 +168,9 @@ def _chunk_evidences(params: HmmParams, chunks: list[Chunk]) -> np.ndarray:
     return out
 
 
-def log_evidences(params: HmmParams, seqs: list[np.ndarray]) -> np.ndarray:
-    """Each sequence's log evidence in corpus order, -inf where it is zero;
-    one forward pass per chunk."""
-    return _chunk_evidences(params, _chunks(seqs, params.n_states, params.vocab_size))
-
-
 def log_evidence_total(params: HmmParams, sequences: list[np.ndarray]) -> float:
     """Sum of sequence log evidences over a dataset, in corpus order."""
-    return training.sum_in_order(log_evidences(params, sequences))
+    return training.sum_in_order(params.log_evidences(sequences))
 
 
 def _transition_counts(
@@ -287,19 +317,6 @@ def _score_batch(params: HmmParams, batch: np.ndarray, lengths: np.ndarray) -> t
         total = msg.sum(axis=1)
         beta[:m, i] = msg / np.where(total > 0.0, total, 1.0)[:, None]
     return _summed_log_scalings(scaling), (state_in * beta)[_valid(lengths, n)] @ params.emission
-
-
-def score(params: HmmParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each sequence's log evidence and its rows of ``predict_distribution``, in
-    corpus order, from one forward and one backward pass per chunk."""
-    log_ev = np.empty(len(seqs))
-    rows: list = [None] * len(seqs)
-    for idx, batch, lengths in _chunks(seqs, params.n_states, params.vocab_size):
-        log_ev[idx], weights = _score_batch(params, batch, lengths)
-        line_rows = np.split(_normalize_predictions(weights), np.cumsum(lengths)[:-1])
-        for i, chunk_rows in zip(idx.tolist(), line_rows):
-            rows[i] = chunk_rows
-    return log_ev, rows
 
 
 def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:

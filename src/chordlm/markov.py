@@ -78,6 +78,13 @@ def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class MarkovModel:
+    # the family's file kind, size (header key and attribute), grid, algorithms and extra header lines
+    KIND = "markov"
+    SIZE_KEY = "order"
+    SIZE_GRID = [1, 2, 3]
+    ALGOS = SMOOTHING_TAGS
+    HEADER = ("smoothing", "epsilon")
+
     order: int
     vocab_size: int
     # initial_tables[j-1] has shape (vocab_size,) * j and gives
@@ -97,6 +104,44 @@ class MarkovModel:
         if self.transitions.shape != (self.vocab_size,) * (self.order + 1):
             raise ValueError("transition table has wrong shape")
         _check_rows(self.transitions, tol, "transition table")
+
+    @staticmethod
+    def param_count(size: int, vocab_size: int) -> int:  # free parameters after normalization
+        return sum(vocab_size**j for j in range(size + 1)) * (vocab_size - 1)
+
+    @staticmethod
+    def layout(vocab_size: int, size: int):
+        """Each table's name and (rows, columns), in file order. A generator, so a
+        loader works out a table's shape only once the tables before it have
+        been read: a huge order fails at its first missing table."""
+        for j in range(1, size + 1):
+            yield f"initial{j}", (vocab_size ** (j - 1), vocab_size)
+        yield "transitions", (vocab_size**size, vocab_size)
+
+    def tables(self) -> list[np.ndarray]:
+        return [*self.initial_tables, self.transitions]
+
+    @classmethod
+    def from_tables(cls, vocab_size: int, size: int, tables: list[np.ndarray], smoothing: str, epsilon: float | None):
+        initial_tables = [table.reshape((vocab_size,) * j) for j, table in enumerate(tables[:-1], start=1)]
+        return cls(size, vocab_size, initial_tables, tables[-1].reshape((vocab_size,) * (size + 1)), smoothing, epsilon)
+
+    def header_text(self, key: str) -> str:
+        """The text of ``HEADER`` line ``key``; no epsilon is written ``-``."""
+        value = getattr(self, key)
+        return "-" if value is None else str(value)
+
+    @staticmethod
+    def parse_header(key: str, text: str):
+        """The value of ``HEADER`` line ``key`` from its ``text``."""
+        if key == "smoothing":
+            if text not in SMOOTHING_TAGS:
+                raise ValueError(f"unknown smoothing {text!r}")
+            return text
+        try:
+            return None if text == "-" else float(text)
+        except ValueError:
+            raise ValueError(f"epsilon {text!r} is not a number") from None
 
     def _score_chunk(self, batch: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Log evidences (B,) of a chunk and the (B, n, V) weights of every

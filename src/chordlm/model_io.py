@@ -9,48 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hmm import HmmParams
-from .markov import SMOOTHING_TAGS, MarkovModel
-from .pcfg import PcfgParams
+from .config import MODELS
 
 MODEL_MAGIC = "chordlm-model v1"
 
 NO_HASH = "-"
 
-# the header key that gives each kind's size
-SIZE_KEYS = {"markov": "order", "hmm": "n_states", "pcfg": "n_nonterminals"}
-
-
-def _layout(kind: str, v: int, size: int):
-    """Each table's name and (rows, columns), in file order. A generator, so a
-    loader works out a table's shape only once the tables before it have
-    been read: a huge Markov order fails at its first missing table."""
-    if kind == "markov":
-        for j in range(1, size + 1):
-            yield f"initial{j}", (v ** (j - 1), v)
-        yield "transitions", (v**size, v)
-    elif kind == "hmm":
-        yield from [("initial", (1, size)), ("transition", (size, size)), ("emission", (size, v))]
-    else:
-        yield from [("start_rules", (size, size)), ("start_emissions", (1, v)), ("rules", (size, size * size)),
-                    ("emissions", (size, v))]
-
 
 def save_model(model, path, vocab_hash: str | None = None) -> None:
-    extra = []
-    if isinstance(model, MarkovModel):
-        kind, size, arrays = "markov", model.order, [*model.initial_tables, model.transitions]
-        extra = [f"smoothing {model.smoothing}", f"epsilon {'-' if model.epsilon is None else repr(model.epsilon)}"]
-    elif isinstance(model, HmmParams):
-        kind, size, arrays = "hmm", model.n_states, [model.initial, model.transition, model.emission]
-    elif isinstance(model, PcfgParams):
-        kind, size = "pcfg", model.n_nonterminals
-        arrays = [model.start_rules, model.start_emissions, model.rules, model.emissions]
-    else:
+    """The common header, then the model class's ``HEADER`` lines and ``tables``."""
+    if type(model) not in MODELS.values():
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    lines = [MODEL_MAGIC, f"kind {kind}", f"vocab_size {model.vocab_size}", f"vocab_hash {vocab_hash or NO_HASH}",
-             f"{SIZE_KEYS[kind]} {size}", *extra]
-    for (name, shape), array in zip(_layout(kind, model.vocab_size, size), arrays):
+    size = getattr(model, model.SIZE_KEY)
+    lines = [MODEL_MAGIC, f"kind {model.KIND}", f"vocab_size {model.vocab_size}", f"vocab_hash {vocab_hash or NO_HASH}",
+             f"{model.SIZE_KEY} {size}", *(f"{key} {model.header_text(key)}" for key in model.HEADER)]
+    for (name, shape), array in zip(model.layout(model.vocab_size, size), model.tables()):
         lines.append(f"table {name} {shape[0]} {shape[1]}")
         lines.extend(" ".join(repr(float(x)) for x in row) for row in array.reshape(shape))
     with open(path, "w", encoding="utf-8") as fh:
@@ -131,26 +104,19 @@ def load_model(path):
     kind = reader.key_value("kind")
     v = reader.count("vocab_size")
     vocab_hash = reader.key_value("vocab_hash")
-    if kind not in SIZE_KEYS:
+    if kind not in MODELS:
         raise ValueError(f"unknown model kind {kind!r}")
-    size = reader.count(SIZE_KEYS[kind])
-    if kind == "markov":
-        smoothing = reader.key_value("smoothing")
-        if smoothing not in SMOOTHING_TAGS:
-            raise ValueError(f"line {reader.pos}: unknown smoothing {smoothing!r}")
-        eps_text = reader.key_value("epsilon")
+    cls = MODELS[kind]
+    size = reader.count(cls.SIZE_KEY)
+    header = {}
+    for key in cls.HEADER:
+        text = reader.key_value(key)
         try:
-            epsilon = None if eps_text == "-" else float(eps_text)
-        except ValueError:
-            raise ValueError(f"line {reader.pos}: epsilon {eps_text!r} is not a number") from None
-    tables = [reader.table(name, shape) for name, shape in _layout(kind, v, size)]
+            header[key] = cls.parse_header(key, text)
+        except ValueError as exc:
+            raise ValueError(f"line {reader.pos}: {exc}") from None
+    tables = [reader.table(name, shape) for name, shape in cls.layout(v, size)]
     reader.end()
-    if kind == "markov":
-        initial_tables = [table.reshape((v,) * j) for j, table in enumerate(tables[:-1], start=1)]
-        model = MarkovModel(size, v, initial_tables, tables[-1].reshape((v,) * (size + 1)), smoothing, epsilon)
-    elif kind == "hmm":
-        model = HmmParams(tables[0].reshape(size), *tables[1:])
-    else:
-        model = PcfgParams(tables[0], tables[1].reshape(v), tables[2].reshape(size, size, size), tables[3])
+    model = cls.from_tables(v, size, tables, **header)
     model.validate()
     return model, None if vocab_hash == NO_HASH else vocab_hash

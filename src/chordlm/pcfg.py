@@ -35,6 +35,13 @@ DEFAULT_EXPANSION_CAP = 10_000
 
 @dataclass
 class PcfgParams:
+    # the family's facts, as on ``markov.MarkovModel``
+    KIND = "pcfg"
+    SIZE_KEY = "n_nonterminals"
+    SIZE_GRID = list(range(1, 11)) + [15, 20]
+    ALGOS = ("em", "gs")
+    HEADER = ()
+
     start_rules: np.ndarray      # (D, D): P(S -> l r)
     start_emissions: np.ndarray  # (V,):   P(S -> x), zero in training mode
     rules: np.ndarray            # (D, D, D): P(z -> l r)
@@ -65,6 +72,22 @@ class PcfgParams:
 
     def validate(self, tol: float = 1e-9) -> None:
         _check_rows(self.productions, tol, "production table")
+
+    @staticmethod
+    def param_count(size: int, vocab_size: int) -> int:
+        return (1 + size) * (size**2 - 1) + size * vocab_size
+
+    @staticmethod
+    def layout(v: int, size: int) -> list[tuple[str, tuple[int, int]]]:
+        return [("start_rules", (size, size)), ("start_emissions", (1, v)), ("rules", (size, size**2)),
+                ("emissions", (size, v))]
+
+    def tables(self) -> list[np.ndarray]:
+        return [self.start_rules, self.start_emissions, self.rules, self.emissions]
+
+    @classmethod
+    def from_tables(cls, vocab_size: int, size: int, tables: list[np.ndarray]) -> PcfgParams:
+        return cls(tables[0], tables[1].reshape(vocab_size), tables[2].reshape(size, size, size), tables[3])
 
     def log_evidences(self, seqs: list[np.ndarray]):
         """Yields each sequence's log evidence normalized within its length."""

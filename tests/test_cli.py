@@ -18,9 +18,8 @@ import chordlm
 from chordlm import cli, hmm, markov, model_io, pcfg
 from chordlm.config import (
     DATA_FIELDS,
+    MODELS,
     ExperimentConfig,
-    HMM_SIZE_GRID,
-    PCFG_SIZE_GRID,
     cell_seed,
     kappa_from_mean_length,
 )
@@ -62,7 +61,7 @@ def prepared(tmp_path):
 
 def test_config_defaults_match_protocol():
     cfg = ExperimentConfig(model="hmm")
-    assert cfg.resolved_sizes() == HMM_SIZE_GRID
+    assert cfg.resolved_sizes() == hmm.HmmParams.SIZE_GRID
     assert cfg.resolved_em_max_iter() == 500
     assert cfg.resolved_gs_samples() == 500
     assert cfg.polish_iters == 50
@@ -71,7 +70,7 @@ def test_config_defaults_match_protocol():
     assert cfg.rel_tol == 1e-5
 
     pc = ExperimentConfig(model="pcfg")
-    assert pc.resolved_sizes() == PCFG_SIZE_GRID
+    assert pc.resolved_sizes() == pcfg.PcfgParams.SIZE_GRID
     assert pc.resolved_em_max_iter() == 200
     assert pc.resolved_gs_samples() == 200
 
@@ -303,6 +302,26 @@ def test_train_pcfg_with_hmm_initialization(prepared):
     model, _ = model_io.load_model(tmp_path / "run" / "models" / "pcfg_s2_nx8_em_seed0.model")
     assert model.n_nonterminals == 2
     model.validate(tol=1e-9)
+
+
+@pytest.mark.parametrize("family, algo", [("markov", "additive"), ("hmm", "em"), ("pcfg", "em")])
+@pytest.mark.parametrize(
+    "flag, value, why",
+    [("--size", "0", "size must be >= 1"),
+     ("--algo", "bogus", "algo for model {family!r} must be one of {algos}, got 'bogus'"),
+     ("--n-x", "5", "n_x must be one of the prepared train sizes [8], got 5")],
+    ids=["size", "algo", "n-x"],
+)
+def test_train_checks_its_cell_flags_before_it_trains(prepared, capsys, family, algo, flag, value, why):
+    cfg, _ = prepared
+    cell = {"--size": "2", "--algo": algo, "--n-x": "8", flag: value}
+    # a grammar initialized from an HMM would train that HMM before its own algorithm
+    argv = ["train", "--out-dir", cfg.out_dir, "--model", family, "--pcfg-init", "hmm", *itertools.chain(*cell.items())]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    message = why.format(family=family, algos=MODELS[family].ALGOS)
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (Path(cfg.out_dir) / "models").exists()
 
 
 # ------------------------------------------------------------------- sweep
@@ -912,3 +931,32 @@ def test_cli_exit_codes_and_error_json(tmp_path):
     )
     assert good.returncode == 0, good.stderr
     assert json.loads(good.stdout)["vocab_size"] == 3
+
+
+BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# cells whose products a multi-threaded BLAS would sum in another order, iterations capped
+BLAS_CELLS = [["--model", "hmm", "--size", "100", "--algo", "em"], ["--model", "hmm", "--size", "100", "--algo", "gs"],
+              ["--model", "pcfg", "--size", "20", "--algo", "em"]]
+
+
+def test_trained_models_do_not_depend_on_the_blas_thread_count(tmp_path):
+    rng = np.random.default_rng(5)
+    symbols = ["C", "F", "G", "Am", "Dm", "Em", "E7", "Bb", "D", "A7", "Bdim", "Gm"]
+    lines = [" ".join(rng.choice(symbols, size=int(n))) for n in 4 + (np.arange(140) * 7) % 16]
+    (tmp_path / "corpus.txt").write_text("\n".join(lines) + "\n")
+    run = tmp_path / "run"
+    cli.cmd_prepare(ExperimentConfig(corpus=str(tmp_path / "corpus.txt"), out_dir=str(run), vocab_k=10, test_count=20))
+    common = ["train", "--out-dir", str(run), "--em-max-iter", "1", "--gs-samples", "2", "--polish-iters", "1"]
+    script = "import json, sys; from chordlm.cli import main; sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+    package_root = str(Path(chordlm.__file__).resolve().parents[1])
+    models = {}
+    for threads in ("1", "2", "3"):
+        env = {**os.environ, **dict.fromkeys(BLAS_VARIABLES, threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        argv = json.dumps([common + cell for cell in BLAS_CELLS])
+        child = subprocess.run([sys.executable, "-c", script, argv], capture_output=True, text=True, env=env)
+        assert child.returncode == 0, child.stderr
+        models[threads] = {path.name: path.read_bytes() for path in sorted((run / "models").glob("*.model"))}
+    assert len(models["1"]) == len(BLAS_CELLS)
+    for threads in ("2", "3"):
+        assert models[threads] == models["1"], f"{threads} BLAS threads train other bytes on {os.cpu_count()} CPUs"

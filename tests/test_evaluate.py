@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chordlm import evaluate, hmm, markov, pcfg
+from chordlm.config import MODELS
 from chordlm.hmm import HmmParams
 from chordlm.markov import MarkovModel
 from oracles import (
@@ -312,11 +313,14 @@ def test_an_empty_batch_scores_to_nothing(make_model):
     assert list(log_ev) == [] and list(rows) == []
 
 
-def test_param_count_table_values():
-    assert evaluate.param_count("markov", 1, 11) == 120
-    assert evaluate.param_count("hmm", 4, 21) == 95
-    assert evaluate.param_count("pcfg", 4, 21) == 159
-    with pytest.raises(ValueError):
-        evaluate.param_count("rnn", 1, 10)
-    with pytest.raises(ValueError):
-        evaluate.param_count("hmm", 0, 10)
+@pytest.mark.parametrize(
+    "kind, counts",
+    [("markov", {(1, 11): 120, (2, 3): (1 + 3 + 9) * 2, (3, 2): (1 + 2 + 4 + 8) * 1}),
+     ("hmm", {(4, 21): 95}),
+     ("pcfg", {(4, 21): 159})],
+    ids=["markov", "hmm", "pcfg"],
+)
+def test_param_count(kind, counts):
+    # an unknown kind is refused by the config, and a size below 1 by `train`
+    for (size, vocab_size), count in counts.items():
+        assert MODELS[kind].param_count(size, vocab_size) == count

@@ -160,7 +160,7 @@ def test_batched_evidences_match_reference_per_line(k):
     rng = np.random.default_rng(41 + k)
     params = with_dead_symbol(random_params(rng, k, 7))
     seqs = mixed_lines(rng, 7, 90)
-    got = hmm.log_evidences(params, seqs)
+    got = params.log_evidences(seqs)
     dead = [i for i, seq in enumerate(seqs) if (seq == 6).any()]
     assert 0 < len(dead) < len(seqs)
     assert len({len(seq) for seq in seqs}) == 20
@@ -191,7 +191,7 @@ def test_batched_prediction_rows_match_per_line_rows(k):
     seqs = mixed_lines(rng, 7, 60)
     for idx, batch, lengths in hmm._chunks(seqs, k, 7):
         log_ev, weights = hmm._score_batch(params, batch, lengths)
-        np.testing.assert_array_equal(log_ev, hmm.log_evidences(params, [seqs[i] for i in idx]))
+        np.testing.assert_array_equal(log_ev, params.log_evidences([seqs[i] for i in idx]))
         for i, rows in zip(idx, np.split(weights, np.cumsum(lengths)[:-1])):
             np.testing.assert_allclose(rows, hmm_prediction_weights_reference(params, seqs[i]), rtol=1e-12, atol=0)
     live = [seq for seq in seqs if not (seq == 6).any()]

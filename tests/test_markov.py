@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import evaluate, markov
+from chordlm import markov
 from oracles import (
     all_sequences,
     evidence_ratio_prediction,
@@ -224,12 +224,6 @@ def test_training_perplexity_non_increasing_in_order():
         perps.append(math.exp(-total / sum(len(s) for s in data)))
     assert perps[1] <= perps[0] + 1e-6
     assert perps[2] <= perps[1] + 1e-6
-
-
-def test_param_count_formula():
-    assert evaluate.param_count("markov", 1, 11) == 120
-    assert evaluate.param_count("markov", 2, 3) == (1 + 3 + 9) * 2
-    assert evaluate.param_count("markov", 3, 2) == (1 + 2 + 4 + 8) * 1
 
 
 def test_sample_sequence_deterministic_and_forced():

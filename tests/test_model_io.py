@@ -178,3 +178,41 @@ def test_a_markov_file_epsilon_must_suit_its_smoothing(tmp_path, smoothing, epsi
     path.write_text(text.replace(f"\nepsilon {saved}\n", f"\nepsilon {epsilon}\n"))
     with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
         model_io.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "line, why",
+    [("smoothing bogus", "line 6: unknown smoothing 'bogus'"),
+     ("epsilon abc", "line 7: epsilon 'abc' is not a number")],
+    ids=["smoothing", "epsilon"],
+)
+def test_a_bad_markov_header_line_is_named(tmp_path, line, why):
+    path = tmp_path / "m.model"
+    model_io.save_model(markov.fit([np.array([0, 1, 2])], 3, order=1, smoothing="additive"), path)
+    key = line.split()[0]
+    saved = {"smoothing": "additive", "epsilon": "0.1"}[key]
+    path.write_text(path.read_text().replace(f"\n{key} {saved}\n", f"\n{line}\n"))
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        model_io.load_model(path)
+
+
+def test_save_refuses_what_is_no_model_and_writes_no_file(tmp_path):
+    path = tmp_path / "x.model"
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        model_io.save_model(object(), path)
+    assert not path.exists()
+
+
+def test_rejects_an_unknown_kind(tmp_path):
+    path = tmp_path / "x.model"
+    model_io.save_model(hmm.init_random(2, 3, seed=4), path)
+    path.write_text(path.read_text().replace("\nkind hmm\n", "\nkind rnn\n"))
+    with pytest.raises(ValueError, match="^unknown model kind 'rnn'$"):
+        model_io.load_model(path)
+
+
+def test_a_numpy_float_epsilon_is_written_as_a_number(tmp_path):
+    path = tmp_path / "m.model"
+    model_io.save_model(markov.fit([np.array([0, 1, 2])], 3, order=1, epsilon=np.float64(0.25)), path)
+    assert "\nepsilon 0.25\n" in path.read_text()
+    assert model_io.load_model(path)[0].epsilon == 0.25

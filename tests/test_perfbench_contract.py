@@ -18,10 +18,17 @@ perfbench is imported read-only, through the ``bench`` fixture of ``conftest.py`
 
 from __future__ import annotations
 
+import collections
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import chordlm
 from chordlm import cli, model_io
 from chordlm.config import ExperimentConfig
 
@@ -105,6 +112,39 @@ def test_declared_layers_are_distinct_traced_functions(bench):
         assert callable(obj), f"{name} is declared in BENCHMARK.json but missing from chordlm"
         assert id(obj) not in owners, f"{name} is the same function as {owners.get(id(obj))}"
         owners[id(obj)] = name
+
+
+@pytest.mark.parametrize(
+    "family, algo, fit, sampler",
+    [("markov", "additive", "markov.fit", "markov.MarkovModel.sample_sequence"),
+     ("hmm", "em", "hmm.em_fit", "hmm.sample_sequence"),
+     ("pcfg", "em", "pcfg.em_fit", "pcfg.sample_tree")],
+)
+def test_the_tracer_counts_each_family_calls(tmp_path, family, algo, fit, sampler):
+    """A traced ``train`` then ``generate`` of one tiny model counts one save,
+    one load, one fit and one sampler call: a dispatch that went around a
+    traced name would read 0 here, where the traced smoke run only checks that
+    the names are present."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("C G Am F\nF G C C G\nAm F C G\nC C F G Am\nG F C\nF Am G C\nC G\n")
+    run = str(tmp_path / "run")
+    assert cli.main(["prepare", "--corpus", str(corpus), "--out-dir", run, "--vocab-k", "4", "--test-count", "1"]) == 0
+    package_root = str(Path(chordlm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    model = f"{run}/models/{family}_s2_nx6_{algo}_seed0.model"
+    generate = ["generate", "--model-file", model, "--vocab-file", f"{run}/vocab.txt", "--count", "3",
+                "--out", str(tmp_path / "generated.txt")]
+    calls = collections.Counter()
+    for command in (["train", "--out-dir", run, "--model", family, "--size", "2", "--algo", algo, "--em-max-iter", "2"],
+                    generate + ([] if family == "pcfg" else ["--length", "4"])):
+        stats = tmp_path / f"{command[0]}.json"
+        traced = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(stats), *command],
+                                capture_output=True, text=True, env=env)
+        assert traced.returncode == 0, traced.stderr
+        calls.update({name: value["calls"] for name, value in json.loads(stats.read_text()).items()})
+    for name in ("model_io.save_model", "model_io.load_model", fit, sampler):
+        assert calls[name] == 1, name
 
 
 def test_benchmark_configs_are_valid(bench):
