@@ -47,6 +47,8 @@ CSV_HEADER = RESULT_FIELDS + ["best_by_train", "best_by_test", "error"]
 
 ANALYZE_TOP_SYMBOLS = 12
 ANALYZE_THRESHOLD = 0.05
+# trees a grammar's `generate` samples and formats at a time, so that it holds one slice's derivations
+GENERATE_SLICE = 256
 
 
 # ------------------------------------------------------------ encoded files
@@ -315,12 +317,6 @@ def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int |
 # -------------------------------------------------------------------- sweep
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
     recorded, prepared = _load_prepared(cfg)
     cells = [
@@ -361,7 +357,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows([_format_cell(row[c]) for c in CSV_HEADER] for row in rows)
+        writer.writerows([row[c] for c in CSV_HEADER] for row in rows)  # a float is written as its repr
     return out_path
 
 
@@ -461,10 +457,14 @@ def cmd_generate(
     if isinstance(model, pcfg.PcfgParams):
         if length is not None:
             raise ValueError("grammar sampling determines its own length; drop --length")
-        samples = pcfg.sample_tree(model, seeds)
-        if trees:
-            return [pcfg.bracketed(derivation, model.n_nonterminals, vocab.symbols) for derivation, _ in samples]
-        return [" ".join(vocab.symbols[x] for x in ids.tolist()) for _, ids in samples]
+        lines = []
+        for lo in range(0, count, GENERATE_SLICE):
+            samples = pcfg.sample_tree(model, seeds[lo:lo + GENERATE_SLICE])
+            if trees:
+                lines += [pcfg.bracketed(derivation, model.n_nonterminals, vocab.symbols) for derivation, _ in samples]
+            else:
+                lines += [" ".join(vocab.symbols[x] for x in ids.tolist()) for _, ids in samples]
+        return lines
     if trees:
         raise ValueError("--trees is only meaningful for grammar models")
     if length is None:

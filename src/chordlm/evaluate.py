@@ -1,12 +1,12 @@
 """Model-agnostic evaluation of predictive power.
 
 Every model family exposes two batch methods over a list of sequences:
-``log_evidences(seqs)``, each sequence's log evidence in corpus order (-inf
-where it is zero; a grammar's is normalized within its length, so it compares
-with the fixed-length families), and ``score(seqs)``, those log evidences and
-each sequence's prediction rows, whose row i is the distribution of the symbol
-at position i + 1 given all the others. Either may yield lazily, so a value
-that cannot be computed raises when its sequence's turn comes.
+``log_evidences(seqs)``, the (N,) array of each sequence's log evidence in
+corpus order (-inf where it is zero; a grammar's is normalized within its
+length, so it compares with the fixed-length families), and ``score(seqs)``,
+that array and the (sum of lengths, V) array of prediction rows, line after
+line in corpus order, whose row i of a line is the distribution of the symbol
+at its position i + 1 given all the others.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import training
 
 
 @dataclass(frozen=True)
@@ -31,17 +33,11 @@ def _sequences(test: list[np.ndarray]) -> list[np.ndarray]:
     return test
 
 
-def _perplexity(seqs: list[np.ndarray], log_evidences) -> float:
-    """Summed in corpus order, and infinite from the first zero-evidence
-    sequence on, whose successors are not read."""
-    total = 0.0
-    count = 0
-    for seq, value in zip(seqs, log_evidences):
-        count += len(seq)
-        if value == -math.inf:
-            return math.inf
-        total += float(value)
-    return math.exp(-total / count)
+def _perplexity(seqs: list[np.ndarray], log_evidences: np.ndarray) -> float:
+    """Summed in corpus order, and infinite if any sequence has zero evidence."""
+    if np.isneginf(log_evidences).any():
+        return math.inf
+    return math.exp(-training.sum_in_order(log_evidences) / sum(len(seq) for seq in seqs))
 
 
 def perplexity(model, test) -> float:
@@ -51,27 +47,22 @@ def perplexity(model, test) -> float:
     return _perplexity(seqs, model.log_evidences(seqs))
 
 
-def _rank_metrics(seqs: list[np.ndarray], prediction_rows) -> tuple[float, float]:
-    """(error rate, rmrr) from each sequence's prediction rows.
+def _rank_metrics(seqs: list[np.ndarray], probs: np.ndarray) -> tuple[float, float]:
+    """(error rate, rmrr) from the prediction rows of every position, line
+    after line in corpus order.
 
     A position is wrong when its maximum-probability symbol differs from the
     observed one; the observed symbol's rank counts the symbols more probable
     than it plus the equally probable ones with lower ids, so ties break
-    toward the lowest id in both metrics.
+    toward the lowest id in both metrics. Reciprocal ranks are summed in
+    position order, left to right.
     """
-    wrong = 0
-    recip_total = 0.0
-    count = 0
-    for seq, probs in zip(seqs, prediction_rows):
-        truth = np.asarray(seq, dtype=np.int64)
-        p_true = probs[np.arange(len(truth)), truth][:, None]
-        wrong += int((probs.argmax(axis=1) != truth).sum())
-        lower_id = np.arange(probs.shape[1]) < truth[:, None]
-        ranks = 1 + (probs > p_true).sum(axis=1) + ((probs == p_true) & lower_id).sum(axis=1)
-        for rank in ranks.tolist():  # summed in position order, left to right
-            recip_total += 1.0 / rank
-        count += len(truth)
-    return wrong / count, count / recip_total
+    truth = np.concatenate(seqs).astype(np.int64)
+    p_true = probs[np.arange(len(truth)), truth][:, None]
+    wrong = int((probs.argmax(axis=1) != truth).sum())
+    lower_id = np.arange(probs.shape[1]) < truth[:, None]
+    ranks = 1 + (probs > p_true).sum(axis=1) + ((probs == p_true) & lower_id).sum(axis=1)
+    return wrong / len(truth), len(truth) / training.sum_in_order(1.0 / ranks)
 
 
 def error_rate(model, test) -> float:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import training
-from .markov import Chunk, _check_rows, _chunks, _live_rows, _pick, _valid
+from .markov import Chunk, _check_rows, _chunks, _corpus_scores, _live_rows, _pick, _valid
 from .markov import _normalize_predictions, _position_distribution
 from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows  # the configs are re-exported
 
@@ -65,17 +65,13 @@ class HmmParams:
         one forward pass per chunk."""
         return _chunk_evidences(self, _chunks(seqs, self.n_states, self.vocab_size))
 
-    def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Each sequence's log evidence and its rows of ``predict_distribution``, in
-        corpus order, from one forward and one backward pass per chunk."""
-        log_ev = np.empty(len(seqs))
-        rows: list = [None] * len(seqs)
-        for idx, batch, lengths in _chunks(seqs, self.n_states, self.vocab_size):
-            log_ev[idx], weights = _score_batch(self, batch, lengths)
-            line_rows = np.split(_normalize_predictions(weights), np.cumsum(lengths)[:-1])
-            for i, chunk_rows in zip(idx.tolist(), line_rows):
-                rows[i] = chunk_rows
-        return log_ev, rows
+    def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Each sequence's log evidence and its rows of ``predict_distribution``,
+        line after line in corpus order, from one forward and one backward pass
+        per chunk."""
+        chunks = _chunks(seqs, self.n_states, self.vocab_size)
+        log_ev, weights = _corpus_scores(seqs, chunks, lambda *chunk: _score_batch(self, *chunk), self.vocab_size)
+        return log_ev, _normalize_predictions(weights)
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)

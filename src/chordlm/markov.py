@@ -76,6 +76,22 @@ def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
     return np.arange(n) < lengths[:, None]
 
 
+def _corpus_scores(
+    seqs: list[np.ndarray], chunks: list[Chunk], score_chunk, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's log evidence (N,) and its positions' (sum of lengths, width)
+    rows, in corpus order, from ``score_chunk(batch, lengths)``, which gives a chunk's in chunk order."""
+    ends = np.cumsum([len(seq) for seq in seqs], dtype=np.int64)
+    log_ev = np.empty(len(seqs))
+    rows = np.empty((int(ends[-1]) if len(seqs) else 0, width))
+    for idx, batch, lengths in chunks:
+        log_ev[idx], chunk_rows = score_chunk(batch, lengths)
+        # each row of line idx[k] moves by where that line ends in the corpus less where it ends in the chunk
+        shift = ends[idx] - np.cumsum(lengths)
+        rows[np.repeat(shift, lengths) + np.arange(len(chunk_rows))] = chunk_rows
+    return log_ev, rows
+
+
 @dataclass
 class MarkovModel:
     # the family's file kind, size (header key and attribute), grid, algorithms and extra header lines
@@ -144,8 +160,8 @@ class MarkovModel:
             raise ValueError(f"epsilon {text!r} is not a number") from None
 
     def _score_chunk(self, batch: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log evidences (B,) of a chunk and the (B, n, V) weights of every
-        candidate symbol at every position, from ones.
+        """Log evidences (B,) of a chunk and the (sum of lengths, V) weights of
+        every candidate symbol at the positions its lines hold, from ones.
 
         Step t gathers, for the live rows and each position i of factor t's
         window, the table rows with the candidate at i, through flat indices
@@ -169,17 +185,12 @@ class MarkovModel:
                 weights[:m, lo + a] *= rows
             with np.errstate(divide="ignore"):  # log 0 is -inf, and so is every sum with it
                 total[:m] += np.log(rows[np.arange(m), batch[:m, t]])
-        return total, weights
+        return total, weights[_valid(lengths, n)]
 
-    def _score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Each sequence's log evidence and (len(seq), V) weights, in corpus order."""
-        log_ev = np.empty(len(seqs))
-        weights: list = [None] * len(seqs)
-        for idx, batch, lengths in _chunks(seqs, self.vocab_size, self.vocab_size):
-            log_ev[idx], chunk_weights = self._score_chunk(batch, lengths)
-            for i, w, length in zip(idx.tolist(), chunk_weights, lengths.tolist()):
-                weights[i] = w[:length]
-        return log_ev, weights
+    def _score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Each sequence's log evidence and the (sum of lengths, V) weights of its positions."""
+        v = self.vocab_size
+        return _corpus_scores(seqs, _chunks(seqs, v, v), self._score_chunk, v)
 
     def log_evidence(self, seq: np.ndarray) -> float:
         """Natural-log probability of a full sequence: a batch of one."""
@@ -187,16 +198,16 @@ class MarkovModel:
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         """Distribution of the symbol at 1-based ``position`` given the others."""
-        return _position_distribution(seq, position, lambda s, i: self._score([s])[1][0][i])
+        return _position_distribution(seq, position, lambda s, i: self._score([s])[1][i])
 
     def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
         """Each sequence's log evidence in corpus order, -inf where it is zero."""
         return self._score(seqs)[0]
 
-    def score(self, seqs: list[np.ndarray]):
-        """Each sequence's log evidence, and its prediction rows in turn."""
+    def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Each sequence's log evidence and the prediction rows of its positions, in corpus order."""
         log_ev, weights = self._score(seqs)
-        return log_ev, map(_normalize_predictions, weights)
+        return log_ev, _normalize_predictions(weights)
 
     def sample_sequence(self, length: int, seeds: list[int]) -> np.ndarray:
         """One line of the given length per seed, as a (len(seeds), length)
@@ -312,19 +323,13 @@ def _ngram_counts(sequences: list[np.ndarray], width: int, n: int) -> np.ndarray
 def _build_table(counts: np.ndarray, smoothing: str, epsilon: float | None, n: int) -> np.ndarray:
     if smoothing == "additive":
         return _additive_table(counts, epsilon, n)
-    try:
-        return _kn_table(counts, n, modified=(smoothing == "mkn"))
-    except _DegenerateCounts:
-        return _additive_table(counts, _FALLBACK_EPSILON, n)
+    table = _kn_table(counts, n, modified=(smoothing == "mkn"))
+    return _additive_table(counts, _FALLBACK_EPSILON, n) if table is None else table
 
 
 def _additive_table(counts: np.ndarray, epsilon: float, n: int) -> np.ndarray:
     totals = counts.sum(axis=-1, keepdims=True)
     return (counts + epsilon) / (totals + epsilon * n)
-
-
-class _DegenerateCounts(Exception):
-    pass
 
 
 def _adjusted_counts(top: np.ndarray) -> list[np.ndarray]:
@@ -341,19 +346,19 @@ def _adjusted_counts(top: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def _discounts(counts: np.ndarray, modified: bool) -> np.ndarray:
+def _discounts(counts: np.ndarray, modified: bool) -> np.ndarray | None:
     """Absolute discounts indexed by count bracket (0, 1, 2, 3+).
 
-    Raises _DegenerateCounts when the count-of-counts give no estimate, or
-    give a zero discount to a bracket some count falls in: such a table would
-    reserve no mass for unseen symbols.
+    None when the count-of-counts give no estimate, or give a zero discount to
+    a bracket some count falls in: such a table would reserve no mass for
+    unseen symbols.
     """
     flat = counts.reshape(-1).astype(np.int64)
     occupied = flat[flat > 0]
     n1 = int((occupied == 1).sum())
     n2 = int((occupied == 2).sum())
     if n1 + 2 * n2 == 0:
-        raise _DegenerateCounts
+        return None
     y = n1 / (n1 + 2.0 * n2)
     if not modified:
         discounts = np.array([0.0, y, y, y])
@@ -367,25 +372,25 @@ def _discounts(counts: np.ndarray, modified: bool) -> np.ndarray:
             [0.0, min(max(d1, 0.0), 1.0), min(max(d2, 0.0), 2.0), min(max(d3, 0.0), 3.0)]
         )
     if (discounts[np.minimum(occupied, 3)] == 0.0).any():
-        raise _DegenerateCounts
+        return None
     return discounts
 
 
-def _kn_table(top_counts: np.ndarray, n: int, modified: bool) -> np.ndarray:
+def _kn_table(top_counts: np.ndarray, n: int, modified: bool) -> np.ndarray | None:
     """Interpolated (modified) Kneser-Ney probability table.
 
     Discounts are estimated per interpolation level from that level's
     count-of-counts. A lower level whose statistics degenerate inherits the
     discount of the level above it; if the top level itself degenerates this
-    raises _DegenerateCounts and the caller falls back to additive smoothing.
+    returns None and the caller falls back to additive smoothing.
     """
     levels = _adjusted_counts(top_counts)
     discounts = [_discounts(levels[0], modified)]
+    if discounts[0] is None:
+        return None
     for lv in levels[1:]:
-        try:
-            discounts.append(_discounts(lv, modified))
-        except _DegenerateCounts:
-            discounts.append(discounts[-1])
+        d = _discounts(lv, modified)
+        discounts.append(discounts[-1] if d is None else d)
 
     # Unigram level, interpolated with the uniform distribution.
     uni_counts = levels[-1]

@@ -89,16 +89,15 @@ class PcfgParams:
     def from_tables(cls, vocab_size: int, size: int, tables: list[np.ndarray]) -> PcfgParams:
         return cls(tables[0], tables[1].reshape(vocab_size), tables[2].reshape(size, size, size), tables[3])
 
-    def log_evidences(self, seqs: list[np.ndarray]):
-        """Yields each sequence's log evidence normalized within its length."""
-        return _normalized_in_turn(self, seqs, _log_evidences(self, seqs))
+    def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
+        """Each sequence's log evidence normalized within its length, -inf where it is zero."""
+        return _normalized(self, seqs, _log_evidences(self, seqs))
 
-    def score(self, seqs: list[np.ndarray]):
-        """Yields ``log_evidences`` and each sequence's prediction rows, in
-        corpus order; a sequence that has none raises when its turn comes."""
+    def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """``log_evidences`` and the prediction rows of every position in corpus
+        order; a sequence shorter than 2 has none and is refused up front."""
         log_ev, weights = _score_weights(self, seqs)
-        rows = (_normalize_predictions(_predictable(seq, w)) for seq, w in zip(seqs, weights))
-        return _normalized_in_turn(self, seqs, log_ev), rows
+        return _normalized(self, seqs, log_ev), _normalize_predictions(weights)
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
@@ -424,14 +423,14 @@ def em_fit(
     params: PcfgParams,
     sequences: list[np.ndarray],
     config: EmConfig = EmConfig(),
-) -> tuple[PcfgParams, list[float], list[float]]:
+) -> tuple[PcfgParams, list[float], np.ndarray]:
     """Inside-outside maximum-likelihood training; the trace ends at the
     returned parameters, and so do the training ``log_evidences``."""
     _check_trainable(params, sequences, config.max_length)
     fitted, trace, log_ev = training.em(
         params, lambda p: _e_step(p, sequences), _from_counts, lambda p: _log_evidences(p, sequences), config
     )
-    return fitted, trace, list(_normalized_in_turn(fitted, sequences, log_ev))
+    return fitted, trace, _normalized(fitted, sequences, log_ev)
 
 
 def log_evidence_total(params: PcfgParams, sequences: list[np.ndarray]) -> float:
@@ -512,7 +511,7 @@ def gibbs_fit(
     params: PcfgParams,
     sequences: list[np.ndarray],
     config: GibbsConfig = GibbsConfig(),
-) -> tuple[PcfgParams, GibbsTrace, list[float]]:
+) -> tuple[PcfgParams, GibbsTrace, np.ndarray]:
     """Bayesian training: keep the maximum-evidence sampled grammar, then
     locally optimize it with a bounded EM polish."""
     _check_trainable(params, sequences, config.max_length)
@@ -554,49 +553,47 @@ def length_log_probabilities(params: PcfgParams, max_length: int) -> np.ndarray:
     return _log_scaled(top, top_scale)[0]
 
 
-def _normalized_in_turn(params: PcfgParams, seqs: list[np.ndarray], log_ev: np.ndarray):
-    """Yields each sequence's ``log_ev`` minus the log probability of its length,
-    from one length table; a length the grammar never generates raises in turn."""
-    log_length = length_log_probabilities(params, max((len(seq) for seq in seqs), default=1))
-    for seq, value in zip(seqs, log_ev.tolist()):
-        if log_length[len(seq)] == -np.inf:
-            raise ValueError(f"grammar generates no sequence of length {len(seq)}")
-        yield value - float(log_length[len(seq)])
+def _normalized(params: PcfgParams, seqs: list[np.ndarray], log_ev: np.ndarray) -> np.ndarray:
+    """Each sequence's ``log_ev`` minus the log probability of its length, from
+    one length table; -inf for a length the grammar never generates."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    log_length = length_log_probabilities(params, int(lengths.max(initial=1)))[lengths]
+    return np.subtract(log_ev, log_length, out=np.full(len(seqs), -np.inf), where=log_length > -np.inf)
 
 
 def normalized_log_evidence(params: PcfgParams, seq: np.ndarray) -> float:
     """Log evidence renormalized within the set of sequences of equal length."""
-    return next(params.log_evidences([np.asarray(seq)]))
+    return float(params.log_evidences([np.asarray(seq)])[0])
 
 
 # ------------------------------------------------------------- prediction
 
 
-def _score_weights(params: PcfgParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each sequence's log evidence and candidate weights at every position,
-    from one inside and one outside pass per batch. Row i is the
-    emission-weighted outside vector of cell (i, i), which does not depend on
-    the symbol there."""
+def _score_weights(params: PcfgParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's log evidence and the (sum of lengths, V) candidate
+    weights at its positions, line after line in corpus order, from one inside
+    and one outside pass per batch. Row i of a line is the emission-weighted
+    outside vector of its cell (i, i), which does not depend on the symbol
+    there. The first sequence shorter than 2 raises before any chart runs."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    short = np.flatnonzero(lengths < 2)
+    if short.size:
+        raise ValueError(f"sequence {short[0]}: prediction requires sequences of length >= 2")
+    starts = np.cumsum(lengths) - lengths
     log_ev = np.empty(len(seqs))
-    weights: list = [None] * len(seqs)
+    weights = np.empty((int(lengths.sum()), params.vocab_size))
     for idx, batch in _batches(seqs, params.n_nonterminals, params.vocab_size):
         chart = _inside_batch(params, batch)
         out, _ = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
         log_ev[idx] = chart.log_evidence
-        for i, rows in zip(idx.tolist(), out[:, :, 1] @ params.emissions):
-            weights[i] = rows
+        # every line of a batch has the batch's length n: its n rows follow its start
+        weights[starts[idx, None] + np.arange(batch.shape[1])] = out[:, :, 1] @ params.emissions
     return log_ev, weights
-
-
-def _predictable(seq: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    if len(seq) < 2:
-        raise ValueError("prediction requires sequences of length >= 2")
-    return weights
 
 
 def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> np.ndarray:
     """Distribution of the symbol at 1-based ``position`` given the others."""
-    return _position_distribution(seq, position, lambda s, i: _predictable(s, _score_weights(params, [s])[1][0])[i])
+    return _position_distribution(seq, position, lambda s, i: _score_weights(params, [s])[1][i])
 
 
 # --------------------------------------------------------------- generation

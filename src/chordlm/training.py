@@ -42,10 +42,10 @@ class GibbsTrace:
     polish_trace: list[float] = field(default_factory=list)
 
 
-def sum_in_order(log_evidences) -> float:
-    """Left-to-right sum of per-line log evidences in corpus order; -inf if any is."""
+def sum_in_order(values) -> float:
+    """Left-to-right sum of ``values``, such as per-line log evidences in corpus order; -inf if any is."""
     total = 0.0
-    for value in np.asarray(log_evidences, dtype=float).tolist():
+    for value in np.asarray(values, dtype=float).tolist():
         total += value
     return total
 

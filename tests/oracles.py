@@ -864,8 +864,17 @@ def count_nodes(derivation, d: int) -> tuple[int, int]:
 
 
 def rows_of_one(model, seq) -> np.ndarray:
-    """A model's prediction rows of one sequence: ``score`` of a batch of one."""
-    return next(iter(model.score([np.asarray(seq)])[1]))
+    """A model's (len(seq), V) prediction rows of one sequence: ``score`` of a
+    batch of one."""
+    seq = np.asarray(seq)
+    rows = model.score([seq])[1]
+    assert rows.shape == (len(seq), model.vocab_size)
+    return rows
+
+
+def per_line(rows: np.ndarray, seqs: list[np.ndarray]) -> list[np.ndarray]:
+    """``score``'s rows of a batch cut into each sequence's block, in corpus order."""
+    return np.split(rows, np.cumsum([len(seq) for seq in seqs])[:-1])
 
 
 CSV_HEADER = "model,dataset,perplexity,error_rate,rmrr,n_symbols"

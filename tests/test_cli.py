@@ -24,7 +24,7 @@ from chordlm.config import (
     kappa_from_mean_length,
 )
 from chordlm.corpus import Vocabulary
-from oracles import from_markov, make_dataset
+from oracles import count_calls, from_markov, make_dataset
 
 
 def write_corpus(path, rng, n_sequences=30, alphabet=("C", "F", "G", "Am", "Dm", "Em")):
@@ -394,6 +394,23 @@ def test_sweep_quotes_an_error_that_holds_a_comma(prepared, monkeypatch):
     for row in rows:
         assert list(row) == cli.CSV_HEADER  # no extra column
         assert row["error"] == "ValueError: a, b"
+
+
+def test_sweep_writes_each_float_as_its_repr(tmp_path):
+    # every column but the wall time, as an earlier chordlm wrote it for this corpus
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("C F G C\nAm F C G\nC G Am F\nF C\nG Am F C G\nC\nDm G C\nAm Dm G C\n")
+    cfg = ExperimentConfig(corpus=str(corpus), out_dir=str(tmp_path / "run"), vocab_k=4, test_count=3,
+                           model="markov", sizes=[1, 2], algos=["additive"], seeds=[0])
+    cli.cmd_prepare(cfg)
+    with open(cli.cmd_sweep(cfg), encoding="utf-8", newline="") as fh:
+        rows = [{k: v for k, v in row.items() if k != "wall_time"} for row in csv.DictReader(fh)]
+    want = [
+        "markov,1,24,5,0,additive,2.0011251502761995,6.755579645526934,0.45454545454545453,1.3836477987421383,1,1,",
+        "markov,2,124,5,0,additive,1.824675348430832,6.36156971851699,0.5454545454545454,1.6019417475728157,1,1,",
+    ]
+    header = [c for c in cli.CSV_HEADER if c != "wall_time"]
+    assert rows == [dict(zip(header, line.split(","))) for line in want]
 
 
 @pytest.mark.parametrize(
@@ -888,6 +905,22 @@ def test_generated_lines_keep_their_bytes(tmp_path, family, length, trees):
     lines = cli.cmd_generate(str(tmp_path / "m.model"), str(tmp_path / "v.txt"), 40, 7, length, trees)
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == GENERATED_SHA256[family, length, trees]
+
+
+@pytest.mark.parametrize("trees", [False, True])
+def test_a_grammar_generates_in_slices_the_lines_of_one_sampler_call(tmp_path, monkeypatch, trees):
+    model_io.save_model(_generation_models()["pcfg"], tmp_path / "m.model")
+    vocab = Vocabulary(symbols=["C", "F", "G", "Am", "Other"])
+    vocab.save(tmp_path / "v.txt")
+    g, _ = model_io.load_model(tmp_path / "m.model")
+    samples = pcfg.sample_tree(g, [cell_seed("7", "generate", i) for i in range(600)])
+    if trees:
+        want = [pcfg.bracketed(derivation, g.n_nonterminals, vocab.symbols) for derivation, _ in samples]
+    else:
+        want = [" ".join(vocab.symbols[x] for x in ids.tolist()) for _, ids in samples]
+    calls = count_calls(monkeypatch, pcfg, "sample_tree")
+    assert cli.cmd_generate(str(tmp_path / "m.model"), str(tmp_path / "v.txt"), 600, 7, None, trees) == want
+    assert calls[0] == math.ceil(600 / cli.GENERATE_SLICE) > 1
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -14,6 +14,7 @@ from oracles import (
     evidence_ratio_prediction,
     from_markov,
     make_dataset,
+    per_line,
     random_stochastic,
     rows_of_one,
 )
@@ -43,10 +44,10 @@ class ConstantModel:
         self.vocab_size = len(self.probs)
 
     def log_evidences(self, seqs):
-        return [float(np.log(self.probs[np.asarray(seq)]).sum()) for seq in seqs]
+        return np.array([np.log(self.probs[np.asarray(seq)]).sum() for seq in seqs])
 
     def score(self, seqs):
-        return self.log_evidences(seqs), [np.tile(self.probs, (len(seq), 1)) for seq in seqs]
+        return self.log_evidences(seqs), np.tile(self.probs, (sum(len(seq) for seq in seqs), 1))
 
 
 def test_perplexity_uniform_model():
@@ -142,8 +143,8 @@ def test_rank_metrics_invariant_under_monotone_rescaling():
 
         def score(self, seqs):
             log_ev, rows = model.score(seqs)
-            cubed = [q**3 for q in rows]  # strictly monotone transform
-            return log_ev, [q / q.sum(axis=1, keepdims=True) for q in cubed]
+            cubed = rows**3  # strictly monotone transform
+            return log_ev, cubed / cubed.sum(axis=1, keepdims=True)
 
     assert evaluate.error_rate(model, data) == evaluate.error_rate(Rescaled(), data)
     assert evaluate.rmrr(model, data) == pytest.approx(evaluate.rmrr(Rescaled(), data), rel=1e-12)
@@ -262,22 +263,15 @@ def test_position_without_positive_symbol_raises(case):
 
 
 def test_grammar_errors_name_the_first_failing_line():
-    # the blocked grammar generates no one-chord line and never emits symbol 1:
-    # the perplexity reads evidences in corpus order up to the first -inf, and
-    # the ranks read prediction rows in corpus order
+    # the blocked grammar generates no one-chord line, whose evidence is then
+    # zero, and never emits symbol 1; a grammar's score refuses a one-chord
+    # line before it scores any line, naming it
     g = _impossible_cases()[2][0]
-    short_first = [np.array([0]), np.array([1, 0])]
-    for metric in (evaluate.perplexity, evaluate.evaluate_model):
-        with pytest.raises(ValueError, match="grammar generates no sequence of length 1"):
-            metric(g, short_first)
-    with pytest.raises(ValueError, match="prediction requires sequences of length >= 2"):
-        evaluate.error_rate(g, short_first)
-
-    short_last = [np.array([1, 0]), np.array([0])]
-    assert evaluate.perplexity(g, short_last) == math.inf
-    for metric in (evaluate.evaluate_model, evaluate.error_rate):
-        with pytest.raises(ValueError, match="no symbol has positive probability at this position"):
-            metric(g, short_last)
+    for seqs, short in (([np.array([0]), np.array([1, 0])], 0), ([np.array([1, 0]), np.array([0])], 1)):
+        assert evaluate.perplexity(g, seqs) == math.inf
+        for metric in (evaluate.evaluate_model, evaluate.error_rate, evaluate.rmrr):
+            with pytest.raises(ValueError, match=f"sequence {short}: prediction requires sequences of length >= 2"):
+                metric(g, seqs)
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -301,8 +295,27 @@ def test_score_matches_log_evidences_and_per_line_rows(make_model):
     model = make_model()
     log_ev, rows = model.score(TIED_SEQUENCES)
     assert list(log_ev) == list(model.log_evidences(TIED_SEQUENCES))
-    for seq, got in zip(TIED_SEQUENCES, rows):
+    for seq, got in zip(TIED_SEQUENCES, per_line(rows, TIED_SEQUENCES)):
         np.testing.assert_allclose(got, rows_of_one(model, seq), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("make_model, lengths", [(_tied_markov, (5, 2, 1, 7, 3, 6)), (_tied_hmm, (5, 2, 1, 7, 3, 6)),
+                                                 (_tied_grammar, (5, 2, 7, 3, 2, 6))], ids=["markov", "hmm", "pcfg"])
+def test_every_family_scores_a_mixed_batch_into_arrays(make_model, lengths):
+    model = make_model()
+    rng = np.random.default_rng(73)
+    seqs = [rng.integers(0, model.vocab_size, size=n) for n in lengths]
+    log_ev, rows = model.score(seqs)
+    evidences = model.log_evidences(seqs)
+    for values in (log_ev, evidences):
+        assert isinstance(values, np.ndarray) and values.shape == (len(seqs),)
+    assert isinstance(rows, np.ndarray) and rows.shape == (sum(lengths), model.vocab_size)
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(log_ev, evidences)
+    for seq, got in zip(seqs, per_line(rows, seqs)):
+        np.testing.assert_allclose(got, rows_of_one(model, seq), rtol=1e-12, atol=0)
+    empty_ev, empty_rows = model.score([])
+    assert empty_ev.shape == (0,) and empty_rows.shape == (0, model.vocab_size)
 
 
 @pytest.mark.parametrize("make_model", [_tied_markov, _tied_hmm, _tied_grammar])

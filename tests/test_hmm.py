@@ -23,6 +23,7 @@ from oracles import (
     hmm_state_draw_reference,
     hmm_xi,
     make_dataset,
+    per_line,
     random_stochastic,
     rows_of_one,
     stationary_by_linear_solve,
@@ -197,7 +198,7 @@ def test_batched_prediction_rows_match_per_line_rows(k):
     live = [seq for seq in seqs if not (seq == 6).any()]
     log_ev, rows = params.score(live)
     np.testing.assert_array_equal(log_ev, params.log_evidences(live))
-    for seq, seq_rows in zip(live, rows):
+    for seq, seq_rows in zip(live, per_line(rows, live)):
         np.testing.assert_allclose(seq_rows, rows_of_one(params, seq), rtol=1e-12, atol=0)
 
 
@@ -261,7 +262,7 @@ def test_chunks_match_the_per_line_references(k, monkeypatch):
         log_ev, rows = model.score(lines)
         np.testing.assert_array_equal(log_ev, model.log_evidences(lines))
         np.testing.assert_allclose(log_ev, want[3], rtol=1e-12, atol=0)
-        for seq, seq_rows in zip(lines, rows):
+        for seq, seq_rows in zip(lines, per_line(rows, lines)):
             np.testing.assert_allclose(seq_rows, normalized(hmm_prediction_weights_reference(model, seq)), rtol=1e-12)
     want = hmm_expected_counts_reference(dead, seqs)[3]
     np.testing.assert_allclose(dead.log_evidences(seqs), want, rtol=1e-12, atol=0)

@@ -13,6 +13,7 @@ from oracles import (
     markov_position_weights_reference,
     markov_sample_reference,
     ngram_counts_reference,
+    per_line,
     random_stochastic,
 )
 
@@ -119,12 +120,12 @@ def assert_scores_equal_the_reference(m: markov.MarkovModel, seqs: list[np.ndarr
     assert m.log_evidences(seqs).tolist() == want_ev
     log_ev, weights = m._score(seqs)
     assert log_ev.tolist() == want_ev
-    for got, want in zip(weights, want_w):
+    for got, want in zip(per_line(weights, seqs), want_w):
         np.testing.assert_array_equal(got, want)
     rowful = [i for i, w in enumerate(want_w) if (w.sum(axis=1) > 0.0).all()]
     log_ev, rows = m.score([seqs[i] for i in rowful])
     assert log_ev.tolist() == [want_ev[i] for i in rowful]
-    for i, got in zip(rowful, rows):
+    for i, got in zip(rowful, per_line(rows, [seqs[i] for i in rowful])):
         np.testing.assert_array_equal(got, want_w[i] / want_w[i].sum(axis=1, keepdims=True))
 
 
