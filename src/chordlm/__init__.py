@@ -9,5 +9,3 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VEC
     os.environ[_name] = "1"
 
 __version__ = "0.1.0"
-
-from . import config, corpus, evaluate, hmm, markov, model_io, pcfg, training  # noqa: E402, F401

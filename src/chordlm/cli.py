@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +114,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
         "vocab_size": vocab.size,
         "mean_train_length": sum(len(s) for s in train) / len(train),
     }
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return meta
 
 
@@ -139,7 +138,7 @@ def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, tuple[str, 
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found; run `chordlm prepare` first")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{meta_path} is not JSON: {exc}") from None
     if not isinstance(meta, dict):
@@ -286,7 +285,7 @@ def _run_cell(
         models_dir.mkdir(exist_ok=True)
         name = _cell_name(cfg.model, size, n_x, algo, seed)
         model_io.save_model(model, models_dir / f"{name}.model", vocab_hash=vocab.content_hash())
-        (models_dir / f"{name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n")
+        (models_dir / f"{name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
 
         row["train_perplexity"] = evaluate._perplexity(train, train_log_ev)
         report = evaluate.evaluate_model(model, test)
@@ -318,6 +317,10 @@ def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int |
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
+    # only sweep writes CSV and runs a pool; the other commands' processes stay smaller without them
+    import csv
+    from concurrent.futures import ProcessPoolExecutor
+
     recorded, prepared = _load_prepared(cfg)
     cells = [
         (size, algo, seed, n_x)
@@ -350,8 +353,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
         for i in ok:
             rows[i]["best_by_train"] = int(i == best_train)
             rows[i]["best_by_test"] = int(i == best_test)
-
-    import csv  # only sweep writes CSV; the other commands' processes stay smaller without it
 
     out_path = Path(cfg.out_dir) / "results.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -560,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
             lines = cmd_generate(args.model_file, args.vocab_file, args.count, args.seed, args.length, args.trees)
             text = "\n".join(lines)
         if getattr(args, "out", None):  # only analyze and generate take --out
-            Path(args.out).write_text(text + "\n")
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
         else:
             print(text)
         return 0

@@ -938,11 +938,19 @@ def test_generate_refuses_a_count_below_one(tmp_path, capsys, count):
 # ----------------------------------------------------------- process-level
 
 
+LAUNCH = "import sys; from chordlm.cli import main; sys.exit(main())"
+
+
+def _child_env(**extra):
+    """The environment of a child that imports the same chordlm as this process, installed or not."""
+    package_root = str(Path(chordlm.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_exit_codes_and_error_json(tmp_path):
     env_cmd = [sys.executable, "-m", "chordlm.cli"]
-    # the child imports the same chordlm as this process, installed or not
-    package_root = str(Path(chordlm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    env = _child_env()
     bad = subprocess.run(
         env_cmd + ["prepare", "--corpus", str(tmp_path / "missing.txt"), "--out-dir", str(tmp_path / "r")],
         capture_output=True,
@@ -993,3 +1001,62 @@ def test_trained_models_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert len(models["1"]) == len(BLAS_CELLS)
     for threads in ("2", "3"):
         assert models[threads] == models["1"], f"{threads} BLAS threads train other bytes on {os.cpu_count()} CPUs"
+
+
+def test_import_chordlm_loads_no_numpy_and_no_submodule():
+    script = ("import json, os, sys; import chordlm; print(json.dumps({"
+              "'modules': sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('chordlm.')), "
+              "'blas': [os.environ[v] for v in sys.argv[1:]]}))")
+    child = subprocess.run([sys.executable, "-c", script, *BLAS_VARIABLES], capture_output=True, text=True,
+                           env=_child_env(OPENBLAS_NUM_THREADS="4"))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"modules": [], "blas": ["1"] * len(BLAS_VARIABLES)}
+
+
+def test_no_command_but_sweep_loads_the_process_pool(tmp_path):
+    write_corpus(tmp_path / "corpus.txt", np.random.default_rng(0))
+    run, model = tmp_path / "run", tmp_path / "run" / "models" / "hmm_s2_nx27_em_seed0.model"
+    files = ["--model-file", str(model), "--vocab-file", str(run / "vocab.txt")]
+    commands = [
+        ["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", str(run), "--vocab-k", "4"],
+        ["train", "--out-dir", str(run), "--model", "hmm", "--size", "2", "--algo", "em", "--em-max-iter", "2"],
+        ["analyze", *files, "--out", str(tmp_path / "analysis.json")],
+        ["generate", *files, "--length", "4", "--out", str(tmp_path / "generated.txt")],
+    ]
+    script = ("import json, sys; from chordlm.cli import main\n"
+              "print(json.dumps([(main(a), 'concurrent.futures' in sys.modules) for a in json.loads(sys.argv[1])]))")
+    child = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True,
+                           env=_child_env())
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == [[0, False]] * len(commands), child.stderr
+
+
+def test_commands_read_and_write_text_as_utf8_whatever_the_locale(tmp_path):
+    # every text file chordlm opens names its encoding, so no call falls back on the locale's
+    rng = np.random.default_rng(3)
+    write_corpus(tmp_path / "corpus.txt", rng, n_sequences=40, alphabet=("C", "C♯m", "F♯", "G", "A", "E"))
+    run = tmp_path / "run"
+
+    def chordlm_command(*args):
+        child = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", LAUNCH, *args],
+            capture_output=True, env=_child_env(PYTHONIOENCODING="utf-8"),
+        )
+        assert child.returncode == 0, child.stderr.decode("utf-8")
+        return child.stdout.decode("utf-8")
+
+    chordlm_command("prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", str(run), "--vocab-k", "6")
+    assert "C♯m" in Vocabulary.load(run / "vocab.txt").symbols
+    for model, algo in (("markov", "additive"), ("hmm", "em"), ("pcfg", "em")):
+        chordlm_command("sweep", "--out-dir", str(run), "--model", model, "--sizes", "2", "--algos", algo,
+                        "--seeds", "0,1", "--em-max-iter", "2", "--workers", "2")
+        with open(run / "results.csv", encoding="utf-8", newline="") as fh:  # a cell records its failure, not exits
+            assert [row["error"] for row in csv.DictReader(fh)] == ["", ""]
+    files = ["--model-file", str(run / "models" / "pcfg_s2_nx36_em_seed0.model"),
+             "--vocab-file", str(run / "vocab.txt")]
+    for command, flags in (("generate", ["--count", "20", "--trees"]), ("analyze", [])):
+        out = tmp_path / f"{command}.out"
+        printed = chordlm_command(command, *files, *flags)
+        assert chordlm_command(command, *files, *flags, "--out", str(out)) == ""
+        assert out.read_bytes().decode("utf-8").splitlines() == printed.splitlines()
+    assert "♯" in (tmp_path / "generate.out").read_text(encoding="utf-8")
