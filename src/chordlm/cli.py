@@ -82,7 +82,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
         raise ValueError("prepare requires a corpus path")
     corpus_path = Path(cfg.corpus)
     raw = corpus_path.read_bytes()
-    sequences = parse_corpus(raw.decode("utf-8"))
+    sequences = parse_corpus(raw.decode("utf-8-sig"))
     if not sequences:
         raise ValueError(f"corpus {corpus_path} contains no sequences")
 
@@ -112,23 +112,21 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
         "corpus_sha256": hashlib.sha256(raw).hexdigest(),
         "n_sequences": len(sequences),
         "vocab_size": vocab.size,
-        "mean_train_length": sum(len(s) for s in train) / len(train),
     }
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return meta
 
 
 # the keys of the meta.json that `prepare` writes; its config holds the data fields as `prepare` resolved them
-PREPARED_KEYS = ("config", "corpus_sha256", "n_sequences", "vocab_size", "mean_train_length")
+PREPARED_KEYS = ("config", "corpus_sha256", "n_sequences", "vocab_size")
 # the type and the least value of each number in meta.json outside its config
-PREPARED_NUMBERS = {"n_sequences": (int, 1), "vocab_size": (int, 1), "mean_train_length": (float, 1.0)}
+PREPARED_NUMBERS = {"n_sequences": (int, 1), "vocab_size": (int, 1)}
 
 
-def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, tuple[str, float]]:
+def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, str]:
     """The config that the prepared directory's meta.json records, whose data
     must hold test lines and the file of each train size, and must not be
-    other than this config names; and what every cell takes of the directory,
-    the config hash and the mean training length.
+    other than this config names; and the config hash that seeds every cell.
 
     A data field is checked when the config sets it (it is not None), against
     what `prepare` resolved it to; the corpus is checked by the sha256 of its
@@ -187,7 +185,7 @@ def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, tuple[str, 
             f"{meta_path} was prepared with corpus={recorded.corpus!r}, whose bytes differ from "
             f"{cfg.corpus!r}; run `chordlm prepare` again or use another out_dir"
         )
-    return recorded, (cfg.config_hash(data), meta["mean_train_length"])
+    return recorded, cfg.config_hash(data)
 
 
 # ------------------------------------------------------------ cell training
@@ -198,26 +196,20 @@ def _cell_name(model: str, size: int, n_x: int, algo: str, seed: int) -> str:
 
 
 def _pcfg_initializer(
-    cfg: ExperimentConfig, train: list[np.ndarray], vocab_size: int, size: int, cell: tuple, mean_length: float
+    cfg: ExperimentConfig, train: list[np.ndarray], vocab_size: int, size: int, cell: tuple
 ) -> pcfg.PcfgParams:
     if cfg.pcfg_init == "random":
         return pcfg.init_random(size, vocab_size, cell_seed(*cell, "init"))
     # linear-chain initialization from a Gibbs-trained HMM of the same size
     hmm_cfg = dataclasses.replace(cfg, model="hmm")
-    base, _, _ = _train_cell(hmm_cfg, train, vocab_size, size, "gs", cell + ("pcfg-init",), mean_length)
-    kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_length)
+    base, _, _ = _train_cell(hmm_cfg, train, vocab_size, size, "gs", cell + ("pcfg-init",))
+    kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(sum(map(len, train)) / len(train))
     eta = cfg.eta if cfg.eta is not None else 0.01 / size
     return pcfg.init_from_hmm(base, kappa=kappa, eta=eta)
 
 
 def _train_cell(
-    cfg: ExperimentConfig,
-    train: list[np.ndarray],
-    vocab_size: int,
-    size: int,
-    algo: str,
-    cell: tuple,
-    mean_length: float,
+    cfg: ExperimentConfig, train: list[np.ndarray], vocab_size: int, size: int, algo: str, cell: tuple
 ) -> tuple:
     """Train the model of one cell; ``cell`` is the hash that seeds it, then
     its coordinates. Returns the model, its log record and its training
@@ -232,7 +224,7 @@ def _train_cell(
         init = hmm.init_random(size, vocab_size, cell_seed(*cell, "init"))
     else:
         family, options, log = pcfg, {"max_length": cfg.pcfg_max_length}, {"initialization": cfg.pcfg_init}
-        init = _pcfg_initializer(cfg, train, vocab_size, size, cell, mean_length)
+        init = _pcfg_initializer(cfg, train, vocab_size, size, cell)
     if algo == "em":
         config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
         fitted, trace, log_evidences = family.em_fit(init, train, config)
@@ -255,18 +247,14 @@ def _train_cell(
     return fitted, log, log_evidences
 
 
-def _run_cell(
-    cfg: ExperimentConfig, prepared: tuple[str, float], coordinates: tuple, record_error: bool = True
-) -> dict:
+def _run_cell(cfg: ExperimentConfig, config_hash: str, coordinates: tuple, record_error: bool = True) -> dict:
     """Train and evaluate the grid cell at ``coordinates``, (size, algo, seed,
-    n_x); returns a result row. ``prepared`` is the config hash and the mean
-    training length, as ``_load_prepared`` gives them. A failure goes into the
-    row's error, so a sweep goes on, or is raised as it is if not
-    ``record_error``.
+    n_x); returns a result row. ``config_hash`` is the one ``_load_prepared``
+    gives. A failure goes into the row's error, so a sweep goes on, or is
+    raised as it is if not ``record_error``.
 
     Top-level function so sweep cells can run in worker processes.
     """
-    config_hash, mean_train_length = prepared
     size, algo, seed, n_x = coordinates
     row = dict.fromkeys(RESULT_FIELDS + ["error"], "")
     row.update(model=cfg.model, size=size, N_X=n_x, seed=seed, algo=algo)
@@ -279,7 +267,7 @@ def _run_cell(
         row["param_count"] = MODELS[cfg.model].param_count(size, vocab.size)
 
         cell = (config_hash, cfg.model, size, n_x, algo, seed)
-        model, log, train_log_ev = _train_cell(cfg, train, vocab.size, size, algo, cell, mean_train_length)
+        model, log, train_log_ev = _train_cell(cfg, train, vocab.size, size, algo, cell)
 
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
@@ -306,11 +294,11 @@ def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int |
     algos = MODELS[cfg.model].ALGOS
     if algo not in algos:
         raise ValueError(f"algo for model {cfg.model!r} must be one of {algos}, got {algo!r}")
-    recorded, prepared = _load_prepared(cfg)
+    recorded, config_hash = _load_prepared(cfg)
     n_x = n_x if n_x is not None else recorded.train_sizes[-1]
     if n_x not in recorded.train_sizes:
         raise ValueError(f"n_x must be one of the prepared train sizes {recorded.train_sizes}, got {n_x}")
-    return _run_cell(cfg, prepared, (size, algo, seed, n_x), record_error=False)
+    return _run_cell(cfg, config_hash, (size, algo, seed, n_x), record_error=False)
 
 
 # -------------------------------------------------------------------- sweep
@@ -321,7 +309,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     import csv
     from concurrent.futures import ProcessPoolExecutor
 
-    recorded, prepared = _load_prepared(cfg)
+    recorded, config_hash = _load_prepared(cfg)
     cells = [
         (size, algo, seed, n_x)
         for n_x in recorded.train_sizes
@@ -329,9 +317,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
         for algo in cfg.resolved_algos()
         for seed in cfg.seeds
     ]
-    run = functools.partial(_run_cell, cfg, prepared)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    run = functools.partial(_run_cell, cfg, config_hash)
+    workers = min(cfg.workers, len(cells))  # the pool forks all its workers at once: one per cell at most
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, cells))
     else:
         rows = list(map(run, cells))
@@ -534,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's fields, overridden by the flags that are set."""
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig")) if args.config else {}
     if not isinstance(raw, dict):
         raise ValueError(f"config file {args.config} does not hold a JSON object")
     for f in dataclasses.fields(ExperimentConfig):

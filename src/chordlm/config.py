@@ -56,7 +56,8 @@ class ExperimentConfig:
     rel_tol: float = field(default=training.EmConfig.rel_tol, metadata={">=": 0})
     gs_samples: int | None = field(default=None, metadata={">=": 1})  # default: the family's GibbsConfig
     polish_iters: int = field(default=training.GibbsConfig.polish_iters, metadata={">=": 0})
-    kappa: float | None = field(default=None, metadata={">": 0.5, "<=": 1})  # default: from the mean length
+    # default: from the mean length of the cell's training lines
+    kappa: float | None = field(default=None, metadata={">": 0.5, "<=": 1})
     eta: float | None = field(default=None, metadata={">=": 0})  # default: 0.01 / n_nonterminals
     pcfg_init: str = field(default="random", metadata={"choices": ("random", "hmm")})
     pcfg_max_length: int = field(default=pcfg.DEFAULT_MAX_TRAIN_LENGTH, metadata={">=": 1})

@@ -150,7 +150,8 @@ def split(sequences: list[np.ndarray], test_count: int, seed: int) -> tuple[list
 
 
 def subsample(sequences: list[np.ndarray], n_x: int, seed: int) -> list[np.ndarray]:
-    """Uniform subsample without replacement.
+    """Uniform subsample without replacement: the side that ``split`` takes
+    off with the same seed.
 
     For a fixed seed the selected index sets are nested across sizes, so
     growing ``n_x`` only ever adds sequences.
@@ -158,7 +159,4 @@ def subsample(sequences: list[np.ndarray], n_x: int, seed: int) -> list[np.ndarr
     n = len(sequences)
     if not 1 <= n_x <= n:
         raise ValueError(f"subsample size {n_x} out of range [1, {n}]")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    idx = sorted(perm[:n_x].tolist())
-    return [sequences[i] for i in idx]
+    return split(sequences, n_x, seed)[1]

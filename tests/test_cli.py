@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -251,6 +252,27 @@ def test_prepare_default_vocab_k_is_ten(tmp_path):
     assert meta["vocab_size"] == 11
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_chord(tmp_path):
+    text = write_corpus(tmp_path / "plain.txt", np.random.default_rng(0)).read_text(encoding="utf-8")
+    bom = b"\xef\xbb\xbf" + text.encode("utf-8")
+    (tmp_path / "bom.txt").write_bytes(bom)
+    files = {}
+    for name in ("plain", "bom"):
+        cfg = ExperimentConfig(corpus=str(tmp_path / f"{name}.txt"), out_dir=str(tmp_path / name),
+                               test_count=6, train_sizes=[8, 24])
+        meta = cli.cmd_prepare(cfg)
+        files[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.suffix in (".txt", ".ids")}
+    assert sorted(files["plain"]) == ["test.ids", "train.ids", "train_nx24.ids", "train_nx8.ids", "vocab.txt"]
+    assert files["bom"] == files["plain"]
+    assert meta["corpus_sha256"] == hashlib.sha256(bom).hexdigest()  # the hash of the bytes as they are
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    (tmp_path / "config.json").write_bytes(b"\xef\xbb\xbf" + json.dumps({"model": "pcfg", "kappa": 0.6}).encode())
+    cfg = cli._config_from_args(cli._build_parser().parse_args(["sweep", "--config", str(tmp_path / "config.json")]))
+    assert (cfg.model, cfg.kappa) == ("pcfg", 0.6)
+
+
 def test_prepare_test_count_out_of_range(tmp_path):
     rng = np.random.default_rng(2)
     corpus = write_corpus(tmp_path / "c.txt", rng, n_sequences=5)
@@ -302,6 +324,29 @@ def test_train_pcfg_with_hmm_initialization(prepared):
     model, _ = model_io.load_model(tmp_path / "run" / "models" / "pcfg_s2_nx8_em_seed0.model")
     assert model.n_nonterminals == 2
     model.validate(tol=1e-9)
+
+
+def test_a_grammar_initialized_from_an_hmm_takes_kappa_from_its_own_training_lines(tmp_path, monkeypatch):
+    corpus = write_corpus(tmp_path / "corpus.txt", np.random.default_rng(0))
+    cfg = ExperimentConfig(
+        corpus=str(corpus), out_dir=str(tmp_path / "run"), vocab_k=4, test_count=6, train_sizes=[8, 24],
+        model="pcfg", pcfg_init="hmm", gs_samples=2, polish_iters=1, em_max_iter=1,
+    )
+    cli.cmd_prepare(cfg)
+    vocab = Vocabulary.load(tmp_path / "run" / "vocab.txt")
+    lines, split = (cli._read_encoded(tmp_path / "run" / name, vocab) for name in ("train_nx8.ids", "train.ids"))
+    mean = sum(map(len, lines)) / len(lines)
+    assert mean != sum(map(len, split)) / len(split)  # the 8 lines are not the whole split in miniature
+    kappas = []
+    init_from_hmm = pcfg.init_from_hmm
+
+    def record(base, kappa, eta):
+        kappas.append(kappa)
+        return init_from_hmm(base, kappa=kappa, eta=eta)
+
+    monkeypatch.setattr(pcfg, "init_from_hmm", record)
+    assert cli.cmd_train(cfg, size=2, algo="em", seed=0, n_x=8)["error"] == ""
+    assert kappas == [kappa_from_mean_length(mean)]
 
 
 @pytest.mark.parametrize("family, algo", [("markov", "additive"), ("hmm", "em"), ("pcfg", "em")])
@@ -358,6 +403,39 @@ def test_sweep_parallel_matches_serial(prepared):
 
     # worker count is an execution detail: identical rows either way
     assert strip_wall(serial) == strip_wall(parallel)
+
+
+def test_a_sweep_starts_at_most_one_worker_per_cell(prepared, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Records its worker count and maps in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def rows(cfg):
+        with open(cli.cmd_sweep(cfg), encoding="utf-8", newline="") as fh:
+            return [{k: v for k, v in row.items() if k != "wall_time"} for row in csv.DictReader(fh)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg, _ = prepared
+    two_cells = dataclasses.replace(cfg, sizes=[1], seeds=[0, 1])
+    serial = rows(two_cells)
+    assert len(serial) == 2 and pools == []
+    assert rows(dataclasses.replace(two_cells, workers=10**6)) == serial
+    assert pools == [2]
+    rows(dataclasses.replace(two_cells, seeds=[0], workers=8))
+    assert pools == [2]  # one cell runs in this process
 
 
 def test_sweep_records_partial_failures(prepared, tmp_path):
@@ -572,7 +650,7 @@ def test_train_reports_the_type_and_message_that_the_cell_raises(tmp_path, monke
 @pytest.mark.parametrize(
     "text, why",
     [("{not json", "is not JSON"), ("[1]", "does not hold a JSON object"),
-     (None, "lacks the key 'mean_train_length'")],
+     (None, "lacks the key 'n_sequences'")],
     ids=["not-json", "not-an-object", "missing-key"],
 )
 def test_a_bad_meta_json_names_its_file(sixty_lines, capsys, text, why):
@@ -580,7 +658,7 @@ def test_a_bad_meta_json_names_its_file(sixty_lines, capsys, text, why):
     meta = json.loads(meta_path.read_text())
     assert set(meta) == set(cli.PREPARED_KEYS)
     if text is None:
-        del meta["mean_train_length"]
+        del meta["n_sequences"]
         text = json.dumps(meta)
     meta_path.write_text(text)
     capsys.readouterr()
@@ -619,15 +697,11 @@ def test_a_bad_config_in_meta_json_names_its_file_and_key(sixty_lines, capsys, e
      ("test_count", None, "test_count must not be null"),
      ("vocab_k", 5.0, "vocab_k must be int, got 5.0"),
      ("data_seed", -1, "data_seed must be >= 0"),
-     ("mean_train_length", "x", "mean_train_length must be a finite float >= 1.0, got 'x'"),
-     ("mean_train_length", float("nan"), "mean_train_length must be a finite float >= 1.0, got nan"),
-     ("mean_train_length", float("inf"), "mean_train_length must be a finite float >= 1.0, got inf"),
      ("n_sequences", True, "n_sequences must be a finite int >= 1, got True"),
      ("vocab_size", 0, "vocab_size must be a finite int >= 1, got 0"),
      ("corpus_sha256", None, "corpus_sha256 must be str, got None")],
     ids=["train-sizes-str", "train-size-zero", "test-count-str", "test-count-null", "vocab-k-float",
-         "data-seed-negative", "mean-length-str", "mean-length-nan", "mean-length-inf", "n-sequences-bool",
-         "vocab-size-zero", "sha256-null"],
+         "data-seed-negative", "n-sequences-bool", "vocab-size-zero", "sha256-null"],
 )
 def test_a_bad_value_in_meta_json_names_its_file_and_key(sixty_lines, capsys, key, value, why):
     meta_path = Path("run") / "meta.json"
@@ -679,6 +753,19 @@ def test_a_directory_prepared_with_the_data_fields_at_the_top_level_is_prepared_
     error = json.loads(capsys.readouterr().err)
     assert error["message"] == (f"{meta_path} has unknown keys ['test_count', 'train_sizes']; "
                                 "run `chordlm prepare` again")
+
+
+def test_a_directory_prepared_with_a_mean_train_length_is_prepared_again(sixty_lines, capsys):
+    # meta.json used to record the mean length of the whole training split, which set every grammar's kappa
+    meta_path = Path("run") / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["mean_train_length"] = 6.0
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["message"] == f"{meta_path} has unknown keys ['mean_train_length']; run `chordlm prepare` again"
 
 
 def test_train_and_sweep_refuse_a_directory_without_test_lines(tmp_path, capsys):

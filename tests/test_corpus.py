@@ -135,6 +135,14 @@ def test_subsample_nested_and_deterministic():
         subsample(data, 301, seed=1)
 
 
+def test_subsample_is_the_side_that_split_takes_off():
+    data = [np.full(i + 1, 0, dtype=np.int64) for i in range(50)]
+    for n_x in (1, 7, 30, 50):
+        for seed in (0, 5, 977):
+            _, side = split(data, n_x, seed)
+            assert [len(s) for s in subsample(data, n_x, seed)] == [len(s) for s in side]
+
+
 def test_vocabulary_save_load_round_trip(tmp_path):
     vocab = build_vocabulary(parse_corpus("C C G F F F"), k=2)
     path = tmp_path / "vocab.txt"
