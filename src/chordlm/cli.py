@@ -8,7 +8,9 @@ Subcommands
     generate  sample sequences from a trained model
 
 Every command takes ``--config`` (JSON) plus flag overrides; failures print a
-machine-readable JSON object on stderr and exit nonzero.
+machine-readable JSON object on stderr and exit nonzero. No command names a
+family: each model class fits, describes and samples its models, and a
+command loads only the families it looks up in ``config.MODELS``.
 """
 
 from __future__ import annotations
@@ -25,29 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluate, hmm, markov, model_io, pcfg
-from .config import DATA_FIELDS, FIELD_KINDS, MODELS, ExperimentConfig, cell_seed, is_kind, kappa_from_mean_length
+from . import evaluate, model_io
+from .config import DATA_FIELDS, FIELD_KINDS, MODELS, Cell, ExperimentConfig, cell_seed, is_kind
 from .corpus import Vocabulary, build_vocabulary, encode, parse_corpus, split, subsample
 
-RESULT_FIELDS = [
-    "model",
-    "size",
-    "param_count",
-    "N_X",
-    "seed",
-    "algo",
-    "train_perplexity",
-    "test_perplexity",
-    "error_rate",
-    "rmrr",
-    "wall_time",
-]
+RESULT_FIELDS = ["model", "size", "param_count", "N_X", "seed", "algo", "train_perplexity", "test_perplexity",
+                 "error_rate", "rmrr", "wall_time"]
 CSV_HEADER = RESULT_FIELDS + ["best_by_train", "best_by_test", "error"]
 
-ANALYZE_TOP_SYMBOLS = 12
 ANALYZE_THRESHOLD = 0.05
-# trees a grammar's `generate` samples and formats at a time, so that it holds one slice's derivations
-GENERATE_SLICE = 256
 
 
 # ------------------------------------------------------------ encoded files
@@ -191,89 +179,30 @@ def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, str]:
 # ------------------------------------------------------------ cell training
 
 
-def _cell_name(model: str, size: int, n_x: int, algo: str, seed: int) -> str:
-    return f"{model}_s{size}_nx{n_x}_{algo}_seed{seed}"
-
-
-def _pcfg_initializer(
-    cfg: ExperimentConfig, train: list[np.ndarray], vocab_size: int, size: int, cell: tuple
-) -> pcfg.PcfgParams:
-    if cfg.pcfg_init == "random":
-        return pcfg.init_random(size, vocab_size, cell_seed(*cell, "init"))
-    # linear-chain initialization from a Gibbs-trained HMM of the same size
-    hmm_cfg = dataclasses.replace(cfg, model="hmm")
-    base, _, _ = _train_cell(hmm_cfg, train, vocab_size, size, "gs", cell + ("pcfg-init",))
-    kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(sum(map(len, train)) / len(train))
-    eta = cfg.eta if cfg.eta is not None else 0.01 / size
-    return pcfg.init_from_hmm(base, kappa=kappa, eta=eta)
-
-
-def _train_cell(
-    cfg: ExperimentConfig, train: list[np.ndarray], vocab_size: int, size: int, algo: str, cell: tuple
-) -> tuple:
-    """Train the model of one cell; ``cell`` is the hash that seeds it, then
-    its coordinates. Returns the model, its log record and its training
-    ``log_evidences``. HMMs and PCFGs train by EM or, for ``gs`` (the only
-    other algorithm the config and ``cmd_train`` let through), by best-of-n
-    Gibbs sampling, through the same calls to their family module."""
-    if cfg.model == "markov":
-        model = markov.fit(train, vocab_size, order=size, smoothing=algo, epsilon=cfg.epsilon)
-        return model, {"algorithm": algo}, model.log_evidences(train)
-    if cfg.model == "hmm":
-        family, options, log = hmm, {}, {}
-        init = hmm.init_random(size, vocab_size, cell_seed(*cell, "init"))
-    else:
-        family, options, log = pcfg, {"max_length": cfg.pcfg_max_length}, {"initialization": cfg.pcfg_init}
-        init = _pcfg_initializer(cfg, train, vocab_size, size, cell)
-    if algo == "em":
-        config = family.EmConfig(max_iter=cfg.resolved_em_max_iter(), rel_tol=cfg.rel_tol, **options)
-        fitted, trace, log_evidences = family.em_fit(init, train, config)
-        log.update(algorithm="em", log_likelihood=trace)
-    else:
-        config = family.GibbsConfig(
-            n_samples=cfg.resolved_gs_samples(),
-            polish_iters=cfg.polish_iters,
-            seed=cell_seed(*cell, "gibbs"),
-            rel_tol=cfg.rel_tol,
-            dirichlet_alpha=cfg.dirichlet_alpha,
-            **options,
-        )
-        fitted, trace, log_evidences = family.gibbs_fit(init, train, config)
-        log.update(
-            algorithm="gs",
-            sample_log_evidence=trace.sample_log_evidence,
-            polish_log_likelihood=trace.polish_trace,
-        )
-    return fitted, log, log_evidences
-
-
-def _run_cell(cfg: ExperimentConfig, config_hash: str, coordinates: tuple, record_error: bool = True) -> dict:
-    """Train and evaluate the grid cell at ``coordinates``, (size, algo, seed,
-    n_x); returns a result row. ``config_hash`` is the one ``_load_prepared``
-    gives. A failure goes into the row's error, so a sweep goes on, or is
-    raised as it is if not ``record_error``.
+def _run_cell(cfg: ExperimentConfig, config_hash: str, cell: Cell, record_error: bool = True) -> dict:
+    """Train and evaluate one grid cell; returns a result row. ``config_hash``
+    is the one ``_load_prepared`` gives. A failure goes into the row's error,
+    so a sweep goes on, or is raised as it is if not ``record_error``.
 
     Top-level function so sweep cells can run in worker processes.
     """
-    size, algo, seed, n_x = coordinates
-    row = dict.fromkeys(RESULT_FIELDS + ["error"], "")
-    row.update(model=cfg.model, size=size, N_X=n_x, seed=seed, algo=algo)
+    row = dict.fromkeys(CSV_HEADER, "")  # a failed cell keeps no best-seed flag
+    row.update(model=cell.model, size=cell.size, N_X=cell.n_x, seed=cell.seed, algo=cell.algo)
     started = time.perf_counter()
     try:
         out = Path(cfg.out_dir)
         vocab = Vocabulary.load(out / "vocab.txt")
-        train = _read_encoded(out / f"train_nx{n_x}.ids", vocab)
+        train = _read_encoded(out / f"train_nx{cell.n_x}.ids", vocab)
         test = _read_encoded(out / "test.ids", vocab)
-        row["param_count"] = MODELS[cfg.model].param_count(size, vocab.size)
+        family = MODELS[cell.model]
+        row["param_count"] = family.param_count(cell.size, vocab.size)
 
-        cell = (config_hash, cfg.model, size, n_x, algo, seed)
-        model, log, train_log_ev = _train_cell(cfg, train, vocab.size, size, algo, cell)
+        model, log, train_log_ev = family.fit(train, vocab.size, cell.size, cell.algo, cfg, cell.seed_of(config_hash))
 
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
-        name = _cell_name(cfg.model, size, n_x, algo, seed)
-        model_io.save_model(model, models_dir / f"{name}.model", vocab_hash=vocab.content_hash())
-        (models_dir / f"{name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
+        model_io.save_model(model, models_dir / f"{cell.name}.model", vocab_hash=vocab.content_hash())
+        (models_dir / f"{cell.name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
 
         row["train_perplexity"] = evaluate._perplexity(train, train_log_ev)
         report = evaluate.evaluate_model(model, test)
@@ -298,7 +227,7 @@ def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int |
     n_x = n_x if n_x is not None else recorded.train_sizes[-1]
     if n_x not in recorded.train_sizes:
         raise ValueError(f"n_x must be one of the prepared train sizes {recorded.train_sizes}, got {n_x}")
-    return _run_cell(cfg, config_hash, (size, algo, seed, n_x), record_error=False)
+    return _run_cell(cfg, config_hash, Cell(cfg.model, size, n_x, algo, seed), record_error=False)
 
 
 # -------------------------------------------------------------------- sweep
@@ -311,7 +240,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
 
     recorded, config_hash = _load_prepared(cfg)
     cells = [
-        (size, algo, seed, n_x)
+        Cell(cfg.model, size, n_x, algo, seed)
         for n_x in recorded.train_sizes
         for size in cfg.resolved_sizes()
         for algo in cfg.resolved_algos()
@@ -325,23 +254,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     else:
         rows = list(map(run, cells))
 
-    # per-cell best-seed flags, judged by training and by test perplexity
+    # per-cell best-seed flags among the rows without an error, judged by training and by test perplexity
     groups: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):
-        key = (row["model"], row["size"], row["N_X"], row["algo"])
-        groups.setdefault(key, []).append(i)
-    for row in rows:
-        row["best_by_train"] = ""
-        row["best_by_test"] = ""
-    for indices in groups.values():
-        ok = [i for i in indices if not rows[i]["error"]]
-        if not ok:
-            continue
+        if not row["error"]:
+            groups.setdefault((row["model"], row["size"], row["N_X"], row["algo"]), []).append(i)
+    for ok in groups.values():
         best_train = min(ok, key=lambda i: rows[i]["train_perplexity"])
         best_test = min(ok, key=lambda i: rows[i]["test_perplexity"])
         for i in ok:
-            rows[i]["best_by_train"] = int(i == best_train)
-            rows[i]["best_by_test"] = int(i == best_test)
+            rows[i].update(best_by_train=int(i == best_train), best_by_test=int(i == best_test))
 
     out_path = Path(cfg.out_dir) / "results.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -351,7 +273,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     return out_path
 
 
-# ------------------------------------------------------------------ analyze
+# ------------------------------------------------------- analyze and generate
 
 
 def _load_model_and_vocabulary(model_path: str, vocab_path: str) -> tuple:
@@ -366,101 +288,19 @@ def _load_model_and_vocabulary(model_path: str, vocab_path: str) -> tuple:
     return model, vocab
 
 
-def _top_symbols(row: np.ndarray, vocab: Vocabulary, top: int) -> list[dict]:
-    order = np.argsort(-row, kind="stable")[: min(top, len(row))]
-    return [
-        {"symbol": vocab.symbols[int(x)], "probability": float(row[int(x)])}
-        for x in order
-        if row[int(x)] > 0.0
-    ]
-
-
-def _entries_above(table: np.ndarray, threshold: float, names: tuple[str, ...]) -> list[dict]:
-    """The entries of ``table`` above ``threshold`` in row-major order, each
-    with its indices under ``names`` and its ``probability``."""
-    return [
-        {**dict(zip(names, map(int, index))), "probability": float(table[tuple(index)])}
-        for index in np.argwhere(table > threshold)
-    ]
-
-
 def cmd_analyze(model_path: str, vocab_path: str, threshold: float) -> dict:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
-    if isinstance(model, markov.MarkovModel):
-        raise ValueError("Markov models have no latent structure to analyze")
-
-    if isinstance(model, hmm.HmmParams):
-        info = hmm.info_measures(model)
-        stationary = hmm.stationary_distribution(model)
-        states = [
-            {
-                "state": z,
-                "stationary_probability": float(stationary[z]),
-                "top_symbols": _top_symbols(model.emission[z], vocab, ANALYZE_TOP_SYMBOLS),
-            }
-            for z in range(model.n_states)
-        ]
-        return {
-            "kind": "hmm",
-            "n_states": model.n_states,
-            "info_measures": info.as_dict(),
-            "states": states,
-            "transitions_above_threshold": _entries_above(model.transition, threshold, ("from", "to")),
-            "threshold": threshold,
-        }
-
-    d = model.n_nonterminals
-    nonterminals = [
-        {
-            "nonterminal": z,
-            "top_symbols": _top_symbols(model.emissions[z], vocab, ANALYZE_TOP_SYMBOLS),
-        }
-        for z in range(d)
-    ]
-    return {
-        "kind": "pcfg",
-        "n_nonterminals": d,
-        "nonterminals": nonterminals,
-        "start_rules_above_threshold": _entries_above(model.start_rules, threshold, ("left", "right")),
-        "rules_above_threshold": _entries_above(model.rules, threshold, ("head", "left", "right")),
-        "threshold": threshold,
-    }
+    return model.describe(vocab, threshold)
 
 
-# ----------------------------------------------------------------- generate
-
-
-def cmd_generate(
-    model_path: str,
-    vocab_path: str,
-    count: int,
-    seed: int,
-    length: int | None,
-    trees: bool = False,
-) -> list[str]:
+def cmd_generate(model_path: str, vocab_path: str, count: int, seed: int, length: int | None,
+                 trees: bool = False) -> list[str]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     model, vocab = _load_model_and_vocabulary(model_path, vocab_path)
-    seeds = [cell_seed(str(seed), "generate", i) for i in range(count)]
-    if isinstance(model, pcfg.PcfgParams):
-        if length is not None:
-            raise ValueError("grammar sampling determines its own length; drop --length")
-        lines = []
-        for lo in range(0, count, GENERATE_SLICE):
-            samples = pcfg.sample_tree(model, seeds[lo:lo + GENERATE_SLICE])
-            if trees:
-                lines += [pcfg.bracketed(derivation, model.n_nonterminals, vocab.symbols) for derivation, _ in samples]
-            else:
-                lines += [" ".join(vocab.symbols[x] for x in ids.tolist()) for _, ids in samples]
-        return lines
-    if trees:
-        raise ValueError("--trees is only meaningful for grammar models")
-    if length is None:
-        raise ValueError("--length is required for Markov and HMM models")
-    ids = model.sample_sequence(length, seeds)
-    return [" ".join(vocab.symbols[x] for x in row) for row in ids.tolist()]
+    return model.generate(vocab, [cell_seed(str(seed), "generate", i) for i in range(count)], length, trees)
 
 
 # --------------------------------------------------------------------- main

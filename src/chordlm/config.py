@@ -12,19 +12,42 @@ finite, and the bounds or choices its metadata sets.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import importlib
 import json
 import math
 import operator
 import types
 import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from . import hmm, markov, pcfg, training
+from . import training
+
+
+class _Families(Mapping):
+    """Each family's model class by its kind, which is also the name of its
+    module; the module is imported the first time its kind is looked up, so a
+    process loads only the families it runs."""
+
+    _classes = {"markov": "MarkovModel", "hmm": "HmmParams", "pcfg": "PcfgParams"}
+
+    def __getitem__(self, kind: str) -> type:
+        name = self._classes[kind]  # an unknown kind is a KeyError, before any import
+        return getattr(importlib.import_module(f"{__package__}.{kind}"), name)
+
+    def __iter__(self):
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
 
 # each family's model class, by its kind; the class states the family's size
-# key, default grid, algorithms, parameter count and model-file tables
-MODELS = {cls.KIND: cls for cls in (markov.MarkovModel, hmm.HmmParams, pcfg.PcfgParams)}
+# key, default grid, algorithms, parameter count and model-file tables, and
+# fits, describes and samples its models
+MODELS = _Families()
 
 # The data fields, unset (None) until ``prepare`` resolves them into meta.json,
 # and the other fields that seed no cell: paths, the grid and the worker count.
@@ -60,7 +83,7 @@ class ExperimentConfig:
     kappa: float | None = field(default=None, metadata={">": 0.5, "<=": 1})
     eta: float | None = field(default=None, metadata={">=": 0})  # default: 0.01 / n_nonterminals
     pcfg_init: str = field(default="random", metadata={"choices": ("random", "hmm")})
-    pcfg_max_length: int = field(default=pcfg.DEFAULT_MAX_TRAIN_LENGTH, metadata={">=": 1})
+    pcfg_max_length: int = field(default=training.DEFAULT_MAX_TRAIN_LENGTH, metadata={">=": 1})
 
     workers: int = field(default=1, metadata={">=": 1})
 
@@ -86,30 +109,17 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} must be {sign} {f.metadata[sign]}, got {value!r}")
             if kind is float and not all(math.isfinite(x) for x in items):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        allowed = MODELS[self.model].ALGOS
-        unknown = sorted(set(self.resolved_algos()) - set(allowed))
-        if unknown:
-            raise ValueError(f"algos for model {self.model!r} must be among {allowed}, got {unknown}")
-
-    # ------------------------------------------------------------- defaults
+        if self.algos is not None:  # so a config that leaves them unset loads no family
+            allowed = MODELS[self.model].ALGOS
+            unknown = sorted(set(self.algos) - set(allowed))
+            if unknown:
+                raise ValueError(f"algos for model {self.model!r} must be among {allowed}, got {unknown}")
 
     def resolved_sizes(self) -> list[int]:
         return list(MODELS[self.model].SIZE_GRID if self.sizes is None else self.sizes)
 
     def resolved_algos(self) -> list[str]:
         return list(MODELS[self.model].ALGOS if self.algos is None else self.algos)
-
-    def resolved_em_max_iter(self) -> int:
-        if self.em_max_iter is not None:
-            return self.em_max_iter
-        return (pcfg.EmConfig if self.model == "pcfg" else training.EmConfig).max_iter
-
-    def resolved_gs_samples(self) -> int:
-        if self.gs_samples is not None:
-            return self.gs_samples
-        return (pcfg.GibbsConfig if self.model == "pcfg" else training.GibbsConfig).n_samples
-
-    # ---------------------------------------------------------------- misc
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -162,6 +172,25 @@ def cell_seed(config_hash: str, *coordinates) -> int:
     text = config_hash + "|" + "|".join(str(c) for c in coordinates)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One grid cell; its fields in the order of its name and of its seeds' coordinates."""
+
+    model: str
+    size: int
+    n_x: int
+    algo: str
+    seed: int
+
+    @property
+    def name(self) -> str:
+        return f"{self.model}_s{self.size}_nx{self.n_x}_{self.algo}_seed{self.seed}"
+
+    def seed_of(self, config_hash: str):
+        """``seed_of(*tags)``: the ``cell_seed`` of the hash, this cell's fields, then ``tags``."""
+        return functools.partial(cell_seed, config_hash, *dataclasses.astuple(self))
 
 
 def kappa_from_mean_length(mean_length: float) -> float:

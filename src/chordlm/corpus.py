@@ -94,9 +94,10 @@ def _check_entry(symbol: str, count: int, index: dict[str, int]) -> None:
 
 def parse_corpus(text: str) -> list[list[str]]:
     """Parse a corpus document into one token list per nonblank line, its
-    whitespace-separated symbols; so no list and no token is empty."""
+    whitespace-separated symbols; so no list and no token is empty. A line ends at
+    ``\n`` alone; other whitespace, ``\r`` and U+2028 too, separates symbols."""
     sequences = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         tokens = line.split()
         if tokens:
             sequences.append(tokens)

@@ -9,13 +9,14 @@ over the padded chunks of length-sorted lines that ``markov`` defines.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import training
-from .markov import Chunk, _check_rows, _chunks, _corpus_scores, _live_rows, _pick, _valid
-from .markov import _normalize_predictions, _position_distribution
+from .markov import Chunk, _check_rows, _chunks, _corpus_scores, _entries_above, _live_rows, _pick, _valid
+from .markov import _normalize_predictions, _position_distribution, _sampled_lines, _top_symbols
 from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows  # the configs are re-exported
 
 
@@ -78,6 +79,26 @@ class HmmParams:
 
     def sample_sequence(self, length: int, seeds: list[int]) -> np.ndarray:
         return sample_sequence(self, length, seeds)
+
+    @staticmethod
+    def fit(train: list[np.ndarray], vocab_size: int, size: int, algo: str, cfg, seed_of) -> tuple:
+        """The model of one grid cell, its log record and its training ``log_evidences``:
+        ``init_random`` at ``seed_of("init")``, trained by ``algo`` through ``training.fit``."""
+        init = init_random(size, vocab_size, seed_of("init"))
+        return training.fit(sys.modules[__name__], init, train, algo, cfg, seed_of, {})
+
+    def describe(self, vocab, threshold: float) -> dict:
+        """``analyze``'s report: the information measures, each state's
+        stationary probability and top symbols, and the transitions above
+        ``threshold``."""
+        info, stationary = info_measures(self), stationary_distribution(self)
+        states = [{"state": z, "stationary_probability": float(stationary[z]),
+                   "top_symbols": _top_symbols(self.emission[z], vocab)} for z in range(self.n_states)]
+        return {"kind": self.KIND, "n_states": self.n_states, "info_measures": info.as_dict(), "states": states,
+                "transitions_above_threshold": _entries_above(self.transition, threshold, ("from", "to")),
+                "threshold": threshold}
+
+    generate = _sampled_lines
 
 
 def init_random(n_states: int, vocab_size: int, seed: int) -> HmmParams:

@@ -8,7 +8,8 @@ distribution over the vocabulary.
 
 Fits and scores run on the padded chunks that the HMM passes import from
 here: one bincount counts every n-gram, and one gather of table rows per step
-and window position gives a chunk's evidences and prediction weights.
+and window position gives a chunk's evidences and prediction weights. The
+other families also import the helpers of ``describe`` and ``generate``.
 """
 
 from __future__ import annotations
@@ -90,6 +91,16 @@ def _corpus_scores(
         shift = ends[idx] - np.cumsum(lengths)
         rows[np.repeat(shift, lengths) + np.arange(len(chunk_rows))] = chunk_rows
     return log_ev, rows
+
+
+def _sampled_lines(model, vocab, seeds: list[int], length: int | None, trees: bool) -> list[str]:
+    """The ``generate`` method of a family of fixed-length lines: the symbols
+    of ``model.sample_sequence(length, seeds)``, one line per seed."""
+    if trees:
+        raise ValueError("--trees is only meaningful for grammar models")
+    if length is None:
+        raise ValueError("--length is required for Markov and HMM models")
+    return [" ".join(vocab.symbols[x] for x in row) for row in model.sample_sequence(length, seeds).tolist()]
 
 
 @dataclass
@@ -209,6 +220,17 @@ class MarkovModel:
         log_ev, weights = self._score(seqs)
         return log_ev, _normalize_predictions(weights)
 
+    @staticmethod
+    def fit(train: list[np.ndarray], vocab_size: int, size: int, algo: str, cfg, seed_of) -> tuple:
+        """The model of one grid cell, of order ``size`` and smoothing ``algo``, as ``HmmParams.fit``; no seed."""
+        model = fit(train, vocab_size, order=size, smoothing=algo, epsilon=cfg.epsilon)
+        return model, {"algorithm": algo}, model.log_evidences(train)
+
+    def describe(self, vocab, threshold: float) -> dict:
+        raise ValueError("Markov models have no latent structure to analyze")
+
+    generate = _sampled_lines
+
     def sample_sequence(self, length: int, seeds: list[int]) -> np.ndarray:
         """One line of the given length per seed, as a (len(seeds), length)
         array: row i takes its ``length`` uniforms from ``default_rng(seeds[i])``
@@ -224,6 +246,19 @@ class MarkovModel:
             context = out[:, lo:pos] @ v ** np.arange(pos - lo - 1, -1, -1)  # each line's row of the table
             out[:, pos] = _pick(np.cumsum(table[context], axis=1), u[:, pos])
         return out
+
+
+def _top_symbols(row: np.ndarray, vocab, top: int = 12) -> list[dict]:
+    """The ``top`` most probable symbols of an emission row that ``describe`` lists, and their nonzero probabilities."""
+    order = np.argsort(-row, kind="stable")[: min(top, len(row))].tolist()
+    return [{"symbol": vocab.symbols[x], "probability": float(row[x])} for x in order if row[x] > 0.0]
+
+
+def _entries_above(table: np.ndarray, threshold: float, names: tuple[str, ...]) -> list[dict]:
+    """The entries of ``table`` above ``threshold`` in row-major order, each
+    with its indices under ``names`` and its ``probability``."""
+    return [{**dict(zip(names, map(int, index))), "probability": float(table[tuple(index)])}
+            for index in np.argwhere(table > threshold)]
 
 
 def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ NO_HASH = "-"
 
 def save_model(model, path, vocab_hash: str | None = None) -> None:
     """The common header, then the model class's ``HEADER`` lines and ``tables``."""
-    if type(model) not in MODELS.values():
+    if MODELS.get(getattr(model, "KIND", None)) is not type(model):  # loads no family but the model's own
         raise TypeError(f"cannot serialize {type(model).__name__}")
     size = getattr(model, model.SIZE_KEY)
     lines = [MODEL_MAGIC, f"kind {model.KIND}", f"vocab_size {model.vocab_size}", f"vocab_hash {vocab_hash or NO_HASH}",

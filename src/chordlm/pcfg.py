@@ -16,6 +16,7 @@ as the exact embedding of a length-terminated HMM.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -23,14 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training
+from .config import kappa_from_mean_length
 from .hmm import HmmParams
-from .markov import _check_ids, _check_rows, _normalize_predictions, _position_distribution
-from .training import GibbsTrace, dirichlet_rows
+from .markov import _check_ids, _check_rows, _entries_above, _normalize_predictions, _position_distribution
+from .markov import _top_symbols
+from .training import DEFAULT_MAX_TRAIN_LENGTH, GibbsTrace, dirichlet_rows  # the length cap is re-exported
 
 START = -1
 
-DEFAULT_MAX_TRAIN_LENGTH = 64
 DEFAULT_EXPANSION_CAP = 10_000
+# trees that ``generate`` samples and formats at a time, so that it holds one slice's derivations
+GENERATE_SLICE = 256
 
 
 @dataclass
@@ -101,6 +105,43 @@ class PcfgParams:
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
         return predict_distribution(self, seq, position)
+
+    @staticmethod
+    def fit(train: list[np.ndarray], vocab_size: int, size: int, algo: str, cfg, seed_of) -> tuple:
+        """The grammar of one grid cell, as ``HmmParams.fit``, from ``init_random`` or, for
+        ``pcfg_init`` "hmm", the linear chain of an HMM that ``HmmParams.fit`` trains by
+        Gibbs sampling at the seeds ``seed_of("pcfg-init", ...)``; an unset ``kappa``
+        comes from the mean length of ``train``, and an unset ``eta`` is 0.01 / size."""
+        if cfg.pcfg_init == "random":
+            init = init_random(size, vocab_size, seed_of("init"))
+        else:
+            base, _, _ = HmmParams.fit(train, vocab_size, size, "gs", cfg, lambda *tags: seed_of("pcfg-init", *tags))
+            mean_length = sum(map(len, train)) / len(train)
+            kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_length)
+            init = init_from_hmm(base, kappa=kappa, eta=cfg.eta if cfg.eta is not None else 0.01 / size)
+        family, log = sys.modules[__name__], {"initialization": cfg.pcfg_init}
+        return training.fit(family, init, train, algo, cfg, seed_of, log, max_length=cfg.pcfg_max_length)
+
+    def describe(self, vocab, threshold: float) -> dict:
+        """``analyze``'s report: each nonterminal's top symbols, and the start
+        rules and rules above ``threshold``."""
+        d = self.n_nonterminals
+        nonterminals = [{"nonterminal": z, "top_symbols": _top_symbols(self.emissions[z], vocab)} for z in range(d)]
+        return {"kind": self.KIND, "n_nonterminals": d, "nonterminals": nonterminals,
+                "start_rules_above_threshold": _entries_above(self.start_rules, threshold, ("left", "right")),
+                "rules_above_threshold": _entries_above(self.rules, threshold, ("head", "left", "right")),
+                "threshold": threshold}
+
+    def generate(self, vocab, seeds: list[int], length: int | None, trees: bool) -> list[str]:
+        """One line per seed, a sampled tree's yield or with ``trees`` the tree bracketed."""
+        if length is not None:
+            raise ValueError("grammar sampling determines its own length; drop --length")
+        lines = []
+        for lo in range(0, len(seeds), GENERATE_SLICE):
+            for derivation, ids in sample_tree(self, seeds[lo:lo + GENERATE_SLICE]):
+                lines.append(bracketed(derivation, self.n_nonterminals, vocab.symbols) if trees
+                             else " ".join(vocab.symbols[x] for x in ids.tolist()))
+        return lines
 
 
 # the shared training configs, with grammar defaults and a training length cap

@@ -11,7 +11,8 @@ two row operations live here: EM's M-step is ``from_counts(normalize_rows,
 *counts)``, and a Gibbs sweep draws ``dirichlet_rows`` from its counts plus the
 symmetric concentration ``GibbsConfig.dirichlet_alpha``. Evidences come in
 corpus order, and only this module checks and sums them. ``hmm.em_fit``,
-``hmm.gibbs_fit``, ``pcfg.em_fit`` and ``pcfg.gibbs_fit`` bind them.
+``hmm.gibbs_fit``, ``pcfg.em_fit`` and ``pcfg.gibbs_fit`` bind them, and
+``fit`` trains a grid cell of either family through them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# the longest line a grammar trains on unless its config raises the cap
+DEFAULT_MAX_TRAIN_LENGTH = 64
 
 
 @dataclass
@@ -133,3 +137,31 @@ def best_of_gibbs(params, gibbs_step, log_evidences, polish, config: GibbsConfig
         current = following
     polished, trace.polish_trace, log_ev = polish(best)
     return polished, trace, log_ev
+
+
+def configure(family, algo: str, cfg, seed_of, **options) -> EmConfig | GibbsConfig:
+    """The config of ``algo``, "em" or else "gs", for ``family``, the module of
+    its ``EmConfig`` and ``GibbsConfig``, from the experiment config ``cfg``.
+    An unset ``em_max_iter`` or ``gs_samples`` is the family config's class
+    default as it reads now; the Gibbs seed is ``seed_of("gibbs")``."""
+    if algo == "em":
+        max_iter = family.EmConfig.max_iter if cfg.em_max_iter is None else cfg.em_max_iter
+        return family.EmConfig(max_iter=max_iter, rel_tol=cfg.rel_tol, **options)
+    n_samples = family.GibbsConfig.n_samples if cfg.gs_samples is None else cfg.gs_samples
+    return family.GibbsConfig(n_samples=n_samples, polish_iters=cfg.polish_iters, seed=seed_of("gibbs"),
+                              rel_tol=cfg.rel_tol, dirichlet_alpha=cfg.dirichlet_alpha, **options)
+
+
+def fit(family, init, train: list[np.ndarray], algo: str, cfg, seed_of, log: dict, **options) -> tuple:
+    """Train ``init`` by ``family.em_fit`` or ``gibbs_fit`` under ``configure``'s
+    config; returns the model, ``log`` with its training record, and its
+    training ``log_evidences``."""
+    config = configure(family, algo, cfg, seed_of, **options)
+    if algo == "em":
+        fitted, trace, log_evidences = family.em_fit(init, train, config)
+        log.update(algorithm="em", log_likelihood=trace)
+    else:
+        fitted, trace, log_evidences = family.gibbs_fit(init, train, config)
+        log.update(algorithm="gs", sample_log_evidence=trace.sample_log_evidence,
+                   polish_log_likelihood=trace.polish_trace)
+    return fitted, log, log_evidences

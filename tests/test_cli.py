@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import chordlm
-from chordlm import cli, hmm, markov, model_io, pcfg
+from chordlm import cli, hmm, markov, model_io, pcfg, training
 from chordlm.config import (
     DATA_FIELDS,
     MODELS,
@@ -60,11 +60,21 @@ def prepared(tmp_path):
 # ------------------------------------------------------------------ config
 
 
+def _em_max_iter(family, cfg: ExperimentConfig) -> int:
+    """The EM iteration cap that a cell of ``family`` trains with under ``cfg``."""
+    return training.configure(family, "em", cfg, lambda *tags: 0).max_iter
+
+
+def _gs_samples(family, cfg: ExperimentConfig) -> int:
+    """The Gibbs sample count that a cell of ``family`` trains with under ``cfg``."""
+    return training.configure(family, "gs", cfg, lambda *tags: 0).n_samples
+
+
 def test_config_defaults_match_protocol():
     cfg = ExperimentConfig(model="hmm")
     assert cfg.resolved_sizes() == hmm.HmmParams.SIZE_GRID
-    assert cfg.resolved_em_max_iter() == 500
-    assert cfg.resolved_gs_samples() == 500
+    assert _em_max_iter(hmm, cfg) == 500
+    assert _gs_samples(hmm, cfg) == 500
     assert cfg.polish_iters == 50
     assert cfg.dirichlet_alpha == 0.1
     assert cfg.epsilon == 0.1
@@ -72,8 +82,8 @@ def test_config_defaults_match_protocol():
 
     pc = ExperimentConfig(model="pcfg")
     assert pc.resolved_sizes() == pcfg.PcfgParams.SIZE_GRID
-    assert pc.resolved_em_max_iter() == 200
-    assert pc.resolved_gs_samples() == 200
+    assert _em_max_iter(pcfg, pc) == 200
+    assert _gs_samples(pcfg, pc) == 200
 
     mk = ExperimentConfig(model="markov")
     assert mk.resolved_sizes() == [1, 2, 3]
@@ -99,10 +109,10 @@ def test_config_reads_training_defaults_from_the_family_configs(monkeypatch):
     monkeypatch.setattr(pcfg.GibbsConfig, "n_samples", 8)
     monkeypatch.setattr(hmm.EmConfig, "max_iter", 9)
     monkeypatch.setattr(hmm.GibbsConfig, "n_samples", 10)
-    assert ExperimentConfig(model="pcfg").resolved_em_max_iter() == 7
-    assert ExperimentConfig(model="pcfg").resolved_gs_samples() == 8
-    assert ExperimentConfig(model="hmm").resolved_em_max_iter() == 9
-    assert ExperimentConfig(model="hmm").resolved_gs_samples() == 10
+    assert _em_max_iter(pcfg, ExperimentConfig(model="pcfg")) == 7
+    assert _gs_samples(pcfg, ExperimentConfig(model="pcfg")) == 8
+    assert _em_max_iter(hmm, ExperimentConfig(model="hmm")) == 9
+    assert _gs_samples(hmm, ExperimentConfig(model="hmm")) == 10
 
 
 def test_config_rejects_unknown_keys():
@@ -465,7 +475,7 @@ def test_sweep_quotes_an_error_that_holds_a_comma(prepared, monkeypatch):
     def fail(*args):
         raise ValueError("a, b")
 
-    monkeypatch.setattr(cli, "_train_cell", fail)
+    monkeypatch.setattr(hmm.HmmParams, "fit", fail)
     with open(cli.cmd_sweep(cfg), encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 2
@@ -1007,7 +1017,7 @@ def test_a_grammar_generates_in_slices_the_lines_of_one_sampler_call(tmp_path, m
         want = [" ".join(vocab.symbols[x] for x in ids.tolist()) for _, ids in samples]
     calls = count_calls(monkeypatch, pcfg, "sample_tree")
     assert cli.cmd_generate(str(tmp_path / "m.model"), str(tmp_path / "v.txt"), 600, 7, None, trees) == want
-    assert calls[0] == math.ceil(600 / cli.GENERATE_SLICE) > 1
+    assert calls[0] == math.ceil(600 / pcfg.GENERATE_SLICE) > 1
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -1098,6 +1108,38 @@ def test_import_chordlm_loads_no_numpy_and_no_submodule():
                            env=_child_env(OPENBLAS_NUM_THREADS="4"))
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == {"modules": [], "blas": ["1"] * len(BLAS_VARIABLES)}
+
+
+def test_a_command_loads_only_the_families_it_runs(tmp_path):
+    write_corpus(tmp_path / "corpus.txt", np.random.default_rng(0))
+    run = str(tmp_path / "run")
+    script = ("import json, sys; from chordlm.cli import main\n"
+              "status = main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('chordlm.'))]))")
+    families = {"chordlm.hmm", "chordlm.markov", "chordlm.pcfg"}
+    loaded = []
+    for command in (["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", run, "--vocab-k", "4"],
+                    ["sweep", "--out-dir", run, "--model", "markov", "--sizes", "1", "--algos", "additive"]):
+        child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True, text=True,
+                               env=_child_env())
+        assert child.returncode == 0, child.stderr
+        status, modules = json.loads(child.stdout.splitlines()[-1])
+        assert status == 0, child.stderr
+        loaded.append(families & set(modules))
+    assert loaded == [set(), {"chordlm.markov"}]
+
+
+# the ways a module outside the families' own would name a family
+FAMILY_BRANCH = re.compile(r'isinstance\(model|== "(markov|hmm|pcfg)"|model="hmm"')
+
+
+def test_no_module_but_the_families_own_names_a_family():
+    source = Path(cli.__file__).parent
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(source.glob("*.py")) if path.stem not in ("markov", "hmm", "pcfg")
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if FAMILY_BRANCH.search(line)]
+    assert found == []
 
 
 def test_no_command_but_sweep_loads_the_process_pool(tmp_path):

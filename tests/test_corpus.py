@@ -26,6 +26,12 @@ def test_parse_collapses_whitespace_and_blank_lines():
     assert seqs == [["C", "G"]]
 
 
+# characters that str.splitlines() also ends a line at; the first line ends in "\r\n"
+@pytest.mark.parametrize("inside", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_one_sequence_per_corpus_line(inside):
+    assert parse_corpus(f"C F{inside}G Am\r\nDm G\n") == [["C", "F", "G", "Am"], ["Dm", "G"]]
+
+
 def test_build_vocabulary_counts():
     seqs = parse_corpus("C C C C C G G G F")
     vocab = build_vocabulary(seqs, k=2)

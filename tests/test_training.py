@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chordlm import cli, evaluate, hmm, markov, pcfg
-from chordlm.config import ExperimentConfig
+from chordlm.config import MODELS, Cell, ExperimentConfig
 from chordlm.corpus import Vocabulary
 from chordlm.hmm import HmmParams
 from oracles import count_calls
@@ -93,7 +93,7 @@ def prepared(tmp_path):
 
 def _run(cfg: ExperimentConfig, meta: dict, model: str, algo: str) -> dict:
     cell_cfg = ExperimentConfig.from_dict({**cfg.as_dict(), "model": model, "algos": [algo]})
-    row = cli._run_cell(cell_cfg, cli._load_prepared(cell_cfg)[1], (2, algo, 0, 20))
+    row = cli._run_cell(cell_cfg, cli._load_prepared(cell_cfg)[1], Cell(model, 2, 20, algo, 0))
     assert row["error"] == ""
     return row
 
@@ -104,13 +104,13 @@ def _run(cfg: ExperimentConfig, meta: dict, model: str, algo: str) -> dict:
 def test_run_cell_train_perplexity_is_the_fitted_models(prepared, monkeypatch, model, algo):
     cfg, meta, train, _ = prepared
     trained = []
-    train_cell = cli._train_cell
+    fit = MODELS[model].fit
 
     def keep(*args):
-        trained.append(train_cell(*args))
+        trained.append(fit(*args))
         return trained[-1]
 
-    monkeypatch.setattr(cli, "_train_cell", keep)
+    monkeypatch.setattr(MODELS[model], "fit", keep)
     perplexity_calls = count_calls(monkeypatch, evaluate, "perplexity")
     row = _run(cfg, meta, model, algo)
     assert perplexity_calls[0] == 0  # the fit's own evidences, no second scoring pass
