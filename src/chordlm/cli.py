@@ -20,7 +20,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import evaluate, model_io
 from .config import DATA_FIELDS, FIELD_KINDS, MODELS, Cell, ExperimentConfig, cell_seed, is_kind
-from .corpus import Vocabulary, build_vocabulary, encode, parse_corpus, split, subsample
+from .corpus import Vocabulary, build_vocabulary, encode, numbered_lines, parse_corpus, read_text, split, subsample
 
 RESULT_FIELDS = ["model", "size", "param_count", "N_X", "seed", "algo", "train_perplexity", "test_perplexity",
                  "error_rate", "rmrr", "wall_time"]
@@ -49,16 +48,14 @@ def _write_encoded(path: Path, sequences: list[np.ndarray]) -> None:
 
 def _read_encoded(path: Path, vocab: Vocabulary) -> list[np.ndarray]:
     sequences = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    seq = np.array([int(t) for t in line.split()], dtype=np.int64)
-                    if seq.min() < 0 or seq.max() >= vocab.size:
-                        raise ValueError(f"encoded id out of vocabulary range 0..{vocab.size - 1}")
-                except (ValueError, OverflowError) as exc:
-                    raise ValueError(f"{path} line {number}: {exc}") from None
-                sequences.append(seq)
+    for number, line in numbered_lines(path):
+        try:
+            seq = np.array([int(t) for t in line.split()], dtype=np.int64)
+            if seq.min() < 0 or seq.max() >= vocab.size:
+                raise ValueError(f"encoded id out of vocabulary range 0..{vocab.size - 1}")
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
+        sequences.append(seq)
     return sequences
 
 
@@ -81,9 +78,8 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     train, test = split(encode(sequences, vocab), test_count, data_seed)
     if len(train) == 0:
         raise ValueError("no training sequences left after the test split")
-    cfg = dataclasses.replace(cfg, vocab_k=vocab_k, data_seed=data_seed, test_count=test_count,
-                              train_sizes=[len(train)] if cfg.train_sizes is None else cfg.train_sizes)
-    for n_x in cfg.train_sizes:
+    train_sizes = [len(train)] if cfg.train_sizes is None else cfg.train_sizes
+    for n_x in train_sizes:
         if not 1 <= n_x <= len(train):
             raise ValueError(f"train size {n_x} out of range [1, {len(train)}]")
 
@@ -92,29 +88,24 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     vocab.save(out / "vocab.txt")
     _write_encoded(out / "train.ids", train)
     _write_encoded(out / "test.ids", test)
-    for n_x in cfg.train_sizes:
-        _write_encoded(out / f"train_nx{n_x}.ids", subsample(train, n_x, cfg.data_seed))
+    for n_x in train_sizes:
+        _write_encoded(out / f"train_nx{n_x}.ids", subsample(train, n_x, data_seed))
 
-    meta = {
-        "config": cfg.as_dict(),
-        "corpus_sha256": hashlib.sha256(raw).hexdigest(),
-        "n_sequences": len(sequences),
-        "vocab_size": vocab.size,
-    }
+    meta = {"corpus_sha256": hashlib.sha256(raw).hexdigest(), "vocab_k": vocab_k, "test_count": test_count,
+            "data_seed": data_seed, "train_sizes": train_sizes, "n_sequences": len(sequences), "vocab_size": vocab.size}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return meta
 
 
-# the keys of the meta.json that `prepare` writes; its config holds the data fields as `prepare` resolved them
-PREPARED_KEYS = ("config", "corpus_sha256", "n_sequences", "vocab_size")
-# the type and the least value of each number in meta.json outside its config
-PREPARED_NUMBERS = {"n_sequences": (int, 1), "vocab_size": (int, 1)}
+# the keys of the meta.json that `prepare` writes: the prepared data that seeds every cell, then its sizes
+PREPARED_KEYS = ("corpus_sha256", *DATA_FIELDS, "n_sequences", "vocab_size")
 
 
-def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, str]:
-    """The config that the prepared directory's meta.json records, whose data
-    must hold test lines and the file of each train size, and must not be
-    other than this config names; and the config hash that seeds every cell.
+def _load_prepared(cfg: ExperimentConfig) -> tuple[dict, str]:
+    """The record of the prepared directory's meta.json, and the config hash
+    that seeds every cell. The record must count test lines, every file a cell
+    reads must be there and hold the lines the record counts, and the data
+    must not be other than this config names.
 
     A data field is checked when the config sets it (it is not None), against
     what `prepare` resolved it to; the corpus is checked by the sha256 of its
@@ -124,56 +115,58 @@ def _load_prepared(cfg: ExperimentConfig) -> tuple[ExperimentConfig, str]:
     if not meta_path.exists():
         raise FileNotFoundError(f"{meta_path} not found; run `chordlm prepare` first")
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{meta_path} is not JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path} does not hold a JSON object; run `chordlm prepare` again")
+    if set(meta) - set(PREPARED_KEYS):
+        raise ValueError(f"{meta_path} has unknown keys {sorted(set(meta) - set(PREPARED_KEYS))}; "
+                         "run `chordlm prepare` again")
     for key in PREPARED_KEYS:
         if key not in meta:
             raise ValueError(f"{meta_path} lacks the key {key!r}; run `chordlm prepare` again")
-    if set(meta) != set(PREPARED_KEYS):
-        raise ValueError(f"{meta_path} has unknown keys {sorted(set(meta) - set(PREPARED_KEYS))}; "
-                         "run `chordlm prepare` again")
-    if not isinstance(meta["config"], dict):
-        raise ValueError(f"{meta_path} has a config that is not a JSON object; run `chordlm prepare` again")
-    for name in DATA_FIELDS:
-        if name not in meta["config"]:
-            raise ValueError(f"{meta_path} lacks the config key {name!r}; run `chordlm prepare` again")
-    try:  # every recorded field by the config's own checks, and the data fields never null once resolved
+    try:  # the data fields by the config's own checks, and never null once resolved
         if not isinstance(meta["corpus_sha256"], str):
             raise ValueError(f"corpus_sha256 must be str, got {meta['corpus_sha256']!r}")
-        for key, (kind, least) in PREPARED_NUMBERS.items():
-            if not (is_kind(meta[key], kind) and least <= meta[key] < math.inf):
-                raise ValueError(f"{key} must be a finite {kind.__name__} >= {least}, got {meta[key]!r}")
+        for key in ("n_sequences", "vocab_size"):
+            if not (is_kind(meta[key], int) and meta[key] >= 1):
+                raise ValueError(f"{key} must be a finite int >= 1, got {meta[key]!r}")
         for name in DATA_FIELDS:
-            if meta["config"][name] is None:
+            if meta[name] is None:
                 raise ValueError(f"{name} must not be null")
-        recorded = ExperimentConfig.from_dict(meta["config"])
+        ExperimentConfig(**{name: meta[name] for name in DATA_FIELDS})
     except ValueError as exc:
         raise ValueError(f"{meta_path} has a bad value: {exc}; run `chordlm prepare` again") from None
-    data = {"corpus_sha256": meta["corpus_sha256"], **{name: getattr(recorded, name) for name in DATA_FIELDS}}
     for name in DATA_FIELDS:
         value = getattr(cfg, name)
-        if value is not None and value != data[name]:
+        if value is not None and value != meta[name]:
             raise ValueError(
-                f"{meta_path} was prepared with {name}={data[name]!r}, not {value!r}; "
+                f"{meta_path} was prepared with {name}={meta[name]!r}, not {value!r}; "
                 "run `chordlm prepare` again or use another out_dir"
             )
-    if recorded.test_count == 0:
+    if meta["test_count"] == 0:
         raise ValueError(f"{meta_path} has no test lines; run `chordlm prepare` again with --test-count >= 1")
-    for n_x in recorded.train_sizes:
-        ids = Path(cfg.out_dir) / f"train_nx{n_x}.ids"
-        if n_x > meta["n_sequences"] - recorded.test_count:
+    for n_x in meta["train_sizes"]:
+        if n_x > meta["n_sequences"] - meta["test_count"]:
             raise ValueError(f"{meta_path} has train size {n_x}, above its training lines; run `chordlm prepare` again")
-        if not ids.exists():
-            raise FileNotFoundError(f"{ids} not found; run `chordlm prepare` again")
+    # each file a cell reads, and its nonblank lines: a header and one per symbol, or one per sequence
+    files = {"vocab.txt": meta["vocab_size"] + 1, "test.ids": meta["test_count"],
+             **{f"train_nx{n_x}.ids": n_x for n_x in meta["train_sizes"]}}
+    for name, count in files.items():
+        path = Path(cfg.out_dir) / name
+        if not path.exists():
+            raise FileNotFoundError(f"{path} not found; run `chordlm prepare` again")
+        held = len(numbered_lines(path))
+        if held != count:
+            raise ValueError(f"{path} holds {held} lines, not the {count} that {meta_path} counts; "
+                             "run `chordlm prepare` again")
     if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
         raise ValueError(
-            f"{meta_path} was prepared with corpus={recorded.corpus!r}, whose bytes differ from "
-            f"{cfg.corpus!r}; run `chordlm prepare` again or use another out_dir"
+            f"{meta_path} was prepared with corpus=sha256:{meta['corpus_sha256']}, not the bytes of {cfg.corpus!r}; "
+            "run `chordlm prepare` again or use another out_dir"
         )
-    return recorded, cfg.config_hash(data)
+    return meta, cfg.config_hash({key: meta[key] for key in ("corpus_sha256", *DATA_FIELDS)})
 
 
 # ------------------------------------------------------------ cell training
@@ -223,10 +216,10 @@ def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int |
     algos = MODELS[cfg.model].ALGOS
     if algo not in algos:
         raise ValueError(f"algo for model {cfg.model!r} must be one of {algos}, got {algo!r}")
-    recorded, config_hash = _load_prepared(cfg)
-    n_x = n_x if n_x is not None else recorded.train_sizes[-1]
-    if n_x not in recorded.train_sizes:
-        raise ValueError(f"n_x must be one of the prepared train sizes {recorded.train_sizes}, got {n_x}")
+    meta, config_hash = _load_prepared(cfg)
+    n_x = n_x if n_x is not None else meta["train_sizes"][-1]
+    if n_x not in meta["train_sizes"]:
+        raise ValueError(f"n_x must be one of the prepared train sizes {meta['train_sizes']}, got {n_x}")
     return _run_cell(cfg, config_hash, Cell(cfg.model, size, n_x, algo, seed), record_error=False)
 
 
@@ -238,10 +231,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
     import csv
     from concurrent.futures import ProcessPoolExecutor
 
-    recorded, config_hash = _load_prepared(cfg)
+    meta, config_hash = _load_prepared(cfg)
     cells = [
         Cell(cfg.model, size, n_x, algo, seed)
-        for n_x in recorded.train_sizes
+        for n_x in meta["train_sizes"]
         for size in cfg.resolved_sizes()
         for algo in cfg.resolved_algos()
         for seed in cfg.seeds
@@ -377,8 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "prepare":
-            meta = cmd_prepare(_config_from_args(args))
-            text = json.dumps({"prepared": meta["config"]["out_dir"], "vocab_size": meta["vocab_size"]})
+            cfg = _config_from_args(args)
+            text = json.dumps({"prepared": cfg.out_dir, "vocab_size": cmd_prepare(cfg)["vocab_size"]})
         elif args.command == "train":
             row = cmd_train(_config_from_args(args), args.size, args.algo, args.seed, args.n_x)
             text = json.dumps({k: row[k] for k in RESULT_FIELDS}, sort_keys=True)

@@ -63,8 +63,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(fh, 1) if ln.strip()]
+        lines = numbered_lines(path)
         if not lines or lines[0][1] != VOCAB_MAGIC:
             raise ValueError(f"{path} is not a vocabulary file (missing {VOCAB_MAGIC!r} header)")
         symbols, counts, ids = [], [], {}
@@ -80,6 +79,20 @@ class Vocabulary:
             symbols.append(sym)
             counts.append(int(cnt))
         return cls(symbols=symbols, counts=counts)
+
+
+def read_text(path) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 is a ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def numbered_lines(path) -> list[tuple[int, str]]:
+    """The nonblank lines of a UTF-8 file, each with its 1-based number."""
+    return [(number, line) for number, line in enumerate(read_text(path).split("\n"), 1) if line.strip()]
 
 
 def _check_entry(symbol: str, count: int, index: dict[str, int]) -> None:

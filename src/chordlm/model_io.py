@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MODELS
+from .corpus import read_text
 
 MODEL_MAGIC = "chordlm-model v1"
 
@@ -34,8 +35,7 @@ class _Reader:
     """Line reader whose errors name the line or the table at fault."""
 
     def __init__(self, path):
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
+        self.lines = read_text(path).splitlines()
         self.pos = 0
 
     def next(self) -> str:

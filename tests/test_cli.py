@@ -239,7 +239,7 @@ def test_prepare_vocab_size_and_artifacts(prepared):
     assert (run / "test.ids").exists()
     assert (run / "train_nx8.ids").exists()
     meta = json.loads((run / "meta.json").read_text())
-    assert meta["config"]["test_count"] == 6
+    assert meta["test_count"] == 6
 
 
 def test_prepare_idempotent(prepared):
@@ -627,9 +627,9 @@ def test_sweep_and_train_check_a_data_field_set_to_its_default(sixty_lines, caps
 
 @pytest.mark.parametrize("bad", ["0 1 x", "0 1 99"], ids=["not-an-int", "out-of-range"])
 def test_a_bad_encoded_id_names_its_file_and_line(sixty_lines, capsys, bad):
-    with open("run/test.ids", "a", encoding="utf-8") as fh:
-        fh.write(bad + "\n")
-    where = f"{Path('run') / 'test.ids'} line 7: "
+    lines = Path("run/test.ids").read_text(encoding="utf-8").splitlines()
+    Path("run/test.ids").write_text("\n".join([*lines[:-1], bad]) + "\n", encoding="utf-8")
+    where = f"{Path('run') / 'test.ids'} line 6: "
     capsys.readouterr()
     assert cli.main(["train", "--out-dir", "run", "--size", "2", "--algo", "em", *CELL]) == 1
     assert where in json.loads(capsys.readouterr().err)["message"]
@@ -680,17 +680,13 @@ def test_a_bad_meta_json_names_its_file(sixty_lines, capsys, text, why):
 
 @pytest.mark.parametrize(
     "edit, why",
-    [("list", "has a config that is not a JSON object"), ("vocab_k", "lacks the config key 'vocab_k'"),
-     ("train_sizes", "lacks the config key 'train_sizes'")],
-    ids=["not-an-object", "missing-vocab-k", "missing-train-sizes"],
+    [("vocab_k", "lacks the key 'vocab_k'"), ("train_sizes", "lacks the key 'train_sizes'")],
+    ids=["missing-vocab-k", "missing-train-sizes"],
 )
 def test_a_bad_config_in_meta_json_names_its_file_and_key(sixty_lines, capsys, edit, why):
     meta_path = Path("run") / "meta.json"
     meta = json.loads(meta_path.read_text())
-    if edit == "list":
-        meta["config"] = list(meta["config"])
-    else:
-        del meta["config"][edit]
+    del meta[edit]
     meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
     for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
@@ -716,7 +712,7 @@ def test_a_bad_config_in_meta_json_names_its_file_and_key(sixty_lines, capsys, e
 def test_a_bad_value_in_meta_json_names_its_file_and_key(sixty_lines, capsys, key, value, why):
     meta_path = Path("run") / "meta.json"
     meta = json.loads(meta_path.read_text())
-    (meta["config"] if key in DATA_FIELDS else meta)[key] = value
+    meta[key] = value
     meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
     for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
@@ -728,41 +724,40 @@ def test_a_bad_value_in_meta_json_names_its_file_and_key(sixty_lines, capsys, ke
 
 def test_meta_json_keeps_one_copy_of_each_data_field(sixty_lines):
     meta = json.loads(Path("run/meta.json").read_text())
-    assert set(meta) == set(cli.PREPARED_KEYS) and "test_count" not in meta and "train_sizes" not in meta
-    resolved = {name: meta["config"][name] for name in DATA_FIELDS}
+    assert set(meta) == set(cli.PREPARED_KEYS) and "config" not in meta
+    resolved = {name: meta[name] for name in DATA_FIELDS}
     assert resolved == {"vocab_k": 5, "test_count": 6, "data_seed": 0, "train_sizes": [54]}
+    assert sorted(meta) == ["corpus_sha256", "data_seed", "n_sequences", "test_count", "train_sizes", "vocab_k",
+                            "vocab_size"]
 
 
-@pytest.mark.parametrize(
-    "key, value, why",
-    [("workers", 0, "workers must be >= 1, got 0"),
-     ("model", "rnn", "model must be one of ('markov', 'hmm', 'pcfg'), got 'rnn'"),
-     ("colour", "red", "unknown config keys: ['colour']")],
-    ids=["workers-zero", "unknown-model", "unknown-key"],
-)
-def test_every_recorded_config_field_passes_the_config_checks(sixty_lines, capsys, key, value, why):
-    meta_path = Path("run") / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["config"][key] = value
-    meta_path.write_text(json.dumps(meta))
-    capsys.readouterr()
-    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
-        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
-        error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "ValueError" and f"{meta_path} has a bad value: {why};" in error["message"]
+def _with_a_config(meta: dict) -> dict:
+    """``meta`` as an older chordlm wrote it: the whole config of the ``prepare``
+    command, with the data fields inside it, in place of the data fields."""
+    config = {**ExperimentConfig().as_dict(), **{name: meta[name] for name in DATA_FIELDS}}
+    return {**{k: v for k, v in meta.items() if k not in DATA_FIELDS}, "config": config}
 
 
 def test_a_directory_prepared_with_the_data_fields_at_the_top_level_is_prepared_again(sixty_lines, capsys):
     # meta.json used to repeat the resolved test_count and train_sizes next to its config
     meta_path = Path("run") / "meta.json"
     meta = json.loads(meta_path.read_text())
-    meta.update(test_count=meta["config"]["test_count"], train_sizes=meta["config"]["train_sizes"])
-    meta_path.write_text(json.dumps(meta))
+    meta_path.write_text(json.dumps({**_with_a_config(meta), "test_count": 6, "train_sizes": [54]}))
     capsys.readouterr()
     assert cli.main(["train", "--size", "2", "--algo", "em", "--out-dir", "run", *CELL]) == 1
     error = json.loads(capsys.readouterr().err)
-    assert error["message"] == (f"{meta_path} has unknown keys ['test_count', 'train_sizes']; "
-                                "run `chordlm prepare` again")
+    assert error["message"] == f"{meta_path} has unknown keys ['config']; run `chordlm prepare` again"
+
+
+def test_a_directory_prepared_with_a_config_in_meta_json_is_prepared_again(sixty_lines, capsys):
+    # meta.json used to hold the prepare command's whole config, and the data fields only inside it
+    meta_path = Path("run") / "meta.json"
+    meta_path.write_text(json.dumps(_with_a_config(json.loads(meta_path.read_text()))))
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["message"] == f"{meta_path} has unknown keys ['config']; run `chordlm prepare` again"
 
 
 def test_a_directory_prepared_with_a_mean_train_length_is_prepared_again(sixty_lines, capsys):
@@ -802,7 +797,7 @@ def test_a_train_size_without_its_lines_is_a_command_error(tmp_path, capsys, siz
     out = tmp_path / "run"
     assert cli.main(["prepare", "--corpus", str(corpus), "--out-dir", str(out), "--test-count", "3"]) == 0
     meta = json.loads((out / "meta.json").read_text())
-    meta["config"]["train_sizes"] = [size]
+    meta["train_sizes"] = [size]
     (out / "meta.json").write_text(json.dumps(meta))
     (out / "train_nx28.ids").write_bytes((out / "train.ids").read_bytes())  # the file alone does not help
     capsys.readouterr()
@@ -811,6 +806,53 @@ def test_a_train_size_without_its_lines_is_a_command_error(tmp_path, capsys, siz
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error and why in err["message"]
     assert not (out / "models").exists() and not (out / "results.csv").exists()
+
+
+# a missing train_nx<N>.ids: test_a_train_size_without_its_lines_is_a_command_error
+@pytest.mark.parametrize("name", ["vocab.txt", "test.ids"])
+def test_a_prepared_file_that_is_gone_is_a_command_error(sixty_lines, capsys, name):
+    (Path("run") / name).unlink()
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "FileNotFoundError" and error["message"].startswith(f"{Path('run') / name} not found")
+    assert not Path("run/models").exists() and not Path("run/results.csv").exists()
+
+
+@pytest.mark.parametrize("name, count, held", [("train_nx54.ids", 54, 34), ("test.ids", 6, 7)],
+                         ids=["train-lines-deleted", "test-line-added"])
+def test_an_encoded_file_of_other_length_than_the_record_is_a_command_error(sixty_lines, capsys, name, count, held):
+    path = Path("run") / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == count
+    path.write_text("\n".join((lines * 2)[:held]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for command in (["sweep", "--sizes", "2", "--algos", "em"], ["train", "--size", "2", "--algo", "em"]):
+        assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError"
+        assert error["message"] == (f"{path} holds {held} lines, not the {count} that {Path('run') / 'meta.json'} "
+                                    "counts; run `chordlm prepare` again")
+    assert not Path("run/models").exists() and not Path("run/results.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["vocab.txt", "test.ids", "models/hmm_s2_nx54_em_seed0.model", "meta.json"],
+                         ids=["vocabulary", "encoded", "model", "record"])
+def test_a_byte_that_is_not_utf8_names_its_file(sixty_lines, capsys, name):
+    train = ["train", "--out-dir", "run", "--size", "2", "--algo", "em", *CELL]
+    assert cli.main(train) == 0
+    path = Path("run") / name
+    raw = path.read_bytes()
+    path.write_bytes(raw[:20] + b"\xff" + raw[21:])
+    files = ["--model-file", str(Path("run", "models", "hmm_s2_nx54_em_seed0.model")),
+             "--vocab-file", str(Path("run", "vocab.txt"))]
+    capsys.readouterr()
+    assert cli.main(train if name.endswith((".ids", ".json")) else ["generate", *files]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte",
+    }
 
 
 def test_train_and_sweep_after_prepare_need_no_data_flags(tmp_path, capsys):
@@ -1118,15 +1160,19 @@ def test_a_command_loads_only_the_families_it_runs(tmp_path):
               "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('chordlm.'))]))")
     families = {"chordlm.hmm", "chordlm.markov", "chordlm.pcfg"}
     loaded = []
-    for command in (["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", run, "--vocab-k", "4"],
-                    ["sweep", "--out-dir", run, "--model", "markov", "--sizes", "1", "--algos", "additive"]):
-        child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True, text=True,
-                               env=_child_env())
-        assert child.returncode == 0, child.stderr
-        status, modules = json.loads(child.stdout.splitlines()[-1])
-        assert status == 0, child.stderr
-        loaded.append(families & set(modules))
-    assert loaded == [set(), {"chordlm.markov"}]
+    # the second prepare checks the algos of the family it names (hmm, which loads markov's chunk layout); the
+    # directory records neither, so the sweep after it loads no more than the first
+    for prepare in ([], ["--model", "hmm", "--algos", "em,gs"]):
+        for command in (["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", run, "--vocab-k", "4",
+                         *prepare],
+                        ["sweep", "--out-dir", run, "--model", "markov", "--sizes", "1", "--algos", "additive"]):
+            child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True,
+                                   text=True, env=_child_env())
+            assert child.returncode == 0, child.stderr
+            status, modules = json.loads(child.stdout.splitlines()[-1])
+            assert status == 0, child.stderr
+            loaded.append(families & set(modules))
+    assert loaded == [set(), {"chordlm.markov"}, {"chordlm.hmm", "chordlm.markov"}, {"chordlm.markov"}]
 
 
 # the ways a module outside the families' own would name a family
