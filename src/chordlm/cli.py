@@ -28,7 +28,8 @@ import numpy as np
 
 from . import evaluate, model_io
 from .config import DATA_FIELDS, FIELD_KINDS, MODELS, Cell, ExperimentConfig, cell_seed, is_kind
-from .corpus import Vocabulary, build_vocabulary, encode, numbered_lines, parse_corpus, read_text, split, subsample
+from .corpus import Vocabulary, build_vocabulary, decode_text, encode, numbered_lines, parse_corpus, read_text, split
+from .corpus import subsample
 
 RESULT_FIELDS = ["model", "size", "param_count", "N_X", "seed", "algo", "train_perplexity", "test_perplexity",
                  "error_rate", "rmrr", "wall_time"]
@@ -67,7 +68,7 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
         raise ValueError("prepare requires a corpus path")
     corpus_path = Path(cfg.corpus)
     raw = corpus_path.read_bytes()
-    sequences = parse_corpus(raw.decode("utf-8-sig"))
+    sequences = parse_corpus(decode_text(raw, corpus_path))
     if not sequences:
         raise ValueError(f"corpus {corpus_path} contains no sequences")
 
@@ -356,7 +357,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's fields, overridden by the flags that are set."""
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig")) if args.config else {}
+    try:
+        raw = json.loads(decode_text(Path(args.config).read_bytes(), args.config)) if args.config else {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {args.config} is not JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"config file {args.config} does not hold a JSON object")
     for f in dataclasses.fields(ExperimentConfig):

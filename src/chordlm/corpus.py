@@ -81,6 +81,15 @@ class Vocabulary:
         return cls(symbols=symbols, counts=counts)
 
 
+def decode_text(raw: bytes, path) -> str:
+    """The text of a UTF-8 file's ``raw`` bytes as they are, without one leading
+    byte-order mark; a byte that is not UTF-8 is a ValueError naming the file."""
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_text(path) -> str:
     """A UTF-8 file's text; a byte that is not UTF-8 is a ValueError naming the file."""
     try:

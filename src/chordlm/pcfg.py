@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,39 +478,45 @@ def log_evidence_total(params: PcfgParams, sequences: list[np.ndarray]) -> float
     return training.sum_in_order(_log_evidences(params, sequences))
 
 
-def _sample_tree(params: PcfgParams, seq: np.ndarray, chart: _ChartBatch, k: int, draws: Iterator[float]):
-    """Draw one derivation tree of sequence k of a chart batch from the tree
-    posterior via top-down sampling on its inside chart, taking one uniform
-    from ``draws`` per binary node (n - 1 of them). Returns the derivation as
-    ``sample_tree`` does, a preorder list of (head, production)."""
-    n = len(seq)
-    d = params.n_nonterminals
-    by_start, by_end, g = chart.by_start[k], chart.by_end[k], chart.scale[k]
-    derivation: list[tuple[int, int]] = []
-    stack: list[tuple[int, int, int]] = [(START, 0, n - 1)]
-    while stack:
-        head, i, j = stack.pop()
-        if i == j and head != START:
-            derivation.append((head, d * d + int(seq[i])))
+def _sample_trees(params: PcfgParams, batch: np.ndarray, chart: _ChartBatch, rows: np.ndarray, uniforms: np.ndarray):
+    """Draw a posterior tree for each of ``rows`` of a chart batch of length n,
+    top down on its inside chart, all in lockstep: the frontier spans of width
+    n, n - 1, ..., 2 in turn, those of one width as one weight tensor.
+
+    A binary node at index p, its place in preorder (left child first) among
+    the binary nodes, takes ``uniforms[row, p]``; if it splits at left width
+    w1, its children have indices p + 1 and p + w1. A width-1 child is a leaf
+    and takes none. Returns the (row, span start, index, head, production) of
+    every node as the columns of one array, in no set order; a node's span
+    start plus its index is its place in the preorder derivation that
+    ``sample_tree`` returns.
+    """
+    n, d = batch.shape[1], params.n_nonterminals
+    frontier = np.zeros((5, len(rows)), dtype=np.int64)  # each node's row, start, width, head, index
+    frontier[0], frontier[2], frontier[3] = rows, n, START
+    nodes = []
+    for w in range(n, 1, -1):
+        (k, i, _, head, p), frontier = frontier[:, frontier[2] == w], frontier[:, frontier[2] != w]
+        if not len(k):
             continue
-        table = params.start_rules if head == START else params.rules[head]
-        w = j - i + 1
-        split_scales = g[1:w] + g[w - 1:0:-1]  # left child width w1 = 1..w-1
-        left = by_start[i, 1:w]
-        right = by_end[j, w - 1:0:-1]
-        weights = _exp_diff(split_scales, split_scales.max())[:, None, None] * table * (
-            left[:, :, None] * right[:, None, :]
-        )
-        flat = weights.reshape(-1)
-        total = flat.sum()
-        if total <= 0.0:
+        split_scales = chart.scale[k, 1:w] + chart.scale[k, w - 1:0:-1]  # left child width w1 = 1..w-1
+        table = params.start_rules[None] if w == n else params.rules[head]
+        outer = chart.by_start[k, i, 1:w, :, None] * chart.by_end[k, i + w - 1, w - 1:0:-1, None, :]
+        weights = _exp_diff(split_scales, split_scales.max(axis=1)[:, None])[:, :, None, None] * table[:, None]
+        flat = np.multiply(weights, outer, out=weights).reshape(len(k), -1)  # (exp_diff table) (left right)
+        total = flat.sum(axis=1)
+        if (total <= 0.0).any():
             raise ValueError("cannot sample a tree for a zero-evidence span")
-        choice = int(np.searchsorted(np.cumsum(flat), next(draws) * total, side="right"))
-        split, production = divmod(choice, d * d)  # the left child spans i..i + split
-        derivation.append((head, production))
-        stack.append((production % d, i + split + 1, j))
-        stack.append((production // d, i, i + split))
-    return derivation
+        # the count of CDF entries <= u * total, as searchsorted(side="right") finds it
+        cdf = np.cumsum(flat, axis=1, out=flat)
+        w1, production = np.divmod(np.count_nonzero(cdf <= (uniforms[k, p] * total)[:, None], axis=1), d * d)
+        w1 += 1
+        nodes.append(np.stack([k, i, p, head, production]))
+        children = [[k, i, w1, production // d, p + 1], [k, i + w1, w - w1, production % d, p + w1]]
+        frontier = np.concatenate([frontier, *children], axis=1)
+    k, i, _, head, p = frontier  # the leaves
+    nodes.append(np.stack([k, i, p, head, d * d + batch[k, i]]))
+    return np.concatenate(nodes, axis=1)
 
 
 def _gibbs_step(
@@ -531,19 +536,16 @@ def _gibbs_step(
     production table.
     """
     d, v = params.n_nonterminals, params.vocab_size
-    nodes: list[tuple[int, int]] = []
-    ends = np.cumsum([len(seq) - 1 for seq in sequences]).tolist()
-    draws = rng.random(ends[-1]).tolist()
+    ends = np.cumsum([len(seq) - 1 for seq in sequences])
+    draws = rng.random(ends[-1])
     log_ev = np.empty(len(sequences))
-    for idx, batch in _batches(sequences, d, params.vocab_size):
+    nodes = []
+    for idx, batch in _batches(sequences, d, v):
         chart = _inside_batch(params, batch)
         log_ev[idx] = chart.log_evidence
-        for k, i in enumerate(idx.tolist()):
-            if chart.log_evidence[k] == -np.inf:
-                continue
-            mine = iter(draws[ends[i] - batch.shape[1] + 1:ends[i]])
-            nodes += _sample_tree(params, batch[k], chart, k, mine)
-    heads, productions = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+        uniforms = draws[ends[idx, None] + np.arange(1 - batch.shape[1], 0)]
+        nodes.append(_sample_trees(params, batch, chart, np.flatnonzero(chart.log_evidence > -np.inf), uniforms))
+    *_, heads, productions = np.concatenate(nodes, axis=1)
     counts = np.bincount((heads + 1) * (d * d + v) + productions, minlength=(d + 1) * (d * d + v))
     return _from_counts(lambda c: dirichlet_rows(rng, dirichlet_alpha + c), counts.reshape(d + 1, -1)), log_ev
 

@@ -704,6 +704,21 @@ def derivation_counts(derivation, d: int, v: int) -> np.ndarray:
     return table
 
 
+def lockstep_derivations(params, batch, chart, rows, uniforms) -> dict[int, list[tuple[int, int]]]:
+    """The preorder derivation of each of ``rows`` that ``pcfg._sample_trees``
+    draws, rebuilt from its nodes: a node's place is its span start plus its
+    uniform index, and each tree's places are 0..2n - 2 once each."""
+    row, start, index, head, production = pcfg._sample_trees(params, batch, chart, rows, uniforms)
+    place = start + index
+    order = np.lexsort((place, row))
+    derivations: dict[int, list[tuple[int, int]]] = {k: [] for k in rows.tolist()}
+    for k, at, z, p in zip(*(a[order].tolist() for a in (row, place, head, production))):
+        assert at == len(derivations[k])
+        derivations[k].append((z, p))
+    assert all(len(nodes) == 2 * batch.shape[1] - 1 for nodes in derivations.values())
+    return derivations
+
+
 def gibbs_tree_counts_reference(params, seq, chart, k: int, draws):
     """The (start, rule, emission) production counts of one posterior tree
     of sequence k of a chart batch, drawn top down on its inside chart with

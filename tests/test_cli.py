@@ -283,6 +283,28 @@ def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
     assert (cfg.model, cfg.kappa) == ("pcfg", 0.6)
 
 
+def test_a_corpus_byte_that_is_not_utf8_names_the_corpus(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "chords.txt", np.random.default_rng(0))
+    raw = corpus.read_bytes()
+    corpus.write_bytes(raw[:9] + b"\xff" + raw[10:])
+    assert cli.main(["prepare", "--corpus", str(corpus), "--out-dir", str(tmp_path / "run")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": f"{corpus} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte",
+    }
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"model": "\xff"}', "{} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    (b'{"model": ', "config file {} is not JSON: Expecting value: line 1 column 11 (char 10)"),
+], ids=["not-utf8", "not-json"])
+def test_a_config_file_that_does_not_parse_names_the_file(tmp_path, capsys, raw, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + raw)  # after a byte-order mark, which no position counts
+    assert cli.main(["sweep", "--config", str(config)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message.format(config)}
+
+
 def test_prepare_test_count_out_of_range(tmp_path):
     rng = np.random.default_rng(2)
     corpus = write_corpus(tmp_path / "c.txt", rng, n_sequences=5)

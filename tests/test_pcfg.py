@@ -26,6 +26,7 @@ from oracles import (
     gibbs_tree_counts_reference,
     hmm_terminated_evidence,
     length_probability,
+    lockstep_derivations,
     pcfg_evidence_by_enumeration,
     pcfg_expected_counts_reference,
     pcfg_init_random_reference,
@@ -488,7 +489,7 @@ def test_gibbs_tree_arithmetic():
     rng = np.random.default_rng(0)
     seq = np.zeros(7, dtype=np.int64)
     chart = pcfg._inside_batch(g, seq[None])
-    derivation = pcfg._sample_tree(g, seq, chart, 0, iter(rng.random(len(seq) - 1)))
+    derivation = lockstep_derivations(g, seq[None], chart, np.array([0]), rng.random((1, len(seq) - 1)))[0]
     s, r, e = count_blocks(derivation_counts(derivation, g.n_nonterminals, g.vocab_size))
     assert s.sum() == 1.0
     assert r.sum() == len(seq) - 2
@@ -517,17 +518,17 @@ def test_gibbs_tree_derivations_count_like_the_per_node_reference(d):
     drawn = 0
     for idx, batch in batches:
         chart = pcfg._inside_batch(g, batch)
-        for k, i in enumerate(idx.tolist()):
+        uniforms = rng.random((len(idx), batch.shape[1] - 1))  # row k takes the k-th run of n - 1
+        live = np.flatnonzero(chart.log_evidence > -np.inf)
+        for k in np.flatnonzero(chart.log_evidence == -np.inf).tolist():
+            assert idx[k] == len(seqs) - 1
+            with pytest.raises(ValueError, match="zero-evidence"):
+                pcfg._sample_trees(g, batch, chart, np.array([k]), uniforms)
+            with pytest.raises(ValueError, match="zero-evidence"):
+                gibbs_tree_counts_reference(g, batch[k], chart, k, iter(uniforms[k].tolist()))
+        for k, derivation in lockstep_derivations(g, batch, chart, live, uniforms).items():
             seq = batch[k]
-            draws = rng.random(len(seq) - 1)
-            if chart.log_evidence[k] == -np.inf:
-                assert i == len(seqs) - 1
-                for sample in (pcfg._sample_tree, gibbs_tree_counts_reference):
-                    with pytest.raises(ValueError, match="zero-evidence"):
-                        sample(g, seq, chart, k, iter(draws.tolist()))
-                continue
-            derivation = pcfg._sample_tree(g, seq, chart, k, iter(draws.tolist()))
-            want = counts_table(*gibbs_tree_counts_reference(g, seq, chart, k, iter(draws.tolist())))
+            want = counts_table(*gibbs_tree_counts_reference(g, seq, chart, k, iter(uniforms[k].tolist())))
             assert np.array_equal(derivation_counts(derivation, d, v), want)
             leaves = [p - d * d for _, p in derivation if p >= d * d]
             assert leaves == seq.tolist()
@@ -549,6 +550,29 @@ def test_gibbs_step_matches_the_sweep_that_adds_counts_tree_by_tree(d):
     for name in ("start_rules", "start_emissions", "rules", "emissions"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert log_ev[-1] == -np.inf and np.isfinite(log_ev[:-1]).all()
+
+
+def test_lockstep_gibbs_step_matches_the_reference_on_every_width_at_d20():
+    d, v = 20, 5
+    rng = np.random.default_rng(120)
+    g = grammar_without_last_symbol(d, v, seed=20)
+    # one live line of each length 2..40, more at 3, 10, 20 and 40, then dead lines: one among
+    # live lines of length 10 and a whole batch of length 20
+    lengths = list(range(2, 41)) + [3] * 4 + [10] * 12 + [20] * 2 + [40]
+    seqs = [rng.integers(0, v - 1, size=n) for n in lengths]
+    seqs += [np.array([v - 1] * 10)] + [np.array([1] + [v - 1] * 19) for _ in range(3)]
+    dead = set(range(len(lengths), len(seqs)))
+    batches = [(idx.tolist(), batch.shape[1]) for idx, batch in pcfg._batches(seqs, d, v)]
+    assert {n for _, n in batches} == set(range(2, 41))
+    assert any(len(idx) > 1 and not dead & set(idx) for idx, _ in batches)
+    assert any(len(idx) > 1 and dead & set(idx) and not set(idx) <= dead for idx, _ in batches)
+    assert any(len(idx) > 1 and set(idx) <= dead for idx, _ in batches)
+    assert [len(idx) for idx, n in batches if n == 40] == [1, 1]  # a line too long to share a batch
+    got, log_ev = pcfg._gibbs_step(g, seqs, 0.1, np.random.default_rng(7))
+    want = gibbs_step_reference(g, seqs, 0.1, np.random.default_rng(7))
+    for name in ("start_rules", "start_emissions", "rules", "emissions"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.flatnonzero(log_ev == -np.inf).tolist() == sorted(dead) and np.isfinite(log_ev[:len(lengths)]).all()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
