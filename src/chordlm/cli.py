@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluate, model_io
+from . import model_io
 from .config import DATA_FIELDS, FIELD_KINDS, MODELS, Cell, ExperimentConfig, cell_seed, is_kind
 from .corpus import Vocabulary, build_vocabulary, decode_text, encode, numbered_lines, parse_corpus, read_text, split
 from .corpus import subsample
@@ -180,6 +180,7 @@ def _run_cell(cfg: ExperimentConfig, config_hash: str, cell: Cell, record_error:
 
     Top-level function so sweep cells can run in worker processes.
     """
+    from . import evaluate  # its one user, so that only `train` and `sweep` load it
     row = dict.fromkeys(CSV_HEADER, "")  # a failed cell keeps no best-seed flag
     row.update(model=cell.model, size=cell.size, N_X=cell.n_x, seed=cell.seed, algo=cell.algo)
     started = time.perf_counter()

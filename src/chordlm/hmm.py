@@ -10,7 +10,7 @@ over the padded chunks of length-sorted lines that ``markov`` defines.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,13 +88,13 @@ class HmmParams:
         return training.fit(sys.modules[__name__], init, train, algo, cfg, seed_of, {})
 
     def describe(self, vocab, threshold: float) -> dict:
-        """``analyze``'s report: the information measures, each state's
-        stationary probability and top symbols, and the transitions above
-        ``threshold``."""
-        info, stationary = info_measures(self), stationary_distribution(self)
+        """``analyze``'s report: the information measures, each state's stationary
+        probability and top symbols, and the transitions above ``threshold``."""
+        stationary = stationary_distribution(self)
         states = [{"state": z, "stationary_probability": float(stationary[z]),
                    "top_symbols": _top_symbols(self.emission[z], vocab)} for z in range(self.n_states)]
-        return {"kind": self.KIND, "n_states": self.n_states, "info_measures": info.as_dict(), "states": states,
+        return {"kind": self.KIND, "n_states": self.n_states, "info_measures": info_measures(self, stationary),
+                "states": states,
                 "transitions_above_threshold": _entries_above(self.transition, threshold, ("from", "to")),
                 "threshold": threshold}
 
@@ -360,47 +360,23 @@ def stationary_distribution(
     )
 
 
-@dataclass(frozen=True)
-class InfoMeasures:
-    """Exponentiated-entropy summaries of an HMM's latent structure."""
-
-    stationary_perplexity: float   # effective number of used states
-    emission_perplexity: float     # average symbols per state
-    state_variety: float           # average states per symbol
-    transition_perplexity: float   # average reachable states per state
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats along the last axis of ``p``, with 0 log 0 = 0."""
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
 
 
-def _entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats with the 0 * log 0 = 0 convention."""
-    p = np.asarray(p)
-    mask = p > 0.0
-    return float(-(p[mask] * np.log(p[mask])).sum())
-
-
-def info_measures(params: HmmParams) -> InfoMeasures:
-    stat = stationary_distribution(params)
-
-    p_state = float(np.exp(_entropy(stat)))
-
-    emit_entropies = np.array([_entropy(row) for row in params.emission])
-    p_emit = float(np.exp(stat @ emit_entropies))
-
-    symbol_marginal = stat @ params.emission
-    joint = stat[:, None] * params.emission
-    variety_exponent = 0.0
-    for x in range(params.vocab_size):
-        px = symbol_marginal[x]
-        if px > 0.0:
-            variety_exponent += px * _entropy(joint[:, x] / px)
-    variety = float(np.exp(variety_exponent))
-
-    trans_entropies = np.array([_entropy(row) for row in params.transition])
-    p_trans = float(np.exp(stat @ trans_entropies))
-
-    return InfoMeasures(p_state, p_emit, variety, p_trans)
+def info_measures(params: HmmParams, stationary: np.ndarray) -> dict[str, float]:
+    """``analyze``'s exponentiated entropies, read off the joint table p(z, x) =
+    pi_z e_{z,x} of the ``stationary`` state distribution pi: exp H(pi),
+    exp sum_z pi_z H(e_z), exp(H(Z, X) - H(X)) and exp sum_z pi_z H(T_z)."""
+    joint = stationary[:, None] * params.emission
+    exponents = {
+        "stationary_perplexity": _entropies(stationary),  # the effective number of used states
+        "emission_perplexity": stationary @ _entropies(params.emission),  # mean symbols per state
+        "state_variety": _entropies(joint).sum() - _entropies(stationary @ params.emission),  # mean states per symbol
+        "transition_perplexity": stationary @ _entropies(params.transition),  # mean reachable states per state
+    }
+    return {name: float(np.exp(h)) for name, h in exponents.items()}
 
 
 def sample_sequence(params: HmmParams, length: int, seeds: list[int]) -> np.ndarray:

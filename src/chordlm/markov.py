@@ -80,8 +80,8 @@ def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
 def _corpus_scores(
     seqs: list[np.ndarray], chunks: list[Chunk], score_chunk, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each sequence's log evidence (N,) and its positions' (sum of lengths, width)
-    rows, in corpus order, from ``score_chunk(batch, lengths)``, which gives a chunk's in chunk order."""
+    """Each sequence's log evidence (N,) and its positions' (sum of lengths, width) rows, in corpus
+    order, from ``score_chunk(batch, lengths)`` of each chunk or grammar batch, in its own order."""
     ends = np.cumsum([len(seq) for seq in seqs], dtype=np.int64)
     log_ev = np.empty(len(seqs))
     rows = np.empty((int(ends[-1]) if len(seqs) else 0, width))

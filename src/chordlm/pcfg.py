@@ -24,14 +24,14 @@ import numpy as np
 
 from . import training
 from .config import kappa_from_mean_length
-from .hmm import HmmParams
-from .markov import _check_ids, _check_rows, _entries_above, _normalize_predictions, _position_distribution
-from .markov import _top_symbols
+from .markov import _check_ids, _check_rows, _corpus_scores, _entries_above, _normalize_predictions
+from .markov import _position_distribution, _top_symbols
 from .training import DEFAULT_MAX_TRAIN_LENGTH, GibbsTrace, dirichlet_rows  # the length cap is re-exported
 
 START = -1
 
 DEFAULT_EXPANSION_CAP = 10_000
+TREE_UNIFORMS = 32  # the uniforms that ``sample_tree`` draws for a tree at first
 # trees that ``generate`` samples and formats at a time, so that it holds one slice's derivations
 GENERATE_SLICE = 256
 
@@ -99,7 +99,7 @@ class PcfgParams:
     def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """``log_evidences`` and the prediction rows of every position in corpus
         order; a sequence shorter than 2 has none and is refused up front."""
-        log_ev, weights = _score_weights(self, seqs)
+        log_ev, weights = _scores(self, seqs)
         return _normalized(self, seqs, log_ev), _normalize_predictions(weights)
 
     def predict_distribution(self, seq: np.ndarray, position: int) -> np.ndarray:
@@ -114,9 +114,9 @@ class PcfgParams:
         if cfg.pcfg_init == "random":
             init = init_random(size, vocab_size, seed_of("init"))
         else:
+            from .hmm import HmmParams  # the one use of the HMM family in a grammar process
             base, _, _ = HmmParams.fit(train, vocab_size, size, "gs", cfg, lambda *tags: seed_of("pcfg-init", *tags))
-            mean_length = sum(map(len, train)) / len(train)
-            kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(mean_length)
+            kappa = cfg.kappa if cfg.kappa is not None else kappa_from_mean_length(sum(map(len, train)) / len(train))
             init = init_from_hmm(base, kappa=kappa, eta=cfg.eta if cfg.eta is not None else 0.01 / size)
         family, log = sys.modules[__name__], {"initialization": cfg.pcfg_init}
         return training.fit(family, init, train, algo, cfg, seed_of, log, max_length=cfg.pcfg_max_length)
@@ -185,8 +185,8 @@ def _from_counts(rows, counts: np.ndarray) -> PcfgParams:
     )
 
 
-def init_from_hmm(params: HmmParams, kappa: float, eta: float) -> PcfgParams:
-    """Approximate linear-chain grammar built from HMM parameters.
+def init_from_hmm(params, kappa: float, eta: float) -> PcfgParams:
+    """Approximate linear-chain grammar built from HMM parameters, an ``hmm.HmmParams``.
 
     ``kappa`` is the probability that a nonterminal emits instead of
     splitting, which fixes the mean generated length at 2k/(2k-1); ``eta``
@@ -612,31 +612,31 @@ def normalized_log_evidence(params: PcfgParams, seq: np.ndarray) -> float:
 # ------------------------------------------------------------- prediction
 
 
-def _score_weights(params: PcfgParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _scores(params: PcfgParams, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Each sequence's log evidence and the (sum of lengths, V) candidate
-    weights at its positions, line after line in corpus order, from one inside
-    and one outside pass per batch. Row i of a line is the emission-weighted
-    outside vector of its cell (i, i), which does not depend on the symbol
-    there. The first sequence shorter than 2 raises before any chart runs."""
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
-    short = np.flatnonzero(lengths < 2)
-    if short.size:
+    weights at its positions, in corpus order, from ``_score_weights`` per
+    batch. The first sequence shorter than 2 raises before any chart runs."""
+    short = [i for i, seq in enumerate(seqs) if len(seq) < 2]
+    if short:
         raise ValueError(f"sequence {short[0]}: prediction requires sequences of length >= 2")
-    starts = np.cumsum(lengths) - lengths
-    log_ev = np.empty(len(seqs))
-    weights = np.empty((int(lengths.sum()), params.vocab_size))
-    for idx, batch in _batches(seqs, params.n_nonterminals, params.vocab_size):
-        chart = _inside_batch(params, batch)
-        out, _ = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
-        log_ev[idx] = chart.log_evidence
-        # every line of a batch has the batch's length n: its n rows follow its start
-        weights[starts[idx, None] + np.arange(batch.shape[1])] = out[:, :, 1] @ params.emissions
-    return log_ev, weights
+    d, v = params.n_nonterminals, params.vocab_size
+    batches = [(idx, batch, np.full(len(idx), batch.shape[1])) for idx, batch in _batches(seqs, d, v)]
+    return _corpus_scores(seqs, batches, lambda batch, _: _score_weights(params, batch), v)
+
+
+def _score_weights(params: PcfgParams, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log evidences (B,) of a batch and the (B n, V) candidate weights at its
+    positions, line by line, from one inside and one outside pass. Row i of a
+    line is the emission-weighted outside vector of its cell (i, i), which
+    does not depend on the symbol there."""
+    chart = _inside_batch(params, batch)
+    out, _ = _outside_batch(params, chart.by_start, chart.by_end, chart.scale)
+    return chart.log_evidence, (out[:, :, 1] @ params.emissions).reshape(-1, params.vocab_size)
 
 
 def predict_distribution(params: PcfgParams, seq: np.ndarray, position: int) -> np.ndarray:
     """Distribution of the symbol at 1-based ``position`` given the others."""
-    return _position_distribution(seq, position, lambda s, i: _score_weights(params, [s])[1][i])
+    return _position_distribution(seq, position, lambda s, i: _scores(params, [s])[1][i])
 
 
 # --------------------------------------------------------------- generation
@@ -647,7 +647,8 @@ def sample_tree(
 ) -> list[tuple[list[tuple[int, int]], np.ndarray]]:
     """Ancestral top-down sampling of one derivation and its yield per seed;
     tree i takes one uniform per node from ``default_rng(seeds[i])`` and is
-    what seed i draws alone.
+    what seed i draws alone. Drawn in blocks (``TREE_UNIFORMS``, then as many
+    again whenever the tree outgrows them), they are those of one call per node.
 
     The derivation lists each node's (head, production) in preorder, left
     child first; the start symbol's head is START. A production p < D^2
@@ -661,16 +662,18 @@ def sample_tree(
     trees = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
+        uniforms = rng.random(TREE_UNIFORMS).tolist()
         derivation: list[tuple[int, int]] = []
         leaves: list[int] = []
         stack = [START]
         while stack:
-            if len(derivation) == max_expansions:
-                raise RuntimeError(
-                    f"exceeded {max_expansions} expansions; the grammar is unlikely to terminate"
-                )
+            node = len(derivation)
+            if node == max_expansions:
+                raise RuntimeError(f"exceeded {max_expansions} expansions; the grammar is unlikely to terminate")
+            if node == len(uniforms):
+                uniforms += rng.random(node).tolist()
             head = stack.pop()
-            choice = bisect_right(cdfs[head + 1], rng.random())
+            choice = bisect_right(cdfs[head + 1], uniforms[node])
             derivation.append((head, choice))
             if choice < d * d:
                 stack.append(choice % d)

@@ -12,7 +12,7 @@ import numpy as np
 
 from chordlm import pcfg
 from chordlm.corpus import Vocabulary
-from chordlm.hmm import HmmParams
+from chordlm.hmm import HmmParams, stationary_distribution
 from chordlm.pcfg import START, PcfgParams, length_log_probabilities
 from chordlm.training import dirichlet_rows
 
@@ -374,10 +374,37 @@ def stationary_by_linear_solve(transition: np.ndarray) -> np.ndarray:
     return sol
 
 
-def entropy_perplexity(p: np.ndarray) -> float:
+def _entropy(p: np.ndarray) -> float:
+    """Shannon entropy in nats with the 0 * log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
-    mask = p > 0
-    return float(np.exp(-(p[mask] * np.log(p[mask])).sum()))
+    mask = p > 0.0
+    return float(-(p[mask] * np.log(p[mask])).sum())
+
+
+def entropy_perplexity(p: np.ndarray) -> float:
+    return float(np.exp(_entropy(p)))
+
+
+def hmm_info_measures_reference(params) -> dict[str, float]:
+    """``hmm.info_measures`` of the stationary distribution, one row entropy at
+    a time, and the state variety as the symbol-weighted entropy of
+    p(z | x) over the symbols of positive probability, one symbol at a time."""
+    stat = stationary_distribution(params)
+    emit_entropies = np.array([_entropy(row) for row in params.emission])
+    symbol_marginal = stat @ params.emission
+    joint = stat[:, None] * params.emission
+    variety_exponent = 0.0
+    for x in range(params.vocab_size):
+        px = symbol_marginal[x]
+        if px > 0.0:
+            variety_exponent += px * _entropy(joint[:, x] / px)
+    trans_entropies = np.array([_entropy(row) for row in params.transition])
+    return {
+        "stationary_perplexity": float(np.exp(_entropy(stat))),
+        "emission_perplexity": float(np.exp(stat @ emit_entropies)),
+        "state_variety": float(np.exp(variety_exponent)),
+        "transition_perplexity": float(np.exp(stat @ trans_entropies)),
+    }
 
 
 def count_calls(monkeypatch, module, name: str) -> list[int]:

@@ -254,28 +254,29 @@ def test_criterion_8_information_measures():
     ok = True
 
     uniform = HmmParams(np.full(4, 0.25), np.full((4, 4), 0.25), np.eye(4))
-    info = hmm.info_measures(uniform)
-    ok &= abs(info.stationary_perplexity - 4.0) <= 1e-9
-    ok &= abs(info.transition_perplexity - 4.0) <= 1e-9
+    info = hmm.info_measures(uniform, hmm.stationary_distribution(uniform))
+    ok &= abs(info["stationary_perplexity"] - 4.0) <= 1e-9
+    ok &= abs(info["transition_perplexity"] - 4.0) <= 1e-9
 
     identity = HmmParams(
         np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.5, 0.5]]), np.eye(2)
     )
-    info = hmm.info_measures(identity)
-    ok &= abs(info.emission_perplexity - 1.0) <= 1e-9
-    ok &= abs(info.state_variety - 1.0) <= 1e-9
-    ok &= abs(info.stationary_perplexity - 1.5694) <= 1e-3
-    ok &= abs(info.stationary_perplexity - entropy_perplexity(np.array([5 / 6, 1 / 6]))) <= 1e-9
+    info = hmm.info_measures(identity, hmm.stationary_distribution(identity))
+    ok &= abs(info["emission_perplexity"] - 1.0) <= 1e-9
+    ok &= abs(info["state_variety"] - 1.0) <= 1e-9
+    ok &= abs(info["stationary_perplexity"] - 1.5694) <= 1e-3
+    ok &= abs(info["stationary_perplexity"] - entropy_perplexity(np.array([5 / 6, 1 / 6]))) <= 1e-9
 
     rng = np.random.default_rng(404)
     for _ in range(100):
         k = int(rng.integers(1, 7))
         v = int(rng.integers(1, 8))
-        info = hmm.info_measures(random_hmm(rng, k, v))
-        ok &= 1.0 - 1e-9 <= info.stationary_perplexity <= k + 1e-9
-        ok &= 1.0 - 1e-9 <= info.emission_perplexity <= v + 1e-9
-        ok &= 1.0 - 1e-9 <= info.state_variety <= k + 1e-9
-        ok &= 1.0 - 1e-9 <= info.transition_perplexity <= k + 1e-9
+        params = random_hmm(rng, k, v)
+        info = hmm.info_measures(params, hmm.stationary_distribution(params))
+        ok &= 1.0 - 1e-9 <= info["stationary_perplexity"] <= k + 1e-9
+        ok &= 1.0 - 1e-9 <= info["emission_perplexity"] <= v + 1e-9
+        ok &= 1.0 - 1e-9 <= info["state_variety"] <= k + 1e-9
+        ok &= 1.0 - 1e-9 <= info["transition_perplexity"] <= k + 1e-9
 
     report(8, "information measures exact on forced cases and inside bounds", ok)
 

@@ -1181,6 +1181,15 @@ def test_a_command_loads_only_the_families_it_runs(tmp_path):
               "status = main(json.loads(sys.argv[1]))\n"
               "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('chordlm.'))]))")
     families = {"chordlm.hmm", "chordlm.markov", "chordlm.pcfg"}
+
+    def modules_of(command: list[str]) -> set[str]:
+        child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True,
+                               text=True, env=_child_env())
+        assert child.returncode == 0, child.stderr
+        status, modules = json.loads(child.stdout.splitlines()[-1])
+        assert status == 0, child.stderr
+        return set(modules)
+
     loaded = []
     # the second prepare checks the algos of the family it names (hmm, which loads markov's chunk layout); the
     # directory records neither, so the sweep after it loads no more than the first
@@ -1188,13 +1197,16 @@ def test_a_command_loads_only_the_families_it_runs(tmp_path):
         for command in (["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", run, "--vocab-k", "4",
                          *prepare],
                         ["sweep", "--out-dir", run, "--model", "markov", "--sizes", "1", "--algos", "additive"]):
-            child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True,
-                                   text=True, env=_child_env())
-            assert child.returncode == 0, child.stderr
-            status, modules = json.loads(child.stdout.splitlines()[-1])
-            assert status == 0, child.stderr
-            loaded.append(families & set(modules))
+            loaded.append(families & modules_of(command))
     assert loaded == [set(), {"chordlm.markov"}, {"chordlm.hmm", "chordlm.markov"}, {"chordlm.markov"}]
+
+    # sampling a grammar loads its own family and markov's helpers, but no HMM and no evaluation code
+    assert cli.main(["train", "--out-dir", run, "--model", "pcfg", "--size", "2", "--algo", "em",
+                     "--em-max-iter", "2", "--pcfg-init", "random"]) == 0
+    modules = modules_of(["generate", "--model-file", f"{run}/models/pcfg_s2_nx27_em_seed0.model",
+                          "--vocab-file", f"{run}/vocab.txt", "--count", "3"])
+    assert families & modules == {"chordlm.pcfg", "chordlm.markov"}
+    assert "chordlm.evaluate" not in modules
 
 
 # the ways a module outside the families' own would name a family

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chordlm import evaluate, hmm, markov
+from chordlm.corpus import Vocabulary
 from chordlm.hmm import EmConfig, GibbsConfig, HmmParams
 from oracles import (
     all_sequences,
@@ -17,6 +18,7 @@ from oracles import (
     hmm_expected_counts_reference,
     hmm_forward_backward_reference,
     hmm_gamma,
+    hmm_info_measures_reference,
     hmm_init_random_reference,
     hmm_prediction_weights_reference,
     hmm_sample_reference,
@@ -549,9 +551,9 @@ def test_stationary_non_convergent_raises():
 def test_info_measures_uniform_transitions():
     k = 4
     params = HmmParams(np.full(k, 0.25), np.full((k, k), 0.25), np.eye(k))
-    info = hmm.info_measures(params)
-    assert info.stationary_perplexity == pytest.approx(4.0, abs=1e-9)
-    assert info.transition_perplexity == pytest.approx(4.0, abs=1e-9)
+    info = hmm.info_measures(params, hmm.stationary_distribution(params))
+    assert info["stationary_perplexity"] == pytest.approx(4.0, abs=1e-9)
+    assert info["transition_perplexity"] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_info_measures_identity_emission():
@@ -560,11 +562,11 @@ def test_info_measures_identity_emission():
         transition=np.array([[0.9, 0.1], [0.5, 0.5]]),
         emission=np.eye(2),
     )
-    info = hmm.info_measures(params)
-    assert info.emission_perplexity == pytest.approx(1.0, abs=1e-12)
-    assert info.state_variety == pytest.approx(1.0, abs=1e-12)
-    assert info.stationary_perplexity == pytest.approx(1.5694, abs=1e-3)
-    assert info.stationary_perplexity == pytest.approx(
+    info = hmm.info_measures(params, hmm.stationary_distribution(params))
+    assert info["emission_perplexity"] == pytest.approx(1.0, abs=1e-12)
+    assert info["state_variety"] == pytest.approx(1.0, abs=1e-12)
+    assert info["stationary_perplexity"] == pytest.approx(1.5694, abs=1e-3)
+    assert info["stationary_perplexity"] == pytest.approx(
         entropy_perplexity(np.array([5 / 6, 1 / 6])), abs=1e-9
     )
 
@@ -575,11 +577,38 @@ def test_info_measures_ranges_random_models():
         k = int(rng.integers(1, 6))
         v = int(rng.integers(1, 7))
         params = random_params(rng, k, v)
-        info = hmm.info_measures(params)
-        assert 1.0 - 1e-9 <= info.stationary_perplexity <= k + 1e-9
-        assert 1.0 - 1e-9 <= info.emission_perplexity <= v + 1e-9
-        assert 1.0 - 1e-9 <= info.state_variety <= k + 1e-9
-        assert 1.0 - 1e-9 <= info.transition_perplexity <= k + 1e-9
+        info = hmm.info_measures(params, hmm.stationary_distribution(params))
+        assert 1.0 - 1e-9 <= info["stationary_perplexity"] <= k + 1e-9
+        assert 1.0 - 1e-9 <= info["emission_perplexity"] <= v + 1e-9
+        assert 1.0 - 1e-9 <= info["state_variety"] <= k + 1e-9
+        assert 1.0 - 1e-9 <= info["transition_perplexity"] <= k + 1e-9
+
+
+def test_info_measures_match_the_per_symbol_reference():
+    # a third of the models have exact-zero emissions, and some of those a symbol that no state emits
+    rng = np.random.default_rng(34)
+    for trial in range(120):
+        k, v = int(rng.integers(1, 9)), int(rng.integers(2, 13))
+        params = random_params(rng, k, v)
+        if trial % 3 == 0:
+            emission = np.where(rng.random((k, v)) < 0.5, 0.0, params.emission)
+            emission[np.arange(k), rng.integers(0, v, size=k)] += 0.1
+            params.emission = emission / emission.sum(axis=1, keepdims=True)
+        info = hmm.info_measures(params, hmm.stationary_distribution(params))
+        want = hmm_info_measures_reference(params)
+        assert list(info) == list(want)
+        for name, value in want.items():
+            assert info[name] == pytest.approx(value, rel=1e-12, abs=0), (trial, name)
+
+
+def test_describe_runs_the_stationary_power_iteration_once(monkeypatch):
+    params = random_params(np.random.default_rng(35), 3, 4)
+    calls = count_calls(monkeypatch, hmm, "stationary_distribution")
+    report = params.describe(Vocabulary(symbols=["a", "b", "c", "Other"]), 0.05)
+    assert calls == [1]
+    stationary = hmm.stationary_distribution(params)
+    assert report["info_measures"] == hmm.info_measures(params, stationary)
+    assert [state["stationary_probability"] for state in report["states"]] == stationary.tolist()
 
 
 # ---------------------------------------------------------------- sampling

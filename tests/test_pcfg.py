@@ -817,6 +817,23 @@ def test_sample_tree_matches_per_draw_cumsum_sampler():
             assert np.array_equal(ids, want_ids)
 
 
+def test_sample_tree_draws_past_its_first_block_of_uniforms():
+    # kappa just above 1/2 grows trees far past the first block, which is drawn again as it runs out
+    g = pcfg.init_from_hmm(random_hmm(np.random.default_rng(73), 2, 3), kappa=0.52, eta=0.0)
+    trees = pcfg.sample_tree(g, list(range(60)), max_expansions=100_000)
+    sizes = [len(derivation) for derivation, _ in trees]
+    assert max(sizes) > 4 * pcfg.TREE_UNIFORMS
+    for seed, (derivation, ids) in enumerate(trees):
+        want_text, want_ids = sample_tree_reference(g, seed, max_expansions=100_000)
+        assert pcfg.bracketed(derivation, g.n_nonterminals) == want_text
+        assert np.array_equal(ids, want_ids)
+    # the cap still holds at exactly max_expansions nodes past the first block
+    big = sizes.index(max(sizes))
+    assert pcfg.sample_tree(g, [big], max_expansions=sizes[big])[0][0] == trees[big][0]
+    with pytest.raises(RuntimeError, match=f"exceeded {sizes[big] - 1} expansions; the grammar is unlikely"):
+        pcfg.sample_tree(g, [big], max_expansions=sizes[big] - 1)
+
+
 def test_sample_tree_counts_and_yield():
     g = single_terminal_grammar(kappa=0.6)
     [(derivation, yield_ids)] = pcfg.sample_tree(g, [7])
