@@ -20,8 +20,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -47,17 +49,31 @@ def _write_encoded(path: Path, sequences: list[np.ndarray]) -> None:
             fh.write(" ".join(str(int(i)) for i in seq) + "\n")
 
 
-def _read_encoded(path: Path, vocab: Vocabulary) -> list[np.ndarray]:
+def _read_encoded(path: Path, vocab: Vocabulary, count: int) -> list[np.ndarray] | ValueError:
+    """The id arrays of a prepared encoded file, which must be there and hold
+    ``count`` nonblank lines, one per sequence, as meta.json counts. An id that
+    is not an int of the vocabulary is returned as the ValueError that names
+    its line, for each cell that reads the file to raise."""
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found; run `chordlm prepare` again")
+    lines = numbered_lines(path)
+    _check_held(path, len(lines), count)
     sequences = []
-    for number, line in numbered_lines(path):
+    for number, line in lines:
         try:
             seq = np.array([int(t) for t in line.split()], dtype=np.int64)
             if seq.min() < 0 or seq.max() >= vocab.size:
                 raise ValueError(f"encoded id out of vocabulary range 0..{vocab.size - 1}")
         except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path} line {number}: {exc}") from None
+            return ValueError(f"{path} line {number}: {exc}")
         sequences.append(seq)
     return sequences
+
+
+def _check_held(path: Path, held: int, count: int) -> None:
+    if held != count:
+        raise ValueError(f"{path} holds {held} lines, not the {count} that {path.with_name('meta.json')} counts; "
+                         "run `chordlm prepare` again")
 
 
 # ----------------------------------------------------------------- prepare
@@ -102,11 +118,24 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
 PREPARED_KEYS = ("corpus_sha256", *DATA_FIELDS, "n_sequences", "vocab_size")
 
 
-def _load_prepared(cfg: ExperimentConfig) -> tuple[dict, str]:
-    """The record of the prepared directory's meta.json, and the config hash
-    that seeds every cell. The record must count test lines, every file a cell
-    reads must be there and hold the lines the record counts, and the data
-    must not be other than this config names.
+@dataclasses.dataclass(frozen=True)
+class Prepared:
+    """A prepared directory as a command reads it, once: the record of its
+    meta.json, the config hash that seeds every cell, the vocabulary, the
+    test lines and each train size's lines. An encoded file whose ids do not
+    parse holds the ValueError that names the line in place of its lines."""
+
+    meta: dict
+    config_hash: str
+    vocab: Vocabulary
+    test: list[np.ndarray] | ValueError
+    train: dict[int, list[np.ndarray] | ValueError]
+
+
+def _load_prepared(cfg: ExperimentConfig) -> Prepared:
+    """The prepared directory of ``cfg``. The record must count test lines,
+    every file a cell reads must be there and hold the lines the record
+    counts, and the data must not be other than this config names.
 
     A data field is checked when the config sets it (it is not None), against
     what `prepare` resolved it to; the corpus is checked by the sha256 of its
@@ -151,50 +180,52 @@ def _load_prepared(cfg: ExperimentConfig) -> tuple[dict, str]:
     for n_x in meta["train_sizes"]:
         if n_x > meta["n_sequences"] - meta["test_count"]:
             raise ValueError(f"{meta_path} has train size {n_x}, above its training lines; run `chordlm prepare` again")
-    # each file a cell reads, and its nonblank lines: a header and one per symbol, or one per sequence
-    files = {"vocab.txt": meta["vocab_size"] + 1, "test.ids": meta["test_count"],
-             **{f"train_nx{n_x}.ids": n_x for n_x in meta["train_sizes"]}}
-    for name, count in files.items():
-        path = Path(cfg.out_dir) / name
-        if not path.exists():
-            raise FileNotFoundError(f"{path} not found; run `chordlm prepare` again")
-        held = len(numbered_lines(path))
-        if held != count:
-            raise ValueError(f"{path} holds {held} lines, not the {count} that {meta_path} counts; "
-                             "run `chordlm prepare` again")
+    out = Path(cfg.out_dir)
+    if not (out / "vocab.txt").exists():
+        raise FileNotFoundError(f"{out / 'vocab.txt'} not found; run `chordlm prepare` again")
+    vocab = Vocabulary.load(out / "vocab.txt")
+    _check_held(out / "vocab.txt", vocab.size + 1, meta["vocab_size"] + 1)  # a header, then one line per symbol
+    test = _read_encoded(out / "test.ids", vocab, meta["test_count"])
+    train = {n_x: _read_encoded(out / f"train_nx{n_x}.ids", vocab, n_x) for n_x in meta["train_sizes"]}
     if cfg.corpus is not None and hashlib.sha256(Path(cfg.corpus).read_bytes()).hexdigest() != meta["corpus_sha256"]:
         raise ValueError(
             f"{meta_path} was prepared with corpus=sha256:{meta['corpus_sha256']}, not the bytes of {cfg.corpus!r}; "
             "run `chordlm prepare` again or use another out_dir"
         )
-    return meta, cfg.config_hash({key: meta[key] for key in ("corpus_sha256", *DATA_FIELDS)})
+    config_hash = cfg.config_hash({key: meta[key] for key in ("corpus_sha256", *DATA_FIELDS)})
+    return Prepared(meta, config_hash, vocab, test, train)
 
 
 # ------------------------------------------------------------ cell training
 
 
-def _run_cell(cfg: ExperimentConfig, config_hash: str, cell: Cell, record_error: bool = True) -> dict:
-    """Train and evaluate one grid cell; returns a result row. ``config_hash``
-    is the one ``_load_prepared`` gives. A failure goes into the row's error,
-    so a sweep goes on, or is raised as it is if not ``record_error``.
-
-    Top-level function so sweep cells can run in worker processes.
-    """
-    from . import evaluate  # its one user, so that only `train` and `sweep` load it
-    row = dict.fromkeys(CSV_HEADER, "")  # a failed cell keeps no best-seed flag
+def _cell_row(cell: Cell) -> dict:
+    """A result row of ``cell`` with its coordinates and nothing else yet; a failed cell keeps no best-seed flag."""
+    row = dict.fromkeys(CSV_HEADER, "")
     row.update(model=cell.model, size=cell.size, N_X=cell.n_x, seed=cell.seed, algo=cell.algo)
+    return row
+
+
+def _run_cell(cfg: ExperimentConfig, prepared: Prepared, cell: Cell, record_error: bool = True) -> dict:
+    """Train and evaluate one grid cell on the data of ``prepared``; returns a
+    result row. A failure goes into the row's error, so a sweep goes on, or is
+    raised as it is if not ``record_error``."""
+    from . import evaluate  # its one user, so that only `train` and `sweep` load it
+    row = _cell_row(cell)
     started = time.perf_counter()
     try:
-        out = Path(cfg.out_dir)
-        vocab = Vocabulary.load(out / "vocab.txt")
-        train = _read_encoded(out / f"train_nx{cell.n_x}.ids", vocab)
-        test = _read_encoded(out / "test.ids", vocab)
+        train, test = prepared.train[cell.n_x], prepared.test
+        for lines in (train, test):
+            if isinstance(lines, ValueError):
+                raise lines  # an id that did not parse fails each cell that reads its file
+        vocab = prepared.vocab
         family = MODELS[cell.model]
         row["param_count"] = family.param_count(cell.size, vocab.size)
 
-        model, log, train_log_ev = family.fit(train, vocab.size, cell.size, cell.algo, cfg, cell.seed_of(config_hash))
+        model, log, train_log_ev = family.fit(train, vocab.size, cell.size, cell.algo, cfg,
+                                              cell.seed_of(prepared.config_hash))
 
-        models_dir = out / "models"
+        models_dir = Path(cfg.out_dir) / "models"
         models_dir.mkdir(exist_ok=True)
         model_io.save_model(model, models_dir / f"{cell.name}.model", vocab_hash=vocab.content_hash())
         (models_dir / f"{cell.name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
@@ -218,34 +249,35 @@ def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int |
     algos = MODELS[cfg.model].ALGOS
     if algo not in algos:
         raise ValueError(f"algo for model {cfg.model!r} must be one of {algos}, got {algo!r}")
-    meta, config_hash = _load_prepared(cfg)
-    n_x = n_x if n_x is not None else meta["train_sizes"][-1]
-    if n_x not in meta["train_sizes"]:
-        raise ValueError(f"n_x must be one of the prepared train sizes {meta['train_sizes']}, got {n_x}")
-    return _run_cell(cfg, config_hash, Cell(cfg.model, size, n_x, algo, seed), record_error=False)
+    prepared = _load_prepared(cfg)
+    train_sizes = prepared.meta["train_sizes"]
+    n_x = n_x if n_x is not None else train_sizes[-1]
+    if n_x not in train_sizes:
+        raise ValueError(f"n_x must be one of the prepared train sizes {train_sizes}, got {n_x}")
+    return _run_cell(cfg, prepared, Cell(cfg.model, size, n_x, algo, seed), record_error=False)
 
 
 # -------------------------------------------------------------------- sweep
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
-    # only sweep writes CSV and runs a pool; the other commands' processes stay smaller without them
-    import csv
-    from concurrent.futures import ProcessPoolExecutor
+    import csv  # only sweep writes CSV; the other commands' processes stay smaller without it
 
-    meta, config_hash = _load_prepared(cfg)
+    prepared = _load_prepared(cfg)
     cells = [
         Cell(cfg.model, size, n_x, algo, seed)
-        for n_x in meta["train_sizes"]
-        for size in cfg.resolved_sizes()
+        for n_x in prepared.meta["train_sizes"]
+        for size in cfg.resolved_sizes()  # which imports the family's module
         for algo in cfg.resolved_algos()
         for seed in cfg.seeds
     ]
-    run = functools.partial(_run_cell, cfg, config_hash)
-    workers = min(cfg.workers, len(cells))  # the pool forks all its workers at once: one per cell at most
+    run = functools.partial(_run_cell, cfg, prepared)
+    workers = min(cfg.workers, len(cells))  # one worker per cell at most; a grid of one cell runs in this process
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, cells))
+        # the rest of what every cell runs, loaded here once rather than in each worker
+        import numpy.random  # noqa: F401
+        from . import evaluate  # noqa: F401
+        rows = _forked_rows(run, cells, workers)
     else:
         rows = list(map(run, cells))
 
@@ -266,6 +298,119 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
         writer.writerow(CSV_HEADER)
         writer.writerows([row[c] for c in CSV_HEADER] for row in rows)  # a float is written as its repr
     return out_path
+
+
+@dataclasses.dataclass
+class _Worker:
+    """A forked sweep worker as the sweep sees it."""
+
+    pid: int
+    results: typing.BinaryIO  # the read end of its result pipe
+    tasks: int | None  # the write end of its task pipe, None once closed
+    cell: int | None = None  # the index of the cell it runs
+
+    def give(self, cell: int | None) -> None:
+        """Send the worker ``cell``, or close its task pipe, which ends it, if None."""
+        self.cell = cell
+        try:
+            if cell is not None:
+                os.write(self.tasks, b"%d\n" % cell)
+            else:
+                self.close_tasks()
+        except BrokenPipeError:
+            pass  # the worker has died, and its result pipe's end says so
+
+    def close_tasks(self) -> None:
+        if self.tasks is not None:
+            os.close(self.tasks)
+            self.tasks = None
+
+
+def _forked_rows(run, cells: list[Cell], workers: int) -> list[dict]:
+    """``run(cell)`` of every cell, in grid order, from ``workers`` processes
+    forked from this one, which share what it has loaded.
+
+    The cells go out largest first, by size and then by N_X, each to the next
+    worker that is free (Graham's longest-processing-time rule). A worker reads
+    a cell's index from its task pipe and writes the cell's row to its result
+    pipe as one JSON line. A worker that dies costs the cell it was running,
+    whose row records how it died, and the others run the rest. Every worker
+    has exited when this returns or raises. A fork copies only the calling
+    thread; chordlm starts no other, and ``import chordlm`` pins BLAS to one.
+    """
+    if not hasattr(os, "fork"):
+        raise OSError("a sweep with more than one worker forks them, and this platform has no os.fork")
+    import gc
+    import select
+    import signal
+
+    pending = iter(sorted(range(len(cells)), key=lambda i: (-cells[i].size, -cells[i].n_x)))
+    rows: list = [None] * len(cells)
+    running: dict[int, _Worker] = {}  # by the file descriptor of its result pipe
+    poller = select.poll()
+    # Objects alive now move to the permanent generation, for good: a worker's
+    # collections then touch none of the pages it shares with this process, and
+    # this process, which only dispatches and writes results from here, skips
+    # their collection at exit.
+    gc.freeze()
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                others = [*running, *(w.tasks for w in running.values() if w.tasks is not None)]
+                _work(run, cells, task_r, result_w, [task_w, result_r, *others])
+            os.close(task_r)
+            os.close(result_w)
+            running[result_r] = worker = _Worker(pid, open(result_r, "rb"), task_w)
+            poller.register(result_r, select.POLLIN)
+            worker.give(next(pending, None))
+        while running:
+            for fd, _ in poller.poll():
+                worker = running[fd]
+                line = worker.results.readline()  # a worker writes each row whole, so this waits on no other
+                if line.endswith(b"\n"):
+                    rows[worker.cell] = json.loads(line)
+                    worker.give(next(pending, None))
+                    continue
+                del running[fd]  # the worker has exited
+                poller.unregister(fd)
+                worker.results.close()
+                worker.close_tasks()
+                code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+                if worker.cell is not None:
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    rows[worker.cell] = {**_cell_row(cells[worker.cell]),
+                                         "error": f"ChildProcessError: the worker running this cell {how}"}
+    finally:
+        for worker in running.values():  # only a sweep that fails leaves workers running
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+            worker.results.close()
+            worker.close_tasks()
+    for i in pending:  # every worker died before these cells ran
+        rows[i] = {**_cell_row(cells[i]), "error": "ChildProcessError: no worker was left to run this cell"}
+    return rows
+
+
+def _work(run, cells: list[Cell], task_fd: int, result_fd: int, inherited: list[int]) -> typing.NoReturn:
+    """A forked worker: the row of each cell whose index comes in on the task
+    pipe, as a JSON line on the result pipe, until the task pipe closes. It
+    first closes the ``inherited`` descriptors of the parent's other pipe
+    ends, and ends by ``os._exit``, so it flushes none of the parent's stdio
+    buffers and runs none of its exit handlers."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(task_fd, "rb") as tasks, open(result_fd, "wb") as results:
+            for line in tasks:
+                results.write(json.dumps(run(cells[int(line)])).encode("utf-8") + b"\n")
+                results.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ------------------------------------------------------- analyze and generate

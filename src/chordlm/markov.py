@@ -170,33 +170,35 @@ class MarkovModel:
         except ValueError:
             raise ValueError(f"epsilon {text!r} is not a number") from None
 
-    def _score_chunk(self, batch: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log evidences (B,) of a chunk and the (sum of lengths, V) weights of
-        every candidate symbol at the positions its lines hold, from ones.
+    def _score_chunk(self, batch: np.ndarray, lengths: np.ndarray, rows: bool = True) -> tuple:
+        """Log evidences (B,) of a chunk and, if ``rows``, the (sum of lengths,
+        V) weights of every candidate symbol at the positions its lines hold,
+        from ones; else None in their place.
 
-        Step t gathers, for the live rows and each position i of factor t's
-        window, the table rows with the candidate at i, through flat indices
-        into the dense table, and multiplies the weights at i by them: so i's
-        weights multiply the factors t = i, ..., i + order in increasing t. The
-        row at i = t gives the observed symbol's factor, whose log adds to the
-        evidence left to right from 0.0; a zero factor makes it -inf.
+        Step t takes the flat index of each live row's window into factor t's
+        dense table, whose entry is the observed symbol's factor: its log adds
+        to the evidence left to right from 0.0, and a zero factor makes it
+        -inf. For the weights, step t gathers, for each position i of the
+        window, the table rows with the candidate at i, and multiplies the
+        weights at i by them: so i's weights multiply the factors t = i, ...,
+        i + order in increasing t.
         """
         b, n = batch.shape
         v = self.vocab_size
         total = np.zeros(b)
-        weights = np.ones((b, n, v))
+        weights = np.ones((b, n, v)) if rows else None
         for t, m in enumerate(_live_rows(lengths, n)):
             lo = max(0, t - self.order)
             table = (self.initial_tables[t] if t < self.order else self.transitions).reshape(-1)
             window = batch[:m, lo:t + 1]
             flat = np.ravel_multi_index(tuple(window.T), (v,) * (t - lo + 1))
-            strides = v ** np.arange(t - lo, -1, -1)
-            for a, stride in enumerate(strides.tolist()):
-                rows = table[(flat - window[:, a] * stride)[:, None] + np.arange(v) * stride]
-                weights[:m, lo + a] *= rows
+            if rows:
+                strides = v ** np.arange(t - lo, -1, -1)
+                for a, stride in enumerate(strides.tolist()):
+                    weights[:m, lo + a] *= table[(flat - window[:, a] * stride)[:, None] + np.arange(v) * stride]
             with np.errstate(divide="ignore"):  # log 0 is -inf, and so is every sum with it
-                total[:m] += np.log(rows[np.arange(m), batch[:m, t]])
-        return total, weights[_valid(lengths, n)]
+                total[:m] += np.log(table[flat])
+        return total, weights[_valid(lengths, n)] if rows else None
 
     def _score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Each sequence's log evidence and the (sum of lengths, V) weights of its positions."""
@@ -212,8 +214,12 @@ class MarkovModel:
         return _position_distribution(seq, position, lambda s, i: self._score([s])[1][i])
 
     def log_evidences(self, seqs: list[np.ndarray]) -> np.ndarray:
-        """Each sequence's log evidence in corpus order, -inf where it is zero."""
-        return self._score(seqs)[0]
+        """Each sequence's log evidence in corpus order, -inf where it is zero:
+        the chunks' walk without their prediction weights."""
+        log_ev = np.empty(len(seqs))
+        for idx, batch, lengths in _chunks(seqs, 1, self.vocab_size):
+            log_ev[idx] = self._score_chunk(batch, lengths, rows=False)[0]
+        return log_ev
 
     def score(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Each sequence's log evidence and the prediction rows of its positions, in corpus order."""

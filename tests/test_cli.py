@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -8,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -366,7 +366,8 @@ def test_a_grammar_initialized_from_an_hmm_takes_kappa_from_its_own_training_lin
     )
     cli.cmd_prepare(cfg)
     vocab = Vocabulary.load(tmp_path / "run" / "vocab.txt")
-    lines, split = (cli._read_encoded(tmp_path / "run" / name, vocab) for name in ("train_nx8.ids", "train.ids"))
+    lines, split = (cli._read_encoded(tmp_path / "run" / name, vocab, count)
+                    for name, count in (("train_nx8.ids", 8), ("train.ids", 24)))
     mean = sum(map(len, lines)) / len(lines)
     assert mean != sum(map(len, split)) / len(split)  # the 8 lines are not the whole split in miniature
     kappas = []
@@ -438,36 +439,126 @@ def test_sweep_parallel_matches_serial(prepared):
 
 
 def test_a_sweep_starts_at_most_one_worker_per_cell(prepared, monkeypatch):
-    pools = []
+    forks = []
+    fork = os.fork
 
-    class InProcessPool:
-        """Records its worker count and maps in this process, so no worker starts."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    def counted_fork():
+        """Counts the workers a sweep forks, and forks them."""
+        forks.append(os.getpid())
+        return fork()
 
     def rows(cfg):
         with open(cli.cmd_sweep(cfg), encoding="utf-8", newline="") as fh:
             return [{k: v for k, v in row.items() if k != "wall_time"} for row in csv.DictReader(fh)]
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     cfg, _ = prepared
     two_cells = dataclasses.replace(cfg, sizes=[1], seeds=[0, 1])
     serial = rows(two_cells)
-    assert len(serial) == 2 and pools == []
+    assert len(serial) == 2 and forks == []
     assert rows(dataclasses.replace(two_cells, workers=10**6)) == serial
-    assert pools == [2]
+    assert len(forks) == 2
     rows(dataclasses.replace(two_cells, seeds=[0], workers=8))
-    assert pools == [2]  # one cell runs in this process
+    assert len(forks) == 2  # one cell runs in this process
+
+
+def _rows_of(path: Path, drop=("wall_time",)) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [{k: v for k, v in row.items() if k not in drop} for row in csv.DictReader(fh)]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("model, algos", [("hmm", ["em", "gs"]), ("pcfg", ["em"])])
+def test_sweep_rows_and_model_files_are_the_same_at_one_two_and_three_workers(tmp_path, model, algos):
+    # the workers take the cells largest first, each the next that is free: the assignment changes no byte
+    corpus = write_corpus(tmp_path / "corpus.txt", np.random.default_rng(1), n_sequences=40)
+    cfg = ExperimentConfig(corpus=str(corpus), out_dir=str(tmp_path / "run"), vocab_k=4, test_count=6,
+                           train_sizes=[10, 34], model=model, sizes=[1, 2, 3], algos=algos, seeds=[0, 1],
+                           em_max_iter=3, gs_samples=2, polish_iters=1)
+    cli.cmd_prepare(cfg)
+    outputs = []
+    for workers in (1, 2, 3):
+        shutil.rmtree(tmp_path / "run" / "models", ignore_errors=True)
+        rows = _rows_of(cli.cmd_sweep(dataclasses.replace(cfg, workers=workers)))
+        models = {p.name: p.read_bytes() for p in sorted((tmp_path / "run" / "models").iterdir())}
+        outputs.append((rows, models))
+        assert_no_child_left()
+    rows, models = outputs[0]
+    assert len(rows) == 2 * 3 * len(algos) * 2 and all(row["error"] == "" for row in rows)
+    assert len(models) == 2 * len(rows)  # a model file and a log record per cell
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("death, how", [(lambda: os._exit(3), "exited with status 3"),
+                                        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9")],
+                         ids=["exit", "kill"])
+def test_a_worker_that_dies_costs_only_the_cell_it_ran(prepared, monkeypatch, death, how):
+    cfg, _ = prepared  # sizes 1 and 2, seeds 0 and 1
+    flags = ("wall_time", "best_by_train", "best_by_test")  # the flags judge among the rows without an error
+    serial = _rows_of(cli.cmd_sweep(cfg), drop=flags)
+    fit = MODELS["hmm"].fit
+
+    def dying_fit(train, vocab_size, size, algo, cell_cfg, seed_of):
+        if (size, seed_of.args[-1]) == (2, 1):
+            death()
+        return fit(train, vocab_size, size, algo, cell_cfg, seed_of)
+
+    monkeypatch.setattr(MODELS["hmm"], "fit", dying_fit)
+    for workers in (2, 3):
+        rows = _rows_of(cli.cmd_sweep(dataclasses.replace(cfg, workers=workers)), drop=flags)
+        assert_no_child_left()
+        lost = {**serial[3], **dict.fromkeys(cli.RESULT_FIELDS[6:-1], ""), "param_count": "",
+                "error": f"ChildProcessError: the worker running this cell {how}"}
+        assert (rows[3]["size"], rows[3]["seed"]) == ("2", "1")
+        assert rows == [*serial[:3], lost]
+
+
+def test_a_sweep_whose_workers_all_die_records_every_cell(prepared, monkeypatch):
+    cfg, _ = prepared
+    monkeypatch.setattr(MODELS["hmm"], "fit", lambda *args: os._exit(3))
+    rows = _rows_of(cli.cmd_sweep(dataclasses.replace(cfg, workers=2)))
+    assert_no_child_left()
+    # the two largest cells go out first, one to each worker; the grid's rows come back in its order
+    assert [(row["size"], row["seed"], row["error"]) for row in rows] == [
+        ("1", "0", "ChildProcessError: no worker was left to run this cell"),
+        ("1", "1", "ChildProcessError: no worker was left to run this cell"),
+        ("2", "0", "ChildProcessError: the worker running this cell exited with status 3"),
+        ("2", "1", "ChildProcessError: the worker running this cell exited with status 3"),
+    ]
+
+
+def test_a_sweep_that_fails_while_its_workers_run_leaves_none_running(prepared, monkeypatch):
+    import select
+
+    class FailingPoll:
+        """Takes the workers' pipes, then fails as the sweep waits for their first rows."""
+
+        def register(self, fd, events):
+            pass
+
+        def poll(self):
+            raise RuntimeError("the sweep fails")
+
+    monkeypatch.setattr(select, "poll", FailingPoll)
+    cfg, _ = prepared
+    with pytest.raises(RuntimeError, match="the sweep fails"):
+        cli.cmd_sweep(dataclasses.replace(cfg, workers=2))
+    assert_no_child_left()
+    assert not (Path(cfg.out_dir) / "results.csv").exists()
+
+
+def test_two_workers_without_os_fork_are_a_command_error(prepared, monkeypatch, capsys):
+    cfg, _ = prepared
+    monkeypatch.delattr(os, "fork")
+    capsys.readouterr()
+    assert cli.main(["sweep", "--out-dir", cfg.out_dir, "--workers", "2"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "OSError", "message": "a sweep with more than one worker forks them, and this platform has no os.fork"}
+    assert cli.main(["sweep", "--out-dir", cfg.out_dir, "--workers", "1", "--em-max-iter", "2"]) == 0
 
 
 def test_sweep_records_partial_failures(prepared, tmp_path):
@@ -1179,7 +1270,8 @@ def test_a_command_loads_only_the_families_it_runs(tmp_path):
     run = str(tmp_path / "run")
     script = ("import json, sys; from chordlm.cli import main\n"
               "status = main(json.loads(sys.argv[1]))\n"
-              "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('chordlm.'))]))")
+              "print(json.dumps([status, sorted(m for m in sys.modules\n"
+              "                                  if m.startswith(('chordlm.', 'concurrent', 'multiprocessing')))]))")
     families = {"chordlm.hmm", "chordlm.markov", "chordlm.pcfg"}
 
     def modules_of(command: list[str]) -> set[str]:
@@ -1207,6 +1299,12 @@ def test_a_command_loads_only_the_families_it_runs(tmp_path):
                           "--vocab-file", f"{run}/vocab.txt", "--count", "3"])
     assert families & modules == {"chordlm.pcfg", "chordlm.markov"}
     assert "chordlm.evaluate" not in modules
+
+    # a two-worker sweep forks its workers itself, and loads no process pool
+    modules = modules_of(["sweep", "--out-dir", run, "--model", "markov", "--sizes", "1,2", "--algos", "additive",
+                          "--workers", "2"])
+    assert families & modules == {"chordlm.markov"} and "chordlm.evaluate" in modules
+    assert {m.split(".")[0] for m in modules} == {"chordlm"}, modules
 
 
 # the ways a module outside the families' own would name a family

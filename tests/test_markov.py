@@ -6,6 +6,7 @@ import pytest
 from chordlm import markov
 from oracles import (
     all_sequences,
+    count_calls,
     evidence_ratio_prediction,
     kn_reference_table,
     make_dataset,
@@ -146,6 +147,22 @@ def test_chunk_path_equals_the_per_line_reference(order, smoothing, monkeypatch)
         refit = markov.fit(train, 5, order=order, smoothing=smoothing)
         for got, want in zip(refit.initial_tables + [refit.transitions], m.initial_tables + [m.transitions]):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("smoothing", ["additive", "kn", "mkn"])
+def test_evidences_without_prediction_rows_equal_the_scores(order, smoothing, monkeypatch):
+    # a training perplexity's evidences, with one-chord lines among 240 of up to 20 chords over 11 symbols
+    rng = np.random.default_rng(200 + order)
+    lines = [rng.integers(0, 11, size=int(n)) for n in rng.integers(1, 21, size=240)] + [np.array([4])]
+    assert sum(len(seq) == 1 for seq in lines) > 1
+    m = markov.fit(lines, 11, order=order, smoothing=smoothing)
+    want = m.score(lines)[0]
+    scatters = count_calls(monkeypatch, markov, "_corpus_scores")
+    got = m.log_evidences(lines)
+    assert scatters[0] == 0  # no prediction rows built to be thrown away
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(m.log_evidences(lines[::-1]), want[::-1])
 
 
 def test_chunk_path_equals_the_per_line_reference_on_a_deterministic_cycle():

@@ -2,14 +2,11 @@
 model's per-line log evidences of the training data, which the CLI turns into
 the train perplexity without scoring the training set again."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from chordlm import cli, evaluate, hmm, markov, pcfg
 from chordlm.config import MODELS, Cell, ExperimentConfig
-from chordlm.corpus import Vocabulary
 from chordlm.hmm import HmmParams
 from oracles import count_calls
 
@@ -85,15 +82,13 @@ def prepared(tmp_path):
         train_sizes=[20], sizes=[2], seeds=[0], em_max_iter=3, rel_tol=0.0, gs_samples=3, polish_iters=2,
     )
     meta = cli.cmd_prepare(cfg)
-    run = Path(cfg.out_dir)
-    vocab = Vocabulary.load(run / "vocab.txt")
-    train, test = (cli._read_encoded(run / name, vocab) for name in ("train_nx20.ids", "test.ids"))
-    return cfg, meta, train, test
+    prepared = cli._load_prepared(cfg)
+    return cfg, meta, prepared.train[20], prepared.test
 
 
 def _run(cfg: ExperimentConfig, meta: dict, model: str, algo: str) -> dict:
     cell_cfg = ExperimentConfig.from_dict({**cfg.as_dict(), "model": model, "algos": [algo]})
-    row = cli._run_cell(cell_cfg, cli._load_prepared(cell_cfg)[1], Cell(model, 2, 20, algo, 0))
+    row = cli._run_cell(cell_cfg, cli._load_prepared(cell_cfg), Cell(model, 2, 20, algo, 0))
     assert row["error"] == ""
     return row
 
