@@ -10,7 +10,8 @@ Subcommands
 Every command takes ``--config`` (JSON) plus flag overrides; failures print a
 machine-readable JSON object on stderr and exit nonzero. No command names a
 family: each model class fits, describes and samples its models, and a
-command loads only the families it looks up in ``config.MODELS``.
+command loads only the families it looks up in ``config.MODELS``. `train` and
+`sweep` run their cells through ``grid``, which no other command loads.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
-import time
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +30,6 @@ from . import model_io
 from .config import DATA_FIELDS, FIELD_KINDS, MODELS, Cell, ExperimentConfig, cell_seed, is_kind
 from .corpus import Vocabulary, build_vocabulary, decode_text, encode, numbered_lines, parse_corpus, read_text, split
 from .corpus import subsample
-
-RESULT_FIELDS = ["model", "size", "param_count", "N_X", "seed", "algo", "train_perplexity", "test_perplexity",
-                 "error_rate", "rmrr", "wall_time"]
-CSV_HEADER = RESULT_FIELDS + ["best_by_train", "best_by_test", "error"]
 
 ANALYZE_THRESHOLD = 0.05
 
@@ -196,54 +190,12 @@ def _load_prepared(cfg: ExperimentConfig) -> Prepared:
     return Prepared(meta, config_hash, vocab, test, train)
 
 
-# ------------------------------------------------------------ cell training
-
-
-def _cell_row(cell: Cell) -> dict:
-    """A result row of ``cell`` with its coordinates and nothing else yet; a failed cell keeps no best-seed flag."""
-    row = dict.fromkeys(CSV_HEADER, "")
-    row.update(model=cell.model, size=cell.size, N_X=cell.n_x, seed=cell.seed, algo=cell.algo)
-    return row
-
-
-def _run_cell(cfg: ExperimentConfig, prepared: Prepared, cell: Cell, record_error: bool = True) -> dict:
-    """Train and evaluate one grid cell on the data of ``prepared``; returns a
-    result row. A failure goes into the row's error, so a sweep goes on, or is
-    raised as it is if not ``record_error``."""
-    from . import evaluate  # its one user, so that only `train` and `sweep` load it
-    row = _cell_row(cell)
-    started = time.perf_counter()
-    try:
-        train, test = prepared.train[cell.n_x], prepared.test
-        for lines in (train, test):
-            if isinstance(lines, ValueError):
-                raise lines  # an id that did not parse fails each cell that reads its file
-        vocab = prepared.vocab
-        family = MODELS[cell.model]
-        row["param_count"] = family.param_count(cell.size, vocab.size)
-
-        model, log, train_log_ev = family.fit(train, vocab.size, cell.size, cell.algo, cfg,
-                                              cell.seed_of(prepared.config_hash))
-
-        models_dir = Path(cfg.out_dir) / "models"
-        models_dir.mkdir(exist_ok=True)
-        model_io.save_model(model, models_dir / f"{cell.name}.model", vocab_hash=vocab.content_hash())
-        (models_dir / f"{cell.name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
-
-        row["train_perplexity"] = evaluate._perplexity(train, train_log_ev)
-        report = evaluate.evaluate_model(model, test)
-        row["test_perplexity"] = report.perplexity
-        row["error_rate"] = report.error_rate
-        row["rmrr"] = report.rmrr
-    except Exception as exc:
-        if not record_error:
-            raise
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    row["wall_time"] = time.perf_counter() - started
-    return row
+# ------------------------------------------------------------ train and sweep
 
 
 def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int | None) -> dict:
+    from . import grid  # only train and sweep run cells, so only they load the grid and the evaluation code
+
     if size < 1:
         raise ValueError("size must be >= 1")
     algos = MODELS[cfg.model].ALGOS
@@ -254,14 +206,11 @@ def cmd_train(cfg: ExperimentConfig, size: int, algo: str, seed: int, n_x: int |
     n_x = n_x if n_x is not None else train_sizes[-1]
     if n_x not in train_sizes:
         raise ValueError(f"n_x must be one of the prepared train sizes {train_sizes}, got {n_x}")
-    return _run_cell(cfg, prepared, Cell(cfg.model, size, n_x, algo, seed), record_error=False)
-
-
-# -------------------------------------------------------------------- sweep
+    return grid.run_cell(cfg, prepared, Cell(cfg.model, size, n_x, algo, seed), record_error=False)
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> Path:
-    import csv  # only sweep writes CSV; the other commands' processes stay smaller without it
+    from . import grid  # with what every cell runs, loaded here once rather than in each forked worker
 
     prepared = _load_prepared(cfg)
     cells = [
@@ -271,146 +220,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> Path:
         for algo in cfg.resolved_algos()
         for seed in cfg.seeds
     ]
-    run = functools.partial(_run_cell, cfg, prepared)
+    run = functools.partial(grid.run_cell, cfg, prepared)
     workers = min(cfg.workers, len(cells))  # one worker per cell at most; a grid of one cell runs in this process
-    if workers > 1:
-        # the rest of what every cell runs, loaded here once rather than in each worker
-        import numpy.random  # noqa: F401
-        from . import evaluate  # noqa: F401
-        rows = _forked_rows(run, cells, workers)
-    else:
-        rows = list(map(run, cells))
-
-    # per-cell best-seed flags among the rows without an error, judged by training and by test perplexity
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(rows):
-        if not row["error"]:
-            groups.setdefault((row["model"], row["size"], row["N_X"], row["algo"]), []).append(i)
-    for ok in groups.values():
-        best_train = min(ok, key=lambda i: rows[i]["train_perplexity"])
-        best_test = min(ok, key=lambda i: rows[i]["test_perplexity"])
-        for i in ok:
-            rows[i].update(best_by_train=int(i == best_train), best_by_test=int(i == best_test))
-
-    out_path = Path(cfg.out_dir) / "results.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows([row[c] for c in CSV_HEADER] for row in rows)  # a float is written as its repr
-    return out_path
-
-
-@dataclasses.dataclass
-class _Worker:
-    """A forked sweep worker as the sweep sees it."""
-
-    pid: int
-    results: typing.BinaryIO  # the read end of its result pipe
-    tasks: int | None  # the write end of its task pipe, None once closed
-    cell: int | None = None  # the index of the cell it runs
-
-    def give(self, cell: int | None) -> None:
-        """Send the worker ``cell``, or close its task pipe, which ends it, if None."""
-        self.cell = cell
-        try:
-            if cell is not None:
-                os.write(self.tasks, b"%d\n" % cell)
-            else:
-                self.close_tasks()
-        except BrokenPipeError:
-            pass  # the worker has died, and its result pipe's end says so
-
-    def close_tasks(self) -> None:
-        if self.tasks is not None:
-            os.close(self.tasks)
-            self.tasks = None
-
-
-def _forked_rows(run, cells: list[Cell], workers: int) -> list[dict]:
-    """``run(cell)`` of every cell, in grid order, from ``workers`` processes
-    forked from this one, which share what it has loaded.
-
-    The cells go out largest first, by size and then by N_X, each to the next
-    worker that is free (Graham's longest-processing-time rule). A worker reads
-    a cell's index from its task pipe and writes the cell's row to its result
-    pipe as one JSON line. A worker that dies costs the cell it was running,
-    whose row records how it died, and the others run the rest. Every worker
-    has exited when this returns or raises. A fork copies only the calling
-    thread; chordlm starts no other, and ``import chordlm`` pins BLAS to one.
-    """
-    if not hasattr(os, "fork"):
-        raise OSError("a sweep with more than one worker forks them, and this platform has no os.fork")
-    import gc
-    import select
-    import signal
-
-    pending = iter(sorted(range(len(cells)), key=lambda i: (-cells[i].size, -cells[i].n_x)))
-    rows: list = [None] * len(cells)
-    running: dict[int, _Worker] = {}  # by the file descriptor of its result pipe
-    poller = select.poll()
-    # Objects alive now move to the permanent generation, for good: a worker's
-    # collections then touch none of the pages it shares with this process, and
-    # this process, which only dispatches and writes results from here, skips
-    # their collection at exit.
-    gc.freeze()
-    try:
-        for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                others = [*running, *(w.tasks for w in running.values() if w.tasks is not None)]
-                _work(run, cells, task_r, result_w, [task_w, result_r, *others])
-            os.close(task_r)
-            os.close(result_w)
-            running[result_r] = worker = _Worker(pid, open(result_r, "rb"), task_w)
-            poller.register(result_r, select.POLLIN)
-            worker.give(next(pending, None))
-        while running:
-            for fd, _ in poller.poll():
-                worker = running[fd]
-                line = worker.results.readline()  # a worker writes each row whole, so this waits on no other
-                if line.endswith(b"\n"):
-                    rows[worker.cell] = json.loads(line)
-                    worker.give(next(pending, None))
-                    continue
-                del running[fd]  # the worker has exited
-                poller.unregister(fd)
-                worker.results.close()
-                worker.close_tasks()
-                code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
-                if worker.cell is not None:
-                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                    rows[worker.cell] = {**_cell_row(cells[worker.cell]),
-                                         "error": f"ChildProcessError: the worker running this cell {how}"}
-    finally:
-        for worker in running.values():  # only a sweep that fails leaves workers running
-            os.kill(worker.pid, signal.SIGKILL)
-            os.waitpid(worker.pid, 0)
-            worker.results.close()
-            worker.close_tasks()
-    for i in pending:  # every worker died before these cells ran
-        rows[i] = {**_cell_row(cells[i]), "error": "ChildProcessError: no worker was left to run this cell"}
-    return rows
-
-
-def _work(run, cells: list[Cell], task_fd: int, result_fd: int, inherited: list[int]) -> typing.NoReturn:
-    """A forked worker: the row of each cell whose index comes in on the task
-    pipe, as a JSON line on the result pipe, until the task pipe closes. It
-    first closes the ``inherited`` descriptors of the parent's other pipe
-    ends, and ends by ``os._exit``, so it flushes none of the parent's stdio
-    buffers and runs none of its exit handlers."""
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        with open(task_fd, "rb") as tasks, open(result_fd, "wb") as results:
-            for line in tasks:
-                results.write(json.dumps(run(cells[int(line)])).encode("utf-8") + b"\n")
-                results.flush()
-        status = 0
-    finally:
-        os._exit(status)
+    rows = grid.forked_rows(run, cells, workers) if workers > 1 else list(map(run, cells))
+    return grid.write_results(rows, Path(cfg.out_dir) / "results.csv")
 
 
 # ------------------------------------------------------- analyze and generate
@@ -523,8 +336,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _config_from_args(args)
             text = json.dumps({"prepared": cfg.out_dir, "vocab_size": cmd_prepare(cfg)["vocab_size"]})
         elif args.command == "train":
+            from . import grid  # loaded by cmd_train already, for the fields that train prints
+
             row = cmd_train(_config_from_args(args), args.size, args.algo, args.seed, args.n_x)
-            text = json.dumps({k: row[k] for k in RESULT_FIELDS}, sort_keys=True)
+            text = json.dumps({k: row[k] for k in grid.RESULT_FIELDS}, sort_keys=True)
         elif args.command == "sweep":
             text = json.dumps({"results": str(cmd_sweep(_config_from_args(args)))})
         elif args.command == "analyze":

@@ -24,7 +24,6 @@ class EvalReport:
     perplexity: float
     error_rate: float
     rmrr: float
-    n_symbols: int
 
 
 def _sequences(test: list[np.ndarray]) -> list[np.ndarray]:
@@ -86,5 +85,5 @@ def evaluate_model(model, test) -> EvalReport:
     log_evidences, prediction_rows = model.score(seqs)
     ppl = _perplexity(seqs, log_evidences)
     err, mrr = _rank_metrics(seqs, prediction_rows)
-    return EvalReport(perplexity=ppl, error_rate=err, rmrr=mrr, n_symbols=sum(len(s) for s in seqs))
+    return EvalReport(perplexity=ppl, error_rate=err, rmrr=mrr)
 

@@ -139,14 +139,24 @@ def strict_embed_hmm(params: HmmParams, end_prob: np.ndarray) -> PcfgParams:
     return PcfgParams(start, start_emissions, rules, emissions)
 
 
-def hmm_evidence_by_enumeration(initial, transition, emission, seq) -> float:
-    """Total probability of ``seq`` by summing over every state path."""
+def hmm_path_probabilities(initial, transition, emission, seq) -> np.ndarray:
+    """The joint probability of ``seq`` and each state path, over every path
+    in ``itertools.product`` order: path (s_0, ..., s_{n-1}) is entry
+    sum of s_t * K^(n-1-t)."""
     n_states = len(initial)
-    total = 0.0
+    probs = []
     for path in itertools.product(range(n_states), repeat=len(seq)):
         p = initial[path[0]] * emission[path[0], seq[0]]
         for t in range(1, len(seq)):
             p *= transition[path[t - 1], path[t]] * emission[path[t], seq[t]]
+        probs.append(p)
+    return np.array(probs)
+
+
+def hmm_evidence_by_enumeration(initial, transition, emission, seq) -> float:
+    """Total probability of ``seq`` by summing over every state path."""
+    total = 0.0
+    for p in hmm_path_probabilities(initial, transition, emission, seq):
         total += p
     return total
 
@@ -919,7 +929,7 @@ def per_line(rows: np.ndarray, seqs: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(rows, np.cumsum([len(seq) for seq in seqs])[:-1])
 
 
-CSV_HEADER = "model,dataset,perplexity,error_rate,rmrr,n_symbols"
+CSV_HEADER = "model,dataset,perplexity,error_rate,rmrr"
 
 
 def csv_row(model_label: str, dataset_label: str, report) -> str:
@@ -932,7 +942,6 @@ def csv_row(model_label: str, dataset_label: str, report) -> str:
             repr(report.perplexity),
             repr(report.error_rate),
             repr(report.rmrr),
-            str(report.n_symbols),
         ]
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import chordlm
-from chordlm import cli, hmm, markov, model_io, pcfg, training
+from chordlm import cli, grid, hmm, markov, model_io, pcfg, training
 from chordlm.config import (
     DATA_FIELDS,
     MODELS,
@@ -409,8 +409,8 @@ def test_sweep_grid_and_flags(prepared):
     cfg, tmp_path = prepared
     path = cli.cmd_sweep(cfg)
     lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(cli.CSV_HEADER)
-    rows = [dict(zip(cli.CSV_HEADER, ln.split(","))) for ln in lines[1:]]
+    assert lines[0] == ",".join(grid.CSV_HEADER)
+    rows = [dict(zip(grid.CSV_HEADER, ln.split(","))) for ln in lines[1:]]
     assert len(rows) == 2 * 2  # sizes {1,2} x seeds {0,1}
     for key in ("hmm",):
         for size in ("1", "2"):
@@ -511,7 +511,7 @@ def test_a_worker_that_dies_costs_only_the_cell_it_ran(prepared, monkeypatch, de
     for workers in (2, 3):
         rows = _rows_of(cli.cmd_sweep(dataclasses.replace(cfg, workers=workers)), drop=flags)
         assert_no_child_left()
-        lost = {**serial[3], **dict.fromkeys(cli.RESULT_FIELDS[6:-1], ""), "param_count": "",
+        lost = {**serial[3], **dict.fromkeys(grid.RESULT_FIELDS[6:-1], ""), "param_count": "",
                 "error": f"ChildProcessError: the worker running this cell {how}"}
         assert (rows[3]["size"], rows[3]["seed"]) == ("2", "1")
         assert rows == [*serial[:3], lost]
@@ -558,7 +558,8 @@ def test_two_workers_without_os_fork_are_a_command_error(prepared, monkeypatch, 
     assert cli.main(["sweep", "--out-dir", cfg.out_dir, "--workers", "2"]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "OSError", "message": "a sweep with more than one worker forks them, and this platform has no os.fork"}
-    assert cli.main(["sweep", "--out-dir", cfg.out_dir, "--workers", "1", "--em-max-iter", "2"]) == 0
+    assert cli.main(["sweep", "--out-dir", cfg.out_dir, "--workers", "1", "--sizes", "1", "--algos", "em",
+                     "--em-max-iter", "2"]) == 0
 
 
 def test_sweep_records_partial_failures(prepared, tmp_path):
@@ -577,7 +578,7 @@ def test_sweep_records_partial_failures(prepared, tmp_path):
     )
     path = cli.cmd_sweep(bad)
     lines = path.read_text().splitlines()
-    rows = [dict(zip(cli.CSV_HEADER, ln.split(","))) for ln in lines[1:]]
+    rows = [dict(zip(grid.CSV_HEADER, ln.split(","))) for ln in lines[1:]]
     assert len(rows) == 1
     assert rows[0]["error"] != ""
 
@@ -593,7 +594,7 @@ def test_sweep_quotes_an_error_that_holds_a_comma(prepared, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 2
     for row in rows:
-        assert list(row) == cli.CSV_HEADER  # no extra column
+        assert list(row) == grid.CSV_HEADER  # no extra column
         assert row["error"] == "ValueError: a, b"
 
 
@@ -610,7 +611,7 @@ def test_sweep_writes_each_float_as_its_repr(tmp_path):
         "markov,1,24,5,0,additive,2.0011251502761995,6.755579645526934,0.45454545454545453,1.3836477987421383,1,1,",
         "markov,2,124,5,0,additive,1.824675348430832,6.36156971851699,0.5454545454545454,1.6019417475728157,1,1,",
     ]
-    header = [c for c in cli.CSV_HEADER if c != "wall_time"]
+    header = [c for c in grid.CSV_HEADER if c != "wall_time"]
     assert rows == [dict(zip(header, line.split(","))) for line in want]
 
 
@@ -1265,22 +1266,24 @@ def test_import_chordlm_loads_no_numpy_and_no_submodule():
     assert json.loads(child.stdout) == {"modules": [], "blas": ["1"] * len(BLAS_VARIABLES)}
 
 
-def test_a_command_loads_only_the_families_it_runs(tmp_path):
-    write_corpus(tmp_path / "corpus.txt", np.random.default_rng(0))
-    run = str(tmp_path / "run")
+def modules_of(command: list[str]) -> set[str]:
+    """The chordlm, concurrent and multiprocessing modules that a child process running ``command`` loads."""
     script = ("import json, sys; from chordlm.cli import main\n"
               "status = main(json.loads(sys.argv[1]))\n"
               "print(json.dumps([status, sorted(m for m in sys.modules\n"
               "                                  if m.startswith(('chordlm.', 'concurrent', 'multiprocessing')))]))")
-    families = {"chordlm.hmm", "chordlm.markov", "chordlm.pcfg"}
+    child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True,
+                           text=True, env=_child_env())
+    assert child.returncode == 0, child.stderr
+    status, modules = json.loads(child.stdout.splitlines()[-1])
+    assert status == 0, child.stderr
+    return set(modules)
 
-    def modules_of(command: list[str]) -> set[str]:
-        child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True,
-                               text=True, env=_child_env())
-        assert child.returncode == 0, child.stderr
-        status, modules = json.loads(child.stdout.splitlines()[-1])
-        assert status == 0, child.stderr
-        return set(modules)
+
+def test_a_command_loads_only_the_families_it_runs(tmp_path):
+    write_corpus(tmp_path / "corpus.txt", np.random.default_rng(0))
+    run = str(tmp_path / "run")
+    families = {"chordlm.hmm", "chordlm.markov", "chordlm.pcfg"}
 
     loaded = []
     # the second prepare checks the algos of the family it names (hmm, which loads markov's chunk layout); the
@@ -1320,22 +1323,23 @@ def test_no_module_but_the_families_own_names_a_family():
     assert found == []
 
 
-def test_no_command_but_sweep_loads_the_process_pool(tmp_path):
+def test_prepare_analyze_and_generate_load_no_grid_and_a_sweep_no_process_pool(tmp_path):
     write_corpus(tmp_path / "corpus.txt", np.random.default_rng(0))
     run, model = tmp_path / "run", tmp_path / "run" / "models" / "hmm_s2_nx27_em_seed0.model"
     files = ["--model-file", str(model), "--vocab-file", str(run / "vocab.txt")]
-    commands = [
-        ["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", str(run), "--vocab-k", "4"],
-        ["train", "--out-dir", str(run), "--model", "hmm", "--size", "2", "--algo", "em", "--em-max-iter", "2"],
-        ["analyze", *files, "--out", str(tmp_path / "analysis.json")],
-        ["generate", *files, "--length", "4", "--out", str(tmp_path / "generated.txt")],
-    ]
-    script = ("import json, sys; from chordlm.cli import main\n"
-              "print(json.dumps([(main(a), 'concurrent.futures' in sys.modules) for a in json.loads(sys.argv[1])]))")
-    child = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True,
-                           env=_child_env())
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout.splitlines()[-1]) == [[0, False]] * len(commands), child.stderr
+    loaded = {"prepare": modules_of(["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", str(run),
+                                     "--vocab-k", "4"])}
+    assert cli.main(["train", "--out-dir", str(run), "--model", "hmm", "--size", "2", "--algo", "em",
+                     "--em-max-iter", "2"]) == 0
+    loaded["analyze"] = modules_of(["analyze", *files, "--out", str(tmp_path / "analysis.json")])
+    loaded["generate"] = modules_of(["generate", *files, "--length", "4", "--out", str(tmp_path / "generated.txt")])
+    for command, modules in loaded.items():
+        assert not modules & {"chordlm.grid", "chordlm.evaluate"}, command
+    # a two-worker sweep forks its workers itself
+    modules = modules_of(["sweep", "--out-dir", str(run), "--model", "hmm", "--sizes", "1,2", "--algos", "em",
+                          "--em-max-iter", "2", "--workers", "2"])
+    assert "chordlm.grid" in modules
+    assert not [m for m in modules if m.startswith(("concurrent", "multiprocessing"))], modules
 
 
 def test_commands_read_and_write_text_as_utf8_whatever_the_locale(tmp_path):

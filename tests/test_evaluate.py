@@ -157,7 +157,6 @@ def test_evaluate_model_report_bounds():
     assert report.perplexity >= 1.0
     assert 0.0 <= report.error_rate <= 1.0
     assert 1.0 <= report.rmrr <= 2.0
-    assert report.n_symbols == 6
 
 
 def test_csv_row_round_trips_metrics():
@@ -168,7 +167,6 @@ def test_csv_row_round_trips_metrics():
     cells = row.split(",")
     assert cells[:2] == ["markov-1", "toy"]
     assert float(cells[2]) == report.perplexity
-    assert int(cells[5]) == report.n_symbols
     assert CSV_HEADER.count(",") == row.count(",")
 
 

@@ -20,6 +20,7 @@ from oracles import (
     hmm_gamma,
     hmm_info_measures_reference,
     hmm_init_random_reference,
+    hmm_path_probabilities,
     hmm_prediction_weights_reference,
     hmm_sample_reference,
     hmm_state_draw_reference,
@@ -269,6 +270,29 @@ def test_chunks_match_the_per_line_references(k, monkeypatch):
     want = hmm_expected_counts_reference(dead, seqs)[3]
     np.testing.assert_allclose(dead.log_evidences(seqs), want, rtol=1e-12, atol=0)
     np.testing.assert_allclose(hmm._e_step(dead, chunks)[3], want, rtol=1e-12, atol=0)
+
+
+def test_state_paths_are_drawn_from_the_exact_posterior():
+    # every one of the 3^6 paths of one line, against its posterior by enumeration; seeds, draws and the bound
+    # were fixed before the first run: 200,000 draws, chi-squared over the cells expecting at least 5 draws with
+    # the rest pooled into one cell, |z| < 4
+    k, n, draws = 3, 6, 200_000
+    rng = np.random.default_rng(2017)
+    params = random_params(rng, k, 4)
+    seq = rng.integers(0, 4, n)
+    posterior = hmm_path_probabilities(params.initial, params.transition, params.emission, seq)
+    expected = draws * posterior / posterior.sum()
+    lengths = np.full(draws, n)
+    alpha, _ = hmm._forward_batch(params, np.tile(seq, (draws, 1)), lengths)
+    states = hmm._sample_states(params.transition, alpha, lengths, np.random.default_rng(7))
+    observed = np.bincount(states @ k ** np.arange(n - 1, -1, -1), minlength=k**n)
+    kept = expected >= 5
+    cells_expected = np.append(expected[kept], expected[~kept].sum())
+    cells_observed = np.append(observed[kept], observed[~kept].sum())
+    assert cells_expected[-1] >= 5, "the pooled cell itself expects too few draws for the test"
+    chi2 = ((cells_observed - cells_expected) ** 2 / cells_expected).sum()
+    df = len(cells_expected) - 1
+    assert abs((chi2 - df) / math.sqrt(2 * df)) < 4, (chi2, df)
 
 
 def test_gibbs_draws_one_uniform_per_live_row_in_chunk_order(monkeypatch):

@@ -122,9 +122,9 @@ def test_declared_layers_are_distinct_traced_functions(bench):
 )
 def test_the_tracer_counts_each_family_calls(tmp_path, family, algo, fit, sampler):
     """A traced ``train`` then ``generate`` of one tiny model counts one save,
-    one load, one fit and one sampler call: a dispatch that went around a
-    traced name would read 0 here, where the traced smoke run only checks that
-    the names are present."""
+    one evaluation, one load, one fit and one sampler call: a dispatch that
+    went around a traced name would read 0 here, where the traced smoke run
+    only checks that the names are present."""
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("C G Am F\nF G C C G\nAm F C G\nC C F G Am\nG F C\nF Am G C\nC G\n")
     run = str(tmp_path / "run")
@@ -143,7 +143,7 @@ def test_the_tracer_counts_each_family_calls(tmp_path, family, algo, fit, sample
                                 capture_output=True, text=True, env=env)
         assert traced.returncode == 0, traced.stderr
         calls.update({name: value["calls"] for name, value in json.loads(stats.read_text()).items()})
-    for name in ("model_io.save_model", "model_io.load_model", fit, sampler):
+    for name in ("model_io.save_model", "evaluate.evaluate_model", "model_io.load_model", fit, sampler):
         assert calls[name] == 1, name
 
 

@@ -5,7 +5,7 @@ the train perplexity without scoring the training set again."""
 import numpy as np
 import pytest
 
-from chordlm import cli, evaluate, hmm, markov, pcfg
+from chordlm import cli, evaluate, grid, hmm, markov, pcfg
 from chordlm.config import MODELS, Cell, ExperimentConfig
 from chordlm.hmm import HmmParams
 from oracles import count_calls
@@ -88,7 +88,7 @@ def prepared(tmp_path):
 
 def _run(cfg: ExperimentConfig, meta: dict, model: str, algo: str) -> dict:
     cell_cfg = ExperimentConfig.from_dict({**cfg.as_dict(), "model": model, "algos": [algo]})
-    row = cli._run_cell(cell_cfg, cli._load_prepared(cell_cfg), Cell(model, 2, 20, algo, 0))
+    row = grid.run_cell(cell_cfg, cli._load_prepared(cell_cfg), Cell(model, 2, 20, algo, 0))
     assert row["error"] == ""
     return row
 
