@@ -43,11 +43,10 @@ def _write_encoded(path: Path, sequences: list[np.ndarray]) -> None:
             fh.write(" ".join(str(int(i)) for i in seq) + "\n")
 
 
-def _read_encoded(path: Path, vocab: Vocabulary, count: int) -> list[np.ndarray] | ValueError:
+def _read_encoded(path: Path, vocab: Vocabulary, count: int) -> list[np.ndarray]:
     """The id arrays of a prepared encoded file, which must be there and hold
-    ``count`` nonblank lines, one per sequence, as meta.json counts. An id that
-    is not an int of the vocabulary is returned as the ValueError that names
-    its line, for each cell that reads the file to raise."""
+    ``count`` nonblank lines, one per sequence, as meta.json counts, each id
+    an int of the vocabulary; else a ValueError names the file and line."""
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run `chordlm prepare` again")
     lines = numbered_lines(path)
@@ -59,7 +58,7 @@ def _read_encoded(path: Path, vocab: Vocabulary, count: int) -> list[np.ndarray]
             if seq.min() < 0 or seq.max() >= vocab.size:
                 raise ValueError(f"encoded id out of vocabulary range 0..{vocab.size - 1}")
         except (ValueError, OverflowError) as exc:
-            return ValueError(f"{path} line {number}: {exc}")
+            raise ValueError(f"{path} line {number}: {exc}") from None
         sequences.append(seq)
     return sequences
 
@@ -116,14 +115,13 @@ PREPARED_KEYS = ("corpus_sha256", *DATA_FIELDS, "n_sequences", "vocab_size")
 class Prepared:
     """A prepared directory as a command reads it, once: the record of its
     meta.json, the config hash that seeds every cell, the vocabulary, the
-    test lines and each train size's lines. An encoded file whose ids do not
-    parse holds the ValueError that names the line in place of its lines."""
+    test lines and each train size's lines."""
 
     meta: dict
     config_hash: str
     vocab: Vocabulary
-    test: list[np.ndarray] | ValueError
-    train: dict[int, list[np.ndarray] | ValueError]
+    test: list[np.ndarray]
+    train: dict[int, list[np.ndarray]]
 
 
 def _load_prepared(cfg: ExperimentConfig) -> Prepared:

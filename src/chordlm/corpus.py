@@ -6,7 +6,10 @@ outside the retained vocabulary is mapped to the reserved ``Other`` symbol.
 Each stage passes plain values: ``parse_corpus`` gives one token list per
 line, ``encode`` turns them into integer id arrays, and ``split`` and
 ``subsample`` take and give lists of those arrays, the one sequence type that
-every model family trains and scores on.
+every model family trains and scores on. The families run them as padded
+``_chunks`` and put each line's results back in corpus order by
+``_corpus_scores``; the last three helpers give ``describe`` and ``generate``
+the symbols of a family's tables and samples.
 """
 
 from __future__ import annotations
@@ -183,3 +186,97 @@ def subsample(sequences: list[np.ndarray], n_x: int, seed: int) -> list[np.ndarr
     if not 1 <= n_x <= n:
         raise ValueError(f"subsample size {n_x} out of range [1, {n}]")
     return split(sequences, n_x, seed)[1]
+
+
+# (corpus indices, (B, n) padded batch, lengths) of lines run together
+Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# Upper bound on the floats of a chunk's table: rows times its longest line
+# times ``depth``, the floats per position (an HMM's states, a Markov model's
+# symbols); a longer line runs alone. An HMM E-step keeps about four at once.
+MAX_CHUNK_FLOATS = 1 << 16
+
+
+def _chunks(sequences: list[np.ndarray], depth: int, vocab_size: int) -> list[Chunk]:
+    """Pad the sequences into (corpus indices, (B, n) batch, lengths) chunks.
+
+    The lines are sorted longest first by a stable sort, so equal lengths keep
+    corpus order, and each chunk's first line sets its width n. At step t a
+    pass works on the prefix of rows whose line is longer than t; the padded
+    cells hold id 0 and no pass reads them as a symbol. An id outside
+    0..vocab_size-1 raises.
+    """
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    if (lengths == 0).any():
+        raise ValueError("sequence must be non-empty")
+    order = np.argsort(-lengths, kind="stable")
+    chunks = []
+    lo = 0
+    while lo < len(order):
+        n = int(lengths[order[lo]])
+        idx = order[lo:lo + max(1, MAX_CHUNK_FLOATS // (n * depth))]
+        batch = np.zeros((len(idx), n), dtype=np.int64)
+        for row, i in enumerate(idx.tolist()):
+            batch[row, :lengths[i]] = sequences[i]
+        _check_ids(idx, batch, vocab_size)
+        chunks.append((idx, batch, lengths[idx]))
+        lo += len(idx)
+    return chunks
+
+
+def _check_ids(idx: np.ndarray, batch: np.ndarray, vocab_size: int) -> None:
+    """Raise on the first id of a batch, row ``k`` holding line ``idx[k]``,
+    that is not a symbol of the alphabet."""
+    bad = np.argwhere((batch < 0) | (batch >= vocab_size))
+    if len(bad):
+        row, t = bad[0].tolist()
+        raise ValueError(f"line {idx[row]} holds symbol id {batch[row, t]}, outside 0..{vocab_size - 1}")
+
+
+def _live_rows(lengths: np.ndarray, n: int) -> list[int]:
+    """Entry t is the number of leading rows of a chunk whose line is longer than t."""
+    return _valid(lengths, n).sum(axis=0).tolist()
+
+
+def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) mask of the positions a chunk's lines hold."""
+    return np.arange(n) < lengths[:, None]
+
+
+def _corpus_scores(
+    seqs: list[np.ndarray], chunks: list[Chunk], score_chunk, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's log evidence (N,) and its positions' (sum of lengths, width) rows, in corpus
+    order, from ``score_chunk(batch, lengths)`` of each chunk or grammar batch, in its own order."""
+    ends = np.cumsum([len(seq) for seq in seqs], dtype=np.int64)
+    log_ev = np.empty(len(seqs))
+    rows = np.empty((int(ends[-1]) if len(seqs) else 0, width))
+    for idx, batch, lengths in chunks:
+        log_ev[idx], chunk_rows = score_chunk(batch, lengths)
+        # each row of line idx[k] moves by where that line ends in the corpus less where it ends in the chunk
+        shift = ends[idx] - np.cumsum(lengths)
+        rows[np.repeat(shift, lengths) + np.arange(len(chunk_rows))] = chunk_rows
+    return log_ev, rows
+
+
+def _top_symbols(row: np.ndarray, vocab, top: int = 12) -> list[dict]:
+    """The ``top`` most probable symbols of an emission row that ``describe`` lists, and their nonzero probabilities."""
+    order = np.argsort(-row, kind="stable")[: min(top, len(row))].tolist()
+    return [{"symbol": vocab.symbols[x], "probability": float(row[x])} for x in order if row[x] > 0.0]
+
+
+def _entries_above(table: np.ndarray, threshold: float, names: tuple[str, ...]) -> list[dict]:
+    """The entries of ``table`` above ``threshold`` in row-major order, each
+    with its indices under ``names`` and its ``probability``."""
+    return [{**dict(zip(names, map(int, index))), "probability": float(table[tuple(index)])}
+            for index in np.argwhere(table > threshold)]
+
+
+def _sampled_lines(model, vocab, seeds: list[int], length: int | None, trees: bool) -> list[str]:
+    """The ``generate`` method of a family of fixed-length lines: the symbols
+    of ``model.sample_sequence(length, seeds)``, one line per seed."""
+    if trees:
+        raise ValueError("--trees is only meaningful for grammar models")
+    if length is None:
+        raise ValueError("--length is required for Markov and HMM models")
+    return [" ".join(vocab.symbols[x] for x in row) for row in model.sample_sequence(length, seeds).tolist()]

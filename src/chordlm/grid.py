@@ -21,8 +21,6 @@ import time
 import typing
 from pathlib import Path
 
-import numpy.random  # noqa: F401  (the cells' draws, loaded once before any worker forks)
-
 from . import evaluate, model_io
 from .config import MODELS, Cell, ExperimentConfig
 
@@ -49,19 +47,15 @@ def run_cell(cfg: ExperimentConfig, prepared: Prepared, cell: Cell, record_error
     started = time.perf_counter()
     try:
         train, test = prepared.train[cell.n_x], prepared.test
-        for lines in (train, test):
-            if isinstance(lines, ValueError):
-                raise lines  # an id that did not parse fails each cell that reads its file
-        vocab = prepared.vocab
         family = MODELS[cell.model]
-        row["param_count"] = family.param_count(cell.size, vocab.size)
+        row["param_count"] = family.param_count(cell.size, prepared.vocab.size)
 
-        model, log, train_log_ev = family.fit(train, vocab.size, cell.size, cell.algo, cfg,
+        model, log, train_log_ev = family.fit(train, prepared.vocab.size, cell.size, cell.algo, cfg,
                                               cell.seed_of(prepared.config_hash))
 
         models_dir = Path(cfg.out_dir) / "models"
         models_dir.mkdir(exist_ok=True)
-        model_io.save_model(model, models_dir / f"{cell.name}.model", vocab_hash=vocab.content_hash())
+        model_io.save_model(model, models_dir / f"{cell.name}.model", vocab_hash=prepared.vocab.content_hash())
         (models_dir / f"{cell.name}.log.json").write_text(json.dumps(log, sort_keys=True) + "\n", encoding="utf-8")
 
         row["train_perplexity"] = evaluate._perplexity(train, train_log_ev)
@@ -142,6 +136,7 @@ def forked_rows(run, cells: list[Cell], workers: int) -> list[dict]:
     rows: list = [None] * len(cells)
     running: dict[int, _Worker] = {}  # by the file descriptor of its result pipe
     poller = select.poll()
+    import numpy.random  # noqa: F401  (the cells' draws, loaded once here rather than in each worker)
     # Objects alive now move to the permanent generation, for good: a worker's
     # collections then touch none of the pages it shares with this process, and
     # this process, which only dispatches and writes results from here, skips

@@ -4,7 +4,7 @@ Provides scaled forward-backward inference, EM training, Bayesian training by
 Gibbs sampling (blocked forward-filter backward-sample state draws alternated
 with Dirichlet posterior parameter draws), symbol-wise prediction, generation,
 and information-theoretic summaries of the latent structure. Every pass runs
-over the padded chunks of length-sorted lines that ``markov`` defines.
+over the padded chunks of length-sorted lines that ``corpus`` defines.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import training
-from .markov import Chunk, _check_rows, _chunks, _corpus_scores, _entries_above, _live_rows, _pick, _valid
-from .markov import _normalize_predictions, _position_distribution, _sampled_lines, _top_symbols
+from .corpus import Chunk, _chunks, _corpus_scores, _entries_above, _live_rows, _sampled_lines, _top_symbols, _valid
 from .training import EmConfig, GibbsConfig, GibbsTrace, dirichlet_rows  # the configs are re-exported
+from .training import _check_rows, _normalize_predictions, _pick, _position_distribution
 
 
 @dataclass
@@ -337,8 +337,9 @@ def _score_batch(params: HmmParams, batch: np.ndarray, lengths: np.ndarray) -> t
 
 
 def predict_distribution(params: HmmParams, seq: np.ndarray, position: int) -> np.ndarray:
-    """Distribution of the symbol at 1-based ``position`` given the others."""
-    return _position_distribution(seq, position, lambda s, i: _score_batch(params, s[None], np.array([len(s)]))[1][i])
+    """Distribution of the symbol at 1-based ``position`` given the others: a chunk of one."""
+    (_, batch, lengths), = _chunks([seq], params.n_states, params.vocab_size)
+    return _position_distribution(seq, position, lambda _, i: _score_batch(params, batch, lengths)[1][i])
 
 
 def stationary_distribution(

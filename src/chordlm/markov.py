@@ -6,10 +6,9 @@ the j-th symbol given the first j-1 symbols) plus the full-order transition
 table, all stored densely so that every conditional row is a proper
 distribution over the vocabulary.
 
-Fits and scores run on the padded chunks that the HMM passes import from
-here: one bincount counts every n-gram, and one gather of table rows per step
-and window position gives a chunk's evidences and prediction weights. The
-other families also import the helpers of ``describe`` and ``generate``.
+Fits and scores run on the padded chunks of ``corpus._chunks``, as an HMM's
+passes do: one bincount counts every n-gram, and one gather of table rows per
+step and window position gives a chunk's evidences and prediction weights.
 """
 
 from __future__ import annotations
@@ -18,90 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import _chunks, _corpus_scores, _live_rows, _sampled_lines, _valid
+from .training import _check_rows, _normalize_predictions, _pick, _position_distribution
+
 SMOOTHING_TAGS = ("additive", "kn", "mkn")
 
 _FALLBACK_EPSILON = 0.1
-
-# (corpus indices, (B, n) padded batch, lengths) of lines run together
-Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-# Upper bound on the floats of a chunk's table: rows times its longest line
-# times ``depth``, the floats per position (an HMM's states, a Markov model's
-# symbols); a longer line runs alone. An HMM E-step keeps about four at once.
-MAX_CHUNK_FLOATS = 1 << 16
-
-
-def _chunks(sequences: list[np.ndarray], depth: int, vocab_size: int) -> list[Chunk]:
-    """Pad the sequences into (corpus indices, (B, n) batch, lengths) chunks.
-
-    The lines are sorted longest first by a stable sort, so equal lengths keep
-    corpus order, and each chunk's first line sets its width n. At step t a
-    pass works on the prefix of rows whose line is longer than t; the padded
-    cells hold id 0 and no pass reads them as a symbol. An id outside
-    0..vocab_size-1 raises.
-    """
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    if (lengths == 0).any():
-        raise ValueError("sequence must be non-empty")
-    order = np.argsort(-lengths, kind="stable")
-    chunks = []
-    lo = 0
-    while lo < len(order):
-        n = int(lengths[order[lo]])
-        idx = order[lo:lo + max(1, MAX_CHUNK_FLOATS // (n * depth))]
-        batch = np.zeros((len(idx), n), dtype=np.int64)
-        for row, i in enumerate(idx.tolist()):
-            batch[row, :lengths[i]] = sequences[i]
-        _check_ids(idx, batch, vocab_size)
-        chunks.append((idx, batch, lengths[idx]))
-        lo += len(idx)
-    return chunks
-
-
-def _check_ids(idx: np.ndarray, batch: np.ndarray, vocab_size: int) -> None:
-    """Raise on the first id of a batch, row ``k`` holding line ``idx[k]``,
-    that is not a symbol of the alphabet."""
-    bad = np.argwhere((batch < 0) | (batch >= vocab_size))
-    if len(bad):
-        row, t = bad[0].tolist()
-        raise ValueError(f"line {idx[row]} holds symbol id {batch[row, t]}, outside 0..{vocab_size - 1}")
-
-
-def _live_rows(lengths: np.ndarray, n: int) -> list[int]:
-    """Entry t is the number of leading rows of a chunk whose line is longer than t."""
-    return _valid(lengths, n).sum(axis=0).tolist()
-
-
-def _valid(lengths: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) mask of the positions a chunk's lines hold."""
-    return np.arange(n) < lengths[:, None]
-
-
-def _corpus_scores(
-    seqs: list[np.ndarray], chunks: list[Chunk], score_chunk, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each sequence's log evidence (N,) and its positions' (sum of lengths, width) rows, in corpus
-    order, from ``score_chunk(batch, lengths)`` of each chunk or grammar batch, in its own order."""
-    ends = np.cumsum([len(seq) for seq in seqs], dtype=np.int64)
-    log_ev = np.empty(len(seqs))
-    rows = np.empty((int(ends[-1]) if len(seqs) else 0, width))
-    for idx, batch, lengths in chunks:
-        log_ev[idx], chunk_rows = score_chunk(batch, lengths)
-        # each row of line idx[k] moves by where that line ends in the corpus less where it ends in the chunk
-        shift = ends[idx] - np.cumsum(lengths)
-        rows[np.repeat(shift, lengths) + np.arange(len(chunk_rows))] = chunk_rows
-    return log_ev, rows
-
-
-def _sampled_lines(model, vocab, seeds: list[int], length: int | None, trees: bool) -> list[str]:
-    """The ``generate`` method of a family of fixed-length lines: the symbols
-    of ``model.sample_sequence(length, seeds)``, one line per seed."""
-    if trees:
-        raise ValueError("--trees is only meaningful for grammar models")
-    if length is None:
-        raise ValueError("--length is required for Markov and HMM models")
-    return [" ".join(vocab.symbols[x] for x in row) for row in model.sample_sequence(length, seeds).tolist()]
-
 
 @dataclass
 class MarkovModel:
@@ -252,51 +173,6 @@ class MarkovModel:
             context = out[:, lo:pos] @ v ** np.arange(pos - lo - 1, -1, -1)  # each line's row of the table
             out[:, pos] = _pick(np.cumsum(table[context], axis=1), u[:, pos])
         return out
-
-
-def _top_symbols(row: np.ndarray, vocab, top: int = 12) -> list[dict]:
-    """The ``top`` most probable symbols of an emission row that ``describe`` lists, and their nonzero probabilities."""
-    order = np.argsort(-row, kind="stable")[: min(top, len(row))].tolist()
-    return [{"symbol": vocab.symbols[x], "probability": float(row[x])} for x in order if row[x] > 0.0]
-
-
-def _entries_above(table: np.ndarray, threshold: float, names: tuple[str, ...]) -> list[dict]:
-    """The entries of ``table`` above ``threshold`` in row-major order, each
-    with its indices under ``names`` and its ``probability``."""
-    return [{**dict(zip(names, map(int, index))), "probability": float(table[tuple(index)])}
-            for index in np.argwhere(table > threshold)]
-
-
-def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical draws: for each uniform, the count of entries of its CDF
-    row (or of the one row ``cdf``) that are <= it."""
-    return (cdf <= u[:, None]).sum(axis=1)
-
-
-def _normalize_predictions(weights: np.ndarray) -> np.ndarray:
-    """Scale per-position candidate weights (the last axis) to distributions."""
-    totals = weights.sum(axis=-1, keepdims=True)
-    if (totals <= 0.0).any():
-        raise ValueError("no symbol has positive probability at this position")
-    return weights / totals
-
-
-def _position_distribution(seq: np.ndarray, position: int, weights) -> np.ndarray:
-    """Distribution of the symbol at 1-based ``position`` of ``seq``, where
-    ``weights(seq, i)`` gives the candidate weights at 0-based position i."""
-    seq = np.asarray(seq)
-    if not 1 <= position <= len(seq):
-        raise ValueError(f"position {position} out of range [1, {len(seq)}]")
-    return _normalize_predictions(weights(seq, position - 1))
-
-
-def _check_rows(table: np.ndarray, tol: float, label: str) -> None:
-    if (table < 0).any():
-        raise ValueError(f"{label} has negative entries")
-    sums = table.sum(axis=-1)
-    if not np.allclose(sums, 1.0, rtol=0, atol=tol):
-        worst = float(np.abs(sums - 1.0).max())
-        raise ValueError(f"{label} rows do not sum to 1 (max deviation {worst:.3g})")
 
 
 def fit(

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import training
 from .config import kappa_from_mean_length
-from .markov import _check_ids, _check_rows, _corpus_scores, _entries_above, _normalize_predictions
-from .markov import _position_distribution, _top_symbols
+from .corpus import _check_ids, _corpus_scores, _entries_above, _top_symbols
 from .training import DEFAULT_MAX_TRAIN_LENGTH, GibbsTrace, dirichlet_rows  # the length cap is re-exported
+from .training import _check_rows, _normalize_predictions, _position_distribution
 
 START = -1
 
@@ -385,8 +385,9 @@ def _batches(sequences: list[np.ndarray], d: int, vocab_size: int):
 
 
 def inside(params: PcfgParams, seq: np.ndarray) -> _ChartBatch:
-    """Inside chart of one sequence: a batch of one."""
-    return _inside_batch(params, np.asarray(seq)[None])
+    """Inside chart of one sequence: a batch of one, whose ids ``_batches`` checks."""
+    (_, batch), = _batches([np.asarray(seq)], params.n_nonterminals, params.vocab_size)
+    return _inside_batch(params, batch)
 
 
 def outside(params: PcfgParams, chart: _ChartBatch) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ two row operations live here: EM's M-step is ``from_counts(normalize_rows,
 symmetric concentration ``GibbsConfig.dirichlet_alpha``. Evidences come in
 corpus order, and only this module checks and sums them. ``hmm.em_fit``,
 ``hmm.gibbs_fit``, ``pcfg.em_fit`` and ``pcfg.gibbs_fit`` bind them, and
-``fit`` trains a grid cell of either family through them.
+``fit`` trains a grid cell of either family through them. Every family's
+row checks, categorical picks and prediction rows go through the helpers below.
 """
 
 from __future__ import annotations
@@ -165,3 +166,34 @@ def fit(family, init, train: list[np.ndarray], algo: str, cfg, seed_of, log: dic
         log.update(algorithm="gs", sample_log_evidence=trace.sample_log_evidence,
                    polish_log_likelihood=trace.polish_trace)
     return fitted, log, log_evidences
+
+
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Categorical draws: for each uniform, the count of entries of its CDF
+    row (or of the one row ``cdf``) that are <= it."""
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _normalize_predictions(weights: np.ndarray) -> np.ndarray:
+    """Scale per-position candidate weights (the last axis) to distributions."""
+    totals = weights.sum(axis=-1, keepdims=True)
+    if (totals <= 0.0).any():
+        raise ValueError("no symbol has positive probability at this position")
+    return weights / totals
+
+
+def _position_distribution(seq: np.ndarray, position: int, weights) -> np.ndarray:
+    """Distribution of the symbol at 1-based ``position`` of ``seq``, where
+    ``weights(seq, i)`` gives the candidate weights at 0-based position i."""
+    if not 1 <= position <= len(seq):
+        raise ValueError(f"position {position} out of range [1, {len(seq)}]")
+    return _normalize_predictions(weights(seq, position - 1))
+
+
+def _check_rows(table: np.ndarray, tol: float, label: str) -> None:
+    if (table < 0).any():
+        raise ValueError(f"{label} has negative entries")
+    sums = table.sum(axis=-1)
+    if not np.allclose(sums, 1.0, rtol=0, atol=tol):
+        worst = float(np.abs(sums - 1.0).max())
+        raise ValueError(f"{label} rows do not sum to 1 (max deviation {worst:.3g})")

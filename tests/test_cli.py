@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -741,16 +742,18 @@ def test_sweep_and_train_check_a_data_field_set_to_its_default(sixty_lines, caps
 
 @pytest.mark.parametrize("bad", ["0 1 x", "0 1 99"], ids=["not-an-int", "out-of-range"])
 def test_a_bad_encoded_id_names_its_file_and_line(sixty_lines, capsys, bad):
-    lines = Path("run/test.ids").read_text(encoding="utf-8").splitlines()
-    Path("run/test.ids").write_text("\n".join([*lines[:-1], bad]) + "\n", encoding="utf-8")
-    where = f"{Path('run') / 'test.ids'} line 6: "
-    capsys.readouterr()
-    assert cli.main(["train", "--out-dir", "run", "--size", "2", "--algo", "em", *CELL]) == 1
-    assert where in json.loads(capsys.readouterr().err)["message"]
-    assert cli.main(["sweep", "--out-dir", "run", "--sizes", "2", "--algos", "em", *CELL]) == 0
-    with open("run/results.csv", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1 and rows[0]["error"].startswith(f"ValueError: {where}")
+    # as a missing or miscounted file does, a bad id in the last line of either file fails the command before any cell
+    for path in (Path("run") / "test.ids", Path("run") / "train_nx54.ids"):
+        good = path.read_text(encoding="utf-8")
+        lines = good.splitlines()
+        path.write_text("\n".join([*lines[:-1], bad]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        for command in (["train", "--size", "2", "--algo", "em"], ["sweep", "--sizes", "2", "--algos", "em"]):
+            assert cli.main([*command, "--out-dir", "run", *CELL]) == 1
+            error = json.loads(capsys.readouterr().err)
+            assert error["error"] == "ValueError" and error["message"].startswith(f"{path} line {len(lines)}: ")
+        assert not Path("run/results.csv").exists() and not Path("run/models").exists()
+        path.write_text(good, encoding="utf-8")
 
 
 def test_train_reports_the_type_and_message_that_the_cell_raises(tmp_path, monkeypatch, capsys):
@@ -1266,13 +1269,14 @@ def test_import_chordlm_loads_no_numpy_and_no_submodule():
     assert json.loads(child.stdout) == {"modules": [], "blas": ["1"] * len(BLAS_VARIABLES)}
 
 
-def modules_of(command: list[str]) -> set[str]:
-    """The chordlm, concurrent and multiprocessing modules that a child process running ``command`` loads."""
+def modules_of(command: list[str], prefixes: tuple[str, ...] = ("chordlm.", "concurrent", "multiprocessing")
+               ) -> set[str]:
+    """The modules under ``prefixes``, by default chordlm's, concurrent's and multiprocessing's, that a child
+    process running ``command`` loads."""
     script = ("import json, sys; from chordlm.cli import main\n"
               "status = main(json.loads(sys.argv[1]))\n"
-              "print(json.dumps([status, sorted(m for m in sys.modules\n"
-              "                                  if m.startswith(('chordlm.', 'concurrent', 'multiprocessing')))]))")
-    child = subprocess.run([sys.executable, "-c", script, json.dumps(command)], capture_output=True,
+              "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2:])))]))")
+    child = subprocess.run([sys.executable, "-c", script, json.dumps(command), *prefixes], capture_output=True,
                            text=True, env=_child_env())
     assert child.returncode == 0, child.stderr
     status, modules = json.loads(child.stdout.splitlines()[-1])
@@ -1286,21 +1290,21 @@ def test_a_command_loads_only_the_families_it_runs(tmp_path):
     families = {"chordlm.hmm", "chordlm.markov", "chordlm.pcfg"}
 
     loaded = []
-    # the second prepare checks the algos of the family it names (hmm, which loads markov's chunk layout); the
-    # directory records neither, so the sweep after it loads no more than the first
+    # the second prepare checks the algos of the family it names; the directory records neither, so the sweep
+    # after it loads no more than the first
     for prepare in ([], ["--model", "hmm", "--algos", "em,gs"]):
         for command in (["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", run, "--vocab-k", "4",
                          *prepare],
                         ["sweep", "--out-dir", run, "--model", "markov", "--sizes", "1", "--algos", "additive"]):
             loaded.append(families & modules_of(command))
-    assert loaded == [set(), {"chordlm.markov"}, {"chordlm.hmm", "chordlm.markov"}, {"chordlm.markov"}]
+    assert loaded == [set(), {"chordlm.markov"}, {"chordlm.hmm"}, {"chordlm.markov"}]
 
-    # sampling a grammar loads its own family and markov's helpers, but no HMM and no evaluation code
+    # sampling a grammar loads its own family, but no other and no evaluation code
     assert cli.main(["train", "--out-dir", run, "--model", "pcfg", "--size", "2", "--algo", "em",
                      "--em-max-iter", "2", "--pcfg-init", "random"]) == 0
     modules = modules_of(["generate", "--model-file", f"{run}/models/pcfg_s2_nx27_em_seed0.model",
                           "--vocab-file", f"{run}/vocab.txt", "--count", "3"])
-    assert families & modules == {"chordlm.pcfg", "chordlm.markov"}
+    assert families & modules == {"chordlm.pcfg"}
     assert "chordlm.evaluate" not in modules
 
     # a two-worker sweep forks its workers itself, and loads no process pool
@@ -1321,6 +1325,45 @@ def test_no_module_but_the_families_own_names_a_family():
              for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if FAMILY_BRANCH.search(line)]
     assert found == []
+
+
+def _chordlm_modules_imported(node: ast.AST) -> list[str]:
+    """The chordlm submodules that the imports of ``node`` name, outside the bodies of its functions."""
+    names = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names += [alias.name.split(".")[1] for alias in child.names if alias.name.startswith("chordlm.")]
+        elif isinstance(child, ast.ImportFrom) and (child.level or (child.module or "").startswith("chordlm")):
+            module = (child.module or "").removeprefix("chordlm").lstrip(".")
+            names += [module.split(".")[0]] if module else [alias.name for alias in child.names]
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            names += _chordlm_modules_imported(child)
+    return names
+
+
+def test_no_family_module_imports_another_family_at_top_level():
+    # a process loads only the families it runs; a grammar initialised from an HMM imports hmm inside the fit
+    source = Path(cli.__file__).parent
+    found = {kind: sorted(set(_chordlm_modules_imported(ast.parse((source / f"{kind}.py").read_text("utf-8"))))
+                          & set(MODELS) - {kind}) for kind in MODELS}
+    assert found == dict.fromkeys(MODELS, [])
+    fit = next(node for node in ast.walk(ast.parse((source / "pcfg.py").read_text("utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name == "fit")
+    assert _chordlm_modules_imported(fit) == ["hmm"]
+
+
+def test_numpy_random_loads_only_where_a_cell_draws_or_workers_fork(tmp_path):
+    write_corpus(tmp_path / "corpus.txt", np.random.default_rng(0))
+    run = str(tmp_path / "run")
+    assert cli.main(["prepare", "--corpus", str(tmp_path / "corpus.txt"), "--out-dir", run, "--vocab-k", "4"]) == 0
+    markov_cells = ["--out-dir", run, "--model", "markov", "--algos", "additive"]
+    # a Markov fit draws nothing, so neither train nor a one-worker sweep loads numpy.random
+    for command in (["train", "--out-dir", run, "--model", "markov", "--size", "1", "--algo", "additive"],
+                    ["sweep", *markov_cells, "--sizes", "1,2"]):
+        assert "numpy.random" not in modules_of(command, ("numpy.random",)), command
+    # a two-worker sweep loads it once, in the parent before it forks, for every cell's draws
+    assert "numpy.random" in modules_of(["sweep", *markov_cells, "--sizes", "1,2", "--workers", "2"],
+                                        ("numpy.random",))
 
 
 def test_prepare_analyze_and_generate_load_no_grid_and_a_sweep_no_process_pool(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chordlm import corpus
+from chordlm import corpus, hmm, markov, pcfg
 from chordlm.corpus import (
     Vocabulary,
     build_vocabulary,
@@ -207,3 +207,20 @@ def test_a_file_without_the_vocabulary_header_is_named(tmp_path):
     path.write_text("0\tC\t3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"{path} is not a vocabulary file"):
         Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "vocab-size"])
+@pytest.mark.parametrize("kind", ["markov", "hmm", "pcfg"])
+def test_every_scoring_entry_point_rejects_an_id_outside_the_alphabet(kind, bad):
+    # a batch names the line's corpus index, 1 here; a per-line entry point runs a batch of one, line 0
+    lines = [np.array([0, 1, 2]), np.array([0, 1, bad, 2])]
+    model = {"markov": lambda: markov.fit(lines[:1], 4, order=1), "hmm": lambda: hmm.init_random(2, 4, 0),
+             "pcfg": lambda: pcfg.init_random(2, 4, 0)}[kind]()
+    per_line = {"markov": [markov.MarkovModel.log_evidence, lambda m, seq: m.predict_distribution(seq, 2)],
+                "hmm": [hmm.forward_backward, lambda m, seq: hmm.predict_distribution(m, seq, 2)],
+                "pcfg": [pcfg.inside, pcfg.normalized_log_evidence, lambda m, seq: pcfg.predict_distribution(m, seq, 2)]}
+    calls = [(1, lambda: model.log_evidences(lines)), (1, lambda: model.score(lines)),
+             *((0, lambda call=call: call(model, lines[1])) for call in per_line[kind])]
+    for line, call in calls:
+        with pytest.raises(ValueError, match=rf"^line {line} holds symbol id {bad}, outside 0\.\.3$"):
+            call()

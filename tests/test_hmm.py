@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chordlm import evaluate, hmm, markov
+from chordlm import corpus, evaluate, hmm, markov
 from chordlm.corpus import Vocabulary
 from chordlm.hmm import EmConfig, GibbsConfig, HmmParams
 from oracles import (
@@ -193,7 +193,7 @@ def test_batched_prediction_rows_match_per_line_rows(k):
     rng = np.random.default_rng(44 + k)
     params = with_dead_symbol(random_params(rng, k, 7))
     seqs = mixed_lines(rng, 7, 60)
-    for idx, batch, lengths in hmm._chunks(seqs, k, 7):
+    for idx, batch, lengths in corpus._chunks(seqs, k, 7):
         log_ev, weights = hmm._score_batch(params, batch, lengths)
         np.testing.assert_array_equal(log_ev, params.log_evidences([seqs[i] for i in idx]))
         for i, rows in zip(idx, np.split(weights, np.cumsum(lengths)[:-1])):
@@ -210,7 +210,7 @@ def test_e_step_counts_match_the_per_line_reference(k):
     rng = np.random.default_rng(47 + k)
     params = random_params(rng, k, 6)
     seqs = mixed_lines(rng, 6, 80)
-    chunks = hmm._chunks(seqs, k, 6)
+    chunks = corpus._chunks(seqs, k, 6)
     assert len({len(seq) for seq in seqs}) == 20
     for got, want in zip(hmm._e_step(params, chunks), hmm_expected_counts_reference(params, seqs)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -238,8 +238,8 @@ def test_chunks_match_the_per_line_references(k, monkeypatch):
     params = random_params(rng, k, 7)
     dead = with_dead_padding_id(params)
     seqs = mixed_lines(rng, 7, 90)
-    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 15 * k)  # lines of 16 to 20 chords run alone
-    chunks = hmm._chunks(seqs, k, 7)
+    monkeypatch.setattr(corpus, "MAX_CHUNK_FLOATS", 15 * k)  # lines of 16 to 20 chords run alone
+    chunks = corpus._chunks(seqs, k, 7)
     order = np.concatenate([idx for idx, _, _ in chunks])
     assert sorted(order.tolist()) == list(range(len(seqs)))
     lengths = [len(seqs[i]) for i in order]
@@ -257,10 +257,10 @@ def test_chunks_match_the_per_line_references(k, monkeypatch):
     # evidence, and the others are padded with it
     live = [seq for seq in seqs if not (seq == 0).any()]
     assert 0 < len(live) < len(seqs)
-    assert any(chunk_lengths.min() < batch.shape[1] for _, batch, chunk_lengths in hmm._chunks(live, k, 7))
+    assert any(chunk_lengths.min() < batch.shape[1] for _, batch, chunk_lengths in corpus._chunks(live, k, 7))
     for model, lines in [(params, seqs), (dead, live)]:
         want = hmm_expected_counts_reference(model, lines)
-        for got, w in zip(hmm._e_step(model, hmm._chunks(lines, k, 7)), want):
+        for got, w in zip(hmm._e_step(model, corpus._chunks(lines, k, 7)), want):
             np.testing.assert_allclose(got, w, rtol=1e-12, atol=0)
         log_ev, rows = model.score(lines)
         np.testing.assert_array_equal(log_ev, model.log_evidences(lines))
@@ -299,8 +299,8 @@ def test_gibbs_draws_one_uniform_per_live_row_in_chunk_order(monkeypatch):
     rng = np.random.default_rng(63)
     params = with_dead_padding_id(random_params(rng, 3, 5))
     seqs = [seq for seq in mixed_lines(rng, 5, 70) if not (seq == 0).any()]
-    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 3 * 40)
-    chunks = hmm._chunks(seqs, 3, 5)
+    monkeypatch.setattr(corpus, "MAX_CHUNK_FLOATS", 3 * 40)
+    chunks = corpus._chunks(seqs, 3, 5)
     assert len(chunks) > 1
     draws, want = np.random.default_rng(5), np.random.default_rng(5)
     state_counts = np.zeros(3, dtype=np.int64)
@@ -329,8 +329,8 @@ def test_evaluate_model_runs_one_forward_pass_per_chunk(monkeypatch):
     rng = np.random.default_rng(45)
     params = random_params(rng, 6, 5)
     seqs = mixed_lines(rng, 5, 50)
-    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 6 * 60)
-    chunks = len(hmm._chunks(seqs, 6, 5))
+    monkeypatch.setattr(corpus, "MAX_CHUNK_FLOATS", 6 * 60)
+    chunks = len(corpus._chunks(seqs, 6, 5))
     assert chunks > 1
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     evaluate.evaluate_model(params, seqs)
@@ -396,7 +396,7 @@ def test_gibbs_defaults():
 def test_gibbs_rows_valid_every_iteration():
     rng = np.random.default_rng(0)
     data = make_dataset(["a b a b", "b a", "a a b"], symbols=["a", "b"])
-    chunks = hmm._chunks(data, 2, 2)
+    chunks = corpus._chunks(data, 2, 2)
     params = hmm.init_random(2, 2, seed=3)
     for _ in range(25):
         params, _ = hmm._gibbs_step(params, chunks, 0.1, rng)
@@ -423,7 +423,7 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
     seqs = [rng.integers(0, 4, size=int(n)) for n in rng.integers(1, 9, size=30)]
     init = hmm.init_random(3, 4, seed=8)
     cfg = GibbsConfig(n_samples=12, polish_iters=4, seed=17, rel_tol=0.0)
-    chunks = hmm._chunks(seqs, 3, 4)
+    chunks = corpus._chunks(seqs, 3, 4)
     fitted, trace, _ = hmm.gibbs_fit(init, seqs, cfg)
     want, want_samples, want_polish = best_of_gibbs_reference(
         init,
@@ -442,8 +442,8 @@ def test_gibbs_fit_matches_the_score_every_sample_loop():
 def test_gibbs_fit_runs_one_forward_pass_per_chunk_and_sample(monkeypatch):
     rng = np.random.default_rng(47)
     seqs = [rng.integers(0, 3, size=int(n)) for n in rng.integers(1, 7, size=20)]
-    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 2 * 12)
-    chunks = len(hmm._chunks(seqs, 2, 3))
+    monkeypatch.setattr(corpus, "MAX_CHUNK_FLOATS", 2 * 12)
+    chunks = len(corpus._chunks(seqs, 2, 3))
     assert chunks > 1
     cfg = GibbsConfig(n_samples=7, polish_iters=3, seed=2, rel_tol=0.0)
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
@@ -461,7 +461,7 @@ def test_gibbs_single_state_posterior_mean():
     post = 0.5 + counts
     want = post / post.sum()
     draws = []
-    chunks = hmm._chunks(data, 1, 2)
+    chunks = corpus._chunks(data, 1, 2)
     for seed in range(400):
         rng = np.random.default_rng(seed)
         params, _ = hmm._gibbs_step(hmm.init_random(1, 2, seed=0), chunks, 0.5, rng)

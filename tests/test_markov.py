@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chordlm import markov
+from chordlm import corpus, markov
 from oracles import (
     all_sequences,
     count_calls,
@@ -138,9 +138,9 @@ def test_chunk_path_equals_the_per_line_reference(order, smoothing, monkeypatch)
     test = [rng.integers(0, 5, size=int(n)) for n in rng.integers(1, 21, size=30)] + [np.array([3])]
     assert {1, 20} <= {len(seq) for seq in train + test}
     m = markov.fit(train, 5, order=order, smoothing=smoothing)
-    for cap in (markov.MAX_CHUNK_FLOATS, 5 * 20 * 4):  # then four lines of 20 chords per chunk
-        monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", cap)
-        assert (len(markov._chunks(test, 5, 5)) > 1) == (cap < 1 << 16)
+    for cap in (corpus.MAX_CHUNK_FLOATS, 5 * 20 * 4):  # then four lines of 20 chords per chunk
+        monkeypatch.setattr(corpus, "MAX_CHUNK_FLOATS", cap)
+        assert (len(corpus._chunks(test, 5, 5)) > 1) == (cap < 1 << 16)
         assert_scores_equal_the_reference(m, test)
         for width in range(1, order + 2):
             np.testing.assert_array_equal(markov._ngram_counts(train, width, 5), ngram_counts_reference(train, width, 5))

@@ -5,7 +5,7 @@ the train perplexity without scoring the training set again."""
 import numpy as np
 import pytest
 
-from chordlm import cli, evaluate, grid, hmm, markov, pcfg
+from chordlm import cli, corpus, evaluate, grid, hmm, pcfg
 from chordlm.config import MODELS, Cell, ExperimentConfig
 from chordlm.hmm import HmmParams
 from oracles import count_calls
@@ -125,10 +125,10 @@ def test_pcfg_em_cell_runs_one_inside_pass_per_batch_and_iteration(prepared, mon
 
 def test_hmm_em_cell_runs_one_forward_pass_per_chunk_and_iteration(prepared, monkeypatch):
     cfg, meta, train, test = prepared
-    monkeypatch.setattr(markov, "MAX_CHUNK_FLOATS", 2 * 2 * 7)  # two lines of 7 chords per chunk at K=2
+    monkeypatch.setattr(corpus, "MAX_CHUNK_FLOATS", 2 * 2 * 7)  # two lines of 7 chords per chunk at K=2
     calls = count_calls(monkeypatch, hmm, "_forward_batch")
     _run(cfg, meta, "hmm", "em")
     v = meta["vocab_size"]
-    chunks = len(hmm._chunks(train, 2, v))
+    chunks = len(corpus._chunks(train, 2, v))
     assert chunks > 1
-    assert calls[0] == (cfg.em_max_iter + 1) * chunks + len(hmm._chunks(test, 2, v))
+    assert calls[0] == (cfg.em_max_iter + 1) * chunks + len(corpus._chunks(test, 2, v))
